@@ -33,7 +33,6 @@ from .certifier import (
 )
 from .gcs import (
     BUILTIN_DESCRIPTIONS,
-    GcsChart,
     LightlikeChart,
     builtin_chart,
     chart_from_doc,
@@ -128,25 +127,11 @@ def _load_json_file(path: str):
 def _resolve_chart(opts: dict, grid: int):
     if opts.get("chart"):
         doc = _load_json_file(opts["chart"])
-        chart = chart_from_doc(doc)
-    elif opts.get("builtin"):
+        return chart_from_doc(doc, grid=grid)
+    if opts.get("builtin"):
         params = json.loads(opts["params"]) if opts.get("params") else None
-        chart = builtin_chart(opts["builtin"], n=opts.get("n"), params=params)
-    else:
-        raise ValueError("need either --builtin or --chart")
-    if grid != chart.grid:
-        # rebuild with the requested validation/genericity resolution
-        cls = LightlikeChart if isinstance(chart, LightlikeChart) else GcsChart
-        chart = cls(
-            n=chart.n,
-            domain=list(chart.domain),
-            interval=chart.interval,
-            entries=chart.entries,
-            name=chart.name,
-            params=chart.params,
-            grid=grid,
-        )
-    return chart
+        return builtin_chart(opts["builtin"], n=opts.get("n"), params=params, grid=grid)
+    raise ValueError("need either --builtin or --chart")
 
 
 def _envelope(config: RunConfig, input_doc: dict, payload: dict) -> dict:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -53,23 +54,6 @@ def _axis_samples(lo: float, hi: float, count: int) -> list[Fraction]:
     return [lo_f + k * step for k in range(count)]
 
 
-def _grid_points(box, interval, per_axis: int):
-    axes = [_axis_samples(lo, hi, per_axis) for lo, hi in box]
-    axes.append(_axis_samples(interval[0], interval[1], per_axis))
-    idx = [0] * len(axes)
-    while True:
-        yield tuple(axes[k][idx[k]] for k in range(len(axes)))
-        k = len(axes) - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < len(axes[k]):
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return
-
-
 def _entries_matrix(dim: int, upper: dict[tuple[int, int], RationalField], nvars: int):
     zero = RationalField.const(nvars, 0)
     mat = [[zero for _ in range(dim)] for _ in range(dim)]
@@ -90,6 +74,171 @@ def _eval_entry_matrix(entries, point) -> np.ndarray:
     return out
 
 
+# -- grid scan ----------------------------------------------------------------
+
+#: Grid points evaluated per numpy block.  A scan holds a few arrays of this
+#: many rows at a time, so its peak memory does not depend on the grid size.
+GRID_BLOCK = 1024
+
+#: Most grid points (samples per axis to the power n+1) a chart may request.
+GRID_POINT_CAP = 10_000_000
+
+#: A grid denominator vanishes when |den| <= DEN_VANISH_ULPS * eps * sum|terms|,
+#: a bound on the rounding error of its float evaluation.
+DEN_VANISH_ULPS = 64
+
+
+@dataclass(frozen=True)
+class _GridProgram:
+    """The chart's nonzero metric entries, then its nonzero r-derivative
+    entries, compiled for float evaluation at many points at once.
+
+    ``exps`` lists the distinct monomials of every numerator and
+    denominator; ``coefs[:, 2k]`` and ``coefs[:, 2k + 1]`` hold the
+    coefficients of field k's numerator and denominator on them.  Field k
+    sits at ``(rows[k], cols[k])`` of its matrix; the first ``n_metric``
+    fields are metric entries.
+    """
+
+    exps: np.ndarray
+    coefs: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    n_metric: int
+
+
+def _compile_grid_program(chart: "GcsChart") -> _GridProgram:
+    n = chart.n
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    metric = [(i, j, chart.entries[i][j]) for i, j in upper]
+    deriv = [(i, j, chart._derived_entry(i, j, (0,) * n, 1)) for i, j in upper]
+    fields = [item for item in metric + deriv if not item[2].is_zero]
+    monomials: dict[tuple[int, ...], int] = {}
+    terms = []
+    for k, (_, _, f) in enumerate(fields):
+        for col, poly in ((2 * k, f.num), (2 * k + 1, f.den)):
+            for exps, c in poly.terms.items():
+                terms.append((monomials.setdefault(exps, len(monomials)), col, float(c)))
+    coefs = np.zeros((len(monomials), 2 * len(fields)))
+    for row, col, c in terms:
+        coefs[row, col] = c
+    return _GridProgram(
+        exps=np.array(list(monomials), dtype=np.int64).reshape(len(monomials), n + 1),
+        coefs=coefs,
+        rows=np.array([i for i, _, _ in fields], dtype=np.int64),
+        cols=np.array([j for _, j, _ in fields], dtype=np.int64),
+        n_metric=sum(1 for i, j, f in metric if not f.is_zero),
+    )
+
+
+@dataclass(frozen=True)
+class GridSummary:
+    """Tolerance-free result of one grid scan of the r-derivative field d.
+
+    With ``scale = max(max|a|, 1)`` at each point, the ratios are the minima
+    over the grid of ``min|eig(d)| / scale`` and ``max|d| / scale``; a
+    tolerance turns them into the verdicts of :class:`GenericityReport`.
+    """
+
+    grid: int
+    worst_min_abs_eig: float
+    worst_point: tuple[list[float], float]
+    min_norm: float
+    min_norm_point: tuple[list[float], float]
+    min_eig_ratio: float
+    min_norm_ratio: float
+
+
+def _grid_axes(chart: "GcsChart", per_axis: int) -> list[np.ndarray]:
+    """Float sample values of each axis, x_1 .. x_n then r; refuses grids
+    above GRID_POINT_CAP before allocating anything."""
+    count = per_axis ** (chart.n + 1)
+    if count > GRID_POINT_CAP:
+        raise ValueError(
+            f"grid of {per_axis} samples per axis has {count} points over "
+            f"{chart.n + 1} axes, above the cap of {GRID_POINT_CAP}"
+        )
+    return [
+        np.array([float(v) for v in _axis_samples(lo, hi, per_axis)])
+        for lo, hi in [*chart.domain, chart.interval]
+    ]
+
+
+def _grid_point(axes, digits, k) -> tuple[list[float], float]:
+    """Point k of a block as (x, r) floats."""
+    point = [float(axis[d[k]]) for axis, d in zip(axes, digits)]
+    return point[:-1], point[-1]
+
+
+def _scan_grid(chart: "GcsChart", per_axis: int, check_positive: bool) -> GridSummary:
+    """Evaluate the metric and its r-derivative over the grid, block by block.
+
+    Points run in lexicographic order, the last axis (r) fastest; the first
+    point with a vanishing denominator (or, with ``check_positive``, a
+    metric that is not positive definite) raises ValueError.  Ties in the
+    minima keep the first point.
+    """
+    axes = _grid_axes(chart, per_axis)
+    prog = chart._grid_program
+    n, na = chart.n, prog.n_metric
+    shape = (per_axis,) * (n + 1)
+    # powers of each axis's samples for every monomial: (per_axis, monomials)
+    tables = [axis[:, None] ** prog.exps[:, k] for k, axis in enumerate(axes)]
+    den_abs = np.abs(prog.coefs[:, 1 : 2 * na : 2])
+    vanish_tol = DEN_VANISH_ULPS * np.finfo(float).eps
+    worst = min_norm = min_eig_ratio = min_norm_ratio = np.inf
+    worst_point = min_norm_point = None
+    # metric entries go to slot 0 of a point's matrix pair, derivatives to 1
+    slot = (np.arange(len(prog.rows)) >= na).astype(np.int64)
+    total = per_axis ** (n + 1)
+    for start in range(0, total, GRID_BLOCK):
+        digits = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, total)), shape)
+        mono = tables[0][digits[0]]
+        for table, d in zip(tables[1:], digits[1:]):
+            mono *= table[d]
+        parts = mono @ prog.coefs
+        num, den = parts[:, 0::2], parts[:, 1::2]
+        vanished = np.any(np.abs(den[:, :na]) <= vanish_tol * (np.abs(mono) @ den_abs), axis=1)
+        vals = num / np.where(vanished[:, None], 1.0, den)
+        mats = np.zeros((len(vals), 2, n, n))
+        mats[:, slot, prog.rows, prog.cols] = vals
+        mats[:, slot, prog.cols, prog.rows] = vals
+        bad = vanished
+        if check_positive:
+            eigs = np.linalg.eigvalsh(mats[:, 0])
+            lo, hi = eigs[:, 0], eigs[:, -1]
+            bad = bad | (lo <= SPECTRAL_TOL * np.maximum(np.abs(hi), 1.0)) | (hi <= 0.0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            where = tuple(float(axis[d[k]]) for axis, d in zip(axes, digits))
+            if vanished[k]:
+                raise ValueError(f"denominator vanishes at grid point {where}")
+            raise ValueError(
+                f"coefficient matrix is not positive definite at grid point "
+                f"{where} (min eigenvalue {lo[k]:.3e})"
+            )
+        scale = np.maximum(np.abs(vals[:, :na]).max(axis=1, initial=0.0), 1.0)
+        norm = np.abs(vals[:, na:]).max(axis=1, initial=0.0)
+        min_eig = np.abs(np.linalg.eigvalsh(mats[:, 1])).min(axis=1)
+        k = int(np.argmin(min_eig))
+        if min_eig[k] < worst:
+            worst, worst_point = float(min_eig[k]), _grid_point(axes, digits, k)
+        k = int(np.argmin(norm))
+        if norm[k] < min_norm:
+            min_norm, min_norm_point = float(norm[k]), _grid_point(axes, digits, k)
+        min_eig_ratio = min(min_eig_ratio, float(np.min(min_eig / scale)))
+        min_norm_ratio = min(min_norm_ratio, float(np.min(norm / scale)))
+    return GridSummary(
+        grid=per_axis,
+        worst_min_abs_eig=worst,
+        worst_point=worst_point,
+        min_norm=min_norm,
+        min_norm_point=min_norm_point,
+        min_eig_ratio=min_eig_ratio,
+        min_norm_ratio=min_norm_ratio,
+    )
+
+
 @dataclass
 class GcsChart:
     """Field of scalar products ``(x, r) -> sum a_ij(x, r) dx^i dx^j``.
@@ -98,7 +247,8 @@ class GcsChart:
     coefficients in the variables (x_1, ..., x_n, r); construction verifies
     positive definiteness on a sample grid of the box domain times the
     parameter interval (a heuristic whose resolution every certificate
-    records).
+    records).  The same scan summarizes the r-derivative field for
+    :func:`genericity_report`.
     """
 
     n: int
@@ -109,8 +259,11 @@ class GcsChart:
     params: dict = dc_field(default_factory=dict)
     grid: int = DEFAULT_GRID
     _deriv_cache: dict = dc_field(default_factory=dict, repr=False)
+    _grid_summary: GridSummary = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"chart needs base dimension >= 1, got {self.n}")
         self.domain = _check_box(self.domain)
         if len(self.domain) != self.n:
             raise ValueError(f"domain has {len(self.domain)} sides, expected {self.n}")
@@ -132,22 +285,11 @@ class GcsChart:
                     and self.entries[i][j].den == self.entries[j][i].den
                 ):
                     raise ValueError(f"entries are not symmetric at ({i}, {j})")
-        self._check_positive_on_grid()
+        self._grid_summary = _scan_grid(self, self.grid, check_positive=True)
 
-    def _check_positive_on_grid(self):
-        for point in _grid_points(self.domain, self.interval, self.grid):
-            try:
-                m = _eval_entry_matrix(self.entries, point)
-            except ZeroDivisionError as exc:
-                raise ValueError(
-                    f"denominator vanishes at grid point {tuple(map(float, point))}"
-                ) from exc
-            eigs = np.linalg.eigvalsh(m)
-            if eigs[0] <= SPECTRAL_TOL * max(abs(eigs[-1]), 1.0) or eigs[-1] <= 0.0:
-                raise ValueError(
-                    f"coefficient matrix is not positive definite at grid point "
-                    f"{tuple(map(float, point))} (min eigenvalue {eigs[0]:.3e})"
-                )
+    @cached_property
+    def _grid_program(self) -> _GridProgram:
+        return _compile_grid_program(self)
 
     # -- exact evaluation ------------------------------------------------
 
@@ -252,21 +394,24 @@ class LightlikeChart:
     name: str = "custom"
     params: dict = dc_field(default_factory=dict)
     grid: int = DEFAULT_GRID
-    _base_chart: GcsChart = dc_field(init=False, repr=False)
+    #: Validated chart with the same coefficients, box and grid; built here
+    #: unless the caller already holds one (see :func:`lift_to_lightlike`).
+    _base_chart: GcsChart | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"lightlike chart needs total dimension >= 2, got {self.n}")
         # validation and evaluation are shared with the base-dimensional chart
-        self._base_chart = GcsChart(
-            n=self.n - 1,
-            domain=self.domain,
-            interval=self.interval,
-            entries=self.entries,
-            name=self.name,
-            params=self.params,
-            grid=self.grid,
-        )
+        if self._base_chart is None:
+            self._base_chart = GcsChart(
+                n=self.n - 1,
+                domain=self.domain,
+                interval=self.interval,
+                entries=self.entries,
+                name=self.name,
+                params=self.params,
+                grid=self.grid,
+            )
         self.domain = self._base_chart.domain
         self.interval = self._base_chart.interval
 
@@ -312,50 +457,24 @@ class GenericityReport:
 def genericity_report(
     chart: GcsChart | LightlikeChart, grid: int | None = None, tol: float = SPECTRAL_TOL
 ) -> GenericityReport:
-    """Sample the r-derivative field over the chart's box and classify it."""
+    """Sample the r-derivative field over the chart's box and classify it.
+
+    The chart's own grid reuses the summary of its construction scan; any
+    other grid is scanned afresh (denominators checked, positivity not).
+    """
     base = chart._base_chart if isinstance(chart, LightlikeChart) else chart
-    per_axis = grid if grid is not None else base.grid
-    if per_axis < 2:
-        raise ValueError(f"grid must be >= 2 per axis, got {per_axis}")
-    n = base.n
-    nowhere_tr = True
-    generic = True
-    worst = np.inf
-    worst_point = None
-    min_norm = np.inf
-    min_norm_point = None
-    for point in _grid_points(base.domain, base.interval, per_axis):
-        d = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = float(base._derived_entry(i, j, (0,) * n, 1).eval(point))
-                d[i, j] = v
-                d[j, i] = v
-        scale = max(
-            float(np.max(np.abs(_eval_entry_matrix(base.entries, point)))), 1.0
-        )
-        norm = float(np.max(np.abs(d)))
-        eigs = np.abs(np.linalg.eigvalsh(d))
-        min_eig = float(eigs[0])
-        floats = ([float(c) for c in point[:-1]], float(point[-1]))
-        if norm <= tol * scale:
-            nowhere_tr = False
-        if min_eig <= tol * scale:
-            generic = False
-        if min_eig < worst:
-            worst = min_eig
-            worst_point = floats
-        if norm < min_norm:
-            min_norm = norm
-            min_norm_point = floats
+    if grid is None or grid == base.grid:
+        summary = base._grid_summary
+    else:
+        summary = _scan_grid(base, grid, check_positive=False)
     return GenericityReport(
-        nowhere_tr=nowhere_tr,
-        generic=generic,
-        worst_min_abs_eig=worst,
-        worst_point=worst_point,
-        min_norm=min_norm,
-        min_norm_point=min_norm_point,
-        grid=per_axis,
+        nowhere_tr=summary.min_norm_ratio > tol,
+        generic=summary.min_eig_ratio > tol,
+        worst_min_abs_eig=summary.worst_min_abs_eig,
+        worst_point=(list(summary.worst_point[0]), summary.worst_point[1]),
+        min_norm=summary.min_norm,
+        min_norm_point=(list(summary.min_norm_point[0]), summary.min_norm_point[1]),
+        grid=summary.grid,
         tol=tol,
     )
 
@@ -371,6 +490,7 @@ def lift_to_lightlike(chart: GcsChart) -> LightlikeChart:
         name=chart.name,
         params=dict(chart.params),
         grid=chart.grid,
+        _base_chart=chart,
     )
 
 
@@ -476,21 +596,24 @@ BUILTIN_DESCRIPTIONS = {
 }
 
 
-def builtin_chart(name: str, n: int | None = None, params: dict | None = None):
-    """Construct a chart from the builtin catalog.
+def builtin_chart(
+    name: str, n: int | None = None, params: dict | None = None, grid: int = DEFAULT_GRID
+):
+    """Construct a chart from the builtin catalog, validated on ``grid``
+    samples per axis.
 
     Unknown names and invalid parameters raise ValueError; each chart
     satisfies the genericity profile stated in its catalog description.
     """
     params = dict(params or {})
     if name == "conformal_flat":
-        return _conformal_flat(n if n is not None else 3, params)
+        return _conformal_flat(n if n is not None else 3, params, grid)
     if name == "product_nonrigid":
-        return _product_nonrigid(n if n is not None else 3, params)
+        return _product_nonrigid(n if n is not None else 3, params, grid)
     if name == "linear_hyperbolic":
-        return _linear_hyperbolic(params)
+        return _linear_hyperbolic(params, grid)
     if name == "lightcone":
-        return _lightcone(n if n is not None else 4, params)
+        return _lightcone(n if n is not None else 4, params, grid)
     raise ValueError(
         f"unknown builtin '{name}'; available: {', '.join(sorted(BUILTIN_DESCRIPTIONS))}"
     )
@@ -516,7 +639,7 @@ def _known_params(params: dict, allowed: set[str]):
         raise ValueError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
 
 
-def _conformal_flat(n: int, params: dict) -> GcsChart:
+def _conformal_flat(n: int, params: dict, grid: int) -> GcsChart:
     _known_params(params, {"interval", "domain"})
     nv = n + 1
     r = RationalField.from_poly(Poly.var(nv, n))
@@ -529,10 +652,11 @@ def _conformal_flat(n: int, params: dict) -> GcsChart:
         entries=entries,
         name="conformal_flat",
         params=params,
+        grid=grid,
     )
 
 
-def _product_nonrigid(n: int, params: dict) -> GcsChart:
+def _product_nonrigid(n: int, params: dict, grid: int) -> GcsChart:
     _known_params(params, {"interval", "domain", "epsilon"})
     eps = _as_fraction(params.get("epsilon", 0))
     if eps < 0:
@@ -553,10 +677,11 @@ def _product_nonrigid(n: int, params: dict) -> GcsChart:
         entries=entries,
         name="product_nonrigid",
         params=params,
+        grid=grid,
     )
 
 
-def _linear_hyperbolic(params: dict) -> GcsChart:
+def _linear_hyperbolic(params: dict, grid: int) -> GcsChart:
     _known_params(params, {"interval", "domain", "f_coeffs", "shift"})
     n = 3
     nv = n + 1
@@ -596,10 +721,11 @@ def _linear_hyperbolic(params: dict) -> GcsChart:
         entries=entries,
         name="linear_hyperbolic",
         params=params,
+        grid=grid,
     )
 
 
-def _lightcone(n: int, params: dict) -> LightlikeChart:
+def _lightcone(n: int, params: dict, grid: int) -> LightlikeChart:
     _known_params(params, {"interval", "domain"})
     if n < 2:
         raise ValueError(f"lightcone needs total dimension >= 2, got {n}")
@@ -623,6 +749,7 @@ def _lightcone(n: int, params: dict) -> LightlikeChart:
         entries=entries,
         name="lightcone",
         params=params,
+        grid=grid,
     )
 
 
@@ -631,8 +758,9 @@ def _lightcone(n: int, params: dict) -> LightlikeChart:
 _CHART_KEYS = {"kind", "n", "domain", "interval", "entries", "builtin", "params"}
 
 
-def chart_from_doc(doc: dict) -> GcsChart | LightlikeChart:
-    """Build a chart from its JSON document form.
+def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeChart:
+    """Build a chart from its JSON document form, validated on ``grid``
+    samples per axis.
 
     Either a builtin reference ``{"builtin": name, "n": ..., "params": ...}``
     or an explicit coefficient listing; unknown fields are rejected.
@@ -644,7 +772,9 @@ def chart_from_doc(doc: dict) -> GcsChart | LightlikeChart:
     if unknown:
         raise ValueError(f"unknown chart field(s): {', '.join(sorted(unknown))}")
     if doc.get("builtin") is not None and "entries" not in doc:
-        return builtin_chart(doc["builtin"], n=doc.get("n"), params=doc.get("params"))
+        return builtin_chart(
+            doc["builtin"], n=doc.get("n"), params=doc.get("params"), grid=grid
+        )
     for key in ("n", "domain", "interval", "entries"):
         if key not in doc:
             raise ValueError(f"chart document is missing '{key}'")
@@ -677,6 +807,7 @@ def chart_from_doc(doc: dict) -> GcsChart | LightlikeChart:
         interval=tuple(doc["interval"]),
         entries=entries,
         name=doc.get("builtin") or "custom",
+        grid=grid,
     )
 
 

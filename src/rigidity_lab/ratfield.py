@@ -210,9 +210,5 @@ class RationalField:
             raise ZeroDivisionError(f"denominator vanishes at {tuple(map(float, point))}")
         return self.num.eval(point) / den
 
-    def eval_float(self, point) -> float:
-        exact = tuple(_as_fraction(c) for c in point)
-        return float(self.eval(exact))
-
     def subst_linear(self, matrix) -> "RationalField":
         return RationalField(self.num.subst_linear(matrix), self.den.subst_linear(matrix))

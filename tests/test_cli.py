@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from rigidity_lab import cli, gcs
+
 TESTS_DIR = Path(__file__).parent
 GOLDEN_DIR = TESTS_DIR / "golden"
 CURVE_FILE = str(TESTS_DIR / "data" / "rotation_orbit.json")
@@ -107,6 +109,53 @@ class TestExitCodes:
             ["certify", "--builtin", "conformal_flat", "--n", "3"], check=False
         )
         assert proc.returncode == 2
+
+    def test_oversized_grid_is_two_before_scanning(self, monkeypatch, capsys):
+        def no_compile(*args, **kwargs):
+            raise AssertionError("oversized grid was evaluated")
+
+        monkeypatch.setattr(gcs, "_compile_grid_program", no_compile)
+        code = cli.main(
+            ["certify", "--builtin", "conformal_flat", "--n", "6", "--grid", "20",
+             "--r", "1"]
+        )
+        assert code == 2
+        assert "1280000000 points" in capsys.readouterr().err
+
+
+class TestGridScans:
+    """Each command validates its chart once, on the requested grid."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        original = gcs._scan_grid
+
+        def counted(chart, per_axis, check_positive):
+            calls.append((chart.n, per_axis, check_positive))
+            return original(chart, per_axis, check_positive)
+
+        monkeypatch.setattr(gcs, "_scan_grid", counted)
+        return calls
+
+    def test_certify_on_requested_grid(self, scans, tmp_path):
+        out = tmp_path / "report.json"
+        code = cli.main(
+            ["certify", "--builtin", "conformal_flat", "--n", "3", "--grid", "4",
+             "--r", "1", "--output", str(out)]
+        )
+        assert code == 0
+        assert scans == [(3, 4, True)]
+        assert json.loads(out.read_text())["chart_genericity"]["grid"] == 4
+
+    def test_lightlike_lift_reuses_chart_scan(self, scans, tmp_path):
+        out = tmp_path / "report.json"
+        code = cli.main(
+            ["lightlike", "--builtin", "conformal_flat", "--n", "3", "--r", "1",
+             "--output", str(out)]
+        )
+        assert code == 0
+        assert scans == [(3, 5, True)]
 
 
 class TestFlags:

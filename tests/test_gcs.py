@@ -1,9 +1,12 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rigidity_lab import gcs
 from rigidity_lab.gcs import (
     GcsChart,
     LightlikeChart,
@@ -16,6 +19,7 @@ from rigidity_lab.gcs import (
     pullback_chart,
     quotient_to_gcs,
 )
+from rigidity_lab.multilinear import SPECTRAL_TOL
 from rigidity_lab.ratfield import Poly, RationalField
 
 
@@ -310,3 +314,243 @@ class TestPullback:
         lhs = moved.eval_metric(y, 1.3).matrix
         rhs = mm.T @ chart.eval_metric(mm @ y, 1.3).matrix @ mm
         assert np.allclose(lhs, rhs, atol=1e-14)
+
+
+# -- exact grid oracle ---------------------------------------------------------
+
+
+def _exact_grid(domain, interval, per_axis):
+    """Grid points as exact rationals, last axis (r) fastest."""
+    axes = [gcs._axis_samples(lo, hi, per_axis) for lo, hi in [*domain, interval]]
+    return itertools.product(*axes)
+
+
+def _exact_first_failure(domain, interval, entries, per_axis):
+    """Message of the first grid point failing the exact positivity scan."""
+    for point in _exact_grid(domain, interval, per_axis):
+        where = tuple(map(float, point))
+        try:
+            m = gcs._eval_entry_matrix(entries, point)
+        except ZeroDivisionError:
+            return f"denominator vanishes at grid point {where}"
+        eigs = np.linalg.eigvalsh(m)
+        if eigs[0] <= SPECTRAL_TOL * max(abs(eigs[-1]), 1.0) or eigs[-1] <= 0.0:
+            return (
+                f"coefficient matrix is not positive definite at grid point "
+                f"{where} (min eigenvalue {eigs[0]:.3e})"
+            )
+    return None
+
+
+def _exact_genericity(chart, per_axis, tol=SPECTRAL_TOL):
+    """The genericity scan in exact Fraction arithmetic, point by point."""
+    n = chart.n
+    out = {"nowhere_tr": True, "generic": True, "worst": np.inf, "min_norm": np.inf}
+    for point in _exact_grid(chart.domain, chart.interval, per_axis):
+        d = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                d[i, j] = d[j, i] = float(chart._derived_entry(i, j, (0,) * n, 1).eval(point))
+        scale = max(float(np.max(np.abs(gcs._eval_entry_matrix(chart.entries, point)))), 1.0)
+        norm = float(np.max(np.abs(d)))
+        min_eig = float(np.min(np.abs(np.linalg.eigvalsh(d))))
+        floats = ([float(c) for c in point[:-1]], float(point[-1]))
+        if norm <= tol * scale:
+            out["nowhere_tr"] = False
+        if min_eig <= tol * scale:
+            out["generic"] = False
+        if min_eig < out["worst"]:
+            out["worst"], out["worst_point"] = min_eig, floats
+        if norm < out["min_norm"]:
+            out["min_norm"], out["min_norm_point"] = norm, floats
+    return out
+
+
+def _diag_entries(n, diag):
+    """Diagonal entries from polynomials given as ``[(coef, exps), ...]``."""
+    nv = n + 1
+    zero = RationalField.const(nv, 0)
+    entries = [[zero] * n for _ in range(n)]
+    for k, terms in enumerate(diag):
+        entries[k][k] = RationalField.from_poly(Poly.from_terms(nv, terms))
+    return entries
+
+
+def _diag_chart(n, diag, domain, interval, grid=gcs.DEFAULT_GRID):
+    entries = _diag_entries(n, diag)
+    return GcsChart(n=n, domain=domain, interval=interval, entries=entries, grid=grid)
+
+
+def _singular_derivative_chart():
+    """a = diag(4+r, 4-r, 4+x_1 r): the derivative diag(1, -1, x_1) is
+    indefinite everywhere and singular where x_1 = 0."""
+    return _diag_chart(
+        3,
+        [
+            [(4, (0, 0, 0, 0)), (1, (0, 0, 0, 1))],
+            [(4, (0, 0, 0, 0)), (-1, (0, 0, 0, 1))],
+            [(4, (0, 0, 0, 0)), (1, (1, 0, 0, 1))],
+        ],
+        [(-1.0, 1.0)] * 3,
+        (0.5, 2.0),
+    )
+
+
+def _dense_chart(n=4, grid=4):
+    """Every entry a nonzero rational function; positive and generic on
+    [-1, 1]^4 x [1/2, 2] by strict diagonal dominance of a and of d."""
+    rng = random.Random(2024)
+    nv, r = n + 1, n
+
+    def exps(**powers):
+        e = [0] * nv
+        for var, p in powers.items():
+            e[int(var[1:])] += p
+        return e
+
+    def eighths(lo, hi, signed=False):
+        v = Fraction(rng.randrange(lo | 1, hi + 1, 2), 8)
+        return -v if signed and rng.random() < 0.5 else v
+
+    entries = []
+    for i in range(n):
+        k, m = rng.randrange(n), rng.randrange(n)
+        num = [(eighths(57, 71), exps()), (eighths(17, 23), exps(**{f"v{r}": 1})),
+               (eighths(1, 7), exps(**{f"v{k}": 2}))]
+        den = [(1, exps()), (Fraction(1, 4), exps(**{f"v{m}": 2}))]
+        entries.append((i, i, num, den))
+    for i in range(n):
+        for j in range(i + 1, n):
+            p, q = rng.randrange(n), rng.randrange(n)
+            num = [(eighths(1, 3, True), exps()), (eighths(1, 3, True), exps(**{f"v{p}": 1})),
+                   (eighths(1, 3, True), exps(**{f"v{r}": 1}))]
+            den = [(2, exps()), (1, exps(**{f"v{q}": 1}))]
+            entries.append((i, j, num, den))
+    doc = {
+        "kind": "gcs",
+        "n": n,
+        "domain": [[-1, 1]] * n,
+        "interval": [0.5, 2],
+        "entries": [
+            {"i": i, "j": j, "num": [[str(c), e] for c, e in num],
+             "den": [[str(c), e] for c, e in den]}
+            for i, j, num, den in entries
+        ],
+    }
+    return chart_from_doc(doc, grid=grid)
+
+
+def _oracle_cases():
+    shear = [[1, 1, 0], [0, 1, 0], [0, -1, 1]]
+    return {
+        "conformal_flat": lambda: builtin_chart("conformal_flat", 3),
+        "product_nonrigid": lambda: builtin_chart("product_nonrigid", 3),
+        "product_nonrigid_eps": lambda: builtin_chart(
+            "product_nonrigid", 3, {"epsilon": "1/8"}
+        ),
+        "linear_hyperbolic": lambda: builtin_chart("linear_hyperbolic"),
+        "lightcone": lambda: builtin_chart("lightcone", 4),
+        "lightcone_quotient": lambda: quotient_to_gcs(builtin_chart("lightcone", 4)),
+        "pullback_conformal_flat": lambda: pullback_chart(
+            builtin_chart("conformal_flat", 3), shear
+        ),
+        "pullback_product_nonrigid": lambda: pullback_chart(
+            builtin_chart("product_nonrigid", 3), shear
+        ),
+        "pullback_linear_hyperbolic": lambda: pullback_chart(
+            builtin_chart("linear_hyperbolic"), shear
+        ),
+        "singular_derivative": _singular_derivative_chart,
+        "dense_n4": _dense_chart,
+    }
+
+
+class TestGridScanOracle:
+    """The vectorized float grid scan against the exact Fraction scan."""
+
+    @pytest.mark.parametrize("case", sorted(_oracle_cases()))
+    @pytest.mark.parametrize("other_grid", [False, True])
+    def test_matches_exact_scan(self, case, other_grid):
+        chart = _oracle_cases()[case]()
+        base = chart._base_chart if isinstance(chart, LightlikeChart) else chart
+        per_axis = base.grid + 1 if other_grid else base.grid
+        if other_grid and case == "dense_n4":
+            per_axis = 3
+        exact = _exact_genericity(base, per_axis)
+        report = genericity_report(chart, grid=per_axis)
+        assert report.grid == per_axis
+        assert report.nowhere_tr == exact["nowhere_tr"]
+        assert report.generic == exact["generic"]
+        assert report.worst_point == exact["worst_point"]
+        assert report.min_norm_point == exact["min_norm_point"]
+        assert report.worst_min_abs_eig == pytest.approx(exact["worst"], rel=1e-12, abs=1e-14)
+        assert report.min_norm == pytest.approx(exact["min_norm"], rel=1e-12, abs=1e-14)
+
+    def test_singular_indefinite_derivative_is_not_generic(self):
+        report = genericity_report(_singular_derivative_chart())
+        assert report.nowhere_tr
+        assert not report.generic
+        assert report.worst_min_abs_eig == 0.0
+        assert report.worst_point[0][0] == 0.0
+
+    def test_first_non_positive_point_matches(self):
+        # 1 + x_1 r turns negative at x_1 = -1, r = 1.25
+        domain, interval = [(-1.0, 1.0)] * 2, (0.5, 2.0)
+        entries = _diag_entries(2, [[(1, (0, 0, 0)), (1, (1, 0, 1))], [(1, (0, 0, 0))]])
+        expected = _exact_first_failure(domain, interval, entries, 5)
+        assert expected.startswith(
+            "coefficient matrix is not positive definite at grid point (-1.0, -1.0, 1.25)"
+        )
+        with pytest.raises(ValueError) as err:
+            GcsChart(n=2, domain=domain, interval=interval, entries=entries)
+        assert str(err.value) == expected
+
+    def test_first_vanishing_denominator_matches(self):
+        # x_1 r / x_1: positive wherever it is defined, undefined at x_1 = 0
+        nv = 3
+        x1 = Poly.var(nv, 0)
+        f = RationalField(x1 * Poly.var(nv, 2), x1)
+        zero = RationalField.const(nv, 0)
+        one = RationalField.const(nv, 1)
+        entries = [[f, zero], [zero, one]]
+        domain, interval = [(-1.0, 1.0)] * 2, (0.5, 2.0)
+        expected = _exact_first_failure(domain, interval, entries, 5)
+        assert expected == "denominator vanishes at grid point (0.0, -1.0, 0.5)"
+        with pytest.raises(ValueError) as err:
+            GcsChart(n=2, domain=domain, interval=interval, entries=entries)
+        assert str(err.value) == expected
+
+
+class TestGridScanReuse:
+    def test_summary_reused_for_own_grid(self, monkeypatch):
+        chart = builtin_chart("product_nonrigid", 3)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("grid scanned again")
+
+        monkeypatch.setattr(gcs, "_scan_grid", no_scan)
+        assert genericity_report(chart) == genericity_report(chart, grid=chart.grid)
+        lc = lift_to_lightlike(chart)
+        assert lc._base_chart is chart
+        assert not genericity_report(lc).generic
+
+    def test_other_grid_scans_without_positivity(self):
+        # a = (r - 5/4)^2 vanishes at r = 5/4, a sample of the 5-point grid
+        # but not of the 4-point one
+        square = [[(1, (0, 2)), ("-5/2", (0, 1)), ("25/16", (0, 0))]]
+        args = (1, square, [(-1.0, 1.0)], (0.5, 2.0))
+        chart = _diag_chart(*args, grid=4)
+        assert genericity_report(chart).generic
+        report = genericity_report(chart, grid=5)
+        assert report.grid == 5 and not report.generic
+        assert report.worst_point == ([-1.0], 1.25)
+        with pytest.raises(ValueError, match="positive definite"):
+            _diag_chart(*args, grid=5)
+
+    def test_grid_cap_refused_before_scanning(self, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("oversized grid was scanned")
+
+        monkeypatch.setattr(gcs, "_compile_grid_program", no_scan)
+        with pytest.raises(ValueError, match="1280000000 points"):
+            builtin_chart("conformal_flat", 6, grid=20)
