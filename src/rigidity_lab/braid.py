@@ -23,15 +23,17 @@ and the gap ratio that justifies it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .multilinear import (
     SPECTRAL_TOL,
     BilinForm,
-    enumerate_sym_indices,
     sym_index_count,
+    _sym_index_array,
     _sym_index_position,
+    _sym_indices,
 )
 
 #: Verdicts are downgraded to "indeterminate" when the singular-value gap
@@ -46,11 +48,13 @@ class LinearSystem:
     ``unknown_labels[j]`` names column j as a tuple
     ``(tensor_name, sym_index, output_axis_or_None)``; ``rows`` holds one
     dense row per scalar constraint.  The right-hand side is identically
-    zero.
+    zero.  ``blocks`` maps the names of contiguous unknown blocks to their
+    column slices when the assembler knows them (see :func:`_braid_rows`).
     """
 
     unknown_labels: list[tuple]
     rows: np.ndarray
+    blocks: dict[str, slice] = field(default_factory=dict)
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=float)
@@ -201,26 +205,7 @@ def classical_braid_kernel(
 
 
 def classical_braid_system(j: BilinForm) -> LinearSystem:
-    n = j.n
-    jm = j.matrix
-    pairs = enumerate_sym_indices(n, 2)
-    pos2 = _sym_index_position(n, 2)
-    labels = [("A", idx, out) for idx in pairs for out in range(n)]
-    ncols = len(labels)
-
-    def col(idx, out):
-        return pos2[idx] * n + out
-
-    rows = np.zeros((n * len(pairs), ncols))
-    r = 0
-    for u in range(n):
-        for (v, w) in pairs:
-            # J(A(u,v), w) + J(A(u,w), v)
-            for out in range(n):
-                rows[r, col(tuple(sorted((u, v))), out)] += jm[out, w]
-                rows[r, col(tuple(sorted((u, w))), out)] += jm[out, v]
-            r += 1
-    return LinearSystem(unknown_labels=labels, rows=rows)
+    return _braid_rows(j.matrix, 2)
 
 
 def trilinear_symskew_kernel(
@@ -282,31 +267,7 @@ def generalized_braid_system(j, jp, n: int | None = None) -> LinearSystem:
     cases.
     """
     jf = _as_form(j, n)
-    jpf = _as_form(jp, jf.n)
-    n = jf.n
-    jm, jpm = jf.matrix, jpf.matrix
-
-    triples = enumerate_sym_indices(n, 3)
-    pairs = enumerate_sym_indices(n, 2)
-    pos3 = _sym_index_position(n, 3)
-    pos2 = _sym_index_position(n, 2)
-    na = len(triples) * n
-    labels = [("A", idx, out) for idx in triples for out in range(n)]
-    labels += [("K", idx, None) for idx in pairs]
-
-    def acol(idx, out):
-        return pos3[idx] * n + out
-
-    rows = np.zeros((len(pairs) * len(pairs), na + len(pairs)))
-    r = 0
-    for (u, v) in pairs:
-        for (w, wp) in pairs:
-            for out in range(n):
-                rows[r, acol(tuple(sorted((u, v, w))), out)] += jm[out, wp]
-                rows[r, acol(tuple(sorted((u, v, wp))), out)] += jm[out, w]
-            rows[r, na + pos2[(u, v)]] += jpm[w, wp]
-            r += 1
-    return LinearSystem(unknown_labels=labels, rows=rows)
+    return _braid_rows(jf.matrix, 3, _as_form(jp, jf.n).matrix)
 
 
 def generalized_braid_kernel(
@@ -318,9 +279,61 @@ def generalized_braid_kernel(
     report splits the kernel dimension into the dimensions of its
     projections onto the A-block and the K-block.
     """
-    jf = _as_form(j, n)
-    jpf = _as_form(jp, jf.n)
-    system = generalized_braid_system(jf, jpf)
-    na = sym_index_count(jf.n, 3) * jf.n
-    blocks = {"A": slice(0, na), "K": slice(na, system.unknowns)}
-    return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=blocks)
+    system = generalized_braid_system(j, jp, n)
+    return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=system.blocks)
+
+
+@lru_cache(maxsize=None)
+def _insert_positions(n: int, degree: int) -> np.ndarray:
+    """``[s, a]`` -> packed position of ``sorted(s + (a,))`` for every
+    symmetric index s of length ``degree - 1`` and every axis a."""
+    pos = _sym_index_position(n, degree)
+    table = np.array(
+        [[pos[tuple(sorted(s + (a,)))] for a in range(n)] for s in _sym_indices(n, degree - 1)],
+        dtype=np.intp,
+    )
+    table.setflags(write=False)
+    return table
+
+
+def _braid_rows(
+    pairing: np.ndarray,
+    degree: int,
+    coupling: np.ndarray | None = None,
+    names: tuple[str, str | None] = ("A", "K"),
+) -> LinearSystem:
+    """The braid-type system shared by every braid and jet-level assembler.
+
+    One row per symmetric index s of length ``degree - 1`` (outer) and
+    symmetric pair (a, b) (inner):
+
+        P(T(s, a), b) + P(T(s, b), a) [+ C(a, b) * S(s)] = 0
+
+    T is a packed symmetric degree-``degree`` unknown on R^n with values of
+    length m, where the pairing P is m x n (rectangular for a degenerate
+    metric padded with zero columns); its columns come first, packed index
+    outer and value axis inner.  The optional coupling form C (n x n) adds
+    the packed scalar unknown S, indexed by s, after T.  The system's
+    ``blocks`` name both column ranges.
+    """
+    m, n = pairing.shape
+    shifts = _sym_indices(n, degree - 1)
+    a, b = _sym_index_array(n, 2).T
+    insert = _insert_positions(n, degree)
+    tensor_cols = sym_index_count(n, degree) * m
+    shift_cols = len(shifts) if coupling is not None else 0
+    rows = np.zeros((len(shifts) * len(a), tensor_cols + shift_cols))
+    r = np.arange(len(rows)).reshape(len(shifts), len(a), 1)
+    out = np.arange(m)
+    # within one row the columns of each term are distinct, so a buffered
+    # fancy add applies every coefficient exactly once
+    rows[r, insert[:, a, None] * m + out] += pairing.T[b]
+    rows[r, insert[:, b, None] * m + out] += pairing.T[a]
+    tensor, shift = names
+    labels = [(tensor, idx, o) for idx in _sym_indices(n, degree) for o in range(m)]
+    blocks = {tensor: slice(0, tensor_cols)}
+    if coupling is not None:
+        rows[r[..., 0], tensor_cols + np.arange(len(shifts))[:, None]] += coupling[a, b]
+        labels += [(shift, idx, None) for idx in shifts]
+        blocks[shift] = slice(tensor_cols, tensor_cols + shift_cols)
+    return LinearSystem(unknown_labels=labels, rows=rows, blocks=blocks)

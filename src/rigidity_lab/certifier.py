@@ -27,7 +27,6 @@ least 4.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,17 +36,12 @@ from .braid import (
     GAP_VERDICT_THRESHOLD,
     KernelReport,
     LinearSystem,
+    _braid_rows,
     generalized_braid_kernel,
     solve_kernel,
 )
 from .gcs import GcsChart, LightlikeChart, chart_to_doc
-from .multilinear import (
-    SPECTRAL_TOL,
-    BilinForm,
-    enumerate_sym_indices,
-    sym_index_count,
-    _sym_index_position,
-)
+from .multilinear import SPECTRAL_TOL, BilinForm, sym_index_count
 
 TOOL_VERSION = "0.1.0"
 
@@ -56,48 +50,6 @@ LIGHTLIKE_UNCONSTRAINED = [
     "third and higher derivatives of the fiber shift delta",
     "fourth and higher derivatives of the base map phi",
 ]
-
-
-@dataclass(frozen=True)
-class JetUnknowns:
-    """Packed layout of the unknown jet data at a given level.
-
-    Level 1 pairs a symmetric bilinear vector-valued tensor with a covector
-    (n * n(n+1)/2 + n columns); level 2 pairs a symmetric trilinear
-    vector-valued tensor with a symmetric bilinear scalar one
-    (n * C(n+2,3) + n(n+1)/2 columns).
-    """
-
-    level: int
-    n: int
-
-    def __post_init__(self):
-        if self.level not in (1, 2):
-            raise ValueError(f"level must be 1 or 2, got {self.level}")
-
-    @property
-    def tensor_size(self) -> int:
-        if self.level == 1:
-            return self.n * (self.n * (self.n + 1) // 2)
-        return self.n * math.comb(self.n + 2, 3)
-
-    @property
-    def shift_size(self) -> int:
-        return self.n if self.level == 1 else self.n * (self.n + 1) // 2
-
-    @property
-    def total(self) -> int:
-        return self.tensor_size + self.shift_size
-
-    def labels(self) -> list[tuple]:
-        n = self.n
-        if self.level == 1:
-            out = [("phi2", idx, o) for idx in enumerate_sym_indices(n, 2) for o in range(n)]
-            out += [("dk", (w,), None) for w in range(n)]
-            return out
-        out = [("phi3", idx, o) for idx in enumerate_sym_indices(n, 3) for o in range(n)]
-        out += [("d2k", idx, None) for idx in enumerate_sym_indices(n, 2)]
-        return out
 
 
 def _point_genericity(j: np.ndarray, j01: np.ndarray, tol: float) -> dict:
@@ -132,33 +84,13 @@ def level1_system(
             "gradient cannot be constrained there"
         )
     system = _level1_linear_system(jm, j01, c.n)
-    unknowns = JetUnknowns(1, c.n)
-    blocks = {
-        "phi2": slice(0, unknowns.tensor_size),
-        "dk": slice(unknowns.tensor_size, unknowns.total),
-    }
-    return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=blocks)
+    return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=system.blocks)
 
 
 def _level1_linear_system(jm: np.ndarray, j01: np.ndarray, n: int) -> LinearSystem:
-    pairs = enumerate_sym_indices(n, 2)
-    pos2 = _sym_index_position(n, 2)
-    unknowns = JetUnknowns(1, n)
-    nt = unknowns.tensor_size
-
-    def pcol(idx, out):
-        return pos2[idx] * n + out
-
-    rows = np.zeros((n * len(pairs), unknowns.total))
-    row = 0
-    for w in range(n):
-        for (u, v) in pairs:
-            for out in range(n):
-                rows[row, pcol(tuple(sorted((u, w))), out)] += jm[out, v]
-                rows[row, pcol(tuple(sorted((v, w))), out)] += jm[out, u]
-            rows[row, nt + w] += j01[u, v]
-            row += 1
-    return LinearSystem(unknown_labels=unknowns.labels(), rows=rows)
+    # rows over w (outer) and (u, v) (inner):
+    #   J(phi2(u, w), v) + J(phi2(v, w), u) + dk(w) J01(u, v) = 0
+    return _braid_rows(jm, 2, j01, names=("phi2", "dk"))
 
 
 def level2_system(
@@ -297,58 +229,28 @@ def lightlike_step1_system(
     genericity is needed at this step.
     """
     h = lc.eval_base_metric(p, t).matrix
-    nt, nb = lc.n, lc.base_dim
-    pairs = enumerate_sym_indices(nt, 2)
-    pos2 = _sym_index_position(nt, 2)
-    labels = [("phi2", idx, o) for idx in pairs for o in range(nb)]
-
-    def col(idx, out):
-        return pos2[idx] * nb + out
-
-    rows = np.zeros((nt * len(pairs), len(labels)))
-    row = 0
-    for w in range(nt):
-        for (u, v) in pairs:
-            # g(phi2(u, w), v) pairs through the base block only
-            if v < nb:
-                for out in range(nb):
-                    rows[row, col(tuple(sorted((u, w))), out)] += h[out, v]
-            if u < nb:
-                for out in range(nb):
-                    rows[row, col(tuple(sorted((v, w))), out)] += h[out, u]
-            row += 1
-    system = LinearSystem(unknown_labels=labels, rows=rows)
+    # g(phi2(u, w), v) pairs through the base block only
+    system = _braid_rows(_padded(h, lc.base_dim, lc.n), 2, names=("phi2", None))
     return solve_kernel(system, tol=tol, want_basis=want_basis)
+
+
+def _padded(form: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """``form`` in the top-left corner of a zero rows x cols matrix."""
+    out = np.zeros((rows, cols))
+    out[: form.shape[0], : form.shape[1]] = form
+    return out
 
 
 def _lightlike_step2_linear_system(
     h: np.ndarray, h01: np.ndarray, nt: int, nb: int
 ) -> LinearSystem:
-    pairs = enumerate_sym_indices(nt, 2)
-    triples = enumerate_sym_indices(nt, 3)
-    pos2 = _sym_index_position(nt, 2)
-    pos3 = _sym_index_position(nt, 3)
-    ntens = len(triples) * nb
-    labels = [("phi3", idx, o) for idx in triples for o in range(nb)]
-    labels += [("delta2", idx, None) for idx in pairs]
-
-    def tcol(idx, out):
-        return pos3[idx] * nb + out
-
-    rows = np.zeros((len(pairs) * len(pairs), ntens + len(pairs)))
-    row = 0
-    for (u, v) in pairs:
-        for (w1, w2) in pairs:
-            if v < nb:
-                for out in range(nb):
-                    rows[row, tcol(tuple(sorted((u, w1, w2))), out)] += h[out, v]
-            if u < nb:
-                for out in range(nb):
-                    rows[row, tcol(tuple(sorted((v, w1, w2))), out)] += h[out, u]
-            if u < nb and v < nb:
-                rows[row, ntens + pos2[(w1, w2)]] += h01[u, v]
-            row += 1
-    return LinearSystem(unknown_labels=labels, rows=rows)
+    system = _braid_rows(
+        _padded(h, nb, nt), 3, _padded(h01, nt, nt), names=("phi3", "delta2")
+    )
+    # the assembler runs (w1, w2) outer; these rows run (u, v) outer
+    npairs = sym_index_count(nt, 2)
+    rows = system.rows.reshape(npairs, npairs, -1).swapaxes(0, 1).reshape(npairs**2, -1)
+    return LinearSystem(system.unknown_labels, rows, system.blocks)
 
 
 def lightlike_step2_system(
@@ -366,11 +268,8 @@ def lightlike_step2_system(
     """
     h = lc.eval_base_metric(p, t).matrix
     h01 = lc.eval_base_partials(p, t, 0, 1)
-    nt, nb = lc.n, lc.base_dim
-    system = _lightlike_step2_linear_system(h, h01, nt, nb)
-    ntens = sym_index_count(nt, 3) * nb
-    blocks = {"phi3": slice(0, ntens), "delta2": slice(ntens, system.unknowns)}
-    return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=blocks)
+    system = _lightlike_step2_linear_system(h, h01, lc.n, lc.base_dim)
+    return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=system.blocks)
 
 
 def lightlike_subrigidity_certificate(

@@ -276,11 +276,16 @@ def _run_prolong(config: RunConfig) -> dict:
     result = finite_type(
         algebra, max_order=max_order, tol=config.tol, seed=config.seed
     )
+    # orders that finite_type solved are not solved again
+    solved = {} if isinstance(result, InfiniteType) else result.dims
     dims = {}
     for d in range(1, max_order + 1):
         if prolongation_unknowns(algebra.n, d) > SIZE_CAP:
             break
-        dims[str(d)] = prolongation_space(algebra, d, tol=config.tol).dim
+        if d in solved:
+            dims[str(d)] = solved[d]
+        else:
+            dims[str(d)] = prolongation_space(algebra, d, tol=config.tol).dim
     input_doc = {
         "algebra": name,
         "n": algebra.n,

@@ -497,10 +497,11 @@ def lift_to_lightlike(chart: GcsChart) -> LightlikeChart:
 def quotient_to_gcs(lc: LightlikeChart) -> GcsChart:
     """Read the kernel coordinate of a lightlike chart as a curve parameter.
 
-    Exact inverse of :func:`lift_to_lightlike` on the coefficient data.
-    Refuses charts whose coefficients do not depend on t at all: those are
-    transversally Riemannian and the projected family of scalar products
-    degenerates to a point.
+    Exact inverse of :func:`lift_to_lightlike` on the coefficient data: the
+    result is the chart the lightlike chart was validated with, so its grid
+    is not scanned again.  Refuses charts whose coefficients do not depend
+    on t at all: those are transversally Riemannian and the projected family
+    of scalar products degenerates to a point.
     """
     nb = lc.base_dim
     if all(
@@ -510,15 +511,7 @@ def quotient_to_gcs(lc: LightlikeChart) -> GcsChart:
             "all coefficients are independent of t: the chart is transversally "
             "Riemannian and projects to a single scalar product, not a curve"
         )
-    return GcsChart(
-        n=nb,
-        domain=list(lc.domain),
-        interval=lc.interval,
-        entries=lc.entries,
-        name=lc.name,
-        params=dict(lc.params),
-        grid=lc.grid,
-    )
+    return lc._base_chart
 
 
 def pullback_chart(chart: GcsChart, m, domain: list | None = None) -> GcsChart:

@@ -35,6 +35,14 @@ def _sym_index_position(n: int, d: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
+def _sym_index_array(n: int, d: int) -> np.ndarray:
+    """``_sym_indices(n, d)`` as a read-only (count, d) integer array."""
+    arr = np.array(_sym_indices(n, d), dtype=np.intp).reshape(-1, d)
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=None)
 def _distinct_arrangements(idx: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(set(itertools.permutations(idx))))
 

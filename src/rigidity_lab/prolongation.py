@@ -26,6 +26,7 @@ from .multilinear import (
     SymTensor,
     enumerate_sym_indices,
     sym_index_count,
+    _sym_index_array,
     _sym_index_position,
 )
 
@@ -359,12 +360,12 @@ def curve_stabilizer_algebra(
         raise ValueError("need at least one (point, tangent) sample")
     n = np.asarray(samples[0][0]).shape[0]
     k = len(samples)
-    pairs = enumerate_sym_indices(n, 2)
+    npairs = sym_index_count(n, 2)
     ncols = n * n + k
     labels = [("X", (i, j), None) for i in range(n) for j in range(n)]
     labels += [("lambda", (s,), None) for s in range(k)]
-    rows = np.zeros((k * len(pairs), ncols))
-    r = 0
+    rows = np.zeros((k * npairs, ncols))
+    i, j = _sym_index_array(n, 2).T
     for s, (b, t) in enumerate(samples):
         b = np.asarray(b, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -372,13 +373,10 @@ def curve_stabilizer_algebra(
             raise ValueError("all samples must be n x n matrices of equal size")
         if np.max(np.abs(t)) == 0.0:
             raise ValueError(f"tangent matrix of sample {s} is zero")
-        for (i, j) in pairs:
-            # (X^T b + b X)_{ij} - lambda_s t_{ij} = 0
-            for m in range(n):
-                rows[r, m * n + i] += b[m, j]
-                rows[r, m * n + j] += b[i, m]
-            rows[r, n * n + s] -= t[i, j]
-            r += 1
+        # (X^T b + b X)_{ij} - lambda_s t_{ij} = 0
+        block = slice(s * npairs, (s + 1) * npairs)
+        rows[block, : n * n] = _congruence_rows(b)
+        rows[block, n * n + s] -= t[i, j]
     system = LinearSystem(unknown_labels=labels, rows=rows)
     report = solve_kernel(system, tol=tol, want_basis=True)
     if report.kernel_dim == 0:
@@ -389,6 +387,21 @@ def curve_stabilizer_algebra(
     rank = int(np.sum(svals >= tol * smax)) if smax > 0.0 else 0
     gens = [vt[i].reshape(n, n) for i in range(rank)]
     return MatrixAlgebra(n, gens)
+
+
+def _congruence_rows(b: np.ndarray) -> np.ndarray:
+    """Rows of ``(X^T b + b X)_{ij}`` over symmetric pairs (i, j) in the
+    row-major entries of X; b need not be symmetric."""
+    n = b.shape[0]
+    i, j = _sym_index_array(n, 2).T
+    m = np.arange(n)
+    r = np.arange(len(i))[:, None]
+    rows = np.zeros((len(i), n * n))
+    # X[m, i] b[m, j] and b[i, m] X[m, j]: within one call a row's columns
+    # are distinct, so each coefficient is added exactly once
+    rows[r, m * n + i[:, None]] += b[m, j[:, None]]
+    rows[r, m * n + j[:, None]] += b[i[:, None], m]
+    return rows
 
 
 def builtin_algebra(
@@ -446,12 +459,7 @@ def _lightlike_orth(n: int) -> MatrixAlgebra:
         raise ValueError("lightlike orthogonal algebra needs n >= 2")
     g = np.eye(n)
     g[n - 1, n - 1] = 0.0
-    pairs = enumerate_sym_indices(n, 2)
-    rows = np.zeros((len(pairs), n * n))
-    for r, (i, j) in enumerate(pairs):
-        for m in range(n):
-            rows[r, m * n + i] += g[m, j]
-            rows[r, m * n + j] += g[i, m]
+    rows = _congruence_rows(g)
     labels = [("X", (i, j), None) for i in range(n) for j in range(n)]
     report = solve_kernel(LinearSystem(unknown_labels=labels, rows=rows), want_basis=True)
     gens = [vec.reshape(n, n) for vec in report.kernel_basis]

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from rigidity_lab.braid import (
+    _braid_rows,
     classical_braid_kernel,
     classical_braid_system,
     generalized_braid_kernel,
@@ -9,7 +12,7 @@ from rigidity_lab.braid import (
     solve_kernel,
     trilinear_symskew_kernel,
 )
-from rigidity_lab.multilinear import BilinForm
+from rigidity_lab.multilinear import BilinForm, SymTensor, enumerate_sym_indices
 from conftest import random_nondegenerate_form, random_well_conditioned
 
 
@@ -60,6 +63,66 @@ class TestGeneralizedSystem:
         system = generalized_braid_system(np.eye(n), np.eye(n))
         assert system.unknowns == unknowns
         assert system.equations == equations
+        assert len(system.unknown_labels) == unknowns
+
+
+def _random_symmetric(rng, n):
+    a = rng.standard_normal((n, n))
+    return (a + a.T) / 2.0
+
+
+class TestBraidRowsOracle:
+    """Each row of the shared assembler, applied to a random unknown, equals
+    the braid expression evaluated on the unpacked tensors."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("pairing_kind", ["square", "lightlike"])
+    @pytest.mark.parametrize("coupled", [False, True])
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_rows_match_einsum(self, degree, coupled, pairing_kind, n):
+        rng = np.random.default_rng((degree, coupled, n))
+        if pairing_kind == "square":
+            m, nt = n, n
+            pairing = _random_symmetric(rng, n)
+            coupling = _random_symmetric(rng, n)
+        else:
+            # a degenerate metric on R^(n+1): values in the n-dimensional
+            # base, zero pairing and coupling along the last axis
+            m, nt = n, n + 1
+            pairing = np.zeros((m, nt))
+            pairing[:, :n] = _random_symmetric(rng, n)
+            coupling = np.zeros((nt, nt))
+            coupling[:n, :n] = _random_symmetric(rng, n)
+        system = _braid_rows(pairing, degree, coupling if coupled else None)
+
+        tensor_size = m * math.comb(nt + degree - 1, degree)
+        shift_size = math.comb(nt + degree - 2, degree - 1)
+        pair_count = math.comb(nt + 1, 2)
+        unknowns = tensor_size + (shift_size if coupled else 0)
+        assert system.unknowns == len(system.unknown_labels) == unknowns
+        assert system.equations == shift_size * pair_count
+        assert system.blocks["A"] == slice(0, tensor_size)
+        if coupled:
+            assert system.blocks["K"] == slice(tensor_size, unknowns)
+
+        t_coeffs = rng.standard_normal((math.comb(nt + degree - 1, degree), m))
+        s_coeffs = rng.standard_normal(shift_size)
+        x = np.concatenate([t_coeffs.ravel(), s_coeffs if coupled else []])
+        # T[..., a, o] with the value axis o last, S[...] of degree - 1
+        t_full = np.stack(
+            [SymTensor(nt, degree, t_coeffs[:, o]).unpack() for o in range(m)], axis=-1
+        )
+        s_full = SymTensor(nt, degree - 1, s_coeffs).unpack()
+        expr = np.einsum("...ao,ob->...ab", t_full, pairing)
+        expr = expr + np.swapaxes(expr, -1, -2)
+        if coupled:
+            expr = expr + np.multiply.outer(s_full, coupling)
+        expected = [
+            expr[s + pair]
+            for s in enumerate_sym_indices(nt, degree - 1)
+            for pair in enumerate_sym_indices(nt, 2)
+        ]
+        assert np.allclose(system.rows @ x, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestGeneralizedKernel:

@@ -3,7 +3,6 @@ import pytest
 
 from rigidity_lab.braid import generalized_braid_kernel
 from rigidity_lab.certifier import (
-    JetUnknowns,
     certificate_doc,
     gcs_certificate,
     level1_system,
@@ -25,16 +24,6 @@ from rigidity_lab.ratfield import RationalField
 
 
 ORIGIN3 = [0.0, 0.0, 0.0]
-
-
-class TestJetUnknowns:
-    def test_packed_sizes(self):
-        u1 = JetUnknowns(1, 3)
-        assert u1.total == 3 * 6 + 3
-        u2 = JetUnknowns(2, 3)
-        assert u2.total == 3 * 10 + 6
-        assert len(u1.labels()) == u1.total
-        assert len(u2.labels()) == u2.total
 
 
 class TestLevel1:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rigidity_lab import cli, gcs
+from rigidity_lab import cli, gcs, prolongation
 
 TESTS_DIR = Path(__file__).parent
 GOLDEN_DIR = TESTS_DIR / "golden"
@@ -241,6 +242,26 @@ class TestCommands:
             "kind": "finite", "order": 1,
             "dims": {"1": 0, "2": 0}, "verified_next_order": 2,
         }
+
+    def test_prolong_reuses_finite_type_spaces(self, monkeypatch, tmp_path):
+        calls = []
+        original = prolongation.prolongation_space
+
+        def counted(h, d, **kwargs):
+            calls.append(d)
+            return original(h, d, **kwargs)
+
+        monkeypatch.setattr(prolongation, "prolongation_space", counted)
+        monkeypatch.setattr(cli, "prolongation_space", counted)
+        out = tmp_path / "report.json"
+        code = cli.main(["prolong", "--algebra", "co", "--n", "4", "--output", str(out)])
+        assert code == 0
+        # finite_type solves orders 1, 2 and the verifying order 3; the
+        # report's dims reuse them
+        assert calls == [1, 2, 3]
+        # the bytes written when every order was solved a second time
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "9470b3140e7eba5b439178511d3274cd4ff38c0aae6ada80fb8e5e7a0db9fd54"
 
     def test_certify_with_chart_file(self, tmp_path):
         doc = {"builtin": "conformal_flat", "n": 3}

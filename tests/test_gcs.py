@@ -209,6 +209,15 @@ class TestLiftQuotient:
         q = quotient_to_gcs(builtin_chart("lightcone", 4))
         assert genericity_report(q).generic
 
+    def test_quotient_reuses_the_validated_chart(self, monkeypatch):
+        lc = builtin_chart("lightcone", 4)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("grid scanned again")
+
+        monkeypatch.setattr(gcs, "_scan_grid", no_scan)
+        assert quotient_to_gcs(lc) is lc._base_chart
+
     def test_t_independent_chart_refused(self):
         nv = 3  # two base coordinates + t
         one = RationalField.const(nv, 1)
