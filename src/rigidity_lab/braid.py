@@ -15,9 +15,13 @@ multilinear unknowns:
   side as the A-terms, so kernel elements satisfy
   ``J(A(u,v,w),w') + J(A(u,v,w'),w) = -K(u,v) * Jp(w,w')``.
 
-Kernels are computed by full singular value decomposition with a relative
-tolerance, and every rank decision is reported together with the spectrum
-and the gap ratio that justifies it.
+Kernels are computed block by block: a system splits into the connected
+components of its row/column nonzero pattern (many independent blocks for
+diagonal forms), the components of one shape share one batched singular
+value decomposition, and every block's rank is cut with one relative
+tolerance against the largest singular value of the whole system.  Every
+rank decision is reported together with the merged spectrum and the gap
+ratio that justifies it.
 """
 
 from __future__ import annotations
@@ -84,12 +88,18 @@ class LinearSystem:
 class KernelReport:
     """Numerically certified kernel of a homogeneous linear system.
 
-    ``kernel_dim`` counts singular values below ``tol * sigma_max`` plus the
-    columns beyond the row rank; ``gap_ratio`` measures how clear the rank
-    cut is (last kept singular value over first dropped one, or over the
-    threshold when nothing is dropped).  The verdict is ``rigid`` for a zero
-    kernel, ``non_rigid`` otherwise, and ``indeterminate`` whenever the gap
-    ratio is below 10^3.
+    ``singular_values`` merges the spectra of the system's independent
+    blocks in descending order, padded with exact zeros to
+    ``min(equations, unknowns)`` entries.  ``kernel_dim`` counts the
+    singular values below ``tol * sigma_max`` (sigma_max of the whole
+    system) plus the columns beyond the row rank; ``gap_ratio`` measures
+    how clear the rank cut is (last kept singular value over first dropped
+    one, ``inf`` when that one is an exact zero, or over the threshold when
+    nothing is dropped).  The verdict is ``rigid`` for a zero kernel,
+    ``non_rigid`` otherwise, and ``indeterminate`` whenever the gap ratio
+    is below 10^3.  ``kernel_basis`` rows are orthonormal: each block's
+    null right singular vectors in its own columns, blocks in the order of
+    their first column, and a unit vector for a column no row touches.
     """
 
     unknowns: int
@@ -110,30 +120,57 @@ def solve_kernel(
     want_basis: bool = False,
     split_blocks: dict[str, slice] | None = None,
 ) -> KernelReport:
-    """SVD kernel of a homogeneous system with an explicit gap-ratio check.
+    """Block-structured SVD kernel of a homogeneous system with an explicit
+    gap-ratio check.
+
+    The system splits into the connected components of its row/column
+    nonzero pattern; the components of one shape go through one batched
+    SVD, and every block's rank is cut against the largest singular value
+    of the whole system.  Right singular vectors are computed only when the
+    basis or the split needs them.
 
     With ``split_blocks`` mapping block names to column slices, the report
     also carries the dimension of the kernel's projection onto each block.
     """
     rows = system.rows
-    ncols = system.unknowns
-    if rows.shape[0] == 0:
-        svals = np.zeros(0)
-        rank = 0
-        vt = np.eye(ncols)
-    else:
-        _, svals, vt = np.linalg.svd(rows, full_matrices=True)
-        smax = svals[0] if svals.size else 0.0
-        rank = int(np.sum(svals >= tol * smax)) if smax > 0.0 else 0
+    m, ncols = rows.shape
+    comps = _components(rows)
+    solved = []  # (component ids, their columns, their spectra, their V^T or None)
+    for ids in comps.shape_groups():
+        c = int(comps.col_count[ids[0]])
+        cols = comps.col_order[comps.col_start[ids, None] + np.arange(c)]
+        if comps.row_count[ids[0]] == 0:
+            # a column no row touches: a unit kernel vector
+            solved.append((ids, cols, np.zeros((len(ids), 0)), np.ones((len(ids), 1, 1))))
+        else:
+            solved.append((ids, cols, *_block_svd(rows, comps, ids, cols, want_basis)))
+
+    spectra = np.concatenate([s.ravel() for _, _, s, _ in solved] + [np.zeros(0)])
+    smax = float(spectra.max(initial=0.0))
+    cut = tol * smax if smax > 0.0 else np.inf
+    # the structural zeros beyond the blocks' spectra are exact
+    svals = np.zeros(min(m, ncols))
+    svals[: spectra.size] = np.sort(spectra)[::-1]
+    rank = int(np.sum(spectra >= cut))
     kernel_dim = ncols - rank
     gap_ratio = _gap_ratio(svals, rank, tol)
-    basis = vt[rank:, :] if (want_basis or split_blocks) else None
+
+    basis = None
+    if want_basis or split_blocks is not None:
+        if not want_basis and kernel_dim:
+            # the split needs V^T only of the blocks with a kernel
+            for k, (ids, cols, block_svals, vt) in enumerate(solved):
+                null = np.sum(block_svals >= cut, axis=1) < cols.shape[1]
+                if vt is None and null.any():
+                    _, vt = _block_svd(rows, comps, ids[null], cols[null], True)
+                    solved[k] = (ids[null], cols[null], block_svals[null], vt)
+        basis = _kernel_basis(solved, comps.col_count.size, ncols, cut)
 
     split = None
     if split_blocks is not None:
         split = {}
         for name, block in split_blocks.items():
-            sub = basis[:, block] if basis is not None and basis.size else np.zeros((0, 0))
+            sub = basis[:, block]
             if sub.size == 0:
                 split[name] = 0
             else:
@@ -149,8 +186,8 @@ def solve_kernel(
         verdict = "rigid" if kernel_dim == 0 else "non_rigid"
     return KernelReport(
         unknowns=ncols,
-        equations=system.equations,
-        singular_values=np.asarray(svals),
+        equations=m,
+        singular_values=svals,
         kernel_dim=kernel_dim,
         tol=tol,
         gap_ratio=gap_ratio,
@@ -159,6 +196,113 @@ def solve_kernel(
         split=split,
         unknown_labels=list(system.unknown_labels),
     )
+
+
+@dataclass(frozen=True)
+class _Components:
+    """Connected components of a row/column nonzero pattern.
+
+    Components are numbered in the order of their first column.  A column
+    no row touches is a component of its own with no rows; an all-zero row
+    belongs to no component.  ``row_order`` lists the rows of component 0,
+    then of component 1, and so on, each in ascending order, starting at
+    ``row_start``; ``col_order`` and ``col_start`` do the same for columns.
+    """
+
+    row_order: np.ndarray
+    row_start: np.ndarray
+    row_count: np.ndarray
+    col_order: np.ndarray
+    col_start: np.ndarray
+    col_count: np.ndarray
+
+    def shape_groups(self) -> list[np.ndarray]:
+        """Component ids grouped by (rows, columns) shape, ascending within."""
+        key = self.row_count * (self.col_count.max(initial=0) + 1) + self.col_count
+        order = np.argsort(key, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if order.size else []
+
+
+def _components(rows: np.ndarray) -> _Components:
+    """Label the components of the bipartite row/column graph of ``rows``.
+
+    Nodes are the rows (0..m-1) and the columns (m..m+n-1), and every
+    nonzero entry is an edge.  Each sweep hooks the larger of two adjacent
+    roots onto the smaller, then jumps pointers until every node points at
+    its root; a sweep is O(nnz + m + n).
+    """
+    m, n = rows.shape
+    ri, ci = np.nonzero(rows)
+    ci = ci + m
+    parent = np.arange(m + n)
+    while True:
+        pr, pc = parent[ri], parent[ci]
+        differ = pr != pc
+        if not differ.any():
+            break
+        np.minimum.at(parent, np.maximum(pr, pc)[differ], np.minimum(pr, pc)[differ])
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    col_root = parent[m:]
+    roots, first = np.unique(col_root, return_index=True)
+    comp_of = np.full(m + n, -1)
+    comp_of[roots[np.argsort(first)]] = np.arange(roots.size)
+    col_comp = comp_of[col_root]
+    row_comp = comp_of[parent[:m]]
+    live = np.flatnonzero(row_comp >= 0)
+    row_count = np.bincount(row_comp[live], minlength=roots.size)
+    col_count = np.bincount(col_comp, minlength=roots.size)
+    return _Components(
+        row_order=live[np.argsort(row_comp[live], kind="stable")],
+        row_start=np.cumsum(row_count) - row_count,
+        row_count=row_count,
+        col_order=np.argsort(col_comp, kind="stable"),
+        col_start=np.cumsum(col_count) - col_count,
+        col_count=col_count,
+    )
+
+
+def _block_svd(
+    rows: np.ndarray, comps: _Components, ids: np.ndarray, cols: np.ndarray, want_v: bool
+):
+    """Spectra of the same-shape components ``ids`` from one batched SVD,
+    with their V^T when ``want_v``."""
+    r, c = int(comps.row_count[ids[0]]), cols.shape[1]
+    if (r, c) == rows.shape:
+        stack = rows[None]  # one component: solved in place, not copied
+    else:
+        block_rows = comps.row_order[comps.row_start[ids, None] + np.arange(r)]
+        stack = rows[block_rows[:, :, None], cols[:, None, :]]
+    if not want_v:
+        return np.linalg.svd(stack, compute_uv=False), None
+    # a wide block needs its full V for the null rows; a tall one never
+    # needs the full U
+    _, svals, vt = np.linalg.svd(stack, full_matrices=r < c)
+    return svals, vt
+
+
+def _kernel_basis(solved: list, count: int, ncols: int, cut: float) -> np.ndarray:
+    """Orthonormal kernel rows: each component's V^T rows below ``cut``,
+    embedded in its columns, components in order."""
+    kept = np.zeros(count, dtype=np.intp)
+    nulls = np.zeros(count, dtype=np.intp)
+    for ids, cols, svals, _ in solved:
+        kept[ids] = np.sum(svals >= cut, axis=1)
+        nulls[ids] = cols.shape[1] - kept[ids]
+    offset = np.cumsum(nulls) - nulls
+    basis = np.zeros((int(nulls.sum()), ncols))
+    for ids, cols, _, vt in solved:
+        for rank in np.unique(kept[ids]):
+            sel = kept[ids] == rank
+            dim = cols.shape[1] - rank
+            if dim == 0:
+                continue
+            at = offset[ids[sel], None] + np.arange(dim)
+            basis[at[:, :, None], cols[sel, None, :]] = vt[sel, rank:, :]
+    return basis
 
 
 def _gap_ratio(svals: np.ndarray, rank: int, tol: float) -> float:
@@ -218,6 +362,13 @@ def trilinear_symskew_kernel(
     skew-symmetry in the last two.  The combination is contradictory, so the
     kernel dimension is 0 for every n.
     """
+    system = trilinear_symskew_system(n)
+    return solve_kernel(system, tol=tol, want_basis=want_basis)
+
+
+def trilinear_symskew_system(n: int) -> LinearSystem:
+    """The symmetry rows over (i < j, k, out), then the skew rows over
+    (i, j <= k, out), on the n**4 components of L (value axis innermost)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     labels = [
@@ -227,31 +378,32 @@ def trilinear_symskew_kernel(
         for k in range(n)
         for out in range(n)
     ]
+    axis = np.arange(n)
 
-    def col(i, j, k, out):
-        return ((i * n + j) * n + k) * n + out
+    def cols(i, j, k):
+        # the columns of L(i, j, k) for every value axis, one row each
+        return (((i[:, None] * n + j[:, None]) * n + k[:, None]) * n + axis).ravel()
 
-    rows = []
-    # symmetry in the first two arguments: L(i,j,k) - L(j,i,k) = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for out in range(n):
-                    row = np.zeros(len(labels))
-                    row[col(i, j, k, out)] += 1.0
-                    row[col(j, i, k, out)] -= 1.0
-                    rows.append(row)
-    # skew-symmetry in the last two arguments: L(i,j,k) + L(i,k,j) = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                for out in range(n):
-                    row = np.zeros(len(labels))
-                    row[col(i, j, k, out)] += 1.0
-                    row[col(i, k, j, out)] += 1.0
-                    rows.append(row)
-    system = LinearSystem(unknown_labels=labels, rows=np.array(rows))
-    return solve_kernel(system, tol=tol, want_basis=want_basis)
+    # symmetry in the first two arguments, rows over i < j, k, out:
+    #   L(i,j,k) - L(j,i,k) = 0
+    i, j = np.triu_indices(n, 1)
+    i, j, k = np.repeat(i, n), np.repeat(j, n), np.tile(axis, i.size)
+    sym_plus, sym_minus = cols(i, j, k), cols(j, i, k)
+    # skew-symmetry in the last two arguments, rows over i, j <= k, out:
+    #   L(i,j,k) + L(i,k,j) = 0
+    j, k = np.triu_indices(n)
+    i, j, k = np.repeat(axis, j.size), np.tile(j, n), np.tile(k, n)
+    skew_a, skew_b = cols(i, j, k), cols(i, k, j)
+
+    nsym = sym_plus.size
+    rows = np.zeros((nsym + skew_a.size, n**4))
+    r = np.arange(len(rows))
+    # within one statement a row's column is unique, so each += applies once
+    rows[r[:nsym], sym_plus] += 1.0
+    rows[r[:nsym], sym_minus] -= 1.0
+    rows[r[nsym:], skew_a] += 1.0
+    rows[r[nsym:], skew_b] += 1.0
+    return LinearSystem(unknown_labels=labels, rows=rows)
 
 
 def generalized_braid_system(j, jp, n: int | None = None) -> LinearSystem:

@@ -75,15 +75,21 @@ def level1_system(
     with the chart at (p, r); it is reported, not asserted zero.  Requires
     the parameter derivative J01 to be nonzero at the point.
     """
-    jm = c.eval_metric(p, r).matrix
-    j01 = c.eval_partials(p, r, 0, 1)
+    return _level1_report(
+        c.eval_metric(p, r).matrix, c.eval_partials(p, r, 0, 1), tol, want_basis
+    )
+
+
+def _level1_report(
+    jm: np.ndarray, j01: np.ndarray, tol: float, want_basis: bool
+) -> KernelReport:
     scale = max(float(np.max(np.abs(jm))), 1.0)
     if float(np.max(np.abs(j01))) <= tol * scale:
         raise ValueError(
             "the parameter derivative vanishes at this point; the shift "
             "gradient cannot be constrained there"
         )
-    system = _level1_linear_system(jm, j01, c.n)
+    system = _level1_linear_system(jm, j01, jm.shape[0])
     return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=system.blocks)
 
 
@@ -102,8 +108,14 @@ def level2_system(
     -J01(p, r); a zero kernel here is the content of a pointwise rigidity
     certificate.
     """
-    jm = c.eval_metric(p, r).matrix
-    j01 = c.eval_partials(p, r, 0, 1)
+    return _level2_report(
+        c.eval_metric(p, r).matrix, c.eval_partials(p, r, 0, 1), tol, want_basis
+    )
+
+
+def _level2_report(
+    jm: np.ndarray, j01: np.ndarray, tol: float, want_basis: bool
+) -> KernelReport:
     return generalized_braid_kernel(
         BilinForm(jm), BilinForm(-j01), tol=tol, want_basis=want_basis
     )
@@ -184,8 +196,8 @@ def gcs_certificate(
         jm = c.eval_metric(p, r).matrix
         j01 = c.eval_partials(p, r, 0, 1)
         genericity = _point_genericity(jm, j01, tol)
-        lvl1 = level1_system(c, p, r, tol=tol, want_basis=want_basis)
-        lvl2 = level2_system(c, p, r, tol=tol, want_basis=want_basis)
+        lvl1 = _level1_report(jm, j01, tol, want_basis)
+        lvl2 = _level2_report(jm, j01, tol, want_basis)
         samples.append(
             PointReport(
                 r=r,
@@ -228,7 +240,12 @@ def lightlike_step1_system(
     positive-definite base restriction forces the kernel to vanish; no
     genericity is needed at this step.
     """
-    h = lc.eval_base_metric(p, t).matrix
+    return _step1_report(lc, lc.eval_base_metric(p, t).matrix, tol, want_basis)
+
+
+def _step1_report(
+    lc: LightlikeChart, h: np.ndarray, tol: float, want_basis: bool
+) -> KernelReport:
     # g(phi2(u, w), v) pairs through the base block only
     system = _braid_rows(_padded(h, lc.base_dim, lc.n), 2, names=("phi2", None))
     return solve_kernel(system, tol=tol, want_basis=want_basis)
@@ -266,8 +283,14 @@ def lightlike_step2_system(
     where g pairs through the base block and g01 is its t-derivative.  For
     a nondegenerate g01 and base dimension >= 3 the kernel is zero.
     """
-    h = lc.eval_base_metric(p, t).matrix
-    h01 = lc.eval_base_partials(p, t, 0, 1)
+    return _step2_report(
+        lc, lc.eval_base_metric(p, t).matrix, lc.eval_base_partials(p, t, 0, 1), tol, want_basis
+    )
+
+
+def _step2_report(
+    lc: LightlikeChart, h: np.ndarray, h01: np.ndarray, tol: float, want_basis: bool
+) -> KernelReport:
     system = _lightlike_step2_linear_system(h, h01, lc.n, lc.base_dim)
     return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=system.blocks)
 
@@ -293,8 +316,8 @@ def lightlike_subrigidity_certificate(
     h = lc.eval_base_metric(p, t).matrix
     h01 = lc.eval_base_partials(p, t, 0, 1)
     genericity = _point_genericity(h, h01, tol)
-    step1 = lightlike_step1_system(lc, p, t, tol=tol, want_basis=want_basis)
-    step2 = lightlike_step2_system(lc, p, t, tol=tol, want_basis=want_basis)
+    step1 = _step1_report(lc, h, tol, want_basis)
+    step2 = _step2_report(lc, h, h01, tol, want_basis)
 
     if lc.n < 4:
         verdict = "indeterminate-by-hypothesis"

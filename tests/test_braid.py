@@ -2,17 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag, subspace_angles
 
+from rigidity_lab import braid, certifier, prolongation
 from rigidity_lab.braid import (
+    GAP_VERDICT_THRESHOLD,
+    LinearSystem,
     _braid_rows,
+    _gap_ratio,
     classical_braid_kernel,
     classical_braid_system,
     generalized_braid_kernel,
     generalized_braid_system,
     solve_kernel,
     trilinear_symskew_kernel,
+    trilinear_symskew_system,
 )
-from rigidity_lab.multilinear import BilinForm, SymTensor, enumerate_sym_indices
+from rigidity_lab.certifier import gcs_certificate, lightlike_subrigidity_certificate
+from rigidity_lab.gcs import builtin_chart, lift_to_lightlike
+from rigidity_lab.multilinear import SPECTRAL_TOL, BilinForm, SymTensor, enumerate_sym_indices
+from rigidity_lab.prolongation import builtin_algebra, prolongation_space
 from conftest import random_nondegenerate_form, random_well_conditioned
 
 
@@ -52,6 +62,31 @@ class TestTrilinearSymSkew:
         report = trilinear_symskew_kernel(n)
         assert report.kernel_dim == 0
         assert report.unknowns == n**4
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_match_loops(self, n):
+        # the constraint loops the index arrays replace, in their row order
+        def col(i, j, k, out):
+            return ((i * n + j) * n + k) * n + out
+
+        rows = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    for out in range(n):
+                        row = np.zeros(n**4)
+                        row[col(i, j, k, out)] += 1.0
+                        row[col(j, i, k, out)] -= 1.0
+                        rows.append(row)
+        for i in range(n):
+            for j in range(n):
+                for k in range(j, n):
+                    for out in range(n):
+                        row = np.zeros(n**4)
+                        row[col(i, j, k, out)] += 1.0
+                        row[col(i, k, j, out)] += 1.0
+                        rows.append(row)
+        assert trilinear_symskew_system(n).rows.tobytes() == np.array(rows).tobytes()
 
 
 class TestGeneralizedSystem:
@@ -260,3 +295,235 @@ class TestKernelReports:
         report = generalized_braid_kernel(np.eye(3), np.diag([1.0, 1e-6, 1e-6]))
         assert report.verdict in ("non_rigid", "indeterminate")
         assert report.singular_values[-1] < report.tol * report.singular_values[0]
+
+
+def _dense_oracle(system, tol=SPECTRAL_TOL, split_blocks=None):
+    """The kernel by one dense SVD of the whole system: spectrum, kernel
+    dimension, verdict, orthonormal kernel basis and projection dims."""
+    rows = system.rows
+    if rows.shape[0] == 0:
+        svals, rank, vt = np.zeros(0), 0, np.eye(system.unknowns)
+    else:
+        _, svals, vt = np.linalg.svd(rows, full_matrices=True)
+        smax = svals[0] if svals.size else 0.0
+        rank = int(np.sum(svals >= tol * smax)) if smax > 0.0 else 0
+    gap = _gap_ratio(svals, rank, tol)
+    kernel_dim = system.unknowns - rank
+    if gap < GAP_VERDICT_THRESHOLD:
+        verdict = "indeterminate"
+    else:
+        verdict = "rigid" if kernel_dim == 0 else "non_rigid"
+    basis = vt[rank:]
+    split = None
+    if split_blocks is not None:
+        split = {}
+        for name, block in split_blocks.items():
+            sub = np.linalg.svd(basis[:, block], compute_uv=False) if basis.size else np.zeros(0)
+            split[name] = int(np.sum(sub >= tol * sub[0])) if sub.size and sub[0] > 0 else 0
+    return svals, kernel_dim, verdict, basis, split
+
+
+def _capture_systems(monkeypatch, call):
+    """The (system, split_blocks) pairs that ``call()`` hands to solve_kernel."""
+    seen = []
+
+    def capture(system, tol=SPECTRAL_TOL, want_basis=False, split_blocks=None):
+        seen.append((system, split_blocks))
+        return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=split_blocks)
+
+    for module in (braid, certifier, prolongation):
+        monkeypatch.setattr(module, "solve_kernel", capture)
+    call()
+    monkeypatch.undo()
+    assert seen
+    return seen
+
+
+def _forms(kind, n):
+    rng = np.random.default_rng((n, len(kind)))
+    if kind == "diagonal":
+        signs = np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
+        return np.diag(signs * rng.uniform(0.5, 2.0, n)), np.diag(rng.uniform(0.5, 2.0, n))
+    return random_nondegenerate_form(rng, n), random_nondegenerate_form(rng, n)
+
+
+def _edge_system(rows):
+    rows = np.asarray(rows, dtype=float).reshape(-1, 3) if np.size(rows) else np.zeros((0, 3))
+    return LinearSystem([("x", (k,), None) for k in range(rows.shape[1])], rows)
+
+
+BRAID_CASES = {
+    **{
+        f"classical-{kind}-n{n}": (lambda kind=kind, n=n: [
+            (classical_braid_system(BilinForm(_forms(kind, n)[0])), None)
+        ])
+        for kind in ("diagonal", "dense")
+        for n in range(1, 7)
+    },
+    **{
+        f"generalized-{kind}-n{n}": (lambda kind=kind, n=n: [
+            (system, system.blocks)
+            for system in [generalized_braid_system(*_forms(kind, n))]
+        ])
+        for kind in ("diagonal", "dense")
+        for n in range(1, 7)
+    },
+    **{
+        f"degenerate-n{n}": (lambda n=n: [
+            (system, system.blocks)
+            for system in [generalized_braid_system(np.eye(n), np.diag([1.0] + [0.0] * (n - 1)))]
+        ])
+        for n in (3, 5)
+    },
+    "no-rows": lambda: [(_edge_system([]), None)],
+    "untouched-column": lambda: [(_edge_system([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]]), None)],
+    "zero-row": lambda: [(_edge_system([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 5.0]]), None)],
+    "all-zero": lambda: [(_edge_system(np.zeros((2, 3))), {"x": slice(0, 2)})],
+    # the small block falls below the cut of the whole system, not of its own
+    "two-scales": lambda: [(_edge_system(np.diag([1e12, 1.0, 3e12])), {"x": slice(1, 2)})],
+}
+
+CALLER_CASES = {
+    "level1-conformal_flat-n3": lambda: gcs_certificate(
+        builtin_chart("conformal_flat", 3), [0.0] * 3, [0.5, 2.0]
+    ),
+    "level1-product_nonrigid-n4": lambda: gcs_certificate(
+        builtin_chart("product_nonrigid", 4), [0.0] * 4, [0.5, 1.0]
+    ),
+    "level1-linear_hyperbolic": lambda: gcs_certificate(
+        builtin_chart("linear_hyperbolic"), [0.1, -0.2, 0.3], [0.25, 0.75]
+    ),
+    "lightlike-lightcone-n4": lambda: lightlike_subrigidity_certificate(
+        builtin_chart("lightcone", 4), [0.1, 0.0, -0.2], 1.0
+    ),
+    "lightlike-product_nonrigid-n3": lambda: lightlike_subrigidity_certificate(
+        lift_to_lightlike(builtin_chart("product_nonrigid", 3)), [0.0] * 3, 1.0
+    ),
+    **{
+        f"prolongation-{name}-n{n}-d{d}": (lambda name=name, n=n, d=d: prolongation_space(
+            builtin_algebra(name, n), d
+        ))
+        for name in ("so", "co", "lightlike_orth")
+        for n in (3, 4)
+        for d in (1, 2)
+    },
+}
+
+
+class TestBlockSolveOracle:
+    """The block-structured solve agrees with one dense SVD of the whole
+    system: kernel dimension, verdict, spectrum, kernel subspace and
+    projection dims."""
+
+    @staticmethod
+    def check(system, split_blocks):
+        svals, kernel_dim, verdict, basis, split = _dense_oracle(system, split_blocks=split_blocks)
+        smax = svals[0] if svals.size else 0.0
+        for want_basis in (True, False):
+            report = solve_kernel(system, want_basis=want_basis, split_blocks=split_blocks)
+            assert report.kernel_dim == kernel_dim
+            assert report.verdict == verdict
+            assert report.split == split
+            assert report.singular_values.shape == svals.shape
+            assert np.all(np.diff(report.singular_values) <= 0.0)
+            assert np.max(np.abs(report.singular_values - svals), initial=0.0) <= 1e-12 * smax
+        found = solve_kernel(system, want_basis=True).kernel_basis
+        assert found.shape == basis.shape
+        if kernel_dim:
+            assert np.max(subspace_angles(found.T, basis.T)) <= 1e-10
+            assert np.max(np.abs(found @ found.T - np.eye(kernel_dim))) <= 1e-12
+        # relative to sigma_max: a dropped direction leaves at most its own
+        # singular value in the rows
+        assert np.max(np.abs(system.rows @ found.T), initial=0.0) <= 1e-12 * max(smax, 1.0)
+
+    @pytest.mark.parametrize("case", sorted(BRAID_CASES))
+    def test_systems(self, case):
+        for system, split_blocks in BRAID_CASES[case]():
+            self.check(system, split_blocks)
+
+    @pytest.mark.parametrize("case", sorted(CALLER_CASES))
+    def test_caller_systems(self, monkeypatch, case):
+        for system, split_blocks in _capture_systems(monkeypatch, CALLER_CASES[case]):
+            self.check(system, split_blocks)
+
+    def test_edge_cases_are_exact(self):
+        report = solve_kernel(_edge_system([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]]), want_basis=True)
+        assert report.kernel_dim == 1
+        assert np.array_equal(report.kernel_basis, [[0.0, 0.0, 1.0]])
+        report = solve_kernel(_edge_system(np.zeros((2, 3))), want_basis=True)
+        assert np.array_equal(report.singular_values, np.zeros(2))
+        assert np.array_equal(report.kernel_basis, np.eye(3))
+        assert report.gap_ratio == float("inf")
+
+    def test_structural_zeros_are_exact(self):
+        report = generalized_braid_kernel(np.eye(4), np.diag([1.0, 0.0, 0.0, 0.0]))
+        dropped = report.singular_values[report.unknowns - report.kernel_dim :]
+        assert dropped.size and not np.any(dropped)
+        assert report.gap_ratio == float("inf")
+
+    def test_one_component_is_not_copied(self, monkeypatch):
+        # a dense pair gives one component touching every row and column
+        system = generalized_braid_system(*_forms("dense", 3))
+        stacks = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            stacks.append(a)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        solve_kernel(system)
+        monkeypatch.undo()
+        assert np.shares_memory(stacks[0], system.rows)
+
+
+@st.composite
+def _block_diagonal_systems(draw):
+    """A block-diagonal system of random low-rank blocks (a rank-0 block
+    gives zero rows and untouched columns) with a random row and column
+    permutation."""
+    shapes = draw(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 4)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [
+        rng.standard_normal((r, min(k, r, c))) @ rng.standard_normal((min(k, r, c), c))
+        for r, c, k in shapes
+    ]
+    rows = block_diag(*blocks)
+    row_perm = draw(st.permutations(range(rows.shape[0])))
+    col_perm = draw(st.permutations(range(rows.shape[1])))
+    return rows, np.array(row_perm, dtype=int), np.array(col_perm, dtype=int)
+
+
+class TestBlockSolveProperties:
+    @staticmethod
+    def assert_same(a, b):
+        assert a.kernel_dim == b.kernel_dim
+        assert a.verdict == b.verdict
+        smax = a.singular_values[0] if a.singular_values.size else 0.0
+        assert np.max(np.abs(a.singular_values - b.singular_values), initial=0.0) <= 1e-12 * smax
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_block_diagonal_systems())
+    def test_permutations_leave_the_kernel_unchanged(self, drawn):
+        rows, row_perm, col_perm = drawn
+        labels = [("x", (k,), None) for k in range(rows.shape[1])]
+        base = solve_kernel(LinearSystem(labels, rows))
+        moved = solve_kernel(LinearSystem(labels, rows[row_perm][:, col_perm]))
+        self.assert_same(base, moved)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_permuted_braid_system(self, random):
+        system = generalized_braid_system(*_forms("diagonal", 4))
+        row_perm = random.sample(range(system.equations), system.equations)
+        col_perm = random.sample(range(system.unknowns), system.unknowns)
+        moved = LinearSystem(
+            [system.unknown_labels[k] for k in col_perm], system.rows[row_perm][:, col_perm]
+        )
+        self.assert_same(solve_kernel(system), solve_kernel(moved))

@@ -14,6 +14,7 @@ from rigidity_lab.certifier import (
 )
 from rigidity_lab.gcs import (
     GcsChart,
+    LightlikeChart,
     builtin_chart,
     lift_to_lightlike,
     pullback_chart,
@@ -229,3 +230,35 @@ class TestCrossModule:
         report = level1_system(chart, ORIGIN3, 1.0, want_basis=True)
         for vec in report.kernel_basis:
             assert system.residual(vec) < 1e-8 * system.coefficient_scale()
+
+
+class TestEvaluatesEachSampleOnce:
+    """A certificate evaluates the metric and its parameter derivative once
+    per sample and hands the matrices to both kernel levels."""
+
+    @staticmethod
+    def count_calls(monkeypatch, cls, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(cls, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_gcs_certificate(self, monkeypatch):
+        chart = builtin_chart("linear_hyperbolic")
+        calls = self.count_calls(monkeypatch, GcsChart, ["eval_metric", "eval_partials"])
+        gcs_certificate(chart, ORIGIN3, [0.25, 0.5, 0.75])
+        assert calls == {"eval_metric": 3, "eval_partials": 3}
+
+    def test_lightlike_certificate(self, monkeypatch):
+        lc = builtin_chart("lightcone", 5)
+        calls = self.count_calls(
+            monkeypatch, LightlikeChart, ["eval_base_metric", "eval_base_partials"]
+        )
+        lightlike_subrigidity_certificate(lc, [0.1, 0.0, -0.2, 0.3], 1.0)
+        assert calls == {"eval_base_metric": 1, "eval_base_partials": 1}
