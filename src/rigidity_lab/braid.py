@@ -295,7 +295,9 @@ def _kernel_basis(solved: list, count: int, ncols: int, cut: float) -> np.ndarra
     offset = np.cumsum(nulls) - nulls
     basis = np.zeros((int(nulls.sum()), ncols))
     for ids, cols, _, vt in solved:
-        for rank in np.unique(kept[ids]):
+        # a sorted set, not np.unique: np.unique without return_index
+        # imports numpy.ma (about 19 ms) on its first call in a process
+        for rank in sorted(set(kept[ids].tolist())):
             sel = kept[ids] == rank
             dim = cols.shape[1] - rank
             if dim == 0:

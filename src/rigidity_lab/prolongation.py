@@ -18,16 +18,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
-from .braid import LinearSystem, solve_kernel
+from .braid import LinearSystem, _insert_positions, solve_kernel
 from .multilinear import (
     SPECTRAL_TOL,
     SymTensor,
     enumerate_sym_indices,
     sym_index_count,
     _sym_index_array,
-    _sym_index_position,
 )
 
 #: Hard cap on packed unknown counts for prolongation computations.
@@ -38,6 +36,21 @@ MAX_ORDER_CAP = 5
 
 #: sigma_2 / sigma_1 threshold below which a matrix counts as rank one.
 RANK1_RATIO_TOL = 1e-8
+
+#: Candidates scored per batched SVD in the rank-one scan (bounds memory).
+RANK1_SCAN_BLOCK = 4096
+
+#: Best scanned candidates whose leading singular pairs start the polish.
+RANK1_POLISH_STARTS = 8
+
+#: Distance of a unit ``v a^T`` from the algebra at which a start converged.
+RANK1_RESIDUAL_TOL = 1e-12
+
+#: A sweep lowering the distance by less than this fraction stalls a start.
+RANK1_STALL = 1e-3
+
+#: Sweeps after which the alternating rank-one solve gives up.
+RANK1_MAX_SWEEPS = 500
 
 
 @dataclass
@@ -76,9 +89,10 @@ class MatrixAlgebra:
         return self.orthonormalized_basis.shape[0]
 
     def element(self, coefficients) -> np.ndarray:
-        """Linear combination of the orthonormalized basis."""
+        """Linear combination of the orthonormalized basis; a (K, dim)
+        stack of coefficients gives a (K, n, n) stack of elements."""
         c = np.asarray(coefficients, dtype=float)
-        return np.tensordot(c, self.orthonormalized_basis, axes=([0], [0]))
+        return np.tensordot(c, self.orthonormalized_basis, axes=([-1], [0]))
 
     def projection_residual(self, x: np.ndarray) -> float:
         """Frobenius norm of the component of x orthogonal to the subspace."""
@@ -158,20 +172,14 @@ def prolongation_system(h: MatrixAlgebra, d: int) -> LinearSystem:
             f"prolongation system would have {ncols} unknowns "
             f"(cap {SIZE_CAP}); reduce n or the order"
         )
-    pos = _sym_index_position(n, d + 1)
     labels = [("A", idx, out) for idx in enumerate_sym_indices(n, d + 1) for out in range(n)]
     complement = h._complement
-    tuples = enumerate_sym_indices(n, d)
-    rows = np.zeros((len(tuples) * len(complement), ncols))
-    r = 0
-    for tup in tuples:
-        for q in complement:
-            # <X_tup, Q>_F = sum_{out,u} Q[out,u] A[sort(u,tup), out]
-            for u in range(n):
-                idx = tuple(sorted((u,) + tup))
-                base = pos[idx] * n
-                rows[r, base : base + n] += q[:, u]
-            r += 1
+    insert = _insert_positions(n, d + 1)
+    rows = np.zeros((len(insert) * len(complement), ncols))
+    # row (tup, q): <X_tup, Q>_F = sum_{out,u} Q[out,u] A[sort(u,tup), out];
+    # the columns of one row are distinct, so each entry is added once
+    r = np.arange(len(rows)).reshape(len(insert), len(complement), 1, 1)
+    rows[r, insert[:, None, :, None] * n + np.arange(n)] += complement.transpose(0, 2, 1)
     return LinearSystem(unknown_labels=labels, rows=rows)
 
 
@@ -208,16 +216,18 @@ def find_rank1(
     """Search the subspace for a rank-one element.
 
     Strategy: scan sign patterns in {-1, 0, 1}^dim over the orthonormalized
-    basis (or random patterns when that grid is too large), add seeded
-    random directions (one RNG per trial index, so trials are order
-    independent), then polish the best candidates by minimizing
-    sigma_2/sigma_1.  Returning None is a heuristic negative, not a proof of
-    absence.
+    basis (or random patterns when that grid is too large) and seeded random
+    directions (one RNG per trial index, so trials are order independent),
+    scored by sigma_2/sigma_1 in batched SVDs.  If no candidate is rank one,
+    an alternating solve over the factors of ``v a^T`` starts from the
+    leading singular pairs of the best candidates and from one seeded random
+    covector per trial.  Returning None is a heuristic negative, not a proof
+    of absence.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    dim = h.dim
-    if h.n == 1:
+    dim, n = h.dim, h.n
+    if n == 1:
         c = np.zeros(dim)
         c[0] = 1.0
         w = h.element(c)
@@ -225,52 +235,100 @@ def find_rank1(
             return _make_witness(h, c)
         return None
 
-    candidates: list[np.ndarray] = []
     if 3**dim <= 20_000:
-        grids = np.array(
+        signs = np.array(
             np.meshgrid(*([[-1.0, 0.0, 1.0]] * dim), indexing="ij")
         ).reshape(dim, -1).T
-        candidates.extend(g for g in grids if np.any(g))
+        signs = signs[np.any(signs, axis=1)]
     else:
         rng = np.random.default_rng(seed)
-        candidates.extend(np.sign(rng.standard_normal((2000, dim))))
+        signs = np.sign(rng.standard_normal((2000, dim)))
+    directions, covectors = [], []
     for i in range(trials):
         rng_i = np.random.default_rng((seed, i))
-        candidates.append(rng_i.standard_normal(dim))
+        c = rng_i.standard_normal(dim)
+        directions.append(c / np.linalg.norm(c))
+        covectors.append(rng_i.standard_normal(n))
+    # sums of squares of sign patterns are exact, so the row norms equal
+    # the per-vector ones
+    candidates = np.concatenate(
+        [signs / np.linalg.norm(signs, axis=1, keepdims=True), directions]
+    )
+    ratios = np.concatenate([
+        _sigma_ratios(h.element(candidates[i : i + RANK1_SCAN_BLOCK]))
+        for i in range(0, len(candidates), RANK1_SCAN_BLOCK)
+    ])
+    order = np.argsort(ratios, kind="stable")
+    if ratios[order[0]] < RANK1_RATIO_TOL:
+        return _make_witness(h, candidates[order[0]])
+    if dim == 1:
+        return None
 
-    scored = []
-    for c in candidates:
-        c = c / np.linalg.norm(c)
-        scored.append((_sigma_ratio(h.element(c)), c))
-    scored.sort(key=lambda pair: pair[0])
+    _, _, vt = np.linalg.svd(h.element(candidates[order[:RANK1_POLISH_STARTS]]))
+    v, a = _alternating_rank1(h._complement, np.concatenate([vt[:, 0, :], covectors]))
+    # project each v a^T onto the algebra; a zero projection scores 1
+    coefficients = np.tensordot(
+        v[:, :, None] * a[:, None, :], h.orthonormalized_basis, axes=([1, 2], [1, 2])
+    )
+    norms = np.linalg.norm(coefficients, axis=1, keepdims=True)
+    coefficients /= np.where(norms > 0.0, norms, 1.0)
+    best = np.argsort(_sigma_ratios(h.element(coefficients)), kind="stable")[0]
+    witness = _make_witness(h, coefficients[best])
+    return witness if witness.sigma_ratio < RANK1_RATIO_TOL else None
 
-    best_ratio, best_c = scored[0]
-    if best_ratio >= RANK1_RATIO_TOL and dim > 1:
-        for ratio, c0 in scored[:8]:
-            res = optimize.minimize(
-                lambda c: _sigma_ratio(h.element(c / max(np.linalg.norm(c), 1e-30))),
-                c0,
-                method="Nelder-Mead",
-                options={"maxiter": 400 * dim, "fatol": 1e-14, "xatol": 1e-12},
-            )
-            cand = res.x / np.linalg.norm(res.x)
-            cand_ratio = _sigma_ratio(h.element(cand))
-            if cand_ratio < best_ratio:
-                best_ratio, best_c = cand_ratio, cand
-            if best_ratio < RANK1_RATIO_TOL:
-                break
-    if best_ratio < RANK1_RATIO_TOL:
-        return _make_witness(h, best_c)
-    return None
+
+def _alternating_rank1(
+    complement: np.ndarray, a: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating least squares for ``v^T Q_q a = 0`` over unit v and a,
+    from one start covector per row of ``a`` (any nonzero length).
+
+    ``complement`` holds the orthonormal Q_q spanning the complement of the
+    algebra, so ``sqrt(sum_q (v^T Q_q a)^2)`` is the distance of the unit
+    matrix ``v a^T`` from the algebra.  All starts advance together: with
+    a fixed, v is the last right singular vector of the rows ``(Q_q a)^T``;
+    with v fixed, a that of the rows ``(Q_q^T v)^T``.  A start stops when its residual falls below ``RANK1_RESIDUAL_TOL``, when
+    a sweep lowers it by less than the fraction ``RANK1_STALL``, or after
+    ``RANK1_MAX_SWEEPS`` sweeps; the search ends as soon as one start has
+    converged, since one rank-one element suffices.
+    """
+    v = np.empty_like(a)
+    residual = np.full(len(a), np.inf)
+    active = np.arange(len(a))
+    for _ in range(RANK1_MAX_SWEEPS):
+        v[active], _ = _null_direction(np.einsum("qij,sj->sqi", complement, a[active]))
+        a[active], r = _null_direction(np.einsum("qij,si->sqj", complement, v[active]))
+        stalled = r > (1.0 - RANK1_STALL) * residual[active]
+        residual[active] = r
+        if np.any(r < RANK1_RESIDUAL_TOL):
+            break
+        active = active[~stalled]
+        if not active.size:
+            break
+    return v, a
+
+
+def _null_direction(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit x minimizing ``|m_s x|`` for each matrix of a (S, c, n) stack,
+    with the minimum (0 when c < n leaves a null space)."""
+    _, svals, vt = np.linalg.svd(m, full_matrices=m.shape[1] < m.shape[2])
+    if m.shape[1] < m.shape[2]:
+        return vt[:, -1, :], np.zeros(len(m))
+    return vt[:, -1, :], svals[:, -1]
 
 
 def _sigma_ratio(x: np.ndarray) -> float:
-    svals = np.linalg.svd(x, compute_uv=False)
-    if svals[0] == 0.0:
-        return 1.0
-    if svals.size < 2:
-        return 0.0
-    return float(svals[1] / svals[0])
+    return float(_sigma_ratios(x[None])[0])
+
+
+def _sigma_ratios(stack: np.ndarray) -> np.ndarray:
+    """sigma_2/sigma_1 of each matrix of a (K, n, n) stack: 1 for a zero
+    matrix, 0 for n == 1."""
+    svals = np.linalg.svd(stack, compute_uv=False)
+    if svals.shape[1] < 2:
+        return np.where(svals[:, 0] == 0.0, 1.0, 0.0)
+    top = svals[:, 0]
+    return np.where(top == 0.0, 1.0, svals[:, 1] / np.where(top == 0.0, 1.0, top))
 
 
 def _make_witness(h: MatrixAlgebra, coefficients: np.ndarray) -> Rank1Witness:

@@ -74,6 +74,17 @@ def test_golden_reports(name):
     assert first == path.read_bytes(), f"report drifted from golden file {name}"
 
 
+def test_package_import_loads_no_scipy():
+    # scipy is a test-only dependency: importing the CLI must not load it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rigidity_lab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 class TestExitCodes:
     def test_completed_is_zero_even_for_non_rigid(self):
         proc = run_cli(
@@ -242,6 +253,14 @@ class TestCommands:
             "kind": "finite", "order": 1,
             "dims": {"1": 0, "2": 0}, "verified_next_order": 2,
         }
+
+    def test_prolong_rank1_search_same_bytes_across_threads(self):
+        # lightlike_orth n=5 has 3^11 sign patterns, so its witness comes
+        # from the batched alternating solve, not the scan
+        args = ["prolong", "--algebra", "lightlike_orth", "--n", "5"]
+        single = run_cli(args, threads="1").stdout
+        assert single == run_cli(args, threads="2").stdout
+        assert json.loads(single)["type"]["kind"] == "infinite"
 
     def test_prolong_reuses_finite_type_spaces(self, monkeypatch, tmp_path):
         calls = []

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rigidity_lab.multilinear import _sym_index_position, enumerate_sym_indices
 from rigidity_lab.prolongation import (
+    RANK1_RATIO_TOL,
     FiniteType,
     InfiniteType,
     MatrixAlgebra,
@@ -12,6 +15,7 @@ from rigidity_lab.prolongation import (
     finite_type,
     membership_residual,
     prolongation_space,
+    prolongation_system,
     prolongation_unknowns,
     rank1_witness_prolongation,
 )
@@ -80,6 +84,49 @@ class TestProlongationSpace:
                         prolongation_space(h.conjugate(g), d).dim
                         == prolongation_space(h, d).dim
                     )
+
+
+def prolongation_rows_loop(h, d):
+    """Reference assembly of ``prolongation_system`` rows, one entry block at
+    a time: row (tup, q) holds Q[out, u] at column pos[sort(u, tup)] * n + out."""
+    n = h.n
+    pos = _sym_index_position(n, d + 1)
+    tuples = enumerate_sym_indices(n, d)
+    rows = np.zeros((len(tuples) * len(h._complement), prolongation_unknowns(n, d)))
+    r = 0
+    for tup in tuples:
+        for q in h._complement:
+            for u in range(n):
+                base = pos[tuple(sorted((u,) + tup))] * n
+                rows[r, base : base + n] += q[:, u]
+            r += 1
+    return rows
+
+
+def _oracle_algebras():
+    rng = np.random.default_rng(4242)
+    for n in range(1, 6):
+        if n >= 2:  # so(1) is zero and lightlike_orth needs n >= 2
+            yield f"so-{n}", builtin_algebra("so", n)
+            yield f"co-{n}", builtin_algebra("co", n)
+            yield f"lightlike_orth-{n}", builtin_algebra("lightlike_orth", n)
+        yield f"one_param-{n}", builtin_algebra("one_param", r_matrix=rng.standard_normal((n, n)))
+        gens = [rng.standard_normal((n, n)) for _ in range(min(3, n * n))]
+        yield f"custom-{n}", builtin_algebra("custom", generators=gens)
+
+
+ORACLE_ALGEBRAS = list(_oracle_algebras())
+
+
+class TestProlongationSystemOracle:
+    @pytest.mark.parametrize("name,h", ORACLE_ALGEBRAS, ids=[name for name, _ in ORACLE_ALGEBRAS])
+    def test_rows_match_loop(self, name, h):
+        for d in (1, 2, 3):
+            system = prolongation_system(h, d)
+            expected = prolongation_rows_loop(h, d)
+            assert system.rows.shape == expected.shape
+            assert system.rows.tobytes() == expected.tobytes()
+            assert len(system.unknown_labels) == system.rows.shape[1]
 
 
 class TestFiniteType:
@@ -154,6 +201,113 @@ class TestFindRank1:
         w1 = find_rank1(h, trials=16, seed=7)
         w2 = find_rank1(h, trials=16, seed=7)
         assert np.array_equal(w1.coefficients, w2.coefficients)
+
+
+def assert_valid_witness(h, w):
+    assert w is not None
+    assert h.projection_residual(w.matrix) <= 1e-8 * np.linalg.norm(w.matrix)
+    assert w.sigma_ratio < RANK1_RATIO_TOL
+
+
+class TestRank1Conjugates:
+    """find_rank1 does not depend on the basis a conjugation gives the
+    algebra: rank is conjugation invariant, so so and co stay without
+    rank-one elements and lightlike_orth and span{v a^T} keep theirs."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_rank_one_elements_found(self, n):
+        rng = np.random.default_rng((31, n))
+        g = random_well_conditioned(rng, n)
+        rank1 = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+        for h in (
+            builtin_algebra("lightlike_orth", n).conjugate(g),
+            builtin_algebra("one_param", r_matrix=rank1).conjugate(g),
+        ):
+            result = finite_type(h)
+            assert isinstance(result, InfiniteType)
+            assert_valid_witness(h, result.witness)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("name", ["so", "co"])
+    def test_no_rank_one_element(self, name, n):
+        g = random_well_conditioned(np.random.default_rng((37, n)), n)
+        h = builtin_algebra(name, n)
+        conj = h.conjugate(g)
+        assert find_rank1(conj) is None
+        result, expected = finite_type(conj), finite_type(h)
+        assert isinstance(result, FiniteType)
+        assert (result.order, result.dims) == (expected.order, expected.dims)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shape=st.integers(3, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 2))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_planted_rank_one_element(self, shape, seed):
+        # span{v a^T, k random generators}: the planted element is the only
+        # rank-one direction; with k near (n - 1)^2 alternating least
+        # squares can need more than RANK1_MAX_SWEEPS sweeps, so k <= n - 2
+        n, k = shape
+        rng = np.random.default_rng(seed)
+        gens = [np.outer(rng.standard_normal(n), rng.standard_normal(n))]
+        gens += [rng.standard_normal((n, n)) for _ in range(k)]
+        h = MatrixAlgebra(n, gens)
+        assert_valid_witness(h, find_rank1(h, seed=seed))
+
+
+# kind, order, dims and verified_next_order from the theory: so has finite
+# type 1; co(n) finite type 2 with an n-dimensional first prolongation for
+# n >= 3, while co(2) (holomorphic maps) keeps 2-dimensional prolongations;
+# lightlike_orth holds x -> f(x) e_n, so it has infinite type; span{R} has
+# finite type 1 when rank R >= 2 and infinite type when rank R = 1; a
+# generic 3-dimensional subspace of gl(4) has type 1.
+_FINITE_TYPE_TABLE = [
+    *[(("so", n), ("finite", 1, {1: 0, 2: 0}, 2)) for n in range(2, 7)],
+    (("co", 2), ("unknown_beyond", None, {1: 2, 2: 2, 3: 2}, None)),
+    *[(("co", n), ("finite", 2, {1: n, 2: 0, 3: 0}, 3)) for n in range(3, 7)],
+    *[(("lightlike_orth", n), ("infinite", None, None, None)) for n in range(2, 7)],
+    (("one_param-rank1", 4), ("infinite", None, None, None)),
+    (("one_param-rank1", 5), ("infinite", None, None, None)),
+    (("one_param-full-rank", 4), ("finite", 1, {1: 0, 2: 0}, 2)),
+    (("custom-3gen", 4), ("finite", 1, {1: 0, 2: 0}, 2)),
+]
+
+
+def _table_algebra(name, n):
+    if name == "one_param-rank1":
+        v, a = np.arange(1.0, n + 1.0), np.array([1.0, -2.0, 0.0, 3.0, -1.0][:n])
+        return builtin_algebra("one_param", r_matrix=np.outer(v, a))
+    if name == "one_param-full-rank":
+        r = np.array([[6, 1, 0, -1], [0, 5, 1, 0], [-1, 0, 7, 1], [1, -1, 0, 8]], dtype=float)
+        return builtin_algebra("one_param", r_matrix=r)
+    if name == "custom-3gen":
+        rng = np.random.default_rng(2024)
+        gens = [np.round(rng.uniform(-1.0, 1.0, (4, 4)), 3) for _ in range(3)]
+        return builtin_algebra("custom", generators=gens)
+    return builtin_algebra(name, n)
+
+
+class TestFiniteTypeTable:
+    @pytest.mark.parametrize(
+        "case,expected", _FINITE_TYPE_TABLE, ids=[f"{c[0]}-{c[1]}" for c, _ in _FINITE_TYPE_TABLE]
+    )
+    def test_pinned(self, case, expected):
+        h = _table_algebra(*case)
+        result = finite_type(h)
+        kind, order, dims, verified = expected
+        if kind == "infinite":
+            assert isinstance(result, InfiniteType)
+            assert_valid_witness(h, result.witness)
+            if case[0] == "lightlike_orth":
+                # every rank-one element of lightlike_orth maps into e_n
+                v = result.witness.v
+                assert abs(v[-1]) > (1.0 - 1e-12) * np.linalg.norm(v)
+        elif kind == "unknown_beyond":
+            assert isinstance(result, UnknownBeyond)
+            assert (result.max_order, result.dims) == (3, dims)
+        else:
+            assert isinstance(result, FiniteType)
+            assert (result.order, result.dims, result.verified_next_order) == (order, dims, verified)
 
 
 class TestWitnessProlongation:
