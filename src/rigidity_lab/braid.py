@@ -53,7 +53,9 @@ class LinearSystem:
     ``(tensor_name, sym_index, output_axis_or_None)``; ``rows`` holds one
     dense row per scalar constraint.  The right-hand side is identically
     zero.  ``blocks`` maps the names of contiguous unknown blocks to their
-    column slices when the assembler knows them (see :func:`_braid_rows`).
+    column slices when the assembler knows them (see :func:`_packed_rows`);
+    with two or more of them :func:`solve_kernel` reports the kernel's
+    projection onto each.
     """
 
     unknown_labels: list[tuple]
@@ -115,10 +117,7 @@ class KernelReport:
 
 
 def solve_kernel(
-    system: LinearSystem,
-    tol: float = SPECTRAL_TOL,
-    want_basis: bool = False,
-    split_blocks: dict[str, slice] | None = None,
+    system: LinearSystem, tol: float = SPECTRAL_TOL, want_basis: bool = False
 ) -> KernelReport:
     """Block-structured SVD kernel of a homogeneous system with an explicit
     gap-ratio check.
@@ -129,8 +128,8 @@ def solve_kernel(
     of the whole system.  Right singular vectors are computed only when the
     basis or the split needs them.
 
-    With ``split_blocks`` mapping block names to column slices, the report
-    also carries the dimension of the kernel's projection onto each block.
+    When ``system.blocks`` names two or more blocks, the report also
+    carries the dimension of the kernel's projection onto each block.
     """
     rows = system.rows
     m, ncols = rows.shape
@@ -155,8 +154,9 @@ def solve_kernel(
     kernel_dim = ncols - rank
     gap_ratio = _gap_ratio(svals, rank, tol)
 
+    want_split = len(system.blocks) > 1
     basis = None
-    if want_basis or split_blocks is not None:
+    if want_basis or want_split:
         if not want_basis and kernel_dim:
             # the split needs V^T only of the blocks with a kernel
             for k, (ids, cols, block_svals, vt) in enumerate(solved):
@@ -167,18 +167,13 @@ def solve_kernel(
         basis = _kernel_basis(solved, comps.col_count.size, ncols, cut)
 
     split = None
-    if split_blocks is not None:
+    if want_split:
         split = {}
-        for name, block in split_blocks.items():
+        for name, block in system.blocks.items():
             sub = basis[:, block]
-            if sub.size == 0:
-                split[name] = 0
-            else:
-                sub_svals = np.linalg.svd(sub, compute_uv=False)
-                sub_max = sub_svals[0] if sub_svals.size else 0.0
-                split[name] = (
-                    int(np.sum(sub_svals >= tol * sub_max)) if sub_max > 0.0 else 0
-                )
+            sub_svals = np.linalg.svd(sub, compute_uv=False) if sub.size else np.zeros(1)
+            sub_max = sub_svals[0]
+            split[name] = int(np.sum(sub_svals >= tol * sub_max)) if sub_max > 0.0 else 0
 
     if gap_ratio < GAP_VERDICT_THRESHOLD:
         verdict = "indeterminate"
@@ -433,8 +428,7 @@ def generalized_braid_kernel(
     report splits the kernel dimension into the dimensions of its
     projections onto the A-block and the K-block.
     """
-    system = generalized_braid_system(j, jp, n)
-    return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=system.blocks)
+    return solve_kernel(generalized_braid_system(j, jp, n), tol=tol, want_basis=want_basis)
 
 
 @lru_cache(maxsize=None)
@@ -450,44 +444,66 @@ def _insert_positions(n: int, degree: int) -> np.ndarray:
     return table
 
 
+def _packed_rows(
+    tests: np.ndarray,
+    degree: int,
+    coupling: np.ndarray | None = None,
+    names: tuple[str, str | None] = ("A", "K"),
+) -> LinearSystem:
+    """The scatter shared by every braid, jet-level and prolongation system.
+
+    ``tests`` stacks m x n test matrices C_q.  One row per symmetric index
+    s of length ``degree - 1`` (outer) and test q (inner):
+
+        sum_{out, u} C_q[out, u] * T(sort(s + (u,)))_out [+ c_q * S(s)] = 0
+
+    T is a packed symmetric degree-``degree`` unknown on R^n with values of
+    length m; its columns come first, packed index outer and value axis
+    inner.  The optional ``coupling`` (one entry c_q per test) adds the
+    packed scalar unknown S, indexed by s, after T.  The system's
+    ``blocks`` name both column ranges.
+    """
+    nq, m, n = tests.shape
+    shifts = _sym_indices(n, degree - 1)
+    insert = _insert_positions(n, degree)
+    tensor_cols = sym_index_count(n, degree) * m
+    shift_cols = len(shifts) if coupling is not None else 0
+    rows = np.zeros((len(shifts) * nq, tensor_cols + shift_cols))
+    r = np.arange(len(rows)).reshape(len(shifts), nq, 1, 1)
+    # within one row the columns of the (u, out) terms are distinct, so one
+    # fancy assignment writes every coefficient (a fancy add would also
+    # gather a temporary of the full index shape)
+    rows[r, insert[:, None, :, None] * m + np.arange(m)] = tests.transpose(0, 2, 1)
+    tensor, shift = names
+    labels = [(tensor, idx, o) for idx in _sym_indices(n, degree) for o in range(m)]
+    blocks = {tensor: slice(0, tensor_cols)}
+    if coupling is not None:
+        rows[r[:, :, 0, 0], tensor_cols + np.arange(len(shifts))[:, None]] += coupling
+        labels += [(shift, idx, None) for idx in shifts]
+        blocks[shift] = slice(tensor_cols, tensor_cols + shift_cols)
+    return LinearSystem(unknown_labels=labels, rows=rows, blocks=blocks)
+
+
 def _braid_rows(
     pairing: np.ndarray,
     degree: int,
     coupling: np.ndarray | None = None,
     names: tuple[str, str | None] = ("A", "K"),
 ) -> LinearSystem:
-    """The braid-type system shared by every braid and jet-level assembler.
+    """The braid-type system: one row per symmetric index s of length
+    ``degree - 1`` (outer) and symmetric pair (a, b) (inner),
 
-    One row per symmetric index s of length ``degree - 1`` (outer) and
-    symmetric pair (a, b) (inner):
+        P(T(s, a), b) + P(T(s, b), a) [+ C(a, b) * S(s)] = 0,
 
-        P(T(s, a), b) + P(T(s, b), a) [+ C(a, b) * S(s)] = 0
-
-    T is a packed symmetric degree-``degree`` unknown on R^n with values of
-    length m, where the pairing P is m x n (rectangular for a degenerate
-    metric padded with zero columns); its columns come first, packed index
-    outer and value axis inner.  The optional coupling form C (n x n) adds
-    the packed scalar unknown S, indexed by s, after T.  The system's
-    ``blocks`` name both column ranges.
+    through :func:`_packed_rows` with the test matrix of (a, b) holding
+    column b of P at column a and column a of P at column b.  The pairing
+    P is m x n (rectangular for a degenerate metric padded with zero
+    columns); the optional coupling form C is n x n.
     """
     m, n = pairing.shape
-    shifts = _sym_indices(n, degree - 1)
     a, b = _sym_index_array(n, 2).T
-    insert = _insert_positions(n, degree)
-    tensor_cols = sym_index_count(n, degree) * m
-    shift_cols = len(shifts) if coupling is not None else 0
-    rows = np.zeros((len(shifts) * len(a), tensor_cols + shift_cols))
-    r = np.arange(len(rows)).reshape(len(shifts), len(a), 1)
-    out = np.arange(m)
-    # within one row the columns of each term are distinct, so a buffered
-    # fancy add applies every coefficient exactly once
-    rows[r, insert[:, a, None] * m + out] += pairing.T[b]
-    rows[r, insert[:, b, None] * m + out] += pairing.T[a]
-    tensor, shift = names
-    labels = [(tensor, idx, o) for idx in _sym_indices(n, degree) for o in range(m)]
-    blocks = {tensor: slice(0, tensor_cols)}
-    if coupling is not None:
-        rows[r[..., 0], tensor_cols + np.arange(len(shifts))[:, None]] += coupling[a, b]
-        labels += [(shift, idx, None) for idx in shifts]
-        blocks[shift] = slice(tensor_cols, tensor_cols + shift_cols)
-    return LinearSystem(unknown_labels=labels, rows=rows, blocks=blocks)
+    q = np.arange(len(a))
+    tests = np.zeros((len(a), m, n))
+    tests[q, :, a] += pairing[:, b].T
+    tests[q, :, b] += pairing[:, a].T
+    return _packed_rows(tests, degree, None if coupling is None else coupling[a, b], names)

@@ -32,16 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reportio
-from .braid import (
-    GAP_VERDICT_THRESHOLD,
-    KernelReport,
-    LinearSystem,
-    _braid_rows,
-    generalized_braid_kernel,
-    solve_kernel,
-)
+from .braid import GAP_VERDICT_THRESHOLD, KernelReport, _braid_rows, solve_kernel
 from .gcs import GcsChart, LightlikeChart, chart_to_doc
-from .multilinear import SPECTRAL_TOL, BilinForm, sym_index_count
+from .multilinear import SPECTRAL_TOL, sym_index_count
 
 TOOL_VERSION = "0.1.0"
 
@@ -66,37 +59,59 @@ def _point_genericity(j: np.ndarray, j01: np.ndarray, tol: float) -> dict:
     }
 
 
+def _jet_kernel(
+    h: np.ndarray,
+    degree: int,
+    coupling: np.ndarray | None,
+    names: tuple[str, str | None],
+    tol: float,
+    want_basis: bool,
+    dim: int | None = None,
+) -> KernelReport:
+    """Assemble and solve one jet level: the braid-type system of ``degree``
+    with pairing ``h`` and, when given, the coupling form (see
+    :func:`rigidity_lab.braid._braid_rows`).
+
+    A lightlike level passes its total dimension ``dim``: ``h`` is then the
+    base block, pairing and coupling are padded with zeros to ``dim``
+    directions, and the coupled step lists its rows with the pair (u, v)
+    outer.  The coupled order-2 level needs a nonzero coupling, since
+    otherwise nothing constrains its shift gradient.
+    """
+    nb = len(h)
+    dim = dim or nb
+    pairing = np.zeros((nb, dim))
+    pairing[:, :nb] = h
+    if coupling is not None:
+        scale = max(float(np.max(np.abs(h))), 1.0)
+        if degree == 2 and float(np.max(np.abs(coupling))) <= tol * scale:
+            raise ValueError(
+                "the parameter derivative vanishes at this point; the shift "
+                "gradient cannot be constrained there"
+            )
+        coupling, padded = np.zeros((dim, dim)), coupling
+        coupling[:nb, :nb] = padded
+    system = _braid_rows(pairing, degree, coupling, names)
+    if coupling is not None and dim > nb:
+        # the assembler runs (w1, w2) outer; step 2 lists (u, v) outer
+        npairs = sym_index_count(dim, 2)
+        system.rows = system.rows.reshape(npairs, npairs, -1).swapaxes(0, 1).reshape(npairs**2, -1)
+    return solve_kernel(system, tol=tol, want_basis=want_basis)
+
+
 def level1_system(
     c: GcsChart, p, r, tol: float = SPECTRAL_TOL, want_basis: bool = False
 ) -> KernelReport:
     """Kernel of the order-2 jet constraints with trivial base level.
 
-    The kernel dimension counts the second-order jet freedoms compatible
-    with the chart at (p, r); it is reported, not asserted zero.  Requires
-    the parameter derivative J01 to be nonzero at the point.
+    Rows run over w (outer) and (u, v) (inner):
+    ``J(phi2(u, w), v) + J(phi2(v, w), u) + dk(w) J01(u, v) = 0``.  The
+    kernel dimension counts the second-order jet freedoms compatible with
+    the chart at (p, r); it is reported, not asserted zero.  Requires the
+    parameter derivative J01 to be nonzero at the point.
     """
-    return _level1_report(
-        c.eval_metric(p, r).matrix, c.eval_partials(p, r, 0, 1), tol, want_basis
-    )
-
-
-def _level1_report(
-    jm: np.ndarray, j01: np.ndarray, tol: float, want_basis: bool
-) -> KernelReport:
-    scale = max(float(np.max(np.abs(jm))), 1.0)
-    if float(np.max(np.abs(j01))) <= tol * scale:
-        raise ValueError(
-            "the parameter derivative vanishes at this point; the shift "
-            "gradient cannot be constrained there"
-        )
-    system = _level1_linear_system(jm, j01, jm.shape[0])
-    return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=system.blocks)
-
-
-def _level1_linear_system(jm: np.ndarray, j01: np.ndarray, n: int) -> LinearSystem:
-    # rows over w (outer) and (u, v) (inner):
-    #   J(phi2(u, w), v) + J(phi2(v, w), u) + dk(w) J01(u, v) = 0
-    return _braid_rows(jm, 2, j01, names=("phi2", "dk"))
+    jm, j01 = c.eval_metric(p, r).matrix, c.eval_partials(p, r, 0, 1)
+    return _jet_kernel(jm, 2, j01, ("phi2", "dk"), tol, want_basis)
 
 
 def level2_system(
@@ -104,21 +119,11 @@ def level2_system(
 ) -> KernelReport:
     """Kernel of the order-3 jet constraints with trivial order-2 data.
 
-    Delegates to the generalized braid kernel with forms J(p, r) and
-    -J01(p, r); a zero kernel here is the content of a pointwise rigidity
-    certificate.
+    This is the generalized braid system with forms J(p, r) and -J01(p, r);
+    a zero kernel here is the content of a pointwise rigidity certificate.
     """
-    return _level2_report(
-        c.eval_metric(p, r).matrix, c.eval_partials(p, r, 0, 1), tol, want_basis
-    )
-
-
-def _level2_report(
-    jm: np.ndarray, j01: np.ndarray, tol: float, want_basis: bool
-) -> KernelReport:
-    return generalized_braid_kernel(
-        BilinForm(jm), BilinForm(-j01), tol=tol, want_basis=want_basis
-    )
+    jm, j01 = c.eval_metric(p, r).matrix, c.eval_partials(p, r, 0, 1)
+    return _jet_kernel(jm, 3, -j01, ("A", "K"), tol, want_basis)
 
 
 @dataclass
@@ -150,28 +155,52 @@ class Certificate:
     unconstrained: list[str] = field(default_factory=list)
 
 
-def _gcs_point_verdict(n: int, genericity: dict, level2: KernelReport) -> str:
-    if n < 3:
+#: Certificate kind -> (least dimension the theorem covers, rigid verdict,
+#: non-rigid verdict, jet components left unconstrained).
+_KINDS = {
+    "gcs": (3, "2-rigid", "non-rigid", []),
+    "lightlike": (4, "(3,1) sub-rigid", "non-sub-rigid", LIGHTLIKE_UNCONSTRAINED),
+}
+
+
+def _point_verdict(
+    kind: str, dimension: int, genericity: dict, deciding: list[KernelReport]
+) -> str:
+    """The theorem-level verdict at one point from the kernels that decide it."""
+    least, rigid, non_rigid, _ = _KINDS[kind]
+    if dimension < least:
         return "indeterminate-by-hypothesis"
-    if level2.verdict == "indeterminate":
+    if any(k.verdict == "indeterminate" for k in deciding):
         return "indeterminate"
-    if level2.kernel_dim == 0 and genericity["nondegenerate"]:
-        return "2-rigid"
-    if level2.kernel_dim > 0:
-        return "non-rigid"
+    if all(k.kernel_dim == 0 for k in deciding) and genericity["nondegenerate"]:
+        return rigid
+    if any(k.kernel_dim > 0 for k in deciding):
+        return non_rigid
     return "indeterminate-by-hypothesis"
 
 
-def _aggregate(verdicts: list[str], rigid_name: str) -> str:
-    if any(v == rigid_name for v in verdicts):
-        return rigid_name
-    if all(v == "indeterminate-by-hypothesis" for v in verdicts):
-        return "indeterminate-by-hypothesis"
-    if any(v == "indeterminate" for v in verdicts):
-        return "indeterminate"
-    if any(v == "non-rigid" for v in verdicts) or any(v == "non-sub-rigid" for v in verdicts):
-        return "non-rigid" if rigid_name == "2-rigid" else "non-sub-rigid"
-    return "indeterminate-by-hypothesis"
+def _certificate(kind: str, chart, p, samples: list[PointReport], inputs: dict) -> Certificate:
+    """A certificate over per-point reports: rigid as soon as one point is,
+    else indeterminate, non-rigid or indeterminate-by-hypothesis, in that
+    order; ``inputs`` completes the hashed input document."""
+    _, rigid, non_rigid, unconstrained = _KINDS[kind]
+    verdicts = [s.verdict for s in samples]
+    verdict = next(
+        (v for v in (rigid, "indeterminate", non_rigid) if v in verdicts),
+        "indeterminate-by-hypothesis",
+    )
+    x = [float(v) for v in p]
+    return Certificate(
+        kind=kind,
+        structure=chart.name,
+        input_hash=reportio.input_hash({"chart": chart_to_doc(chart), "x": x, **inputs}),
+        x=x,
+        dimension=chart.n,
+        samples=samples,
+        verdict=verdict,
+        tolerances={"kernel_tol": inputs["tol"], "gap_threshold": GAP_VERDICT_THRESHOLD},
+        unconstrained=list(unconstrained),
+    )
 
 
 def gcs_certificate(
@@ -196,34 +225,11 @@ def gcs_certificate(
         jm = c.eval_metric(p, r).matrix
         j01 = c.eval_partials(p, r, 0, 1)
         genericity = _point_genericity(jm, j01, tol)
-        lvl1 = _level1_report(jm, j01, tol, want_basis)
-        lvl2 = _level2_report(jm, j01, tol, want_basis)
-        samples.append(
-            PointReport(
-                r=r,
-                genericity=genericity,
-                level1=lvl1,
-                level2=lvl2,
-                verdict=_gcs_point_verdict(c.n, genericity, lvl2),
-            )
-        )
-    verdict = _aggregate([s.verdict for s in samples], "2-rigid")
-    doc = {
-        "chart": chart_to_doc(c),
-        "x": [float(v) for v in p],
-        "r_samples": rs,
-        "tol": tol,
-    }
-    return Certificate(
-        kind="gcs",
-        structure=c.name,
-        input_hash=reportio.input_hash(doc),
-        x=[float(v) for v in p],
-        dimension=c.n,
-        samples=samples,
-        verdict=verdict,
-        tolerances={"kernel_tol": tol, "gap_threshold": GAP_VERDICT_THRESHOLD},
-    )
+        lvl1 = _jet_kernel(jm, 2, j01, ("phi2", "dk"), tol, want_basis)
+        lvl2 = _jet_kernel(jm, 3, -j01, ("A", "K"), tol, want_basis)
+        verdict = _point_verdict("gcs", c.n, genericity, [lvl2])
+        samples.append(PointReport(r, genericity, lvl1, lvl2, verdict))
+    return _certificate("gcs", c, p, samples, {"r_samples": rs, "tol": tol})
 
 
 # -- lightlike path --------------------------------------------------------
@@ -240,34 +246,8 @@ def lightlike_step1_system(
     positive-definite base restriction forces the kernel to vanish; no
     genericity is needed at this step.
     """
-    return _step1_report(lc, lc.eval_base_metric(p, t).matrix, tol, want_basis)
-
-
-def _step1_report(
-    lc: LightlikeChart, h: np.ndarray, tol: float, want_basis: bool
-) -> KernelReport:
-    # g(phi2(u, w), v) pairs through the base block only
-    system = _braid_rows(_padded(h, lc.base_dim, lc.n), 2, names=("phi2", None))
-    return solve_kernel(system, tol=tol, want_basis=want_basis)
-
-
-def _padded(form: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """``form`` in the top-left corner of a zero rows x cols matrix."""
-    out = np.zeros((rows, cols))
-    out[: form.shape[0], : form.shape[1]] = form
-    return out
-
-
-def _lightlike_step2_linear_system(
-    h: np.ndarray, h01: np.ndarray, nt: int, nb: int
-) -> LinearSystem:
-    system = _braid_rows(
-        _padded(h, nb, nt), 3, _padded(h01, nt, nt), names=("phi3", "delta2")
-    )
-    # the assembler runs (w1, w2) outer; these rows run (u, v) outer
-    npairs = sym_index_count(nt, 2)
-    rows = system.rows.reshape(npairs, npairs, -1).swapaxes(0, 1).reshape(npairs**2, -1)
-    return LinearSystem(system.unknown_labels, rows, system.blocks)
+    h = lc.eval_base_metric(p, t).matrix
+    return _jet_kernel(h, 2, None, ("phi2", None), tol, want_basis, lc.n)
 
 
 def lightlike_step2_system(
@@ -283,16 +263,8 @@ def lightlike_step2_system(
     where g pairs through the base block and g01 is its t-derivative.  For
     a nondegenerate g01 and base dimension >= 3 the kernel is zero.
     """
-    return _step2_report(
-        lc, lc.eval_base_metric(p, t).matrix, lc.eval_base_partials(p, t, 0, 1), tol, want_basis
-    )
-
-
-def _step2_report(
-    lc: LightlikeChart, h: np.ndarray, h01: np.ndarray, tol: float, want_basis: bool
-) -> KernelReport:
-    system = _lightlike_step2_linear_system(h, h01, lc.n, lc.base_dim)
-    return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=system.blocks)
+    h, h01 = lc.eval_base_metric(p, t).matrix, lc.eval_base_partials(p, t, 0, 1)
+    return _jet_kernel(h, 3, h01, ("phi3", "delta2"), tol, want_basis, lc.n)
 
 
 def lightlike_subrigidity_certificate(
@@ -316,40 +288,11 @@ def lightlike_subrigidity_certificate(
     h = lc.eval_base_metric(p, t).matrix
     h01 = lc.eval_base_partials(p, t, 0, 1)
     genericity = _point_genericity(h, h01, tol)
-    step1 = _step1_report(lc, h, tol, want_basis)
-    step2 = _step2_report(lc, h, h01, tol, want_basis)
-
-    if lc.n < 4:
-        verdict = "indeterminate-by-hypothesis"
-    elif step1.verdict == "indeterminate" or step2.verdict == "indeterminate":
-        verdict = "indeterminate"
-    elif step1.kernel_dim == 0 and step2.kernel_dim == 0 and genericity["nondegenerate"]:
-        verdict = "(3,1) sub-rigid"
-    elif step1.kernel_dim > 0 or step2.kernel_dim > 0:
-        verdict = "non-sub-rigid"
-    else:
-        verdict = "indeterminate-by-hypothesis"
-
-    doc = {
-        "chart": chart_to_doc(lc),
-        "x": [float(v) for v in p],
-        "t": t,
-        "tol": tol,
-    }
-    sample = PointReport(
-        r=t, genericity=genericity, level1=step1, level2=step2, verdict=verdict
-    )
-    return Certificate(
-        kind="lightlike",
-        structure=lc.name,
-        input_hash=reportio.input_hash(doc),
-        x=[float(v) for v in p],
-        dimension=lc.n,
-        samples=[sample],
-        verdict=verdict,
-        tolerances={"kernel_tol": tol, "gap_threshold": GAP_VERDICT_THRESHOLD},
-        unconstrained=list(LIGHTLIKE_UNCONSTRAINED),
-    )
+    step1 = _jet_kernel(h, 2, None, ("phi2", None), tol, want_basis, lc.n)
+    step2 = _jet_kernel(h, 3, h01, ("phi3", "delta2"), tol, want_basis, lc.n)
+    verdict = _point_verdict("lightlike", lc.n, genericity, [step1, step2])
+    sample = PointReport(t, genericity, step1, step2, verdict)
+    return _certificate("lightlike", lc, p, [sample], {"t": t, "tol": tol})
 
 
 # -- report documents -------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .multilinear import SPECTRAL_TOL, BilinForm
+from .multilinear import SPECTRAL_TOL, BilinForm, _distinct_arrangements, _sym_indices
 from .ratfield import Poly, RationalField, _as_fraction
 
 DEFAULT_GRID = 5
@@ -170,13 +170,16 @@ def _grid_point(axes, digits, k) -> tuple[list[float], float]:
     return point[:-1], point[-1]
 
 
+# an overflow in the scan is refused as a value that is not finite
+@np.errstate(over="ignore", invalid="ignore")
 def _scan_grid(chart: "GcsChart", per_axis: int, check_positive: bool) -> GridSummary:
     """Evaluate the metric and its r-derivative over the grid, block by block.
 
     Points run in lexicographic order, the last axis (r) fastest; the first
-    point with a vanishing denominator (or, with ``check_positive``, a
-    metric that is not positive definite) raises ValueError.  Ties in the
-    minima keep the first point.
+    point with a vanishing denominator, a metric or derivative value that
+    is not finite or (with ``check_positive``) a metric that is not
+    positive definite raises ValueError.  Ties in the minima keep the first
+    point.
     """
     axes = _grid_axes(chart, per_axis)
     prog = chart._grid_program
@@ -200,10 +203,15 @@ def _scan_grid(chart: "GcsChart", per_axis: int, check_positive: bool) -> GridSu
         num, den = parts[:, 0::2], parts[:, 1::2]
         vanished = np.any(np.abs(den[:, :na]) <= vanish_tol * (np.abs(mono) @ den_abs), axis=1)
         vals = num / np.where(vanished[:, None], 1.0, den)
+        # a row maximum is not finite exactly when the row holds such a value
+        metric_max = np.abs(vals[:, :na]).max(axis=1, initial=0.0)
+        norm = np.abs(vals[:, na:]).max(axis=1, initial=0.0)
+        nonfinite = ~(np.isfinite(metric_max) & np.isfinite(norm))
+        vals[nonfinite] = 0.0  # refused below; keeps LAPACK off them
         mats = np.zeros((len(vals), 2, n, n))
         mats[:, slot, prog.rows, prog.cols] = vals
         mats[:, slot, prog.cols, prog.rows] = vals
-        bad = vanished
+        bad = vanished | nonfinite
         if check_positive:
             eigs = np.linalg.eigvalsh(mats[:, 0])
             lo, hi = eigs[:, 0], eigs[:, -1]
@@ -211,14 +219,17 @@ def _scan_grid(chart: "GcsChart", per_axis: int, check_positive: bool) -> GridSu
         if bad.any():
             k = int(np.argmax(bad))
             where = tuple(float(axis[d[k]]) for axis, d in zip(axes, digits))
+            if nonfinite[k]:
+                raise ValueError(
+                    f"metric or r-derivative value is not finite at grid point {where}"
+                )
             if vanished[k]:
                 raise ValueError(f"denominator vanishes at grid point {where}")
             raise ValueError(
                 f"coefficient matrix is not positive definite at grid point "
                 f"{where} (min eigenvalue {lo[k]:.3e})"
             )
-        scale = np.maximum(np.abs(vals[:, :na]).max(axis=1, initial=0.0), 1.0)
-        norm = np.abs(vals[:, na:]).max(axis=1, initial=0.0)
+        scale = np.maximum(metric_max, 1.0)
         min_eig = np.abs(np.linalg.eigvalsh(mats[:, 1])).min(axis=1)
         k = int(np.argmin(min_eig))
         if min_eig[k] < worst:
@@ -258,7 +269,7 @@ class GcsChart:
     name: str = "custom"
     params: dict = dc_field(default_factory=dict)
     grid: int = DEFAULT_GRID
-    _deriv_cache: dict = dc_field(default_factory=dict, repr=False)
+    _deriv_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     _grid_summary: GridSummary = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -347,33 +358,13 @@ class GcsChart:
             raise ValueError(f"derivative orders (m={m}, l={l}) out of range")
         point = self._check_point(x, r)
         n = self.n
-
-        def entry(xorders):
-            out = np.zeros((n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    v = float(self._derived_entry(i, j, xorders, l).eval(point))
-                    out[i, j] = v
-                    out[j, i] = v
-            return out
-
-        if m == 0:
-            return entry((0,) * n)
-        if m == 1:
-            out = np.zeros((n, n, n))
-            for w in range(n):
-                orders = tuple(1 if k == w else 0 for k in range(n))
-                out[w] = entry(orders)
-            return out
-        out = np.zeros((n, n, n, n))
-        for w1 in range(n):
-            for w2 in range(w1, n):
-                orders = tuple(
-                    (1 if k == w1 else 0) + (1 if k == w2 else 0) for k in range(n)
-                )
-                block = entry(orders)
-                out[w1, w2] = block
-                out[w2, w1] = block
+        out = np.zeros((n,) * (m + 2))
+        for idx in _sym_indices(n, m):
+            orders = tuple(idx.count(k) for k in range(n))
+            rows = [[self._derived_entry(i, j, orders, l) for j in range(n)] for i in range(n)]
+            block = _eval_entry_matrix(rows, point)
+            for arr in _distinct_arrangements(idx):
+                out[arr] = block
         return out
 
 

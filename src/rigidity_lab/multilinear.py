@@ -59,17 +59,6 @@ def enumerate_sym_indices(n: int, d: int) -> list[tuple[int, ...]]:
     return list(_sym_indices(n, d))
 
 
-def sym_index_multiplicity(idx: tuple[int, ...]) -> int:
-    """Number of distinct arrangements of the multi-index ``idx``."""
-    counts: dict[int, int] = {}
-    for axis in idx:
-        counts[axis] = counts.get(axis, 0) + 1
-    m = math.factorial(len(idx))
-    for c in counts.values():
-        m //= math.factorial(c)
-    return m
-
-
 @dataclass
 class SymTensor:
     """Dense symmetric multilinear map on R^n in packed storage.

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .braid import LinearSystem, _insert_positions, solve_kernel
+from .braid import LinearSystem, _packed_rows, solve_kernel
 from .multilinear import (
     SPECTRAL_TOL,
     SymTensor,
@@ -165,22 +165,14 @@ def prolongation_system(h: MatrixAlgebra, d: int) -> LinearSystem:
     """
     if d < 1:
         raise ValueError(f"order must be >= 1, got {d}")
-    n = h.n
-    ncols = prolongation_unknowns(n, d)
+    ncols = prolongation_unknowns(h.n, d)
     if ncols > SIZE_CAP:
         raise ValueError(
             f"prolongation system would have {ncols} unknowns "
             f"(cap {SIZE_CAP}); reduce n or the order"
         )
-    labels = [("A", idx, out) for idx in enumerate_sym_indices(n, d + 1) for out in range(n)]
-    complement = h._complement
-    insert = _insert_positions(n, d + 1)
-    rows = np.zeros((len(insert) * len(complement), ncols))
-    # row (tup, q): <X_tup, Q>_F = sum_{out,u} Q[out,u] A[sort(u,tup), out];
-    # the columns of one row are distinct, so each entry is added once
-    r = np.arange(len(rows)).reshape(len(insert), len(complement), 1, 1)
-    rows[r, insert[:, None, :, None] * n + np.arange(n)] += complement.transpose(0, 2, 1)
-    return LinearSystem(unknown_labels=labels, rows=rows)
+    # row (tup, q): <X_tup, Q>_F = sum_{out,u} Q[out,u] A[sort(u,tup), out]
+    return _packed_rows(h._complement, d + 1)
 
 
 def prolongation_space(
@@ -287,10 +279,11 @@ def _alternating_rank1(
     algebra, so ``sqrt(sum_q (v^T Q_q a)^2)`` is the distance of the unit
     matrix ``v a^T`` from the algebra.  All starts advance together: with
     a fixed, v is the last right singular vector of the rows ``(Q_q a)^T``;
-    with v fixed, a that of the rows ``(Q_q^T v)^T``.  A start stops when its residual falls below ``RANK1_RESIDUAL_TOL``, when
-    a sweep lowers it by less than the fraction ``RANK1_STALL``, or after
-    ``RANK1_MAX_SWEEPS`` sweeps; the search ends as soon as one start has
-    converged, since one rank-one element suffices.
+    with v fixed, a that of the rows ``(Q_q^T v)^T``.  A start stops when
+    its residual falls below ``RANK1_RESIDUAL_TOL``, when a sweep lowers it
+    by less than the fraction ``RANK1_STALL``, or after ``RANK1_MAX_SWEEPS``
+    sweeps; the search ends as soon as one start has converged, since one
+    rank-one element suffices.
     """
     v = np.empty_like(a)
     residual = np.full(len(a), np.inf)

@@ -324,12 +324,13 @@ def _dense_oracle(system, tol=SPECTRAL_TOL, split_blocks=None):
 
 
 def _capture_systems(monkeypatch, call):
-    """The (system, split_blocks) pairs that ``call()`` hands to solve_kernel."""
+    """The systems that ``call()`` hands to solve_kernel, each with the block
+    map it splits by (its own, when that names two or more blocks)."""
     seen = []
 
-    def capture(system, tol=SPECTRAL_TOL, want_basis=False, split_blocks=None):
-        seen.append((system, split_blocks))
-        return solve_kernel(system, tol=tol, want_basis=want_basis, split_blocks=split_blocks)
+    def capture(system, tol=SPECTRAL_TOL, want_basis=False):
+        seen.append((system, system.blocks if len(system.blocks) > 1 else None))
+        return solve_kernel(system, tol=tol, want_basis=want_basis)
 
     for module in (braid, certifier, prolongation):
         monkeypatch.setattr(module, "solve_kernel", capture)
@@ -347,9 +348,9 @@ def _forms(kind, n):
     return random_nondegenerate_form(rng, n), random_nondegenerate_form(rng, n)
 
 
-def _edge_system(rows):
+def _edge_system(rows, blocks=None):
     rows = np.asarray(rows, dtype=float).reshape(-1, 3) if np.size(rows) else np.zeros((0, 3))
-    return LinearSystem([("x", (k,), None) for k in range(rows.shape[1])], rows)
+    return LinearSystem([("x", (k,), None) for k in range(rows.shape[1])], rows, blocks or {})
 
 
 BRAID_CASES = {
@@ -378,9 +379,17 @@ BRAID_CASES = {
     "no-rows": lambda: [(_edge_system([]), None)],
     "untouched-column": lambda: [(_edge_system([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]]), None)],
     "zero-row": lambda: [(_edge_system([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, 5.0]]), None)],
-    "all-zero": lambda: [(_edge_system(np.zeros((2, 3))), {"x": slice(0, 2)})],
+    "all-zero": lambda: [
+        (system, system.blocks)
+        for system in [_edge_system(np.zeros((2, 3)), {"x": slice(0, 2), "y": slice(2, 3)})]
+    ],
     # the small block falls below the cut of the whole system, not of its own
-    "two-scales": lambda: [(_edge_system(np.diag([1e12, 1.0, 3e12])), {"x": slice(1, 2)})],
+    "two-scales": lambda: [
+        (system, system.blocks)
+        for system in [
+            _edge_system(np.diag([1e12, 1.0, 3e12]), {"x": slice(1, 2), "y": slice(2, 3)})
+        ]
+    ],
 }
 
 CALLER_CASES = {
@@ -420,7 +429,7 @@ class TestBlockSolveOracle:
         svals, kernel_dim, verdict, basis, split = _dense_oracle(system, split_blocks=split_blocks)
         smax = svals[0] if svals.size else 0.0
         for want_basis in (True, False):
-            report = solve_kernel(system, want_basis=want_basis, split_blocks=split_blocks)
+            report = solve_kernel(system, want_basis=want_basis)
             assert report.kernel_dim == kernel_dim
             assert report.verdict == verdict
             assert report.split == split

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rigidity_lab.braid import generalized_braid_kernel
+from rigidity_lab.braid import _braid_rows, generalized_braid_kernel
 from rigidity_lab.certifier import (
     certificate_doc,
     gcs_certificate,
@@ -10,7 +10,6 @@ from rigidity_lab.certifier import (
     lightlike_step1_system,
     lightlike_step2_system,
     lightlike_subrigidity_certificate,
-    _level1_linear_system,
 )
 from rigidity_lab.gcs import (
     GcsChart,
@@ -45,7 +44,7 @@ class TestLevel1:
         # shift gradient dk = -2 c r dx^1 solves every row
         jm = chart.eval_metric(ORIGIN3, r).matrix
         j01 = chart.eval_partials(ORIGIN3, r, 0, 1)
-        system = _level1_linear_system(jm, j01, 3)
+        system = _braid_rows(jm, 2, j01, names=("phi2", "dk"))
         w = np.zeros(system.unknowns)
         for col, (name, idx, out) in enumerate(system.unknown_labels):
             if name == "phi2" and idx == (0, 0) and out == 0:
@@ -226,7 +225,7 @@ class TestCrossModule:
         chart = builtin_chart("product_nonrigid", 3)
         jm = chart.eval_metric(ORIGIN3, 1.0).matrix
         j01 = chart.eval_partials(ORIGIN3, 1.0, 0, 1)
-        system = _level1_linear_system(jm, j01, 3)
+        system = _braid_rows(jm, 2, j01, names=("phi2", "dk"))
         report = level1_system(chart, ORIGIN3, 1.0, want_basis=True)
         for vec in report.kernel_basis:
             assert system.residual(vec) < 1e-8 * system.coefficient_scale()

@@ -134,6 +134,43 @@ class TestExitCodes:
         assert code == 2
         assert "1280000000 points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exponent", [1100, 3000000])
+    def test_non_finite_grid_value_is_two(self, exponent, tmp_path, capsys):
+        # 1 + r^e overflows a float at the larger grid values of r
+        doc = {
+            "kind": "gcs", "n": 1, "domain": [[-1, 1]], "interval": [0.5, 2],
+            "entries": [{"i": 0, "j": 0, "num": [["1", [0, 0]], ["1", [0, exponent]]]}],
+        }
+        chart = tmp_path / "chart.json"
+        chart.write_text(json.dumps(doc))
+        code = cli.main(["certify", "--chart", str(chart), "--r", "1.5", "--point", "0"])
+        assert code == 2
+        first = "(-1.0, 2.0)" if exponent == 1100 else "(-1.0, 1.25)"
+        assert f"not finite at grid point {first}" in capsys.readouterr().err
+
+
+def test_benchmark_tracer_wraps_existing_names(tmp_path):
+    # the benchmark tracer wraps package functions by name; one job of each
+    # kind it times must run under it
+    script = f"""
+import sys
+sys.path[:0] = [{str(TESTS_DIR.parent / "bench")!r}, {str(TESTS_DIR.parent / "src")!r}]
+from tracer import Tracer
+from rigidity_lab import cli
+Tracer().install()
+jobs = [
+    ["certify", "--builtin", "conformal_flat", "--n", "3", "--r", "1"],
+    ["lightlike", "--builtin", "lightcone", "--n", "4", "--point", "0.1,0,0", "--r", "1"],
+    ["braid", "--n", "3", "--J", "identity", "--Jp", "diag:1,0,0"],
+    ["prolong", "--algebra", "so", "--n", "3", "--max-order", "2"],
+]
+codes = [cli.main(job + ["--output", {str(tmp_path)!r} + f"/{{k}}.json"]) for k, job in enumerate(jobs)]
+print(codes)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[0, 0, 0, 0]"
+
 
 class TestGridScans:
     """Each command validates its chart once, on the requested grid."""

@@ -261,6 +261,15 @@ class TestBuiltins:
             builtin_chart("conformal_flat", 2, {"interval": [-1.0, 1.0]})
 
 
+class TestChartEquality:
+    def test_derivative_cache_does_not_affect_equality(self):
+        a = builtin_chart("conformal_flat", 3)
+        b = builtin_chart("conformal_flat", 3)
+        assert a == b
+        a.eval_partials([0.0, 0.0, 0.0], 1.0, 2, 1)
+        assert a == b
+
+
 class TestChartJson:
     def test_round_trip_through_doc(self):
         chart = builtin_chart("product_nonrigid", 3, {"epsilon": 0.25})
