@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class RunConfig:
     grid: int
     output: str | None
     kernel_basis: bool = False
-    extra: dict = field(default_factory=dict)
 
 
 def _default_tol() -> float:
@@ -310,18 +309,23 @@ def _run_symspace(config: RunConfig) -> dict:
     if not opts.get("curve"):
         raise ValueError("need --curve FILE with the sampled curve")
     doc = _load_json_file(opts["curve"])
+    if not isinstance(doc, dict):
+        raise ValueError("curve document must be a JSON object")
     unknown = set(doc) - {"closed", "samples"}
     if unknown:
         raise ValueError(f"unknown curve field(s): {', '.join(sorted(unknown))}")
     samples = doc.get("samples")
     if not samples:
         raise ValueError("curve document has no samples")
-    ts = [float(s["t"]) for s in samples]
-    mats = [np.asarray(s["matrix"], dtype=float) for s in samples]
-    curve = SpdCurve.from_matrices(ts, mats, closed=bool(doc.get("closed", False)))
+    try:
+        ts = np.array([s["t"] for s in samples], dtype=float)
+        mats = np.array([s["matrix"] for s in samples], dtype=float)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValueError(f"curve sample out of float range: {exc}") from exc
+    curve = SpdCurve(ts, mats, closed=bool(doc.get("closed", False)))
     length = curve_length(curve)
     payload = {
-        "samples": len(ts),
+        "samples": curve.params.size,
         "dimension": curve.n,
         "closed": curve.closed,
         "length": length,

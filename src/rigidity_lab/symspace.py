@@ -6,19 +6,56 @@ carrying the inner product
     <X, Y>_b = trace(b^-1 X b^-1 Y),
 
 which is invariant under every congruence b -> M^T b M, X -> M^T X M.  For
-n = 1 this is the metric dx^2/x^2 on the positive half-line.  Curves of
-positive forms arrive as samples; lengths use trapezoidal quadrature of the
-speed with finite-difference tangents, and closed curves additionally carry
-a canonical mean: the average of the curve against its arc-length measure.
+n = 1 this is the metric dx^2/x^2 on the positive half-line.
+
+A sampled curve is one read-only (K, n, n) stack of symmetrized samples
+over read-only parameters, validated in one pass: every sample finite and
+positive definite (one batched eigvalsh), every parameter finite and
+strictly increasing.  Tangents are central differences over the stack
+(one-sided at the ends of an open curve, wrapped around the period of a
+closed one).  The speeds come from one stacked solve, are computed once per
+curve and are shared by the length, the arc-length reparameterization and
+the mean.  Lengths are trapezoidal quadratures of the speed; closed curves
+additionally carry a canonical mean: the average of the curve against its
+arc-length measure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .multilinear import SPECTRAL_TOL
+
+
+def _spd_stack(mats, label: str = "sample {}") -> np.ndarray:
+    """Symmetrized read-only copy of a (K, n, n) stack of positive-definite matrices.
+
+    Every slice must be finite, and its eigenvalues (one batched eigvalsh)
+    must be positive, the smallest above SPECTRAL_TOL times the largest.
+    The ValueError names the first failing slice by ``label.format(k)``.
+    """
+    m = np.asarray(mats, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
+        raise ValueError(f"expected square matrices, got shape {m.shape[1:]}")
+    with np.errstate(all="ignore"):  # overflow and inf - inf are refused below
+        m = (m + m.swapaxes(1, 2)) / 2.0
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"{label.format(bad[0])} has a non-finite entry")
+    eigs = np.linalg.eigvalsh(m)
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    bad = np.flatnonzero(~((hi > 0.0) & (lo > SPECTRAL_TOL * hi)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"{label.format(k)} is not positive definite (eigenvalue range "
+            f"[{lo[k]:.3e}, {hi[k]:.3e}])"
+        )
+    m.setflags(write=False)
+    return m
 
 
 @dataclass
@@ -28,70 +65,62 @@ class SpdPoint:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        m = (m + m.T) / 2.0
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] <= SPECTRAL_TOL * max(eigs[-1], 0.0) or eigs[-1] <= 0.0:
-            raise ValueError(
-                f"matrix is not positive definite (eigenvalue range "
-                f"[{eigs[0]:.3e}, {eigs[-1]:.3e}])"
-            )
-        self.matrix = m
-        self.matrix.setflags(write=False)
+        self.matrix = _spd_stack([self.matrix], "matrix")[0]
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SpdCurve:
-    """Sampled curve of positive-definite forms.
+    """Sampled curve of positive-definite forms: ``matrices[k]`` sits at ``params[k]``.
 
-    Parameters must be strictly increasing; a closed curve repeats its first
-    point as the last sample (to 1e-10).
+    Both arrays are read-only.  Parameters must be finite and strictly
+    increasing; a closed curve repeats its first sample as the last (to
+    1e-10).
     """
 
     params: np.ndarray
-    points: list[SpdPoint]
+    matrices: np.ndarray
     closed: bool = False
 
     def __post_init__(self):
-        self.params = np.asarray(self.params, dtype=float)
-        if self.params.ndim != 1 or len(self.points) != self.params.size:
-            raise ValueError("params and points must have matching lengths")
-        if np.any(np.diff(self.params) <= 0.0):
-            raise ValueError("curve parameters must be strictly increasing")
-        if self.closed and self.params.size >= 2:
-            gap = np.max(np.abs(self.points[0].matrix - self.points[-1].matrix))
+        mats = _spd_stack(self.matrices, "sample {}: matrix")
+        t = np.array(self.params, dtype=float)
+        if t.ndim != 1 or t.size != len(mats):
+            raise ValueError("params and matrices must have matching lengths")
+        bad = np.flatnonzero(~np.isfinite(t))
+        if bad.size:
+            raise ValueError(f"sample {bad[0]}: parameter is not finite")
+        bad = np.flatnonzero(np.diff(t) <= 0.0)
+        if bad.size:
+            raise ValueError(f"sample {bad[0] + 1}: curve parameters must be strictly increasing")
+        if self.closed and t.size >= 2:
+            gap = np.max(np.abs(mats[0] - mats[-1]))
             if gap > 1e-10:
-                raise ValueError(
-                    f"closed curve endpoints differ by {gap:.3e} (> 1e-10)"
-                )
+                raise ValueError(f"closed curve endpoints differ by {gap:.3e} (> 1e-10)")
+        t.setflags(write=False)
+        object.__setattr__(self, "params", t)
+        object.__setattr__(self, "matrices", mats)
 
     @classmethod
     def from_matrices(cls, params, matrices, closed: bool = False) -> "SpdCurve":
-        return cls(
-            params=np.asarray(params, dtype=float),
-            points=[SpdPoint(m) for m in matrices],
-            closed=closed,
-        )
+        return cls(params, matrices, closed)
 
     @property
     def n(self) -> int:
-        return self.points[0].n
+        return self.matrices.shape[1]
 
-    def matrices(self) -> np.ndarray:
-        return np.stack([p.matrix for p in self.points])
+    @cached_property
+    def speeds(self) -> np.ndarray:
+        """Canonical speed at every sample, computed on first use."""
+        return _speeds(self)
 
     def pushforward(self, m: np.ndarray) -> "SpdCurve":
         """Congruence image of the whole curve by an invertible map."""
         m = np.asarray(m, dtype=float)
-        return SpdCurve.from_matrices(
-            self.params, [m.T @ p.matrix @ m for p in self.points], closed=self.closed
-        )
+        return SpdCurve(self.params, m.T @ self.matrices @ m, self.closed)
 
 
 def spd_inner(b: SpdPoint | np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -109,70 +138,62 @@ def spd_inner(b: SpdPoint | np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
 def _tangents(curve: SpdCurve) -> np.ndarray:
     """Central-difference tangents; closed curves wrap around the period."""
-    mats = curve.matrices()
-    t = curve.params
-    m = len(t)
-    out = np.zeros_like(mats)
-    if curve.closed and m >= 3:
+    mats, t = curve.matrices, curve.params
+    if curve.closed and t.size >= 3:
         # the last sample duplicates the first; differentiate on the period
-        k = m - 1
         dts = np.diff(t)
-        for i in range(k):
-            ip = (i + 1) % k
-            im = (i - 1) % k
-            dt_fwd = dts[i]
-            dt_back = dts[i - 1] if i > 0 else dts[-1]
-            out[i] = (mats[ip] - mats[im]) / (dt_fwd + dt_back)
-        out[k] = out[0]
-        return out
-    for i in range(m):
-        if i == 0:
-            out[i] = (mats[1] - mats[0]) / (t[1] - t[0])
-        elif i == m - 1:
-            out[i] = (mats[-1] - mats[-2]) / (t[-1] - t[-2])
-        else:
-            out[i] = (mats[i + 1] - mats[i - 1]) / (t[i + 1] - t[i - 1])
-    return out
+        k = np.arange(dts.size)
+        ahead, behind = (k + 1) % k.size, (k - 1) % k.size
+        out = (mats[ahead] - mats[behind]) / (dts + dts[behind])[:, None, None]
+        return np.concatenate([out, out[:1]])
+    k = np.arange(t.size)
+    ahead, behind = np.minimum(k + 1, t.size - 1), np.maximum(k - 1, 0)
+    return (mats[ahead] - mats[behind]) / (t[ahead] - t[behind])[:, None, None]
 
 
+@np.errstate(all="ignore")  # a speed that leaves the float range is refused below
 def _speeds(curve: SpdCurve) -> np.ndarray:
-    mats = curve.matrices()
-    tangents = _tangents(curve)
-    speeds = np.zeros(len(curve.params))
-    for i, (b, x) in enumerate(zip(mats, tangents)):
-        val = float(np.trace(np.linalg.solve(b, x) @ np.linalg.solve(b, x)))
-        speeds[i] = np.sqrt(max(val, 0.0))
+    """Read-only speeds sqrt(tr((b^-1 x)^2)) from one stacked solve."""
+    if curve.params.size < 2:
+        raise ValueError("need at least two samples to measure a speed")
+    y = np.linalg.solve(curve.matrices, _tangents(curve))
+    speeds = np.sqrt(np.maximum(np.trace(y @ y, axis1=1, axis2=2), 0.0))
+    bad = np.flatnonzero(~np.isfinite(speeds))
+    if bad.size:
+        raise ValueError(f"sample {bad[0]}: speed overflows the float range")
+    speeds.setflags(write=False)
     return speeds
 
 
+def _arclength(curve: SpdCurve) -> np.ndarray:
+    """Accumulated trapezoidal arc length at every sample, starting from 0."""
+    seg = 0.5 * (curve.speeds[1:] + curve.speeds[:-1]) * np.diff(curve.params)
+    return np.concatenate([[0.0], np.cumsum(seg)])
+
+
+@np.errstate(over="ignore")  # an overflowing length is refused below
 def curve_length(curve: SpdCurve) -> float:
     """Trapezoidal length of the curve under the canonical metric."""
-    if curve.params.size < 2:
-        raise ValueError("need at least two samples to measure a length")
-    return float(np.trapezoid(_speeds(curve), curve.params))
+    length = float(np.trapezoid(curve.speeds, curve.params))
+    if not np.isfinite(length):
+        raise ValueError("curve length overflows the float range")
+    return length
 
 
 def arclength_reparam(curve: SpdCurve, m: int) -> SpdCurve:
     """Resample the curve at m points equally spaced in accumulated arc length."""
     if m < 2:
         raise ValueError(f"need at least two output samples, got {m}")
-    t = curve.params
-    speeds = _speeds(curve)
-    seg = 0.5 * (speeds[1:] + speeds[:-1]) * np.diff(t)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    total = s[-1]
-    if total <= 0.0:
+    t, mats = curve.params, curve.matrices
+    s = _arclength(curve)
+    if s[-1] <= 0.0:
         raise ValueError("curve has zero length; cannot reparameterize")
-    target = np.linspace(0.0, total, m)
+    target = np.linspace(0.0, s[-1], m)
     # invert s(t) by piecewise-linear interpolation, then interpolate samples
     t_of_s = np.interp(target, s, t)
-    mats = curve.matrices()
-    out = []
-    for tv in t_of_s:
-        j = int(np.clip(np.searchsorted(t, tv) - 1, 0, len(t) - 2))
-        w = (tv - t[j]) / (t[j + 1] - t[j])
-        out.append((1.0 - w) * mats[j] + w * mats[j + 1])
-    return SpdCurve.from_matrices(target, out, closed=curve.closed)
+    j = np.clip(np.searchsorted(t, t_of_s) - 1, 0, t.size - 2)
+    w = ((t_of_s - t[j]) / (t[j + 1] - t[j]))[:, None, None]
+    return SpdCurve(target, (1.0 - w) * mats[j] + w * mats[j + 1], curve.closed)
 
 
 def circle_mean(curve: SpdCurve) -> SpdPoint:
@@ -187,18 +208,15 @@ def circle_mean(curve: SpdCurve) -> SpdPoint:
         raise ValueError("the canonical mean is defined for closed curves only")
     if curve.params.size < 3:
         raise ValueError("need at least three samples on a closed curve")
-    t = curve.params
-    mats = curve.matrices()
+    mats = curve.matrices
     spread = float(np.max(np.abs(mats - mats[0])))
     if spread <= 1e-12 * max(1.0, float(np.max(np.abs(mats[0])))):
         return SpdPoint(mats[0])  # constant curve: the mean is the point itself
-    speeds = _speeds(curve)
-    num = np.zeros_like(mats[0])
-    den = 0.0
-    for k in range(len(t) - 1):
-        dt = t[k + 1] - t[k]
-        num += 0.5 * (speeds[k] * mats[k] + speeds[k + 1] * mats[k + 1]) * dt
-        den += 0.5 * (speeds[k] + speeds[k + 1]) * dt
+    den = _arclength(curve)[-1]
     if den <= 0.0:
         raise ValueError("curve has zero length; the mean is undefined")
+    weighted = curve.speeds[:, None, None] * mats
+    dt = np.diff(curve.params)[:, None, None]
+    # summed segment by segment in order; a pairwise np.sum moves the last bits
+    num = sum(0.5 * (weighted[:-1] + weighted[1:]) * dt, np.zeros_like(mats[0]))
     return SpdPoint(num / den)

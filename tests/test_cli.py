@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rigidity_lab import cli, gcs, prolongation
 
@@ -163,13 +168,149 @@ jobs = [
     ["lightlike", "--builtin", "lightcone", "--n", "4", "--point", "0.1,0,0", "--r", "1"],
     ["braid", "--n", "3", "--J", "identity", "--Jp", "diag:1,0,0"],
     ["prolong", "--algebra", "so", "--n", "3", "--max-order", "2"],
+    ["symspace", "--curve", {CURVE_FILE!r}, "--resample", "33"],
 ]
 codes = [cli.main(job + ["--output", {str(tmp_path)!r} + f"/{{k}}.json"]) for k, job in enumerate(jobs)]
 print(codes)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[0, 0, 0, 0]"
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0]"
+
+
+def _curve_doc(values, closed=False):
+    """Curve document with 1x1 samples ``[[v]]`` at t = 0, 1, 2, ..."""
+    return {
+        "closed": closed,
+        "samples": [{"t": float(k), "matrix": [[v]]} for k, v in enumerate(values)],
+    }
+
+
+def _run_curve(doc, tmp_path, extra=()):
+    """Exit code, stderr and report of ``symspace`` on a curve document, in process."""
+    curve = tmp_path / "curve.json"
+    out = tmp_path / "report.json"
+    curve.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["symspace", "--curve", str(curve), "--output", str(out), *extra])
+    return code, err.getvalue(), json.loads(out.read_text()) if code == 0 else None
+
+
+def _with_sample_1(where, value):
+    """The curve [[1]], [[2]], [[3]] with the t or the matrix entry of sample 1 replaced."""
+    doc = _curve_doc([1, 2, 3])
+    if where == "t":
+        doc["samples"][1]["t"] = value
+    else:
+        doc["samples"][1]["matrix"] = [[value]]
+    return doc
+
+
+class TestCurveDocuments:
+    """Every curve document ends with exit 0 and finite numbers, or exit 2."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (_with_sample_1("matrix", float("nan")), "sample 1: matrix has a non-finite"),
+            (_with_sample_1("matrix", float("-inf")), "sample 1: matrix has a non-finite"),
+            (_with_sample_1("matrix", 1.7e308), "sample 1: matrix has a non-finite"),
+            (_with_sample_1("matrix", -1.0), "sample 1: matrix is not positive definite"),
+            (_with_sample_1("t", float("nan")), "sample 1: parameter is not finite"),
+            (_with_sample_1("t", float("inf")), "sample 1: parameter is not finite"),
+            (_with_sample_1("t", 0.0), "sample 1: curve parameters must be strictly"),
+            (_with_sample_1("t", 10**400), "out of float range"),
+            (_curve_doc([1, 2, 1.5], closed=True), "closed curve endpoints differ"),
+            ('{"samples": [{"t": 0, "matrix": [[1]]}, {"t": 1, "matrix": [[1, 0], [0, 1]]}]}',
+             "inhomogeneous"),
+            ('{"samples": [{"t": 0, "matrix": [[1, 0]]}, {"t": 1, "matrix": [[2, 0]]}]}',
+             "square"),
+            ('["samples"]', "JSON object"),
+        ],
+    )
+    def test_invalid_document_is_two(self, doc, message, tmp_path):
+        code, err, _ = _run_curve(doc, tmp_path)
+        assert code == 2
+        assert message in err
+
+    def test_overflowing_speed_is_two(self, tmp_path):
+        doc = {"samples": [{"t": 0.0, "matrix": [[1.0]]}, {"t": 5e-324, "matrix": [[2.0]]}]}
+        code, err, _ = _run_curve(doc, tmp_path)
+        assert code == 2
+        assert "sample 0: speed overflows" in err
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_fuzzed_documents_exit_zero_or_two(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        count = data.draw(st.integers(2, 6), label="samples")
+        closed = data.draw(st.booleans(), label="closed")
+        # mostly plain values; the extremes reach overflowing speeds and lengths
+        scale = data.draw(st.sampled_from([1.0, 1.0, 1e-150, 1e300]), label="scale")
+        stretch = data.draw(st.sampled_from([1.0, 1.0, 5e-324, 1e200]), label="stretch")
+        steps = data.draw(
+            st.lists(st.sampled_from([0.25, 1.0, 3.0]), min_size=count, max_size=count),
+            label="steps",
+        )
+        entries = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 3))
+        samples = []
+        for k in range(count):
+            a = np.reshape(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)), (n, n))
+            matrix = scale * (a @ a.T + 0.5 * np.eye(n))
+            samples.append({"t": stretch * sum(steps[: k + 1]), "matrix": matrix.tolist()})
+        if closed and count >= 2:
+            samples[-1]["matrix"] = samples[0]["matrix"]
+        doc = {"closed": closed, "samples": samples}
+        junk = st.one_of(
+            st.floats(),  # NaN and infinities serialize as JSON literals
+            st.integers(-(10**400), 10**400),
+            st.text(max_size=3),
+            st.none(),
+            st.booleans(),
+            st.lists(st.integers(0, 3), max_size=2),
+            st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+        )
+        k = data.draw(st.integers(0, count - 1), label="target")
+        fault = data.draw(
+            st.sampled_from(["none", "none", "none", "entry", "t", "ragged", "non-square",
+                             "dimension", "decreasing", "endpoint", "sample", "key", "samples",
+                             "document"]),
+            label="fault",
+        )
+        target = samples[k]
+        if fault == "entry":
+            target["matrix"][data.draw(st.integers(0, n - 1))][0] = data.draw(junk)
+        elif fault == "t":
+            target["t"] = data.draw(junk)
+        elif fault == "ragged":
+            target["matrix"][0] = target["matrix"][0][:-1] or [[1.0]]
+        elif fault == "non-square":
+            target["matrix"] = target["matrix"][:-1] or [[]]
+        elif fault == "dimension":
+            target["matrix"] = np.eye(n + 1).tolist()
+        elif fault == "decreasing":
+            target["t"] = samples[k - 1]["t"] if k else samples[1]["t"]
+        elif fault == "endpoint":
+            doc["closed"] = True
+            samples[-1]["matrix"] = (2.0 * np.array(samples[-1]["matrix"])).tolist()
+        elif fault == "sample":
+            samples[k] = data.draw(junk)
+        elif fault == "key":
+            del target[data.draw(st.sampled_from(["t", "matrix"]))]
+        elif fault == "samples":
+            doc["samples"] = data.draw(junk)
+        elif fault == "document":
+            doc = data.draw(junk)
+        extra = data.draw(st.sampled_from([(), ("--resample", "2"), ("--resample", "7")]))
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err, report = _run_curve(doc, Path(tmp), extra)
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 0:
+            numbers = json.dumps([report["length"], report.get("mean"), report.get("resampled")])
+            assert "nan" not in numbers and "inf" not in numbers, numbers
 
 
 class TestGridScans:

@@ -1,6 +1,11 @@
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from rigidity_lab import cli, symspace
 from rigidity_lab.symspace import (
     SpdCurve,
     SpdPoint,
@@ -10,6 +15,8 @@ from rigidity_lab.symspace import (
     spd_inner,
 )
 from conftest import random_well_conditioned
+
+CURVE_FILE = Path(__file__).parent / "data" / "rotation_orbit.json"
 
 
 def rotation(a):
@@ -75,6 +82,12 @@ class TestSpdInner:
         with pytest.raises(ValueError):
             SpdPoint(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_point(self, value):
+        # a NaN entry used to pass both comparisons of the positivity rule
+        with pytest.raises(ValueError, match="matrix has a non-finite"):
+            SpdPoint(np.array([[1.0, 0.0], [0.0, value]]))
+
 
 class TestCurveLength:
     def test_constant_curve(self):
@@ -108,6 +121,13 @@ class TestCurveLength:
         with pytest.raises(ValueError):
             curve_length(c)
 
+    def test_overflowing_length_is_refused(self):
+        # both speeds are finite, the trapezoid over the long step is not
+        c = SpdCurve([0.0, 1e200], [np.array([[1e-156]]), np.array([[1e154]])])
+        assert np.all(np.isfinite(c.speeds))
+        with pytest.raises(ValueError, match="length overflows"):
+            curve_length(c)
+
 
 class TestArclengthReparam:
     def test_already_arclength_fixed_point(self):
@@ -115,9 +135,7 @@ class TestArclengthReparam:
         c = SpdCurve.from_matrices(ts, [np.array([[np.exp(t)]]) for t in ts])
         r = arclength_reparam(c, 201)
         for j in range(0, 201, 25):
-            assert r.points[j].matrix[0, 0] == pytest.approx(
-                c.points[j].matrix[0, 0], rel=1e-3
-            )
+            assert r.matrices[j, 0, 0] == pytest.approx(c.matrices[j, 0, 0], rel=1e-3)
 
     def test_quadratic_exponent_closed_form(self):
         # the curve e^{t^2} has arc length s(t) = t^2 under dx^2/x^2
@@ -125,9 +143,7 @@ class TestArclengthReparam:
         c = SpdCurve.from_matrices(ts, [np.array([[np.exp(t * t)]]) for t in ts])
         r = arclength_reparam(c, 101)
         for j in range(101):
-            assert r.points[j].matrix[0, 0] == pytest.approx(
-                np.exp(r.params[j]), abs=5e-3
-            )
+            assert r.matrices[j, 0, 0] == pytest.approx(np.exp(r.params[j]), abs=5e-3)
 
     def test_speed_constant_after_reparam(self, rng):
         c = random_spd_curve(rng, 2)
@@ -169,7 +185,7 @@ class TestCircleMean:
 
     def test_start_point_independence(self):
         orbit = rotation_orbit()
-        mats = [p.matrix for p in orbit.points]
+        mats = list(orbit.matrices)
         k = 97
         rotated = mats[k:-1] + mats[:k] + [mats[k]]
         orbit2 = SpdCurve.from_matrices(orbit.params, rotated, closed=True)
@@ -192,3 +208,142 @@ class TestSpdCurveValidation:
             SpdCurve.from_matrices(
                 [0.0, 1.0], [np.eye(2), 2.0 * np.eye(2)], closed=True
             )
+
+    def test_names_the_first_bad_sample(self):
+        ts = [0.0, 1.0, 2.0, 3.0]
+        mats = [np.eye(2), np.eye(2), np.diag([1.0, np.nan]), np.diag([1.0, -1.0])]
+        with pytest.raises(ValueError, match="sample 2: matrix has a non-finite"):
+            SpdCurve(ts, mats)
+        mats[2] = np.eye(2)
+        with pytest.raises(ValueError, match="sample 3: matrix is not positive definite"):
+            SpdCurve(ts, mats)
+
+    def test_arrays_are_read_only_copies(self):
+        ts = np.linspace(0.0, 1.0, 5)
+        mats = np.stack([np.eye(2) * (1.0 + t) for t in ts])
+        c = SpdCurve(ts, mats)
+        assert ts.flags.writeable and mats.flags.writeable
+        assert c.matrices.shape == (5, 2, 2) and c.n == 2
+        for array in (c.params, c.matrices, c.speeds):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.params = ts
+
+
+def test_speeds_are_computed_once_per_curve(monkeypatch, tmp_path):
+    # a closed curve with --resample measures two curves: the input (length,
+    # mean and reparameterization share its speeds) and the resampled one
+    calls = []
+    original = symspace._speeds
+
+    def counted(curve):
+        calls.append(curve.params.size)
+        return original(curve)
+
+    monkeypatch.setattr(symspace, "_speeds", counted)
+    out = tmp_path / "report.json"
+    code = cli.main(
+        ["symspace", "--curve", str(CURVE_FILE), "--resample", "33", "--output", str(out)]
+    )
+    assert code == 0
+    samples = len(json.loads(CURVE_FILE.read_text())["samples"])
+    assert calls == [samples, 33]
+
+
+# -- reference: the per-sample loops the stacked expressions replace ----------
+
+
+def loop_tangents(t, mats, closed):
+    m = len(t)
+    out = np.zeros_like(mats)
+    if closed and m >= 3:
+        k = m - 1
+        dts = np.diff(t)
+        for i in range(k):
+            ip = (i + 1) % k
+            im = (i - 1) % k
+            dt_fwd = dts[i]
+            dt_back = dts[i - 1] if i > 0 else dts[-1]
+            out[i] = (mats[ip] - mats[im]) / (dt_fwd + dt_back)
+        out[k] = out[0]
+        return out
+    for i in range(m):
+        if i == 0:
+            out[i] = (mats[1] - mats[0]) / (t[1] - t[0])
+        elif i == m - 1:
+            out[i] = (mats[-1] - mats[-2]) / (t[-1] - t[-2])
+        else:
+            out[i] = (mats[i + 1] - mats[i - 1]) / (t[i + 1] - t[i - 1])
+    return out
+
+
+def loop_speeds(t, mats, closed):
+    speeds = np.zeros(len(t))
+    for i, (b, x) in enumerate(zip(mats, loop_tangents(t, mats, closed))):
+        val = float(np.trace(np.linalg.solve(b, x) @ np.linalg.solve(b, x)))
+        speeds[i] = np.sqrt(max(val, 0.0))
+    return speeds
+
+
+def loop_reparam(t, mats, speeds, m):
+    seg = 0.5 * (speeds[1:] + speeds[:-1]) * np.diff(t)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    target = np.linspace(0.0, s[-1], m)
+    t_of_s = np.interp(target, s, t)
+    out = []
+    for tv in t_of_s:
+        j = int(np.clip(np.searchsorted(t, tv) - 1, 0, len(t) - 2))
+        w = (tv - t[j]) / (t[j + 1] - t[j])
+        out.append((1.0 - w) * mats[j] + w * mats[j + 1])
+    return target, np.stack([(x + x.T) / 2.0 for x in out])
+
+
+def loop_mean(t, mats, speeds):
+    num = np.zeros_like(mats[0])
+    den = 0.0
+    for k in range(len(t) - 1):
+        dt = t[k + 1] - t[k]
+        num += 0.5 * (speeds[k] * mats[k] + speeds[k + 1] * mats[k + 1]) * dt
+        den += 0.5 * (speeds[k] + speeds[k + 1]) * dt
+    mean = num / den
+    return (mean + mean.T) / 2.0
+
+
+class TestLoopOracle:
+    """The stacked curve computations agree bit for bit with per-sample loops."""
+
+    @staticmethod
+    def raw_curve(rng, n, samples, closed):
+        # uneven parameter steps; unsymmetrized samples exercise the symmetrization
+        t = np.cumsum(rng.uniform(0.2, 1.8, samples)) / samples
+        phase = 2.0 * np.pi * (t - t[0]) / (t[-1] - t[0])
+        a, b, c = (rng.standard_normal((n, n)) for _ in range(3))
+        mats = [a @ a.T + np.cos(p) * b + np.sin(2.0 * p) * c + 4.0 * n * np.eye(n) for p in phase]
+        if closed:
+            mats[-1] = mats[0]
+        return t, mats
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("samples", [4, 57])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_stack_matches_loops(self, rng, n, samples, closed):
+        t, raw = self.raw_curve(rng, n, samples, closed)
+        mats = np.stack([(x + x.T) / 2.0 for x in raw])
+        curve = SpdCurve.from_matrices(t, raw, closed=closed)
+        assert curve.matrices.tobytes() == mats.tobytes()
+        assert symspace._tangents(curve).tobytes() == loop_tangents(t, mats, closed).tobytes()
+        speeds = loop_speeds(t, mats, closed)
+        assert curve.speeds.tobytes() == speeds.tobytes()
+        assert curve_length(curve) == float(np.trapezoid(speeds, t))
+        for m in (2, 33):
+            params, resampled = loop_reparam(t, mats, speeds, m)
+            r = arclength_reparam(curve, m)
+            assert r.params.tobytes() == params.tobytes()
+            assert r.matrices.tobytes() == resampled.tobytes()
+        if closed:
+            assert circle_mean(curve).matrix.tobytes() == loop_mean(t, mats, speeds).tobytes()
+        g = random_well_conditioned(rng, n)
+        pushed = np.stack([g.T @ x @ g for x in mats])
+        pushed = (pushed + pushed.swapaxes(1, 2)) / 2.0
+        assert curve.pushforward(g).matrices.tobytes() == pushed.tobytes()
