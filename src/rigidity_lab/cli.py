@@ -97,6 +97,27 @@ def _parse_floats(text: str) -> list[float]:
         raise ValueError(f"cannot parse float list from {text!r}") from exc
 
 
+def _json_matrix(value, what: str) -> np.ndarray:
+    """A JSON matrix, a list of equally long rows of numbers, as a float
+    array; every refusal names ``what``, and a ragged one its first row
+    whose length differs from row 0."""
+    if isinstance(value, list) and all(isinstance(row, list) for row in value):
+        for k, row in enumerate(value):
+            if len(row) != len(value[0]):
+                raise ValueError(
+                    f"{what} row {k} has {len(row)} entries, row 0 has {len(value[0])}"
+                )
+    try:
+        m = np.array(value, dtype=float)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValueError(f"{what} has an entry out of float range") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+    if m.ndim != 2:
+        raise ValueError(f"{what} must be a list of rows, got shape {m.shape}")
+    return m
+
+
 def _parse_matrix(spec: str, n: int | None) -> np.ndarray:
     """Matrix specs: 'identity', 'minkowski', 'diag:a,b,c', or inline JSON."""
     if spec == "identity":
@@ -111,9 +132,8 @@ def _parse_matrix(spec: str, n: int | None) -> np.ndarray:
         return np.diag(d)
     if spec.startswith("diag:"):
         return np.diag(_parse_floats(spec[len("diag:") :]))
-    data = json.loads(spec)
-    m = np.asarray(data, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _json_matrix(json.loads(spec), "matrix JSON")
+    if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix JSON must be square, got shape {m.shape}")
     return m
 
@@ -266,10 +286,13 @@ def _finite_type_doc(result) -> dict:
 def _run_prolong(config: RunConfig) -> dict:
     opts = config.options
     name = opts.get("algebra") or "custom"
-    r_matrix = np.asarray(json.loads(opts["R"]), dtype=float) if opts.get("R") else None
+    r_matrix = _json_matrix(json.loads(opts["R"]), "R") if opts.get("R") else None
     generators = None
     if opts.get("generators"):
-        generators = [np.asarray(g, dtype=float) for g in json.loads(opts["generators"])]
+        generators = [
+            _json_matrix(g, f"generator {k}")
+            for k, g in enumerate(json.loads(opts["generators"]))
+        ]
     algebra = builtin_algebra(name, n=opts.get("n"), r_matrix=r_matrix, generators=generators)
     max_order = opts.get("max_order") or 3
     result = finite_type(
@@ -314,15 +337,29 @@ def _run_symspace(config: RunConfig) -> dict:
     unknown = set(doc) - {"closed", "samples"}
     if unknown:
         raise ValueError(f"unknown curve field(s): {', '.join(sorted(unknown))}")
+    closed = doc.get("closed", False)
+    if not isinstance(closed, bool):
+        raise ValueError(f"curve field 'closed' must be true or false, got {json.dumps(closed)}")
     samples = doc.get("samples")
     if not samples:
         raise ValueError("curve document has no samples")
     try:
         ts = np.array([s["t"] for s in samples], dtype=float)
-        mats = np.array([s["matrix"] for s in samples], dtype=float)
     except OverflowError as exc:  # a JSON integer beyond the float range
         raise ValueError(f"curve sample out of float range: {exc}") from exc
-    curve = SpdCurve(ts, mats, closed=bool(doc.get("closed", False)))
+    matrices = [s["matrix"] for s in samples]
+    try:
+        mats = np.array(matrices, dtype=float)
+    except (OverflowError, ValueError, TypeError):
+        # name the first sample that is no matrix or differs in shape from sample 0
+        shapes = [_json_matrix(m, f"sample {k}: matrix").shape for k, m in enumerate(matrices)]
+        for k, shape in enumerate(shapes):
+            if shape != shapes[0]:
+                raise ValueError(
+                    f"sample {k}: matrix has shape {shape}, sample 0 has {shapes[0]}"
+                ) from None
+        raise
+    curve = SpdCurve(ts, mats, closed=closed)
     length = curve_length(curve)
     payload = {
         "samples": curve.params.size,

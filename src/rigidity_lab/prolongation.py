@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +61,9 @@ class MatrixAlgebra:
 
     The generators are orthonormalized (Frobenius inner product) at
     construction; closure under the matrix bracket is deliberately not
-    enforced, since prolongation only needs the subspace.
+    enforced, since prolongation only needs the subspace.  Generators must
+    be finite, and the sum of the squares of all their entries must not
+    overflow.
     """
 
     n: int
@@ -71,11 +75,20 @@ class MatrixAlgebra:
         gens = [np.asarray(g, dtype=float) for g in self.generators]
         if not gens:
             raise ValueError("need at least one generator matrix")
-        for g in gens:
+        for k, g in enumerate(gens):
             if g.shape != (self.n, self.n):
-                raise ValueError(f"generator of shape {g.shape}, expected ({self.n}, {self.n})")
+                raise ValueError(
+                    f"generator {k} has shape {g.shape}, expected ({self.n}, {self.n})"
+                )
+            if not np.isfinite(g).all():
+                raise ValueError(f"generator {k} has a non-finite entry")
         self.generators = gens
         stacked = np.stack([g.ravel() for g in gens])
+        with np.errstate(over="ignore"):
+            squares = np.cumsum(np.einsum("ki,ki->k", stacked, stacked))
+        if not np.isfinite(squares[-1]):
+            k = int(np.argmax(~np.isfinite(squares)))
+            raise ValueError(f"generator {k}: the generators' Frobenius norm overflows")
         _, svals, vt = np.linalg.svd(stacked, full_matrices=True)
         smax = svals[0] if svals.size else 0.0
         rank = int(np.sum(svals >= SPECTRAL_TOL * smax)) if smax > 0.0 else 0
@@ -87,6 +100,14 @@ class MatrixAlgebra:
     @property
     def dim(self) -> int:
         return self.orthonormalized_basis.shape[0]
+
+    @cached_property
+    def echelon_complement(self) -> np.ndarray:
+        """Sparse (n^2 - dim, n, n) basis of the Frobenius complement of the
+        algebra, from an exact echelon form of the generators (see
+        :func:`exact_null_basis`); computed once per algebra."""
+        rows = np.stack([g.ravel() for g in self.generators])
+        return exact_null_basis(rows, self.dim).astype(float).reshape(-1, self.n, self.n)
 
     def element(self, coefficients) -> np.ndarray:
         """Linear combination of the orthonormalized basis; a (K, dim)
@@ -108,13 +129,89 @@ class MatrixAlgebra:
         return MatrixAlgebra(self.n, [g @ b @ ginv for b in self.orthonormalized_basis])
 
 
+def exact_null_basis(rows: np.ndarray, rank: int) -> np.ndarray:
+    """Exact basis of the null space of ``rows`` as a Fraction object array.
+
+    The float rows are read exactly as Fractions and brought to reduced row
+    echelon form with complete pivoting: each step pivots on the largest
+    |entry| left in the unpivoted rows (ties to the lowest row, then the
+    lowest column).  Elimination stops after ``rank`` pivots; rows left
+    over are the rounding of numerically dependent rows and are dropped.
+    Free column f gives the basis vector ``e_f - sum_p R[p, f] e_{c_p}``
+    over the pivot rows p with pivot columns c_p, free columns ascending.
+    Sparse rows give sparse vectors.  Complete pivoting keeps the
+    coefficients near 1: pivoting on the first nonzero entry let them reach
+    about 1e17 on GL(n)-conjugated algebras, and the float complement then
+    had the wrong prolongation dimensions.
+    """
+    # rows as sparse {column: value} dicts; pivot rows are kept reduced
+    live = {
+        i: {j: Fraction(x) for j, x in enumerate(row) if x}
+        for i, row in enumerate(rows.tolist())
+    }
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for _ in range(rank):
+        candidates = [(i, j) for i, row in live.items() for j in row]
+        if not candidates:
+            raise ArithmeticError(f"the rows have exact rank {len(pivots)} < {rank}")
+        i, col = max(candidates, key=lambda ij: (abs(live[ij[0]][ij[1]]), -ij[0], -ij[1]))
+        row = live.pop(i)
+        scale = row[col]
+        pivot = {j: v / scale for j, v in row.items()}
+        for other in (*live.values(), *pivots.values()):
+            factor = other.pop(col, 0)
+            if factor:
+                for j, v in pivot.items():
+                    if j != col:
+                        value = other.get(j, 0) - factor * v
+                        if value:
+                            other[j] = value
+                        else:
+                            other.pop(j, None)
+        pivots[col] = pivot
+    ncols = rows.shape[1]
+    free = [f for f in range(ncols) if f not in pivots]
+    basis = np.full((len(free), ncols), Fraction(0), dtype=object)
+    for k, f in enumerate(free):
+        basis[k, f] = Fraction(1)
+        for col, pivot in pivots.items():
+            if f in pivot:
+                basis[k, col] = -pivot[f]
+    return basis
+
+
 @dataclass
 class ProlongationSpace:
-    """Kernel basis of the order-d prolongation constraints of an algebra."""
+    """Kernel of the order-d prolongation constraints of an algebra.
+
+    ``dim`` comes from a solve without singular vectors; ``basis`` solves
+    the system again with them on first use.  A thin SVD of a dense block
+    (one dense rank-one generator couples the whole system) needs about
+    three times the memory of its singular values alone, and callers that
+    only count dimensions never pay it.
+    """
 
     order: int
-    basis: list[SymTensor]
     dim: int
+    algebra: MatrixAlgebra = field(repr=False, compare=False)
+    tol: float = SPECTRAL_TOL
+
+    @cached_property
+    def basis(self) -> list[SymTensor]:
+        """Orthonormal kernel basis as packed symmetric (d+1)-tensors."""
+        system = prolongation_system(self.algebra, self.order)
+        report = solve_kernel(system, tol=self.tol, want_basis=True)
+        if report.kernel_dim != self.dim:
+            raise ArithmeticError(
+                f"order-{self.order} prolongation has dimension {self.dim} without "
+                f"singular vectors but {report.kernel_dim} with them"
+            )
+        n, degree = self.algebra.n, self.order + 1
+        p = sym_index_count(n, degree)
+        return [
+            SymTensor(n=n, degree=degree, coeffs=vec.reshape(p, n))
+            for vec in report.kernel_basis
+        ]
 
 
 @dataclass
@@ -160,8 +257,9 @@ def prolongation_system(h: MatrixAlgebra, d: int) -> LinearSystem:
     """Membership constraints on a packed symmetric degree-(d+1) unknown.
 
     For each symmetric d-tuple of basis vectors, the partial evaluation
-    matrix must have zero Frobenius component along the orthogonal
-    complement of the algebra.
+    matrix must have zero Frobenius component along every vector of the
+    algebra's exact sparse complement basis (``h.echelon_complement``), so
+    the system splits into many small blocks for sparse generators.
     """
     if d < 1:
         raise ValueError(f"order must be >= 1, got {d}")
@@ -172,22 +270,16 @@ def prolongation_system(h: MatrixAlgebra, d: int) -> LinearSystem:
             f"(cap {SIZE_CAP}); reduce n or the order"
         )
     # row (tup, q): <X_tup, Q>_F = sum_{out,u} Q[out,u] A[sort(u,tup), out]
-    return _packed_rows(h._complement, d + 1)
+    return _packed_rows(h.echelon_complement, d + 1)
 
 
 def prolongation_space(
     h: MatrixAlgebra, d: int, tol: float = SPECTRAL_TOL
 ) -> ProlongationSpace:
-    """Basis of the order-d prolongation space as packed symmetric tensors."""
-    system = prolongation_system(h, d)
-    report = solve_kernel(system, tol=tol, want_basis=True)
-    n = h.n
-    p = sym_index_count(n, d + 1)
-    basis = [
-        SymTensor(n=n, degree=d + 1, coeffs=vec.reshape(p, n))
-        for vec in (report.kernel_basis if report.kernel_dim else np.zeros((0, system.unknowns)))
-    ]
-    return ProlongationSpace(order=d, basis=basis, dim=report.kernel_dim)
+    """The order-d prolongation space: its dimension now, its basis of
+    packed symmetric tensors on first use."""
+    report = solve_kernel(prolongation_system(h, d), tol=tol)
+    return ProlongationSpace(order=d, dim=report.kernel_dim, algebra=h, tol=tol)
 
 
 def membership_residual(h: MatrixAlgebra, t: SymTensor) -> float:

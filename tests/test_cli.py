@@ -127,6 +127,31 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--generators", "[[[NaN,0],[0,1]]]"], "generator 0 has a non-finite entry"),
+            (["--algebra", "one_param", "--R", "[[Infinity,0],[0,1]]"],
+             "generator 0 has a non-finite entry"),
+            (["--generators", "[[[1e308,1e308],[1e308,1]],[[1,0],[0,1]]]"],
+             "generator 0: the generators' Frobenius norm overflows"),
+            (["--algebra", "one_param", "--R", "[[1,0,0],[0,1]]"],
+             "R row 1 has 2 entries, row 0 has 3"),
+            (["--generators", "[[[1,0],[0,1]],[[1,0],[0]]]"],
+             "generator 1 row 1 has 1 entries, row 0 has 2"),
+            (["--generators", "[[[1,0],[0,1]],[[1,0,0],[0,1,0],[0,0,1]]]"],
+             "generator 1 has shape (3, 3), expected (2, 2)"),
+            (["--generators", "[1]"], "generator 0 must be a list of rows"),
+            (["--algebra", "one_param", "--R", "[[" + "9" * 400 + "]]"],
+             "R has an entry out of float range"),
+        ],
+    )
+    def test_invalid_algebra_input_is_two(self, args, message, capsys):
+        assert cli.main(["prolong", *args]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_oversized_grid_is_two_before_scanning(self, monkeypatch, capsys):
         def no_compile(*args, **kwargs):
             raise AssertionError("oversized grid was evaluated")
@@ -224,7 +249,11 @@ class TestCurveDocuments:
             (_with_sample_1("t", 10**400), "out of float range"),
             (_curve_doc([1, 2, 1.5], closed=True), "closed curve endpoints differ"),
             ('{"samples": [{"t": 0, "matrix": [[1]]}, {"t": 1, "matrix": [[1, 0], [0, 1]]}]}',
-             "inhomogeneous"),
+             "sample 1: matrix has shape (2, 2), sample 0 has (1, 1)"),
+            ('{"samples": [{"t": 0, "matrix": [[1, 0], [0, 1]]}, {"t": 1, "matrix": [[1, 0], [0]]}]}',
+             "sample 1: matrix row 1 has 1 entries, row 0 has 2"),
+            ({**_curve_doc([1, 2, 3]), "closed": "false"}, "'closed' must be true or false"),
+            ({**_curve_doc([1, 2, 1]), "closed": 1}, "'closed' must be true or false"),
             ('{"samples": [{"t": 0, "matrix": [[1, 0]]}, {"t": 1, "matrix": [[2, 0]]}]}',
              "square"),
             ('["samples"]', "JSON object"),
@@ -439,6 +468,18 @@ class TestCommands:
         single = run_cli(args, threads="1").stdout
         assert single == run_cli(args, threads="2").stdout
         assert json.loads(single)["type"]["kind"] == "infinite"
+
+    @pytest.mark.parametrize(
+        "name, dims", [("co", {"1": 8, "2": 0, "3": 0}), ("so", {"1": 0, "2": 0, "3": 0})]
+    )
+    def test_prolong_n8(self, name, dims, tmp_path):
+        # the exact complements of so(8) and co(8) split the order-3
+        # systems (2640 unknowns) into hundreds of small blocks
+        out = tmp_path / "report.json"
+        assert cli.main(["prolong", "--algebra", name, "--n", "8", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["prolongation_dims"] == dims
+        assert doc["type"]["kind"] == "finite"
 
     def test_prolong_reuses_finite_type_spaces(self, monkeypatch, tmp_path):
         calls = []

@@ -1,7 +1,12 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rigidity_lab import prolongation
+from rigidity_lab.braid import _packed_rows, solve_kernel
 from rigidity_lab.multilinear import _sym_index_position, enumerate_sym_indices
 from rigidity_lab.prolongation import (
     RANK1_RATIO_TOL,
@@ -11,6 +16,7 @@ from rigidity_lab.prolongation import (
     UnknownBeyond,
     builtin_algebra,
     curve_stabilizer_algebra,
+    exact_null_basis,
     find_rank1,
     finite_type,
     membership_residual,
@@ -46,6 +52,94 @@ class TestMatrixAlgebra:
         for g in gens:
             assert h.projection_residual(g) < 1e-10 * np.linalg.norm(g)
 
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ([[[np.nan, 0.0], [0.0, 1.0]]], "generator 0 has a non-finite entry"),
+            ([np.eye(2), [[1.0, 0.0], [0.0, -np.inf]]], "generator 1 has a non-finite entry"),
+            ([np.eye(2), [[1e308, 1e308], [1e308, 1.0]]], "generator 1: the generators' Frobenius"),
+            ([np.eye(2), np.ones((3, 3))], "generator 1 has shape (3, 3)"),
+        ],
+    )
+    def test_invalid_generators_named(self, gens, message):
+        with pytest.raises(ValueError) as info:
+            MatrixAlgebra(2, gens)
+        assert message in str(info.value)
+
+    def test_echelon_complement_is_no_field(self):
+        # computed lazily, once, and kept out of == and repr
+        h = builtin_algebra("so", 3)
+        before = repr(h)
+        assert h.echelon_complement is h.echelon_complement
+        assert h.echelon_complement.shape == (6, 3, 3)
+        assert repr(h) == before
+        assert "echelon_complement" not in {f.name for f in dataclasses.fields(h)}
+
+
+def exact_rows(h):
+    return np.array(
+        [[Fraction(float(x)) for x in g.ravel()] for g in h.generators], dtype=object
+    )
+
+
+def _exact_algebras():
+    for n in range(2, 6):
+        yield f"so-{n}", builtin_algebra("so", n)
+        yield f"co-{n}", builtin_algebra("co", n)
+        yield f"lightlike_orth-{n}", builtin_algebra("lightlike_orth", n)
+    # integer generators with a dependency and fractional echelon entries
+    a = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0], [1.0, 0.0, 5.0]])
+    b = np.array([[0.0, 1.0, 7.0], [3.0, 0.0, 0.0], [0.0, 2.0, 1.0]])
+    yield "custom-dependent", builtin_algebra("custom", generators=[a, b, 3.0 * a - 2.0 * b])
+    # dyadic floats: 0.1 is read as the rational it rounds to
+    yield "one_param-decimal", builtin_algebra("one_param", r_matrix=[[0.1, 0.3], [-0.7, 0.2]])
+
+
+EXACT_ALGEBRAS = list(_exact_algebras())
+
+
+class TestEchelonComplement:
+    @pytest.mark.parametrize("name,h", EXACT_ALGEBRAS, ids=[name for name, _ in EXACT_ALGEBRAS])
+    def test_exact_complement(self, name, h):
+        rows = np.stack([g.ravel() for g in h.generators])
+        basis = exact_null_basis(rows, h.dim)
+        n2 = h.n * h.n
+        assert basis.shape == (n2 - h.dim, n2)
+        # every generator is exactly orthogonal to every complement vector
+        assert not (exact_rows(h) @ basis.T).any()
+        # each vector owns a free column, 1 there and 0 in every other
+        # vector, so the n^2 - dim vectors are independent
+        alone = (basis == 1) & ((basis != 0).sum(axis=0) == 1)
+        assert alone.any(axis=1).all()
+        assert np.array_equal(h.echelon_complement.reshape(-1, n2), basis.astype(float))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_builtin_complements_are_sparse(self, n):
+        # so: E_ii and E_ij + E_ji; co: E_ii - E_00 and E_ij + E_ji
+        for name in ("so", "co"):
+            q = builtin_algebra(name, n).echelon_complement
+            assert set(np.unique(q).tolist()) <= {-1.0, 0.0, 1.0}
+            assert np.count_nonzero(q, axis=(1, 2)).max() <= 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_complete_pivoting_on_conjugated_co4(self, seed):
+        # first-nonzero or per-column pivoting let the coefficients of a
+        # conjugated co(4) reach about 1e17 and gave a 36-dimensional first
+        # prolongation; complete pivoting keeps them near 1
+        g = random_well_conditioned(np.random.default_rng((53, seed)), 4)
+        h = builtin_algebra("co", 4).conjugate(g)
+        assert np.abs(h.echelon_complement).max() <= 2.0
+        assert [prolongation_space(h, d).dim for d in (1, 2, 3)] == [4, 0, 0]
+
+    def test_elimination_stops_at_numerical_rank(self):
+        # 3 * 0.1 != 0.3 in floats: the exact rank is 2, the numerical rank 1
+        r = np.array([[0.1, 0.2], [0.3, 0.4]])
+        h = MatrixAlgebra(2, [3.0 * r, np.array([[0.3, 0.6], [0.9, 1.2]])])
+        assert h.dim == 1
+        assert h.echelon_complement.shape == (3, 2, 2)
+        for d in (1, 2, 3):
+            assert prolongation_space(h, d).dim == svd_complement_dim(h, d)
+
 
 class TestProlongationSpace:
     def test_so3_first_prolongation_vanishes(self):
@@ -66,6 +160,25 @@ class TestProlongationSpace:
         space = prolongation_space(co3, 1)
         for t in space.basis:
             assert membership_residual(co3, t) < 1e-8
+
+    def test_dimension_needs_no_singular_vectors(self, monkeypatch):
+        # a rank-one generator without zero entries couples the whole
+        # system into one dense block; its kernel is counted from singular
+        # values, and the basis is solved for once, on first use
+        calls = []
+        original = prolongation.solve_kernel
+
+        def recorded(system, tol, want_basis=False):
+            calls.append(want_basis)
+            return original(system, tol=tol, want_basis=want_basis)
+
+        monkeypatch.setattr(prolongation, "solve_kernel", recorded)
+        h = builtin_algebra("one_param", r_matrix=np.outer([1.0, 2, -1, 3], [2.0, -1, 1, 1]))
+        space = prolongation_space(h, 2)
+        assert (space.dim, calls) == (1, [False])
+        assert len(space.basis) == 1
+        assert membership_residual(h, space.basis[0]) < 1e-8
+        assert calls == [False, True]
 
     def test_size_cap(self):
         big = builtin_algebra("so", 12)
@@ -88,14 +201,15 @@ class TestProlongationSpace:
 
 def prolongation_rows_loop(h, d):
     """Reference assembly of ``prolongation_system`` rows, one entry block at
-    a time: row (tup, q) holds Q[out, u] at column pos[sort(u, tup)] * n + out."""
+    a time: row (tup, q) holds Q[out, u] at column pos[sort(u, tup)] * n + out
+    for the test matrices Q of the exact complement."""
     n = h.n
     pos = _sym_index_position(n, d + 1)
     tuples = enumerate_sym_indices(n, d)
-    rows = np.zeros((len(tuples) * len(h._complement), prolongation_unknowns(n, d)))
+    rows = np.zeros((len(tuples) * len(h.echelon_complement), prolongation_unknowns(n, d)))
     r = 0
     for tup in tuples:
-        for q in h._complement:
+        for q in h.echelon_complement:
             for u in range(n):
                 base = pos[tuple(sorted((u,) + tup))] * n
                 rows[r, base : base + n] += q[:, u]
@@ -118,7 +232,41 @@ def _oracle_algebras():
 ORACLE_ALGEBRAS = list(_oracle_algebras())
 
 
+def svd_complement_dim(h, d):
+    """Order-d prolongation dimension with the dense orthonormal complement
+    from the algebra's SVD as test matrices: the oracle for the exact one."""
+    return solve_kernel(_packed_rows(h._complement, d + 1)).kernel_dim
+
+
+def _complement_oracle_cases():
+    for n in range(2, 7):
+        rng = np.random.default_rng((61, n))
+        algebras = {
+            "so": builtin_algebra("so", n),
+            "co": builtin_algebra("co", n),
+            "lightlike_orth": builtin_algebra("lightlike_orth", n),
+            "one_param": builtin_algebra("one_param", r_matrix=rng.standard_normal((n, n))),
+            "custom": builtin_algebra(
+                "custom", generators=[rng.standard_normal((n, n)) for _ in range(min(3, n))]
+            ),
+        }
+        g = random_well_conditioned(rng, n)
+        for name, h in algebras.items():
+            yield f"{name}-{n}", h
+            yield f"{name}-{n}-conjugated", h.conjugate(g)
+
+
+COMPLEMENT_ORACLE_CASES = list(_complement_oracle_cases())
+
+
 class TestProlongationSystemOracle:
+    @pytest.mark.parametrize(
+        "name,h", COMPLEMENT_ORACLE_CASES, ids=[name for name, _ in COMPLEMENT_ORACLE_CASES]
+    )
+    def test_exact_complement_matches_svd_complement(self, name, h):
+        for d in (1, 2, 3):
+            assert prolongation_space(h, d).dim == svd_complement_dim(h, d), d
+
     @pytest.mark.parametrize("name,h", ORACLE_ALGEBRAS, ids=[name for name, _ in ORACLE_ALGEBRAS])
     def test_rows_match_loop(self, name, h):
         for d in (1, 2, 3):
