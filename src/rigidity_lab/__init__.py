@@ -5,6 +5,8 @@ finite-dimensional linear systems and certifies rigidity statements as
 kernel-dimension-zero reports with full singular spectra attached.
 """
 
+__version__ = "0.1.0"
+
 from .braid import (
     KernelReport,
     LinearSystem,
@@ -58,5 +60,3 @@ from .prolongation import (
 )
 from .ratfield import Poly, RationalField
 from .symspace import SpdCurve, SpdPoint, arclength_reparam, circle_mean, curve_length, spd_inner
-
-__version__ = "0.1.0"

@@ -320,7 +320,12 @@ def _gap_ratio(svals: np.ndarray, rank: int, tol: float) -> float:
 def _as_form(j, n: int | None = None) -> BilinForm:
     if isinstance(j, BilinForm):
         return j
-    form = BilinForm(np.asarray(j, dtype=float))
+    m = np.asarray(j, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError("form has a non-finite entry")
+    form = BilinForm(m)
+    if form.n < 1:
+        raise ValueError(f"form has dimension {form.n}, need at least 1")
     if n is not None and form.n != n:
         raise ValueError(f"form has dimension {form.n}, expected {n}")
     return form

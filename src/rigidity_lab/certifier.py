@@ -31,12 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import reportio
-from .braid import GAP_VERDICT_THRESHOLD, KernelReport, _braid_rows, solve_kernel
-from .gcs import GcsChart, LightlikeChart, chart_to_doc
+from .braid import KernelReport, _braid_rows, solve_kernel
+from .gcs import GcsChart, LightlikeChart
 from .multilinear import SPECTRAL_TOL, sym_index_count
-
-TOOL_VERSION = "0.1.0"
 
 #: Jet components the lightlike certificate never constrains.
 LIGHTLIKE_UNCONSTRAINED = [
@@ -146,12 +143,10 @@ class Certificate:
 
     kind: str
     structure: str
-    input_hash: str
     x: list[float]
     dimension: int
     samples: list[PointReport]
     verdict: str
-    tolerances: dict
     unconstrained: list[str] = field(default_factory=list)
 
 
@@ -179,26 +174,23 @@ def _point_verdict(
     return "indeterminate-by-hypothesis"
 
 
-def _certificate(kind: str, chart, p, samples: list[PointReport], inputs: dict) -> Certificate:
+def _certificate(kind: str, chart, p, samples: list[PointReport]) -> Certificate:
     """A certificate over per-point reports: rigid as soon as one point is,
     else indeterminate, non-rigid or indeterminate-by-hypothesis, in that
-    order; ``inputs`` completes the hashed input document."""
+    order."""
     _, rigid, non_rigid, unconstrained = _KINDS[kind]
     verdicts = [s.verdict for s in samples]
     verdict = next(
         (v for v in (rigid, "indeterminate", non_rigid) if v in verdicts),
         "indeterminate-by-hypothesis",
     )
-    x = [float(v) for v in p]
     return Certificate(
         kind=kind,
         structure=chart.name,
-        input_hash=reportio.input_hash({"chart": chart_to_doc(chart), "x": x, **inputs}),
-        x=x,
+        x=[float(v) for v in p],
         dimension=chart.n,
         samples=samples,
         verdict=verdict,
-        tolerances={"kernel_tol": inputs["tol"], "gap_threshold": GAP_VERDICT_THRESHOLD},
         unconstrained=list(unconstrained),
     )
 
@@ -229,7 +221,7 @@ def gcs_certificate(
         lvl2 = _jet_kernel(jm, 3, -j01, ("A", "K"), tol, want_basis)
         verdict = _point_verdict("gcs", c.n, genericity, [lvl2])
         samples.append(PointReport(r, genericity, lvl1, lvl2, verdict))
-    return _certificate("gcs", c, p, samples, {"r_samples": rs, "tol": tol})
+    return _certificate("gcs", c, p, samples)
 
 
 # -- lightlike path --------------------------------------------------------
@@ -292,7 +284,7 @@ def lightlike_subrigidity_certificate(
     step2 = _jet_kernel(h, 3, h01, ("phi3", "delta2"), tol, want_basis, lc.n)
     verdict = _point_verdict("lightlike", lc.n, genericity, [step1, step2])
     sample = PointReport(t, genericity, step1, step2, verdict)
-    return _certificate("lightlike", lc, p, [sample], {"t": t, "tol": tol})
+    return _certificate("lightlike", lc, p, [sample])
 
 
 # -- report documents -------------------------------------------------------
@@ -303,7 +295,7 @@ def kernel_report_doc(report: KernelReport, include_basis: bool = False) -> dict
         "unknowns": report.unknowns,
         "equations": report.equations,
         "kernel_dim": report.kernel_dim,
-        "singular_values": [float(s) for s in report.singular_values],
+        "singular_values": report.singular_values,
         "tol": report.tol,
         "gap_ratio": report.gap_ratio,
         "verdict": report.verdict,
@@ -311,15 +303,14 @@ def kernel_report_doc(report: KernelReport, include_basis: bool = False) -> dict
     if report.split is not None:
         doc["projection_dims"] = dict(sorted(report.split.items()))
     if include_basis and report.kernel_basis is not None:
-        doc["kernel_basis"] = [[float(v) for v in vec] for vec in report.kernel_basis]
-        doc["unknown_labels"] = [
-            [name, list(idx), out] for name, idx, out in report.unknown_labels
-        ]
+        doc["kernel_basis"] = report.kernel_basis
+        doc["unknown_labels"] = report.unknown_labels
     return doc
 
 
 def certificate_doc(cert: Certificate, include_basis: bool = False) -> dict:
-    """Certificate document with a fixed field order for golden-file tests."""
+    """Certificate document with a fixed field order for golden-file tests;
+    the report envelope adds the tool version, input hash and tolerances."""
     sample_docs = []
     for s in cert.samples:
         key1 = "level1" if cert.kind == "gcs" else "step1"
@@ -334,15 +325,12 @@ def certificate_doc(cert: Certificate, include_basis: bool = False) -> dict:
             }
         )
     doc = {
-        "tool_version": TOOL_VERSION,
         "kind": cert.kind,
         "structure": cert.structure,
-        "input_hash": cert.input_hash,
         "point": {"x": cert.x, "r": cert.samples[0].r if len(cert.samples) == 1 else None},
         "dimension": cert.dimension,
         "samples": sample_docs,
         "verdict": cert.verdict,
-        "tolerances": cert.tolerances,
     }
     if cert.kind == "lightlike":
         doc["unconstrained_jet_components"] = cert.unconstrained

@@ -1,10 +1,14 @@
 """Batch front-end: deterministic JSON reports over the library's operations.
 
-Every report embeds the resolved tolerances, seed, grid and an input hash,
-so it can be reproduced from its own metadata; byte-identical output for
-identical inputs is a contract covered by golden-file tests.  Exit status 0
-means the run completed (verdicts live in the report, not the exit code),
-2 flags invalid input and 3 an internal numerical failure.
+Each command handler reads the parsed arguments; every default lives in the
+argument parser.  One envelope writes every report's metadata: the tool
+version, the command, seed, grid and resolved tolerances, the canonical
+``input`` document and ``input_hash``, the sha256 of that document's
+canonical bytes, so a report can be reproduced, and checked, from its own
+metadata.  Byte-identical output for identical inputs is a contract covered
+by golden-file tests.  Exit status 0 means the run completed (verdicts live
+in the report, not the exit code), 2 flags invalid input and 3 an internal
+numerical failure.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import reportio
+from . import __version__, reportio
 from .braid import (
     GAP_VERDICT_THRESHOLD,
     classical_braid_kernel,
@@ -25,7 +28,6 @@ from .braid import (
     trilinear_symskew_kernel,
 )
 from .certifier import (
-    TOOL_VERSION,
     certificate_doc,
     gcs_certificate,
     kernel_report_doc,
@@ -63,18 +65,9 @@ ALGEBRA_DESCRIPTIONS = {
     "custom": "span of user-supplied generator matrices",
 }
 
-
-@dataclass
-class RunConfig:
-    """Normalized invocation: one command plus its resolved inputs."""
-
-    command: str
-    options: dict
-    tol: float
-    seed: int
-    grid: int
-    output: str | None
-    kernel_basis: bool = False
+#: The Python types of JSON numbers; bool subclasses int, but a JSON true or
+#: false is no number, so entries are tested with ``type(v) in``.
+_JSON_NUMBERS = (int, float)
 
 
 def _default_tol() -> float:
@@ -99,14 +92,19 @@ def _parse_floats(text: str) -> list[float]:
 
 def _json_matrix(value, what: str) -> np.ndarray:
     """A JSON matrix, a list of equally long rows of numbers, as a float
-    array; every refusal names ``what``, and a ragged one its first row
-    whose length differs from row 0."""
+    array; every refusal names ``what``, and a ragged row or an entry that
+    is no number also its row."""
     if isinstance(value, list) and all(isinstance(row, list) for row in value):
         for k, row in enumerate(value):
             if len(row) != len(value[0]):
                 raise ValueError(
                     f"{what} row {k} has {len(row)} entries, row 0 has {len(value[0])}"
                 )
+            for entry in row:
+                if type(entry) not in _JSON_NUMBERS:
+                    raise ValueError(
+                        f"{what} row {k} has an entry that is no number: {json.dumps(entry)}"
+                    )
     try:
         m = np.array(value, dtype=float)
     except OverflowError as exc:  # a JSON integer beyond the float range
@@ -128,7 +126,7 @@ def _parse_matrix(spec: str, n: int | None) -> np.ndarray:
         if n is None:
             raise ValueError("matrix spec 'minkowski' needs --n")
         d = np.ones(n)
-        d[0] = -1.0
+        d[:1] = -1.0  # n = 0 leaves an empty form, which braid refuses
         return np.diag(d)
     if spec.startswith("diag:"):
         return np.diag(_parse_floats(spec[len("diag:") :]))
@@ -143,24 +141,24 @@ def _load_json_file(path: str):
         return json.load(fh)
 
 
-def _resolve_chart(opts: dict, grid: int):
-    if opts.get("chart"):
-        doc = _load_json_file(opts["chart"])
-        return chart_from_doc(doc, grid=grid)
-    if opts.get("builtin"):
-        params = json.loads(opts["params"]) if opts.get("params") else None
-        return builtin_chart(opts["builtin"], n=opts.get("n"), params=params, grid=grid)
+def _resolve_chart(args: argparse.Namespace):
+    if args.chart:
+        return chart_from_doc(_load_json_file(args.chart), grid=args.grid)
+    if args.builtin:
+        params = json.loads(args.params) if args.params else None
+        return builtin_chart(args.builtin, n=args.n, params=params, grid=args.grid)
     raise ValueError("need either --builtin or --chart")
 
 
-def _envelope(config: RunConfig, input_doc: dict, payload: dict) -> dict:
+def _envelope(args: argparse.Namespace, input_doc: dict, payload: dict) -> dict:
+    """The report: its metadata, ``input_doc`` with its hash, then ``payload``."""
     doc = {
         "tool": "rigidity-lab",
-        "tool_version": TOOL_VERSION,
-        "command": config.command,
-        "seed": config.seed,
-        "grid": config.grid,
-        "tolerances": {"kernel_tol": config.tol, "gap_threshold": GAP_VERDICT_THRESHOLD},
+        "tool_version": __version__,
+        "command": args.command,
+        "seed": args.seed,
+        "grid": args.grid,
+        "tolerances": {"kernel_tol": args.tol, "gap_threshold": GAP_VERDICT_THRESHOLD},
         "input": input_doc,
         "input_hash": reportio.input_hash(input_doc),
     }
@@ -171,21 +169,20 @@ def _envelope(config: RunConfig, input_doc: dict, payload: dict) -> dict:
 # -- command handlers --------------------------------------------------------
 
 
-def _run_certify(config: RunConfig) -> dict:
-    opts = config.options
-    chart = _resolve_chart(opts, config.grid)
+def _run_certify(args: argparse.Namespace) -> dict:
+    chart = _resolve_chart(args)
     if isinstance(chart, LightlikeChart):
         raise ValueError("certify expects a curve-of-metrics chart; use the lightlike command")
-    point = _parse_floats(opts["point"]) if opts.get("point") else [0.0] * chart.n
-    if opts.get("r_samples"):
-        rs = _parse_floats(opts["r_samples"])
-    elif opts.get("r") is not None:
-        rs = [float(opts["r"])]
+    point = _parse_floats(args.point) if args.point else [0.0] * chart.n
+    if args.r_samples:
+        rs = _parse_floats(args.r_samples)
+    elif args.r is not None:
+        rs = [args.r]
     else:
         raise ValueError("need --r or --r-samples")
-    cert = gcs_certificate(chart, point, rs, tol=config.tol, want_basis=config.kernel_basis)
-    gen = genericity_report(chart, grid=config.grid, tol=config.tol)
-    payload = certificate_doc(cert, include_basis=config.kernel_basis)
+    cert = gcs_certificate(chart, point, rs, tol=args.tol, want_basis=args.kernel_basis)
+    gen = genericity_report(chart, grid=args.grid, tol=args.tol)
+    payload = certificate_doc(cert, include_basis=args.kernel_basis)
     payload["chart_genericity"] = {
         "nowhere_parameter_constant": gen.nowhere_tr,
         "generic": gen.generic,
@@ -197,63 +194,49 @@ def _run_certify(config: RunConfig) -> dict:
         "chart": chart_to_doc(chart),
         "point": point,
         "r_samples": sorted(rs),
-        "tol": config.tol,
-        "grid": config.grid,
-        "seed": config.seed,
+        "tol": args.tol,
+        "grid": args.grid,
+        "seed": args.seed,
     }
-    return _envelope(config, input_doc, payload)
+    return _envelope(args, input_doc, payload)
 
 
-def _run_lightlike(config: RunConfig) -> dict:
-    opts = config.options
-    chart = _resolve_chart(opts, config.grid)
+def _run_lightlike(args: argparse.Namespace) -> dict:
+    chart = _resolve_chart(args)
     if not isinstance(chart, LightlikeChart):
         chart = lift_to_lightlike(chart)
-    point = _parse_floats(opts["point"]) if opts.get("point") else [0.0] * chart.base_dim
-    if opts.get("r") is None:
+    point = _parse_floats(args.point) if args.point else [0.0] * chart.base_dim
+    if args.r is None:
         raise ValueError("need --r (the kernel-coordinate value)")
-    t = float(opts["r"])
     cert = lightlike_subrigidity_certificate(
-        chart, point, t, tol=config.tol, want_basis=config.kernel_basis
+        chart, point, args.r, tol=args.tol, want_basis=args.kernel_basis
     )
-    payload = certificate_doc(cert, include_basis=config.kernel_basis)
     input_doc = {
         "chart": chart_to_doc(chart),
         "point": point,
-        "t": t,
-        "tol": config.tol,
-        "grid": config.grid,
-        "seed": config.seed,
+        "t": args.r,
+        "tol": args.tol,
+        "grid": args.grid,
+        "seed": args.seed,
     }
-    return _envelope(config, input_doc, payload)
+    return _envelope(args, input_doc, certificate_doc(cert, include_basis=args.kernel_basis))
 
 
-def _run_braid(config: RunConfig) -> dict:
-    opts = config.options
-    n = opts.get("n")
-    variant = opts.get("variant") or "generalized"
-    if variant == "symskew":
-        if n is None:
+def _run_braid(args: argparse.Namespace) -> dict:
+    if args.variant == "symskew":
+        if args.n is None:
             raise ValueError("braid --variant symskew needs --n")
-        report = trilinear_symskew_kernel(n, tol=config.tol, want_basis=config.kernel_basis)
-        input_doc = {"variant": variant, "n": n, "tol": config.tol}
-        return _envelope(config, input_doc, {"report": kernel_report_doc(report, config.kernel_basis)})
-    j = _parse_matrix(opts.get("J") or "identity", n)
-    if variant == "classical":
-        report = classical_braid_kernel(j, tol=config.tol, want_basis=config.kernel_basis)
-        input_doc = {"variant": variant, "J": [list(map(float, row)) for row in j], "tol": config.tol}
-        return _envelope(config, input_doc, {"report": kernel_report_doc(report, config.kernel_basis)})
-    if variant != "generalized":
-        raise ValueError(f"unknown braid variant '{variant}'")
-    jp = _parse_matrix(opts.get("Jp") or "identity", n)
-    report = generalized_braid_kernel(j, jp, tol=config.tol, want_basis=config.kernel_basis)
-    input_doc = {
-        "variant": variant,
-        "J": [list(map(float, row)) for row in j],
-        "Jp": [list(map(float, row)) for row in jp],
-        "tol": config.tol,
-    }
-    return _envelope(config, input_doc, {"report": kernel_report_doc(report, config.kernel_basis)})
+        report = trilinear_symskew_kernel(args.n, tol=args.tol, want_basis=args.kernel_basis)
+        input_doc = {"variant": args.variant, "n": args.n, "tol": args.tol}
+    elif args.variant == "classical":
+        j = _parse_matrix(args.J, args.n)
+        report = classical_braid_kernel(j, tol=args.tol, want_basis=args.kernel_basis)
+        input_doc = {"variant": args.variant, "J": j, "tol": args.tol}
+    else:
+        j, jp = _parse_matrix(args.J, args.n), _parse_matrix(args.Jp, args.n)
+        report = generalized_braid_kernel(j, jp, tol=args.tol, want_basis=args.kernel_basis)
+        input_doc = {"variant": args.variant, "J": j, "Jp": jp, "tol": args.tol}
+    return _envelope(args, input_doc, {"report": kernel_report_doc(report, args.kernel_basis)})
 
 
 def _finite_type_doc(result) -> dict:
@@ -268,12 +251,7 @@ def _finite_type_doc(result) -> dict:
         w = result.witness
         return {
             "kind": "infinite",
-            "witness": {
-                "matrix": [list(map(float, row)) for row in w.matrix],
-                "a": [float(v) for v in w.a],
-                "v": [float(v) for v in w.v],
-                "sigma_ratio": w.sigma_ratio,
-            },
+            "witness": {"matrix": w.matrix, "a": w.a, "v": w.v, "sigma_ratio": w.sigma_ratio},
         }
     assert isinstance(result, UnknownBeyond)
     return {
@@ -283,55 +261,47 @@ def _finite_type_doc(result) -> dict:
     }
 
 
-def _run_prolong(config: RunConfig) -> dict:
-    opts = config.options
-    name = opts.get("algebra") or "custom"
-    r_matrix = _json_matrix(json.loads(opts["R"]), "R") if opts.get("R") else None
+def _run_prolong(args: argparse.Namespace) -> dict:
+    r_matrix = _json_matrix(json.loads(args.R), "R") if args.R else None
     generators = None
-    if opts.get("generators"):
+    if args.generators:
         generators = [
             _json_matrix(g, f"generator {k}")
-            for k, g in enumerate(json.loads(opts["generators"]))
+            for k, g in enumerate(json.loads(args.generators))
         ]
-    algebra = builtin_algebra(name, n=opts.get("n"), r_matrix=r_matrix, generators=generators)
-    max_order = opts.get("max_order") or 3
-    result = finite_type(
-        algebra, max_order=max_order, tol=config.tol, seed=config.seed
-    )
+    algebra = builtin_algebra(args.algebra, n=args.n, r_matrix=r_matrix, generators=generators)
+    result = finite_type(algebra, max_order=args.max_order, tol=args.tol, seed=args.seed)
     # orders that finite_type solved are not solved again
     solved = {} if isinstance(result, InfiniteType) else result.dims
     dims = {}
-    for d in range(1, max_order + 1):
+    for d in range(1, args.max_order + 1):
         if prolongation_unknowns(algebra.n, d) > SIZE_CAP:
             break
         if d in solved:
             dims[str(d)] = solved[d]
         else:
-            dims[str(d)] = prolongation_space(algebra, d, tol=config.tol).dim
+            dims[str(d)] = prolongation_space(algebra, d, tol=args.tol).dim
     input_doc = {
-        "algebra": name,
+        "algebra": args.algebra,
         "n": algebra.n,
-        "R": None if r_matrix is None else [list(map(float, row)) for row in r_matrix],
-        "generators": None
-        if generators is None
-        else [[list(map(float, row)) for row in g] for g in generators],
-        "max_order": max_order,
-        "tol": config.tol,
-        "seed": config.seed,
+        "R": r_matrix,
+        "generators": generators,
+        "max_order": args.max_order,
+        "tol": args.tol,
+        "seed": args.seed,
     }
     payload = {
         "algebra_dim": algebra.dim,
         "prolongation_dims": dims,
         "type": _finite_type_doc(result),
     }
-    return _envelope(config, input_doc, payload)
+    return _envelope(args, input_doc, payload)
 
 
-def _run_symspace(config: RunConfig) -> dict:
-    opts = config.options
-    if not opts.get("curve"):
+def _run_symspace(args: argparse.Namespace) -> dict:
+    if not args.curve:
         raise ValueError("need --curve FILE with the sampled curve")
-    doc = _load_json_file(opts["curve"])
+    doc = _load_json_file(args.curve)
     if not isinstance(doc, dict):
         raise ValueError("curve document must be a JSON object")
     unknown = set(doc) - {"closed", "samples"}
@@ -343,22 +313,32 @@ def _run_symspace(config: RunConfig) -> dict:
     samples = doc.get("samples")
     if not samples:
         raise ValueError("curve document has no samples")
+    ts = []
+    for k, s in enumerate(samples):
+        t = s["t"]
+        if type(t) not in _JSON_NUMBERS:
+            raise ValueError(f"sample {k}: parameter is no number: {json.dumps(t)}")
+        ts.append(t)
     try:
-        ts = np.array([s["t"] for s in samples], dtype=float)
+        ts = np.array(ts, dtype=float)
     except OverflowError as exc:  # a JSON integer beyond the float range
         raise ValueError(f"curve sample out of float range: {exc}") from exc
     matrices = [s["matrix"] for s in samples]
     try:
+        # the float conversion alone would also read numeric strings and booleans
+        numbers = all(type(v) in _JSON_NUMBERS for m in matrices for row in m for v in row)
         mats = np.array(matrices, dtype=float)
     except (OverflowError, ValueError, TypeError):
-        # name the first sample that is no matrix or differs in shape from sample 0
-        shapes = [_json_matrix(m, f"sample {k}: matrix").shape for k, m in enumerate(matrices)]
-        for k, shape in enumerate(shapes):
-            if shape != shapes[0]:
+        numbers = False
+    if not numbers:
+        # name the first sample that is no matrix of numbers or differs in shape from sample 0
+        checked = [_json_matrix(m, f"sample {k}: matrix") for k, m in enumerate(matrices)]
+        for k, m in enumerate(checked):
+            if m.shape != checked[0].shape:
                 raise ValueError(
-                    f"sample {k}: matrix has shape {shape}, sample 0 has {shapes[0]}"
-                ) from None
-        raise
+                    f"sample {k}: matrix has shape {m.shape}, sample 0 has {checked[0].shape}"
+                )
+        mats = np.array(checked)
     curve = SpdCurve(ts, mats, closed=closed)
     length = curve_length(curve)
     payload = {
@@ -368,23 +348,19 @@ def _run_symspace(config: RunConfig) -> dict:
         "length": length,
     }
     if curve.closed:
-        payload["mean"] = [list(map(float, row)) for row in circle_mean(curve).matrix]
-    if opts.get("resample"):
-        m = int(opts["resample"])
-        re = arclength_reparam(curve, m)
+        payload["mean"] = circle_mean(curve).matrix
+    if args.resample is not None:
+        re = arclength_reparam(curve, args.resample)
         payload["resampled"] = {
-            "samples": m,
+            "samples": args.resample,
             "length": curve_length(re),
-            "params": [float(t) for t in re.params],
+            "params": re.params,
         }
-    input_doc = {"curve": doc, "tol": config.tol}
-    return _envelope(config, input_doc, payload)
+    input_doc = {"curve": doc, "tol": args.tol}
+    return _envelope(args, input_doc, payload)
 
 
-def _run_examples(config: RunConfig) -> str:
-    action = config.options.get("action")
-    if action != "list":
-        raise ValueError("usage: examples list")
+def _run_examples() -> str:
     lines = ["builtin structures:"]
     width = max(len(k) for k in BUILTIN_DESCRIPTIONS) + 2
     for name in sorted(BUILTIN_DESCRIPTIONS):
@@ -399,10 +375,11 @@ def _run_examples(config: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def run(config: RunConfig) -> bytes:
-    """Execute one command and return the canonical report bytes."""
-    if config.command == "examples":
-        return _run_examples(config).encode("ascii")
+def run(args: argparse.Namespace) -> bytes:
+    """Execute the parsed command, its ``tol`` resolved, and return the
+    canonical report bytes."""
+    if args.command == "examples":
+        return _run_examples().encode("ascii")
     handlers = {
         "certify": _run_certify,
         "lightlike": _run_lightlike,
@@ -410,9 +387,7 @@ def run(config: RunConfig) -> bytes:
         "prolong": _run_prolong,
         "symspace": _run_symspace,
     }
-    if config.command not in handlers:
-        raise ValueError(f"unknown command '{config.command}'")
-    return reportio.dump_bytes(handlers[config.command](config))
+    return reportio.dump_bytes(handlers[args.command](args))
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -456,15 +431,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("braid", help="kernel of a braid-type system")
     common(p)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--J", dest="J", default=None)
-    p.add_argument("--Jp", dest="Jp", default=None)
+    p.add_argument("--J", dest="J", default="identity")
+    p.add_argument("--Jp", dest="Jp", default="identity")
     p.add_argument(
         "--variant", choices=["generalized", "classical", "symskew"], default="generalized"
     )
 
     p = sub.add_parser("prolong", help="prolongation spaces and finite type")
     common(p)
-    p.add_argument("--algebra", default=None, help="so | co | lightlike_orth | one_param | custom")
+    p.add_argument(
+        "--algebra", default="custom", help="so | co | lightlike_orth | one_param | custom"
+    )
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--R", default=None, help="matrix for one_param, inline JSON")
     p.add_argument("--generators", default=None, help="matrices for custom, inline JSON")
@@ -481,32 +458,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    tol = args.tol if args.tol is not None else _default_tol()
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"--tol must be in (0, 1), got {tol}")
-    options = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in {"command", "tol", "seed", "grid", "output", "kernel_basis"}
-    }
-    return RunConfig(
-        command=args.command,
-        options=options,
-        tol=tol,
-        seed=args.seed,
-        grid=args.grid,
-        output=args.output,
-        kernel_basis=args.kernel_basis,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        report = run(config)
+        if args.tol is None:
+            args.tol = _default_tol()
+        if not 0.0 < args.tol < 1.0:
+            raise ValueError(f"--tol must be in (0, 1), got {args.tol}")
+        report = run(args)
     except json.JSONDecodeError as exc:
         print(
             f"error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
@@ -519,8 +478,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if config.output:
-        with open(config.output, "wb") as fh:
+    if args.output:
+        with open(args.output, "wb") as fh:
             fh.write(report)
     else:
         sys.stdout.write(report.decode("ascii"))

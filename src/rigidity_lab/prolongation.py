@@ -55,7 +55,7 @@ RANK1_STALL = 1e-3
 RANK1_MAX_SWEEPS = 500
 
 
-@dataclass
+@dataclass(eq=False)
 class MatrixAlgebra:
     """Linear subspace of n x n matrices given by a spanning list.
 

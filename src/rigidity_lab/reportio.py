@@ -49,16 +49,17 @@ def _serialize(obj, pieces: list[str], indent: int, level: int):
             _serialize(value, pieces, indent, level + 1)
             pieces.append(",\n" if k < len(obj) - 1 else "\n")
         pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
+    elif isinstance(obj, np.ndarray):
+        _serialize(obj.tolist(), pieces, indent, level)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
             pieces.append("[]")
             return
         pieces.append("[\n")
-        for k, value in enumerate(items):
+        for k, value in enumerate(obj):
             pieces.append(pad_in)
             _serialize(value, pieces, indent, level + 1)
-            pieces.append(",\n" if k < len(items) - 1 else "\n")
+            pieces.append(",\n" if k < len(obj) - 1 else "\n")
         pieces.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")

@@ -56,6 +56,23 @@ class TestClassicalBraid:
             classical_braid_kernel(np.diag([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [classical_braid_kernel, lambda j: generalized_braid_kernel(j, j)],
+    ids=["classical", "generalized"],
+)
+@pytest.mark.parametrize(
+    "j, message",
+    [
+        (np.zeros((0, 0)), "form has dimension 0, need at least 1"),
+        ([[1.0, 0.0], [0.0, np.nan]], "form has a non-finite entry"),
+    ],
+)
+def test_empty_or_non_finite_form_refused(kernel, j, message):
+    with pytest.raises(ValueError, match=message):
+        kernel(j)
+
+
 class TestTrilinearSymSkew:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_kernel_zero(self, n):

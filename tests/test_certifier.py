@@ -132,7 +132,7 @@ class TestGcsCertificate:
     def test_doc_shape(self):
         cert = gcs_certificate(builtin_chart("conformal_flat", 3), ORIGIN3, [1.0])
         doc = certificate_doc(cert)
-        assert list(doc)[:5] == ["tool_version", "kind", "structure", "input_hash", "point"]
+        assert list(doc)[:5] == ["kind", "structure", "point", "dimension", "samples"]
         assert doc["verdict"] == "2-rigid"
         assert doc["point"]["r"] == 1.0
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity_lab import cli, gcs, prolongation
+from rigidity_lab import __version__, cli, gcs, prolongation, reportio
 
 TESTS_DIR = Path(__file__).parent
 GOLDEN_DIR = TESTS_DIR / "golden"
@@ -77,6 +77,71 @@ def test_golden_reports(name):
         path.write_bytes(first)
     assert path.exists(), f"golden file {name} missing; run with REGEN_GOLDEN=1"
     assert first == path.read_bytes(), f"report drifted from golden file {name}"
+
+
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN_CASES if n.endswith(".json")))
+def test_golden_input_hash_is_hash_of_input(name):
+    doc = json.loads((GOLDEN_DIR / name).read_bytes())
+    assert doc["input_hash"] == reportio.input_hash(doc["input"])
+
+
+def _main_report(argv, tmp_path):
+    """Exit code and report bytes of ``cli.main(argv)``, in process."""
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    code = cli.main([*argv, "--output", str(out)])
+    return code, out.read_bytes() if code == 0 else None
+
+
+class TestEnvelope:
+    """The envelope alone writes the metadata; the parser alone holds defaults."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--builtin", "product_nonrigid", "--n", "3", "--r-samples", "2,1",
+             "--grid", "4", "--kernel-basis"],
+            ["lightlike", "--builtin", "lightcone", "--n", "4", "--point", "0.1,0,0", "--r", "1"],
+            ["braid", "--n", "3", "--Jp", "diag:1,0,0", "--kernel-basis"],
+            ["braid", "--n", "2", "--variant", "symskew"],
+            ["prolong", "--algebra", "lightlike_orth", "--n", "3", "--max-order", "2"],
+            ["symspace", "--curve", CURVE_FILE, "--resample", "5"],
+        ],
+        ids=["certify", "lightlike", "braid", "braid-symskew", "prolong", "symspace"],
+    )
+    def test_input_hash_is_hash_of_input(self, argv, tmp_path):
+        code, report = _main_report(argv, tmp_path)
+        assert code == 0
+        doc = json.loads(report)
+        assert doc["input_hash"] == reportio.input_hash(doc["input"])
+        assert doc["tool_version"] == __version__
+        assert doc["tolerances"]["kernel_tol"] == doc["input"]["tol"]
+
+    def test_input_hash_follows_grid(self, tmp_path):
+        argv = ["certify", "--builtin", "conformal_flat", "--n", "3", "--r", "1"]
+        hashes = {
+            json.loads(_main_report([*argv, "--grid", grid], tmp_path)[1])["input_hash"]
+            for grid in ("5", "8")
+        }
+        assert len(hashes) == 2
+
+    @pytest.mark.parametrize(
+        "argv, explicit, digest",
+        [
+            (["braid", "--n", "3"], ["--J", "identity", "--Jp", "identity"],
+             "578f08a069fe99eaabde46fbe4d204c44625174bed1067d5ebf586ae53bc6050"),
+            (["braid", "--n", "4", "--variant", "classical"], ["--J", "identity"],
+             "7b53b1f7cc6d02721e605df8372fbda9a8dfd3b4884c2a54dc745653066860be"),
+            (["prolong", "--generators", "[[[1,0],[0,1]],[[0,1],[0,0]]]"], ["--algebra", "custom"],
+             "f41d42a46204bebffb930a7f626e6619c450bbc53d3cb49d1b41b56fb55f2ebc"),
+        ],
+    )
+    def test_omitted_flags_take_parser_defaults(self, argv, explicit, digest, tmp_path):
+        code, omitted = _main_report(argv, tmp_path)
+        assert code == 0
+        assert _main_report([*argv, *explicit], tmp_path) == (0, omitted)
+        # the bytes these commands wrote when the handlers held the defaults
+        assert hashlib.sha256(omitted).hexdigest() == digest
 
 
 def test_package_import_loads_no_scipy():
@@ -144,6 +209,12 @@ class TestExitCodes:
             (["--generators", "[1]"], "generator 0 must be a list of rows"),
             (["--algebra", "one_param", "--R", "[[" + "9" * 400 + "]]"],
              "R has an entry out of float range"),
+            (["--algebra", "one_param", "--R", '[[true, 0],[0, "1"]]'],
+             "R row 0 has an entry that is no number: true"),
+            (["--generators", '[[[1, 0],[0, "1"]]]'],
+             'generator 0 row 1 has an entry that is no number: "1"'),
+            (["--generators", "[[[1, 0],[0, null]]]"],
+             "generator 0 row 1 has an entry that is no number: null"),
         ],
     )
     def test_invalid_algebra_input_is_two(self, args, message, capsys):
@@ -151,6 +222,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["prolong", "--algebra", "so", "--n", "3", "--max-order", "0"],
+             "max_order must be in 1..5, got 0"),
+            (["symspace", "--curve", CURVE_FILE, "--resample", "0"],
+             "need at least two output samples, got 0"),
+        ],
+    )
+    def test_zero_count_is_two(self, args, message, capsys):
+        assert cli.main(args) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--n", "0"], ["--J", "diag:", "--Jp", "diag:"], ["--variant", "classical", "--n", "0"]],
+    )
+    def test_empty_form_is_two(self, args, capsys):
+        assert cli.main(["braid", *args]) == 2
+        assert "form has dimension 0, need at least 1" in capsys.readouterr().err
 
     def test_oversized_grid_is_two_before_scanning(self, monkeypatch, capsys):
         def no_compile(*args, **kwargs):
@@ -177,6 +269,52 @@ class TestExitCodes:
         assert code == 2
         first = "(-1.0, 2.0)" if exponent == 1100 else "(-1.0, 1.25)"
         assert f"not finite at grid point {first}" in capsys.readouterr().err
+
+
+def _matrix_spec(data, label):
+    """A --J/--Jp/--R value: a named form, a diag: list or a JSON matrix whose
+    entries may be strings, booleans or NaN and whose rows may be ragged."""
+    kind = data.draw(st.sampled_from(["identity", "minkowski", "diag", "json"]), label=label)
+    if kind == "diag":
+        entries = data.draw(st.lists(st.sampled_from(["1", "-1", "0", "0.5"]), max_size=3))
+        return "diag:" + ",".join(entries)
+    if kind != "json":
+        return kind
+    entry = st.one_of(
+        st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([0.5, float("nan"), True, "1"])
+    )
+    size = data.draw(st.integers(0, 3))
+    row = st.lists(entry, min_size=size, max_size=size)
+    if data.draw(st.integers(0, 3)) == 0:
+        row = st.lists(entry, max_size=3)  # ragged rows
+    return json.dumps(data.draw(st.lists(row, min_size=size, max_size=size)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_braid_and_prolong_argv_exit_zero_or_two(data):
+    n = ["--n", str(data.draw(st.integers(0, 3), label="n"))]
+    if data.draw(st.booleans(), label="braid"):
+        variant = data.draw(
+            st.sampled_from(["generalized", "classical", "symskew"]), label="variant"
+        )
+        argv = ["braid", "--variant", variant, *n]
+        argv += ["--J", _matrix_spec(data, "J"), "--Jp", _matrix_spec(data, "Jp")]
+    else:
+        algebra = data.draw(
+            st.sampled_from(["so", "co", "lightlike_orth", "one_param", "custom"]), label="algebra"
+        )
+        argv = ["prolong", "--algebra", algebra, *n]
+        argv += ["--max-order", str(data.draw(st.integers(-1, 4), label="max-order"))]
+        if algebra == "one_param":
+            argv += ["--R", _matrix_spec(data, "R")]
+        elif algebra == "custom":
+            argv += ["--generators", "[" + _matrix_spec(data, "generator") + "]"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_benchmark_tracer_wraps_existing_names(tmp_path):
@@ -247,6 +385,11 @@ class TestCurveDocuments:
             (_with_sample_1("t", float("inf")), "sample 1: parameter is not finite"),
             (_with_sample_1("t", 0.0), "sample 1: curve parameters must be strictly"),
             (_with_sample_1("t", 10**400), "out of float range"),
+            (_with_sample_1("t", "0.5"), 'sample 1: parameter is no number: "0.5"'),
+            (_with_sample_1("t", True), "sample 1: parameter is no number: true"),
+            (_with_sample_1("matrix", "2"), 'matrix row 0 has an entry that is no number: "2"'),
+            (_with_sample_1("matrix", True), "matrix row 0 has an entry that is no number: true"),
+            (_with_sample_1("matrix", None), "matrix row 0 has an entry that is no number: null"),
             (_curve_doc([1, 2, 1.5], closed=True), "closed curve endpoints differ"),
             ('{"samples": [{"t": 0, "matrix": [[1]]}, {"t": 1, "matrix": [[1, 0], [0, 1]]}]}',
              "sample 1: matrix has shape (2, 2), sample 0 has (1, 1)"),

@@ -75,6 +75,13 @@ class TestMatrixAlgebra:
         assert repr(h) == before
         assert "echelon_complement" not in {f.name for f in dataclasses.fields(h)}
 
+    def test_equality_is_identity(self):
+        # array fields cannot be compared elementwise into one bool
+        h = builtin_algebra("so", 3)
+        assert h == h
+        assert h != builtin_algebra("so", 3)
+        assert len({h, h, builtin_algebra("so", 3)}) == 2
+
 
 def exact_rows(h):
     return np.array(
