@@ -320,10 +320,7 @@ def _gap_ratio(svals: np.ndarray, rank: int, tol: float) -> float:
 def _as_form(j, n: int | None = None) -> BilinForm:
     if isinstance(j, BilinForm):
         return j
-    m = np.asarray(j, dtype=float)
-    if not np.isfinite(m).all():
-        raise ValueError("form has a non-finite entry")
-    form = BilinForm(m)
+    form = BilinForm(j)  # refuses non-finite entries
     if form.n < 1:
         raise ValueError(f"form has dimension {form.n}, need at least 1")
     if n is not None and form.n != n:

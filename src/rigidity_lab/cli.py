@@ -1,14 +1,17 @@
 """Batch front-end: deterministic JSON reports over the library's operations.
 
-Each command handler reads the parsed arguments; every default lives in the
-argument parser.  One envelope writes every report's metadata: the tool
-version, the command, seed, grid and resolved tolerances, the canonical
-``input`` document and ``input_hash``, the sha256 of that document's
-canonical bytes, so a report can be reproduced, and checked, from its own
-metadata.  Byte-identical output for identical inputs is a contract covered
-by golden-file tests.  Exit status 0 means the run completed (verdicts live
-in the report, not the exit code), 2 flags invalid input and 3 an internal
-numerical failure.
+Each command takes only the flags it reads, and each handler reads the
+parsed arguments; every default lives in the argument parser.  One envelope
+writes every report's metadata: the tool version and the command, then the
+seed, grid and resolved tolerances of the commands that take ``--seed``,
+``--grid`` and ``--tol``, then the canonical ``input`` document and
+``input_hash``, the sha256 of that document's canonical bytes, so a report
+can be reproduced, and checked, from its own metadata.  Byte-identical
+output for identical inputs is a contract covered by golden-file tests.
+Exit status 0 means the run completed (verdicts live in the report, not the
+exit code), 2 flags invalid input and 3 a numerical failure: a
+decomposition that did not converge or an arithmetic error the input
+checks did not anticipate.
 """
 
 from __future__ import annotations
@@ -151,17 +154,18 @@ def _resolve_chart(args: argparse.Namespace):
 
 
 def _envelope(args: argparse.Namespace, input_doc: dict, payload: dict) -> dict:
-    """The report: its metadata, ``input_doc`` with its hash, then ``payload``."""
-    doc = {
-        "tool": "rigidity-lab",
-        "tool_version": __version__,
-        "command": args.command,
-        "seed": args.seed,
-        "grid": args.grid,
-        "tolerances": {"kernel_tol": args.tol, "gap_threshold": GAP_VERDICT_THRESHOLD},
-        "input": input_doc,
-        "input_hash": reportio.input_hash(input_doc),
-    }
+    """The report: its metadata, ``input_doc`` with its hash, then ``payload``;
+    seed, grid and tolerances only of the commands that take those flags."""
+    flags = vars(args)
+    doc = {"tool": "rigidity-lab", "tool_version": __version__, "command": args.command}
+    if "seed" in flags:
+        doc["seed"] = args.seed
+    if "grid" in flags:
+        doc["grid"] = args.grid
+    if "tol" in flags:
+        doc["tolerances"] = {"kernel_tol": args.tol, "gap_threshold": GAP_VERDICT_THRESHOLD}
+    doc["input"] = input_doc
+    doc["input_hash"] = reportio.input_hash(input_doc)
     doc.update(payload)
     return doc
 
@@ -196,7 +200,6 @@ def _run_certify(args: argparse.Namespace) -> dict:
         "r_samples": sorted(rs),
         "tol": args.tol,
         "grid": args.grid,
-        "seed": args.seed,
     }
     return _envelope(args, input_doc, payload)
 
@@ -217,7 +220,6 @@ def _run_lightlike(args: argparse.Namespace) -> dict:
         "t": args.r,
         "tol": args.tol,
         "grid": args.grid,
-        "seed": args.seed,
     }
     return _envelope(args, input_doc, certificate_doc(cert, include_basis=args.kernel_basis))
 
@@ -356,8 +358,7 @@ def _run_symspace(args: argparse.Namespace) -> dict:
             "length": curve_length(re),
             "params": re.params,
         }
-    input_doc = {"curve": doc, "tol": args.tol}
-    return _envelope(args, input_doc, payload)
+    return _envelope(args, {"curve": doc}, payload)
 
 
 def _run_examples() -> str:
@@ -376,8 +377,8 @@ def _run_examples() -> str:
 
 
 def run(args: argparse.Namespace) -> bytes:
-    """Execute the parsed command, its ``tol`` resolved, and return the
-    canonical report bytes."""
+    """Execute the parsed command, its ``tol`` (if it takes one) resolved, and
+    return the canonical report bytes."""
     if args.command == "examples":
         return _run_examples().encode("ascii")
     handlers = {
@@ -393,6 +394,17 @@ def run(args: argparse.Namespace) -> bytes:
 # -- argument parsing ---------------------------------------------------------
 
 
+#: The flags that several commands read; each command names those it takes.
+_SHARED_FLAGS = {
+    "tol": ("--tol", {"type": float, "default": None, "help": "relative kernel tolerance"}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "grid": ("--grid", {"type": int, "default": 5, "help": "validation samples per axis"}),
+    "kernel_basis": (
+        "--kernel-basis", {"action": "store_true", "help": "include kernel basis vectors"}
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigidity-lab",
@@ -400,17 +412,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=None, help="relative kernel tolerance")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", type=int, default=5, help="validation samples per axis")
+    def command(name, help, *shared):
+        p = sub.add_parser(name, help=help)
+        for flag in shared:
+            option, kwargs = _SHARED_FLAGS[flag]
+            p.add_argument(option, **kwargs)
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
-        p.add_argument(
-            "--kernel-basis", action="store_true", help="include kernel basis vectors"
-        )
+        return p
 
-    p = sub.add_parser("certify", help="rigidity certificate for a chart")
-    common(p)
+    p = command("certify", "rigidity certificate for a chart", "tol", "grid", "kernel_basis")
     p.add_argument("--builtin", default=None)
     p.add_argument("--chart", default=None, help="chart JSON file")
     p.add_argument("--n", type=int, default=None)
@@ -419,8 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-samples", dest="r_samples", default=None)
     p.add_argument("--params", default=None, help="builtin parameters as inline JSON")
 
-    p = sub.add_parser("lightlike", help="sub-rigidity certificate for a degenerate metric")
-    common(p)
+    p = command(
+        "lightlike", "sub-rigidity certificate for a degenerate metric",
+        "tol", "grid", "kernel_basis",
+    )
     p.add_argument("--builtin", default=None)
     p.add_argument("--chart", default=None)
     p.add_argument("--n", type=int, default=None)
@@ -428,8 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--params", default=None)
 
-    p = sub.add_parser("braid", help="kernel of a braid-type system")
-    common(p)
+    p = command("braid", "kernel of a braid-type system", "tol", "kernel_basis")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--J", dest="J", default="identity")
     p.add_argument("--Jp", dest="Jp", default="identity")
@@ -437,8 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--variant", choices=["generalized", "classical", "symskew"], default="generalized"
     )
 
-    p = sub.add_parser("prolong", help="prolongation spaces and finite type")
-    common(p)
+    p = command("prolong", "prolongation spaces and finite type", "tol", "seed")
     p.add_argument(
         "--algebra", default="custom", help="so | co | lightlike_orth | one_param | custom"
     )
@@ -447,13 +457,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generators", default=None, help="matrices for custom, inline JSON")
     p.add_argument("--max-order", dest="max_order", type=int, default=3)
 
-    p = sub.add_parser("symspace", help="length and mean of a sampled curve of metrics")
-    common(p)
+    p = command("symspace", "length and mean of a sampled curve of metrics")
     p.add_argument("--curve", default=None, help="curve JSON file")
     p.add_argument("--resample", type=int, default=None)
 
-    p = sub.add_parser("examples", help="list the builtin catalog")
-    common(p)
+    p = command("examples", "list the builtin catalog")
     p.add_argument("action", choices=["list"])
     return parser
 
@@ -461,10 +469,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.tol is None:
-            args.tol = _default_tol()
-        if not 0.0 < args.tol < 1.0:
-            raise ValueError(f"--tol must be in (0, 1), got {args.tol}")
+        if "tol" in vars(args):
+            if args.tol is None:
+                args.tol = _default_tol()
+            if not 0.0 < args.tol < 1.0:
+                raise ValueError(f"--tol must be in (0, 1), got {args.tol}")
         report = run(args)
     except json.JSONDecodeError as exc:
         print(
@@ -472,12 +481,13 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+    # LinAlgError subclasses ValueError, so it is caught before invalid input
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     if args.output:
         with open(args.output, "wb") as fh:
             fh.write(report)

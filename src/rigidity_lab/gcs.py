@@ -16,6 +16,8 @@ quotienting back are exact inverse operations on the coefficient data.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .multilinear import SPECTRAL_TOL, BilinForm, _distinct_arrangements, _sym_indices
-from .ratfield import Poly, RationalField, _as_fraction
+from .ratfield import Poly, RationalField, _as_fraction, _as_int
 
 DEFAULT_GRID = 5
 
@@ -36,14 +38,37 @@ class TransversallyRiemannianError(ValueError):
     """The coefficient field does not depend on the parameter at all."""
 
 
+def _finite_end(value, what: str) -> float:
+    """An end of a domain side or of the parameter interval: a finite number,
+    not a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{what} is out of float range") from exc
+    if not math.isfinite(out):
+        raise ValueError(f"{what} must be finite, got {out}")
+    return out
+
+
 def _check_box(box) -> list[tuple[float, float]]:
     out = []
-    for lo, hi in box:
-        lo, hi = float(lo), float(hi)
+    for k, (lo, hi) in enumerate(box):
+        lo, hi = (_finite_end(v, f"domain side {k} end") for v in (lo, hi))
         if not lo < hi:
             raise ValueError(f"degenerate box side [{lo}, {hi}]")
         out.append((lo, hi))
     return out
+
+
+def _check_interval(iv) -> tuple[float, float]:
+    if len(iv) != 2:
+        raise ValueError(f"interval must be a pair, got {iv}")
+    lo, hi = (_finite_end(v, "interval end") for v in iv)
+    if not lo < hi:
+        raise ValueError(f"degenerate parameter interval {(lo, hi)}")
+    return lo, hi
 
 
 def _axis_samples(lo: float, hi: float, count: int) -> list[Fraction]:
@@ -113,21 +138,33 @@ def _compile_grid_program(chart: "GcsChart") -> _GridProgram:
     metric = [(i, j, chart.entries[i][j]) for i, j in upper]
     deriv = [(i, j, chart._derived_entry(i, j, (0,) * n, 1)) for i, j in upper]
     fields = [item for item in metric + deriv if not item[2].is_zero]
+    n_metric = sum(1 for i, j, f in metric if not f.is_zero)
     monomials: dict[tuple[int, ...], int] = {}
     terms = []
-    for k, (_, _, f) in enumerate(fields):
+    for k, (i, j, f) in enumerate(fields):
         for col, poly in ((2 * k, f.num), (2 * k + 1, f.den)):
             for exps, c in poly.terms.items():
-                terms.append((monomials.setdefault(exps, len(monomials)), col, float(c)))
+                try:
+                    value = float(c)
+                except OverflowError as exc:
+                    what = "entry" if k < n_metric else "r-derivative of entry"
+                    raise ValueError(
+                        f"{what} ({i}, {j}) has a coefficient out of float range"
+                    ) from exc
+                terms.append((monomials.setdefault(exps, len(monomials)), col, value))
     coefs = np.zeros((len(monomials), 2 * len(fields)))
     for row, col, c in terms:
         coefs[row, col] = c
+    try:
+        exps = np.array(list(monomials), dtype=np.int64).reshape(len(monomials), n + 1)
+    except OverflowError as exc:
+        raise ValueError("a chart exponent is out of the 64-bit integer range") from exc
     return _GridProgram(
-        exps=np.array(list(monomials), dtype=np.int64).reshape(len(monomials), n + 1),
+        exps=exps,
         coefs=coefs,
         rows=np.array([i for i, _, _ in fields], dtype=np.int64),
         cols=np.array([j for _, j, _ in fields], dtype=np.int64),
-        n_metric=sum(1 for i, j, f in metric if not f.is_zero),
+        n_metric=n_metric,
     )
 
 
@@ -278,10 +315,7 @@ class GcsChart:
         self.domain = _check_box(self.domain)
         if len(self.domain) != self.n:
             raise ValueError(f"domain has {len(self.domain)} sides, expected {self.n}")
-        lo, hi = self.interval
-        self.interval = (float(lo), float(hi))
-        if not self.interval[0] < self.interval[1]:
-            raise ValueError(f"degenerate parameter interval {self.interval}")
+        self.interval = _check_interval(self.interval)
         nv = self.n + 1
         for row in self.entries:
             for f in row:
@@ -332,14 +366,21 @@ class GcsChart:
         self._deriv_cache[key] = f
         return f
 
+    def _eval_matrix(self, entries, point, what: str) -> np.ndarray:
+        """``_eval_entry_matrix``; a vanishing denominator or a value beyond
+        the float range raises ValueError."""
+        try:
+            return _eval_entry_matrix(entries, point)
+        except ZeroDivisionError as exc:
+            raise ValueError(str(exc)) from exc
+        except OverflowError as exc:
+            where = tuple(map(float, point))
+            raise ValueError(f"{what} is out of float range at {where}") from exc
+
     def eval_metric(self, x, r) -> BilinForm:
         """Exact evaluation of the scalar product at (x, r)."""
         point = self._check_point(x, r)
-        try:
-            m = _eval_entry_matrix(self.entries, point)
-        except ZeroDivisionError as exc:
-            raise ValueError(str(exc)) from exc
-        form = BilinForm(m)
+        form = BilinForm(self._eval_matrix(self.entries, point, "metric"))
         if form.signature != (self.n, 0, 0):
             raise ValueError(
                 f"metric is not positive definite at the requested point "
@@ -362,7 +403,7 @@ class GcsChart:
         for idx in _sym_indices(n, m):
             orders = tuple(idx.count(k) for k in range(n))
             rows = [[self._derived_entry(i, j, orders, l) for j in range(n)] for i in range(n)]
-            block = _eval_entry_matrix(rows, point)
+            block = self._eval_matrix(rows, point, "derivative")
             for arr in _distinct_arrangements(idx):
                 out[arr] = block
         return out
@@ -604,17 +645,14 @@ def builtin_chart(
 
 
 def _interval_param(params: dict, default: tuple[float, float]) -> tuple[float, float]:
-    iv = params.get("interval", default)
-    if len(iv) != 2:
-        raise ValueError(f"interval must be a pair, got {iv}")
-    return (float(iv[0]), float(iv[1]))
+    return _check_interval(params.get("interval", default))
 
 
 def _domain_param(params: dict, n: int) -> list[tuple[float, float]]:
     dom = params.get("domain", [(-1.0, 1.0)] * n)
     if len(dom) != n:
         raise ValueError(f"domain must have {n} sides, got {len(dom)}")
-    return [(float(lo), float(hi)) for lo, hi in dom]
+    return _check_box(dom)
 
 
 def _known_params(params: dict, allowed: set[str]):
@@ -755,15 +793,13 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
     unknown = set(doc) - _CHART_KEYS
     if unknown:
         raise ValueError(f"unknown chart field(s): {', '.join(sorted(unknown))}")
+    n = None if doc.get("n") is None else _as_int(doc["n"], "chart n")
     if doc.get("builtin") is not None and "entries" not in doc:
-        return builtin_chart(
-            doc["builtin"], n=doc.get("n"), params=doc.get("params"), grid=grid
-        )
+        return builtin_chart(doc["builtin"], n=n, params=doc.get("params"), grid=grid)
     for key in ("n", "domain", "interval", "entries"):
         if key not in doc:
             raise ValueError(f"chart document is missing '{key}'")
     kind = doc.get("kind", "gcs")
-    n = int(doc["n"])
     coeff_dim = n if kind == "gcs" else n - 1
     nv = coeff_dim + 1
     upper: dict[tuple[int, int], RationalField] = {}
@@ -771,7 +807,7 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
         extra = set(item) - {"i", "j", "num", "den"}
         if extra:
             raise ValueError(f"unknown entry field(s): {', '.join(sorted(extra))}")
-        i, j = int(item["i"]), int(item["j"])
+        i, j = _as_int(item["i"], "entry index i"), _as_int(item["j"], "entry index j")
         if not (0 <= i < coeff_dim and 0 <= j < coeff_dim):
             raise ValueError(f"entry index ({i}, {j}) out of range for dimension {coeff_dim}")
         num = Poly.from_terms(nv, [(c, e) for c, e in item["num"]])
@@ -780,7 +816,10 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
         key = (min(i, j), max(i, j))
         if key in upper:
             raise ValueError(f"duplicate entry for ({i}, {j})")
-        upper[key] = RationalField(num, den)
+        try:
+            upper[key] = RationalField(num, den)
+        except ZeroDivisionError as exc:  # a denominator that is identically zero
+            raise ValueError(f"entry ({i}, {j}): {exc}") from exc
     if kind not in ("gcs", "lightlike"):
         raise ValueError(f"unknown chart kind '{kind}'")
     entries = _entries_matrix(coeff_dim, upper, nv)

@@ -196,9 +196,9 @@ def form_signature(matrix, tol: float = SPECTRAL_TOL) -> tuple[int, int, int]:
 class BilinForm:
     """Symmetric bilinear form on R^n with spectral metadata.
 
-    Storage enforces exact symmetry; ``signature`` is the (p, q, z) count of
-    positive/negative/zero eigenvalues at the form's tolerance and
-    ``rank = p + q``.
+    Storage enforces exact symmetry and finite entries; ``signature`` is the
+    (p, q, z) count of positive/negative/zero eigenvalues at the form's
+    tolerance and ``rank = p + q``.
     """
 
     matrix: np.ndarray
@@ -210,7 +210,12 @@ class BilinForm:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        self.matrix = (m + m.T) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.matrix = (m + m.T) / 2.0
+        if not np.isfinite(self.matrix).all():
+            if not np.isfinite(m).all():
+                raise ValueError("form has a non-finite entry")
+            raise ValueError("form's symmetrization (m + m^T) / 2 overflows")
         self.matrix.setflags(write=False)
         self.signature = form_signature(self.matrix, self.tol)
         self.rank = self.signature[0] + self.signature[1]

@@ -8,6 +8,7 @@ conversion.  No finite differencing ever enters a rank decision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,13 +16,34 @@ from fractions import Fraction
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):  # bool subclasses int, but true is no number
+        raise ValueError(f"cannot interpret {value!r} as an exact rational")
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot interpret {value!r} as an exact rational")
         return Fraction(value)  # exact binary expansion
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError as exc:  # "1/0"
+            raise ValueError(f"cannot interpret {value!r} as an exact rational") from exc
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _as_int(value, what: str) -> int:
+    """An integer read from a document: an int, an integral float or an
+    integer string; booleans, non-integral and non-finite values are refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    try:
+        out = int(value)
+    except (OverflowError, ValueError, TypeError) as exc:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from exc
+    if isinstance(value, float) and out != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -48,7 +70,7 @@ class Poly:
     def from_terms(nvars: int, terms) -> "Poly":
         acc: dict[tuple[int, ...], Fraction] = {}
         for coef, exps in terms:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(_as_int(e, "exponent") for e in exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong length, expected {nvars}")
             if any(e < 0 for e in exps):

@@ -220,7 +220,7 @@ class TestGeneralizedKernel:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_congruence_invariance(self, rng, n):
         for _ in range(20):
             j = random_nondegenerate_form(rng, n)

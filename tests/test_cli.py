@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -93,6 +94,31 @@ def _main_report(argv, tmp_path):
     return code, out.read_bytes() if code == 0 else None
 
 
+def _flags(command):
+    """The option strings ``command`` accepts, read from the CLI's parser."""
+    sub = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return set(sub.choices[command]._option_string_actions) - {"-h", "--help"}
+
+
+def _json_text(doc):
+    """``doc`` as JSON text, its infinities spelled 1e400 as a user would."""
+    return json.dumps(doc).replace("Infinity", "1e400")
+
+
+def _main_exit(argv):
+    """Exit code and stderr of ``cli.main(argv)``, in process; argparse's
+    usage errors end in SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
 class TestEnvelope:
     """The envelope alone writes the metadata; the parser alone holds defaults."""
 
@@ -115,7 +141,10 @@ class TestEnvelope:
         doc = json.loads(report)
         assert doc["input_hash"] == reportio.input_hash(doc["input"])
         assert doc["tool_version"] == __version__
-        assert doc["tolerances"]["kernel_tol"] == doc["input"]["tol"]
+        if "--tol" in _flags(argv[0]):
+            assert doc["tolerances"]["kernel_tol"] == doc["input"]["tol"]
+        else:
+            assert "tolerances" not in doc and "tol" not in doc["input"]
 
     def test_input_hash_follows_grid(self, tmp_path):
         argv = ["certify", "--builtin", "conformal_flat", "--n", "3", "--r", "1"]
@@ -129,18 +158,19 @@ class TestEnvelope:
         "argv, explicit, digest",
         [
             (["braid", "--n", "3"], ["--J", "identity", "--Jp", "identity"],
-             "578f08a069fe99eaabde46fbe4d204c44625174bed1067d5ebf586ae53bc6050"),
+             "3ca974f190f946297c4ad7084157e94d149d289bc38f241bca3367cbfc9f1359"),
             (["braid", "--n", "4", "--variant", "classical"], ["--J", "identity"],
-             "7b53b1f7cc6d02721e605df8372fbda9a8dfd3b4884c2a54dc745653066860be"),
+             "412384a0f4d06944f67839dff48462ea3753376d4f89da0a7aca0c76c6f6da89"),
             (["prolong", "--generators", "[[[1,0],[0,1]],[[0,1],[0,0]]]"], ["--algebra", "custom"],
-             "f41d42a46204bebffb930a7f626e6619c450bbc53d3cb49d1b41b56fb55f2ebc"),
+             "da1abb8de6cc9ebbc9816bf4195cdf0e41166dcd2c788b8e6d5cc3d8dc51f194"),
         ],
     )
     def test_omitted_flags_take_parser_defaults(self, argv, explicit, digest, tmp_path):
         code, omitted = _main_report(argv, tmp_path)
         assert code == 0
         assert _main_report([*argv, *explicit], tmp_path) == (0, omitted)
-        # the bytes these commands wrote when the handlers held the defaults
+        # the bytes these commands wrote when the handlers held the defaults,
+        # less the seed and grid lines of flags they do not take
         assert hashlib.sha256(omitted).hexdigest() == digest
 
 
@@ -270,6 +300,77 @@ class TestExitCodes:
         first = "(-1.0, 2.0)" if exponent == 1100 else "(-1.0, 1.25)"
         assert f"not finite at grid point {first}" in capsys.readouterr().err
 
+    def test_numerical_failure_is_three(self, monkeypatch, capsys):
+        def no_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert cli.main(["braid", "--n", "3"]) == 3
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+    def test_overflowing_form_is_two(self, capsys):
+        assert cli.main(["braid", "--n", "2", "--J", "[[1e308,1e308],[1e308,1e308]]"]) == 2
+        err = capsys.readouterr().err
+        assert "form's symmetrization (m + m^T) / 2 overflows" in err
+        assert "did not converge" not in err
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"epsilon": float("inf")}, "cannot interpret inf as an exact rational"),
+            ({"epsilon": True}, "cannot interpret True as an exact rational"),
+            ({"epsilon": "1e400"}, "entry (1, 1) has a coefficient out of float range"),
+            ({"interval": [0.5, float("inf")]}, "interval end must be finite, got inf"),
+            ({"interval": [True, 2]}, "interval end must be a number, got True"),
+            ({"domain": [[-1, 1], [-1, 1], ["-1", 1]]}, "domain side 2 end must be a number"),
+        ],
+    )
+    def test_invalid_builtin_number_is_two(self, params, message):
+        argv = ["certify", "--builtin", "product_nonrigid", "--n", "3", "--r", "1",
+                "--params", _json_text(params)]
+        code, err = _main_exit(argv)
+        assert code == 2, err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("domain", [[-1, float("inf")]], "domain side 0 end must be finite, got inf"),
+            ("domain", [[False, 1]], "domain side 0 end must be a number, got False"),
+            ("interval", [0.5, float("inf")], "interval end must be finite, got inf"),
+            ("interval", [float("nan"), 2], "interval end must be finite, got nan"),
+            ("coefficient", "1e400", "entry (0, 0) has a coefficient out of float range"),
+            ("coefficient", float("inf"), "cannot interpret inf as an exact rational"),
+            ("coefficient", True, "cannot interpret True as an exact rational"),
+            ("coefficient", "1/0", "cannot interpret '1/0' as an exact rational"),
+            ("exponent", True, "exponent must be an integer, got True"),
+            ("exponent", float("inf"), "exponent must be an integer, got inf"),
+            ("exponent", 0.5, "exponent must be an integer, got 0.5"),
+            ("exponent", 2**70, "a chart exponent is out of the 64-bit integer range"),
+            ("den", "0", "entry (0, 0): denominator polynomial is identically zero"),
+            ("n", True, "chart n must be an integer, got True"),
+        ],
+    )
+    def test_invalid_chart_number_is_two(self, field, value, message, tmp_path):
+        # the metric r on [-1, 1] x [0.5, 2] with one field replaced
+        doc = {"kind": "gcs", "n": 1, "domain": [[-1, 1]], "interval": [0.5, 2],
+               "entries": [{"i": 0, "j": 0, "num": [["1", [0, 1]]]}]}
+        term = doc["entries"][0]["num"][0]
+        if field == "coefficient":
+            term[0] = value
+        elif field == "exponent":
+            term[1][0] = value
+        elif field == "den":
+            doc["entries"][0]["den"] = [[value, [0, 0]]]
+        else:
+            doc[field] = value
+        chart = tmp_path / "chart.json"
+        chart.write_text(_json_text(doc))
+        for command in ("certify", "lightlike"):
+            code, err = _main_exit([command, "--chart", str(chart), "--r", "1", "--point", "0"])
+            assert code == 2, err
+            assert message in err
+
 
 def _matrix_spec(data, label):
     """A --J/--Jp/--R value: a named form, a diag: list or a JSON matrix whose
@@ -315,6 +416,77 @@ def test_fuzzed_braid_and_prolong_argv_exit_zero_or_two(data):
         code = cli.main(argv)
     assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+#: Numbers beyond the float range (JSON spells the infinities 1e400 and
+#: -1e400), a numeric string, a boolean and NaN.
+_BAD_NUMBERS = [float("inf"), float("-inf"), "1e400", True, float("nan")]
+_BAD_TEXT = ["1e400", "-1e400", "nan", "true", "0.25"]
+_FAULTS = ["none", "none", "none", "interval", "domain", "epsilon", "coefficient", "exponent",
+           "point", "r"]
+
+
+def _chart_argv(data, n, fault):
+    """``--builtin`` with ``--params`` or the text of a chart document, and
+    the chart's base dimension; the sites of kind ``fault`` may hold a bad
+    number instead of a plain one."""
+
+    def number(site, plain):
+        if site == fault and data.draw(st.booleans(), label=f"bad {site}"):
+            return data.draw(st.sampled_from(_BAD_NUMBERS), label=site)
+        return plain
+
+    if data.draw(st.booleans(), label="builtin"):
+        names = ["conformal_flat", "product_nonrigid", "linear_hyperbolic", "lightcone"]
+        name = data.draw(st.sampled_from(names), label="name")
+        sides = 3 if name == "linear_hyperbolic" else n
+        params = {
+            "interval": [number("interval", 0.5), number("interval", 1)],
+            "domain": [[number("domain", -0.5), number("domain", 0.5)] for _ in range(sides)],
+        }
+        if name == "product_nonrigid":
+            params["epsilon"] = number("epsilon", 0.5)
+        argv = ["--builtin", name, "--n", str(n + (name == "lightcone")),
+                "--params", _json_text(params)]
+        return argv, None, sides
+    kind = data.draw(st.sampled_from(["gcs", "gcs", "lightlike"]), label="kind")
+    entries = [
+        {"i": i, "j": i,
+         "num": [[number("coefficient", "1/2"), [*(number("exponent", 0) for _ in range(n)),
+                                                 number("exponent", 1)]]]}
+        for i in range(n)
+    ]  # the metric r Id / 2
+    doc = {
+        "kind": kind,
+        "n": n + (kind == "lightlike"),
+        "domain": [[number("domain", -1), number("domain", 1)] for _ in range(n)],
+        "interval": [number("interval", 0.5), number("interval", 2)],
+        "entries": entries,
+    }
+    return [], _json_text(doc), n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_certify_and_lightlike_argv_exit_zero_or_two(data):
+    n = data.draw(st.integers(1, 3), label="n")
+    fault = data.draw(st.sampled_from(_FAULTS), label="fault")
+    command = data.draw(st.sampled_from(["certify", "lightlike"]), label="command")
+    chart_argv, chart_text, base = _chart_argv(data, n, fault)
+    point = ["0"] * base
+    if fault == "point":
+        point[data.draw(st.integers(0, base - 1))] = data.draw(st.sampled_from(_BAD_TEXT))
+    r = data.draw(st.sampled_from(_BAD_TEXT), label="r") if fault == "r" else "0.75"
+    argv = [command, *chart_argv, "--grid", str(data.draw(st.integers(2, 5), label="grid")),
+            "--point=" + ",".join(point), "--r=" + r]
+    with tempfile.TemporaryDirectory() as tmp:
+        if chart_text is not None:
+            chart = Path(tmp) / "chart.json"
+            chart.write_text(chart_text)
+            argv[1:1] = ["--chart", str(chart)]
+        code, err = _main_exit(argv)
+    assert code in (0, 2), (argv, chart_text, err)
+    assert "Traceback" not in err
 
 
 def test_benchmark_tracer_wraps_existing_names(tmp_path):
@@ -520,7 +692,57 @@ class TestGridScans:
         assert scans == [(3, 5, True)]
 
 
+#: The shared flags each command takes; every command also takes --output.
+SHARED_FLAGS = {
+    "certify": {"--tol", "--grid", "--kernel-basis"},
+    "lightlike": {"--tol", "--grid", "--kernel-basis"},
+    "braid": {"--tol", "--kernel-basis"},
+    "prolong": {"--tol", "--seed"},
+    "symspace": set(),
+    "examples": set(),
+}
+
+#: A valid argv of each command.
+RUNS = {
+    "certify": ["certify", "--builtin", "conformal_flat", "--n", "3", "--r", "1"],
+    "lightlike": ["lightlike", "--builtin", "conformal_flat", "--n", "3", "--r", "1"],
+    "braid": ["braid", "--n", "3"],
+    "prolong": ["prolong", "--algebra", "so", "--n", "3"],
+    "symspace": ["symspace", "--curve", CURVE_FILE],
+    "examples": ["examples", "list"],
+}
+
+_FLAG_VALUES = {"--tol": ["0.5"], "--seed": ["5"], "--grid": ["8"], "--kernel-basis": []}
+
+_REMOVED_FLAGS = [
+    (command, flag)
+    for command, flags in SHARED_FLAGS.items()
+    for flag in sorted(set(_FLAG_VALUES) - flags)
+]
+
+
 class TestFlags:
+    def test_each_command_takes_the_flags_it_reads(self):
+        settable = 0
+        for command, shared in SHARED_FLAGS.items():
+            flags = _flags(command)
+            assert flags & set(_FLAG_VALUES) == shared
+            assert "--output" in flags
+            settable += len(flags) + (command == "examples")  # the list positional
+        assert settable == 41
+        assert len(_REMOVED_FLAGS) == 14
+
+    @pytest.mark.parametrize("command, flag", _REMOVED_FLAGS)
+    def test_flag_a_command_does_not_read_is_usage_error(self, command, flag):
+        code, err = _main_exit([*RUNS[command], flag, *_FLAG_VALUES[flag]])
+        assert code == 2
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("name", ["symspace_orbit.json", "examples_list.txt"])
+    def test_env_tolerance_ignored_without_tol(self, name):
+        proc = run_cli(GOLDEN_CASES[name], env_extra={"RIGIDITY_LAB_TOL": "abc"})
+        assert proc.stdout == (GOLDEN_DIR / name).read_bytes()
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "report.json"
         run_cli(
@@ -565,14 +787,16 @@ class TestFlags:
 
     def test_report_embeds_reproduction_metadata(self):
         proc = run_cli(
-            ["certify", "--builtin", "conformal_flat", "--n", "3", "--r", "1",
-             "--seed", "5", "--grid", "4"]
+            ["certify", "--builtin", "conformal_flat", "--n", "3", "--r", "1", "--grid", "4"]
         )
         doc = json.loads(proc.stdout)
-        assert doc["seed"] == 5
         assert doc["grid"] == 4
         assert doc["input_hash"]
         assert doc["input"]["chart"]["n"] == 3
+        proc = run_cli(["prolong", "--algebra", "so", "--n", "3", "--seed", "5"])
+        doc = json.loads(proc.stdout)
+        assert doc["seed"] == 5
+        assert doc["input"]["seed"] == 5
 
 
 class TestCommands:
@@ -640,9 +864,10 @@ class TestCommands:
         # finite_type solves orders 1, 2 and the verifying order 3; the
         # report's dims reuse them
         assert calls == [1, 2, 3]
-        # the bytes written when every order was solved a second time
+        # the bytes written when every order was solved a second time, less
+        # the grid line of a flag prolong does not take
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "9470b3140e7eba5b439178511d3274cd4ff38c0aae6ada80fb8e5e7a0db9fd54"
+        assert digest == "b39c0c143572499542ae9e68d123bc80b449d2b022a4c6eeb4cd3b8b4237c60f"
 
     def test_certify_with_chart_file(self, tmp_path):
         doc = {"builtin": "conformal_flat", "n": 3}
