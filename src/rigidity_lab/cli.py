@@ -37,7 +37,7 @@ from .certifier import (
     lightlike_subrigidity_certificate,
 )
 from .gcs import (
-    BUILTIN_DESCRIPTIONS,
+    BUILTINS,
     LightlikeChart,
     builtin_chart,
     chart_from_doc,
@@ -185,7 +185,7 @@ def _run_certify(args: argparse.Namespace) -> dict:
     else:
         raise ValueError("need --r or --r-samples")
     cert = gcs_certificate(chart, point, rs, tol=args.tol, want_basis=args.kernel_basis)
-    gen = genericity_report(chart, grid=args.grid, tol=args.tol)
+    gen = genericity_report(chart, tol=args.tol)
     payload = certificate_doc(cert, include_basis=args.kernel_basis)
     payload["chart_genericity"] = {
         "nowhere_parameter_constant": gen.nowhere_tr,
@@ -272,13 +272,18 @@ def _run_prolong(args: argparse.Namespace) -> dict:
             for k, g in enumerate(json.loads(args.generators))
         ]
     algebra = builtin_algebra(args.algebra, n=args.n, r_matrix=r_matrix, generators=generators)
+    # unknowns grow with the order, so the highest order bounds them all
+    unknowns = prolongation_unknowns(algebra.n, args.max_order)
+    if unknowns > SIZE_CAP:
+        raise ValueError(
+            f"prolongation order {args.max_order} would have {unknowns} unknowns "
+            f"(cap {SIZE_CAP}); reduce --n or --max-order"
+        )
     result = finite_type(algebra, max_order=args.max_order, tol=args.tol, seed=args.seed)
     # orders that finite_type solved are not solved again
     solved = {} if isinstance(result, InfiniteType) else result.dims
     dims = {}
     for d in range(1, args.max_order + 1):
-        if prolongation_unknowns(algebra.n, d) > SIZE_CAP:
-            break
         if d in solved:
             dims[str(d)] = solved[d]
         else:
@@ -363,10 +368,9 @@ def _run_symspace(args: argparse.Namespace) -> dict:
 
 def _run_examples() -> str:
     lines = ["builtin structures:"]
-    width = max(len(k) for k in BUILTIN_DESCRIPTIONS) + 2
-    for name in sorted(BUILTIN_DESCRIPTIONS):
-        kind, desc = BUILTIN_DESCRIPTIONS[name]
-        lines.append(f"  {name.ljust(width)}{kind.ljust(11)}{desc}")
+    width = max(len(k) for k in BUILTINS) + 2
+    for name, spec in sorted(BUILTINS.items()):
+        lines.append(f"  {name.ljust(width)}{spec.kind.ljust(11)}{spec.description}")
     lines.append("")
     lines.append("builtin algebras:")
     awidth = max(len(k) for k in ALGEBRA_DESCRIPTIONS) + 2

@@ -8,10 +8,12 @@ point.  The r-derivative field decides everything downstream: the structure
 is *nowhere transversally Riemannian* when that derivative never vanishes
 and *generic* when it is nondegenerate.
 
-A lightlike chart is the degenerate companion: a positive semi-definite
-metric on dimension base+1 whose kernel is exactly the last coordinate
-direction.  Lifting a chart to its tautological lightlike metric and
-quotienting back are exact inverse operations on the coefficient data.
+A chart is validated by one scan of its own sample grid, which also
+summarizes the r-derivative field.  A lightlike chart is the degenerate
+companion: a validated chart read in one more dimension, a positive
+semi-definite metric on dimension base+1 whose kernel is exactly the last
+coordinate direction.  Lifting a chart to its tautological lightlike metric
+and quotienting back are exact inverse operations on the coefficient data.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numbers
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -77,15 +80,6 @@ def _axis_samples(lo: float, hi: float, count: int) -> list[Fraction]:
         raise ValueError(f"grid must have at least 2 samples per axis, got {count}")
     step = (hi_f - lo_f) / (count - 1)
     return [lo_f + k * step for k in range(count)]
-
-
-def _entries_matrix(dim: int, upper: dict[tuple[int, int], RationalField], nvars: int):
-    zero = RationalField.const(nvars, 0)
-    mat = [[zero for _ in range(dim)] for _ in range(dim)]
-    for (i, j), f in upper.items():
-        mat[i][j] = f
-        mat[j][i] = f
-    return mat
 
 
 def _eval_entry_matrix(entries, point) -> np.ndarray:
@@ -177,7 +171,6 @@ class GridSummary:
     tolerance turns them into the verdicts of :class:`GenericityReport`.
     """
 
-    grid: int
     worst_min_abs_eig: float
     worst_point: tuple[list[float], float]
     min_norm: float
@@ -186,19 +179,15 @@ class GridSummary:
     min_norm_ratio: float
 
 
-def _grid_axes(chart: "GcsChart", per_axis: int) -> list[np.ndarray]:
-    """Float sample values of each axis, x_1 .. x_n then r; refuses grids
-    above GRID_POINT_CAP before allocating anything."""
-    count = per_axis ** (chart.n + 1)
-    if count > GRID_POINT_CAP:
+def _check_grid_cap(n: int, per_axis: int) -> None:
+    """Refuses a grid above GRID_POINT_CAP points on the n+1 axes x_1 .. x_n, r;
+    called before any coefficient is built."""
+    # from 2 samples per axis, 64 axes are already above the cap
+    if per_axis > 1 and per_axis ** min(n + 1, 64) > GRID_POINT_CAP:
         raise ValueError(
-            f"grid of {per_axis} samples per axis has {count} points over "
-            f"{chart.n + 1} axes, above the cap of {GRID_POINT_CAP}"
+            f"grid of {per_axis}^{n + 1} points over {n + 1} axes is above the cap "
+            f"of {GRID_POINT_CAP}"
         )
-    return [
-        np.array([float(v) for v in _axis_samples(lo, hi, per_axis)])
-        for lo, hi in [*chart.domain, chart.interval]
-    ]
 
 
 def _grid_point(axes, digits, k) -> tuple[list[float], float]:
@@ -209,16 +198,20 @@ def _grid_point(axes, digits, k) -> tuple[list[float], float]:
 
 # an overflow in the scan is refused as a value that is not finite
 @np.errstate(over="ignore", invalid="ignore")
-def _scan_grid(chart: "GcsChart", per_axis: int, check_positive: bool) -> GridSummary:
-    """Evaluate the metric and its r-derivative over the grid, block by block.
+def _scan_grid(chart: "GcsChart") -> GridSummary:
+    """Evaluate the metric and its r-derivative over the chart's grid, block
+    by block.
 
     Points run in lexicographic order, the last axis (r) fastest; the first
     point with a vanishing denominator, a metric or derivative value that
-    is not finite or (with ``check_positive``) a metric that is not
-    positive definite raises ValueError.  Ties in the minima keep the first
-    point.
+    is not finite or a metric that is not positive definite raises
+    ValueError.  Ties in the minima keep the first point.
     """
-    axes = _grid_axes(chart, per_axis)
+    per_axis = chart.grid
+    axes = [
+        np.array([float(v) for v in _axis_samples(lo, hi, per_axis)])
+        for lo, hi in [*chart.domain, chart.interval]
+    ]
     prog = chart._grid_program
     n, na = chart.n, prog.n_metric
     shape = (per_axis,) * (n + 1)
@@ -248,11 +241,10 @@ def _scan_grid(chart: "GcsChart", per_axis: int, check_positive: bool) -> GridSu
         mats = np.zeros((len(vals), 2, n, n))
         mats[:, slot, prog.rows, prog.cols] = vals
         mats[:, slot, prog.cols, prog.rows] = vals
-        bad = vanished | nonfinite
-        if check_positive:
-            eigs = np.linalg.eigvalsh(mats[:, 0])
-            lo, hi = eigs[:, 0], eigs[:, -1]
-            bad = bad | (lo <= SPECTRAL_TOL * np.maximum(np.abs(hi), 1.0)) | (hi <= 0.0)
+        eigs = np.linalg.eigvalsh(mats[:, 0])
+        lo, hi = eigs[:, 0], eigs[:, -1]
+        bad = vanished | nonfinite | (lo <= SPECTRAL_TOL * np.maximum(np.abs(hi), 1.0))
+        bad |= hi <= 0.0
         if bad.any():
             k = int(np.argmax(bad))
             where = tuple(float(axis[d[k]]) for axis, d in zip(axes, digits))
@@ -277,7 +269,6 @@ def _scan_grid(chart: "GcsChart", per_axis: int, check_positive: bool) -> GridSu
         min_eig_ratio = min(min_eig_ratio, float(np.min(min_eig / scale)))
         min_norm_ratio = min(min_norm_ratio, float(np.min(norm / scale)))
     return GridSummary(
-        grid=per_axis,
         worst_min_abs_eig=worst,
         worst_point=worst_point,
         min_norm=min_norm,
@@ -293,10 +284,10 @@ class GcsChart:
 
     ``entries`` is the full symmetric matrix of rational-function
     coefficients in the variables (x_1, ..., x_n, r); construction verifies
-    positive definiteness on a sample grid of the box domain times the
-    parameter interval (a heuristic whose resolution every certificate
-    records).  The same scan summarizes the r-derivative field for
-    :func:`genericity_report`.
+    positive definiteness on ``grid`` samples per axis of the box domain
+    times the parameter interval (a heuristic whose resolution every
+    certificate records).  That one scan also summarizes the r-derivative
+    field for :func:`genericity_report`.
     """
 
     n: int
@@ -310,6 +301,7 @@ class GcsChart:
     _grid_summary: GridSummary = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_grid_cap(self.n, self.grid)
         if self.n < 1:
             raise ValueError(f"chart needs base dimension >= 1, got {self.n}")
         self.domain = _check_box(self.domain)
@@ -330,7 +322,7 @@ class GcsChart:
                     and self.entries[i][j].den == self.entries[j][i].den
                 ):
                     raise ValueError(f"entries are not symmetric at ({i}, {j})")
-        self._grid_summary = _scan_grid(self, self.grid, check_positive=True)
+        self._grid_summary = _scan_grid(self)
 
     @cached_property
     def _grid_program(self) -> _GridProgram:
@@ -413,50 +405,38 @@ class GcsChart:
 class LightlikeChart:
     """Degenerate metric ``sum a_ij(x, t) dx^i dx^j`` on dimension base+1.
 
-    The kernel is exactly the t-direction by construction: the coefficient
-    matrix only pairs base directions.  ``entries`` is the base block, a
-    (n-1) x (n-1) symmetric matrix of rational functions in
-    (x_1, ..., x_{n-1}, t).
+    ``base`` is a validated chart read in one more dimension: its parameter
+    r becomes the coordinate t, and its coefficient matrix, a function of
+    (x_1, ..., x_{n-1}, t), is the base block.  The kernel is exactly the
+    t-direction by construction: the coefficient matrix only pairs base
+    directions.
     """
 
-    n: int  # total dimension, base + 1
-    domain: list[tuple[float, float]]
-    interval: tuple[float, float]
-    entries: list[list[RationalField]]
-    name: str = "custom"
-    params: dict = dc_field(default_factory=dict)
-    grid: int = DEFAULT_GRID
-    #: Validated chart with the same coefficients, box and grid; built here
-    #: unless the caller already holds one (see :func:`lift_to_lightlike`).
-    _base_chart: GcsChart | None = dc_field(default=None, repr=False, compare=False)
+    base: GcsChart
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"lightlike chart needs total dimension >= 2, got {self.n}")
-        # validation and evaluation are shared with the base-dimensional chart
-        if self._base_chart is None:
-            self._base_chart = GcsChart(
-                n=self.n - 1,
-                domain=self.domain,
-                interval=self.interval,
-                entries=self.entries,
-                name=self.name,
-                params=self.params,
-                grid=self.grid,
-            )
-        self.domain = self._base_chart.domain
-        self.interval = self._base_chart.interval
+        if not isinstance(self.base, GcsChart):
+            raise TypeError(f"lightlike chart needs a GcsChart, got {type(self.base).__name__}")
+
+    @property
+    def n(self) -> int:
+        """Total dimension, base + 1."""
+        return self.base.n + 1
 
     @property
     def base_dim(self) -> int:
-        return self.n - 1
+        return self.base.n
+
+    @property
+    def name(self) -> str:
+        return self.base.name
 
     def eval_base_metric(self, x, t) -> BilinForm:
         """The positive-definite restriction to the base directions."""
-        return self._base_chart.eval_metric(x, t)
+        return self.base.eval_metric(x, t)
 
     def eval_base_partials(self, x, t, m: int, l: int) -> np.ndarray:
-        return self._base_chart.eval_partials(x, t, m, l)
+        return self.base.eval_partials(x, t, m, l)
 
     def eval_metric(self, x, t) -> BilinForm:
         """The full degenerate matrix, padded with the zero kernel row/column."""
@@ -487,18 +467,12 @@ class GenericityReport:
 
 
 def genericity_report(
-    chart: GcsChart | LightlikeChart, grid: int | None = None, tol: float = SPECTRAL_TOL
+    chart: GcsChart | LightlikeChart, tol: float = SPECTRAL_TOL
 ) -> GenericityReport:
-    """Sample the r-derivative field over the chart's box and classify it.
-
-    The chart's own grid reuses the summary of its construction scan; any
-    other grid is scanned afresh (denominators checked, positivity not).
-    """
-    base = chart._base_chart if isinstance(chart, LightlikeChart) else chart
-    if grid is None or grid == base.grid:
-        summary = base._grid_summary
-    else:
-        summary = _scan_grid(base, grid, check_positive=False)
+    """Classify the r-derivative field over the chart's box from the summary
+    of the chart's construction scan, on its own grid."""
+    base = chart.base if isinstance(chart, LightlikeChart) else chart
+    summary = base._grid_summary
     return GenericityReport(
         nowhere_tr=summary.min_norm_ratio > tol,
         generic=summary.min_eig_ratio > tol,
@@ -506,7 +480,7 @@ def genericity_report(
         worst_point=(list(summary.worst_point[0]), summary.worst_point[1]),
         min_norm=summary.min_norm,
         min_norm_point=(list(summary.min_norm_point[0]), summary.min_norm_point[1]),
-        grid=summary.grid,
+        grid=base.grid,
         tol=tol,
     )
 
@@ -514,36 +488,25 @@ def genericity_report(
 def lift_to_lightlike(chart: GcsChart) -> LightlikeChart:
     """Tautological lightlike metric of a chart: same coefficients, one more
     dimension, with the parameter promoted to the kernel coordinate."""
-    return LightlikeChart(
-        n=chart.n + 1,
-        domain=list(chart.domain),
-        interval=chart.interval,
-        entries=chart.entries,
-        name=chart.name,
-        params=dict(chart.params),
-        grid=chart.grid,
-        _base_chart=chart,
-    )
+    return LightlikeChart(chart)
 
 
 def quotient_to_gcs(lc: LightlikeChart) -> GcsChart:
     """Read the kernel coordinate of a lightlike chart as a curve parameter.
 
     Exact inverse of :func:`lift_to_lightlike` on the coefficient data: the
-    result is the chart the lightlike chart was validated with, so its grid
-    is not scanned again.  Refuses charts whose coefficients do not depend
-    on t at all: those are transversally Riemannian and the projected family
+    result is the lightlike chart's validated base chart, so its grid is
+    not scanned again.  Refuses charts whose coefficients do not depend on
+    t at all: those are transversally Riemannian and the projected family
     of scalar products degenerates to a point.
     """
-    nb = lc.base_dim
-    if all(
-        lc.entries[i][j].diff(nb).is_zero for i in range(nb) for j in range(i, nb)
-    ):
+    nb, entries = lc.base_dim, lc.base.entries
+    if all(entries[i][j].diff(nb).is_zero for i in range(nb) for j in range(i, nb)):
         raise TransversallyRiemannianError(
             "all coefficients are independent of t: the chart is transversally "
             "Riemannian and projects to a single scalar product, not a curve"
         )
-    return lc._base_chart
+    return lc.base
 
 
 def pullback_chart(chart: GcsChart, m, domain: list | None = None) -> GcsChart:
@@ -595,91 +558,15 @@ def pullback_chart(chart: GcsChart, m, domain: list | None = None) -> GcsChart:
 
 # -- builtin catalog ------------------------------------------------------
 
-BUILTIN_DESCRIPTIONS = {
-    "conformal_flat": (
-        "gcs",
-        "ray of flat metrics a = r * Id; parameter derivative is the identity, "
-        "so the structure is generic in every dimension",
-    ),
-    "product_nonrigid": (
-        "gcs",
-        "a = diag(r, 1+eps*r, ..., 1+eps*r); at eps = 0 the parameter only "
-        "scales the first axis, the derivative has rank one and rigidity fails",
-    ),
-    "linear_hyperbolic": (
-        "gcs",
-        "metrics transported by the linear hyperbolic flow diag(e^s, e^-s) on a "
-        "2-plane plus a flow direction weighted by an increasing positive f; "
-        "a = diag(1/(1+r), 1+r, 1+f(r)), generic whenever f' > 0",
-    ),
-    "lightcone": (
-        "lightlike",
-        "cone of the quadratic form -x_1^2 + x_2^2 + ... in one dimension up, in "
-        "stereographic coordinates: b = 4 t^2 / (1+|x|^2)^2 * Id on the base, "
-        "degenerate along the ray direction t",
-    ),
-}
 
-
-def builtin_chart(
-    name: str, n: int | None = None, params: dict | None = None, grid: int = DEFAULT_GRID
-):
-    """Construct a chart from the builtin catalog, validated on ``grid``
-    samples per axis.
-
-    Unknown names and invalid parameters raise ValueError; each chart
-    satisfies the genericity profile stated in its catalog description.
-    """
-    params = dict(params or {})
-    if name == "conformal_flat":
-        return _conformal_flat(n if n is not None else 3, params, grid)
-    if name == "product_nonrigid":
-        return _product_nonrigid(n if n is not None else 3, params, grid)
-    if name == "linear_hyperbolic":
-        return _linear_hyperbolic(params, grid)
-    if name == "lightcone":
-        return _lightcone(n if n is not None else 4, params, grid)
-    raise ValueError(
-        f"unknown builtin '{name}'; available: {', '.join(sorted(BUILTIN_DESCRIPTIONS))}"
-    )
-
-
-def _interval_param(params: dict, default: tuple[float, float]) -> tuple[float, float]:
-    return _check_interval(params.get("interval", default))
-
-
-def _domain_param(params: dict, n: int) -> list[tuple[float, float]]:
-    dom = params.get("domain", [(-1.0, 1.0)] * n)
-    if len(dom) != n:
-        raise ValueError(f"domain must have {n} sides, got {len(dom)}")
-    return _check_box(dom)
-
-
-def _known_params(params: dict, allowed: set[str]):
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
-
-
-def _conformal_flat(n: int, params: dict, grid: int) -> GcsChart:
-    _known_params(params, {"interval", "domain"})
+def _conformal_flat(n: int, params: dict, interval) -> list[list[RationalField]]:
     nv = n + 1
     r = RationalField.from_poly(Poly.var(nv, n))
     zero = RationalField.const(nv, 0)
-    entries = [[r if i == j else zero for j in range(n)] for i in range(n)]
-    return GcsChart(
-        n=n,
-        domain=_domain_param(params, n),
-        interval=_interval_param(params, (0.5, 2.0)),
-        entries=entries,
-        name="conformal_flat",
-        params=params,
-        grid=grid,
-    )
+    return [[r if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def _product_nonrigid(n: int, params: dict, grid: int) -> GcsChart:
-    _known_params(params, {"interval", "domain", "epsilon"})
+def _product_nonrigid(n: int, params: dict, interval) -> list[list[RationalField]]:
     eps = _as_fraction(params.get("epsilon", 0))
     if eps < 0:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
@@ -688,26 +575,14 @@ def _product_nonrigid(n: int, params: dict, grid: int) -> GcsChart:
     one = RationalField.const(nv, 1)
     zero = RationalField.const(nv, 0)
     off_diag = one + r.scale(eps) if eps != 0 else one
-    entries = [
+    return [
         [(r if i == 0 else off_diag) if i == j else zero for j in range(n)]
         for i in range(n)
     ]
-    return GcsChart(
-        n=n,
-        domain=_domain_param(params, n),
-        interval=_interval_param(params, (0.5, 2.0)),
-        entries=entries,
-        name="product_nonrigid",
-        params=params,
-        grid=grid,
-    )
 
 
-def _linear_hyperbolic(params: dict, grid: int) -> GcsChart:
-    _known_params(params, {"interval", "domain", "f_coeffs", "shift"})
-    n = 3
+def _linear_hyperbolic(n: int, params: dict, interval) -> list[list[RationalField]]:
     nv = n + 1
-    interval = _interval_param(params, (0.0, 1.0))
     shift = _as_fraction(params.get("shift", 1))
     coeffs = [_as_fraction(c) for c in params.get("f_coeffs", [1, 0, 1])]
     # f is supplied in a shifted variable: f_used(r) = f(r + shift), the
@@ -736,22 +611,10 @@ def _linear_hyperbolic(params: dict, grid: int) -> GcsChart:
     entries[0][0] = RationalField(one, one_plus_r)
     entries[1][1] = RationalField.from_poly(one_plus_r)
     entries[2][2] = RationalField.from_poly(one + f_used)
-    return GcsChart(
-        n=n,
-        domain=_domain_param(params, n),
-        interval=interval,
-        entries=entries,
-        name="linear_hyperbolic",
-        params=params,
-        grid=grid,
-    )
+    return entries
 
 
-def _lightcone(n: int, params: dict, grid: int) -> LightlikeChart:
-    _known_params(params, {"interval", "domain"})
-    if n < 2:
-        raise ValueError(f"lightcone needs total dimension >= 2, got {n}")
-    nb = n - 1
+def _lightcone(nb: int, params: dict, interval) -> list[list[RationalField]]:
     nv = nb + 1
     # base block 4 t^2 / (1 + |x|^2)^2 * Id in stereographic coordinates
     t = Poly.var(nv, nb)
@@ -763,16 +626,91 @@ def _lightcone(n: int, params: dict, grid: int) -> LightlikeChart:
     num = (t * t).scale(4)
     diag = RationalField(num, den)
     zero = RationalField.const(nv, 0)
-    entries = [[diag if i == j else zero for j in range(nb)] for i in range(nb)]
-    return LightlikeChart(
-        n=n,
-        domain=params.get("domain", [(-0.5, 0.5)] * nb),
-        interval=_interval_param(params, (0.5, 2.0)),
-        entries=entries,
-        name="lightcone",
+    return [[diag if i == j else zero for j in range(nb)] for i in range(nb)]
+
+
+@dataclass(frozen=True)
+class _Builtin:
+    """A catalog entry: ``build(coefficient dimension, params, interval)``
+    returns the coefficient matrix, ``params`` names the parameters read
+    besides ``interval`` and ``domain``, ``n`` is the default dimension (the
+    only one when ``fixed_n``) and ``box`` the default side of the domain."""
+
+    kind: str
+    description: str
+    build: Callable[[int, dict, tuple[float, float]], list]
+    params: tuple[str, ...]
+    n: int
+    box: tuple[float, float]
+    interval: tuple[float, float]
+    fixed_n: bool = False
+
+
+BUILTINS = {
+    "conformal_flat": _Builtin(
+        "gcs",
+        "ray of flat metrics a = r * Id; parameter derivative is the identity, "
+        "so the structure is generic in every dimension",
+        _conformal_flat, (), 3, (-1.0, 1.0), (0.5, 2.0),
+    ),
+    "product_nonrigid": _Builtin(
+        "gcs",
+        "a = diag(r, 1+eps*r, ..., 1+eps*r); at eps = 0 the parameter only "
+        "scales the first axis, the derivative has rank one and rigidity fails",
+        _product_nonrigid, ("epsilon",), 3, (-1.0, 1.0), (0.5, 2.0),
+    ),
+    "linear_hyperbolic": _Builtin(
+        "gcs",
+        "metrics transported by the linear hyperbolic flow diag(e^s, e^-s) on a "
+        "2-plane plus a flow direction weighted by an increasing positive f; "
+        "a = diag(1/(1+r), 1+r, 1+f(r)), generic whenever f' > 0",
+        _linear_hyperbolic, ("f_coeffs", "shift"), 3, (-1.0, 1.0), (0.0, 1.0),
+        fixed_n=True,
+    ),
+    "lightcone": _Builtin(
+        "lightlike",
+        "cone of the quadratic form -x_1^2 + x_2^2 + ... in one dimension up, in "
+        "stereographic coordinates: b = 4 t^2 / (1+|x|^2)^2 * Id on the base, "
+        "degenerate along the ray direction t",
+        _lightcone, (), 4, (-0.5, 0.5), (0.5, 2.0),
+    ),
+}
+
+def builtin_chart(
+    name: str, n: int | None = None, params: dict | None = None, grid: int = DEFAULT_GRID
+):
+    """Construct a chart from the builtin catalog, validated on ``grid``
+    samples per axis; each chart satisfies the genericity profile stated in
+    its catalog description.  Invalid input raises ValueError: an unknown
+    name, a dimension the builtin lacks or a grid above the cap before any
+    coefficient is built."""
+    spec = BUILTINS.get(name)
+    if spec is None:
+        raise ValueError(
+            f"unknown builtin '{name}'; available: {', '.join(sorted(BUILTINS))}"
+        )
+    n = spec.n if n is None else n
+    if spec.fixed_n and n != spec.n:
+        raise ValueError(f"builtin '{name}' has dimension {spec.n} only, got n = {n}")
+    coeff_n = n - 1 if spec.kind == "lightlike" else n
+    if coeff_n < 1:
+        raise ValueError(f"builtin '{name}' needs n >= {n - coeff_n + 1}, got {n}")
+    _check_grid_cap(coeff_n, grid)
+    params = dict(params or {})
+    unknown = set(params) - {"interval", "domain", *spec.params}
+    if unknown:
+        raise ValueError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
+    interval = _check_interval(params.get("interval", spec.interval))
+    chart = GcsChart(
+        n=coeff_n,
+        domain=params.get("domain", [spec.box] * coeff_n),
+        interval=interval,
+        entries=spec.build(coeff_n, params, interval),
+        name=name,
         params=params,
         grid=grid,
     )
+    return LightlikeChart(chart) if spec.kind == "lightlike" else chart
 
 
 # -- JSON chart schema -----------------------------------------------------
@@ -784,9 +722,11 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
     """Build a chart from its JSON document form, validated on ``grid``
     samples per axis.
 
-    Either a builtin reference ``{"builtin": name, "n": ..., "params": ...}``
-    or an explicit coefficient listing; unknown fields are rejected.
-    Coefficients are decimal or fraction strings, parsed exactly.
+    Either a builtin reference ``{"builtin": name, "n": ..., "params": ...}``,
+    which reads only those three fields, or an explicit coefficient listing;
+    unknown fields are rejected.  Coefficients are decimal or fraction
+    strings, parsed exactly.  A grid above the cap is refused before any
+    coefficient is read.
     """
     if not isinstance(doc, dict):
         raise ValueError("chart document must be a JSON object")
@@ -795,12 +735,18 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
         raise ValueError(f"unknown chart field(s): {', '.join(sorted(unknown))}")
     n = None if doc.get("n") is None else _as_int(doc["n"], "chart n")
     if doc.get("builtin") is not None and "entries" not in doc:
+        ignored = ", ".join(sorted(set(doc) - {"builtin", "n", "params"}))
+        if ignored:
+            raise ValueError(f"a builtin reference reads only builtin, n and params, not {ignored}")
         return builtin_chart(doc["builtin"], n=n, params=doc.get("params"), grid=grid)
     for key in ("n", "domain", "interval", "entries"):
         if key not in doc:
             raise ValueError(f"chart document is missing '{key}'")
     kind = doc.get("kind", "gcs")
-    coeff_dim = n if kind == "gcs" else n - 1
+    if kind not in ("gcs", "lightlike"):
+        raise ValueError(f"unknown chart kind '{kind}'")
+    coeff_dim = n - 1 if kind == "lightlike" else n
+    _check_grid_cap(coeff_dim, grid)
     nv = coeff_dim + 1
     upper: dict[tuple[int, int], RationalField] = {}
     for item in doc["entries"]:
@@ -820,44 +766,37 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
             upper[key] = RationalField(num, den)
         except ZeroDivisionError as exc:  # a denominator that is identically zero
             raise ValueError(f"entry ({i}, {j}): {exc}") from exc
-    if kind not in ("gcs", "lightlike"):
-        raise ValueError(f"unknown chart kind '{kind}'")
-    entries = _entries_matrix(coeff_dim, upper, nv)
-    cls = GcsChart if kind == "gcs" else LightlikeChart
-    return cls(
-        n=n,
+    zero = RationalField.const(nv, 0)
+    chart = GcsChart(
+        n=coeff_dim,
         domain=[tuple(side) for side in doc["domain"]],
         interval=tuple(doc["interval"]),
-        entries=entries,
+        entries=[
+            [upper.get((min(i, j), max(i, j)), zero) for j in range(coeff_dim)]
+            for i in range(coeff_dim)
+        ],
         name=doc.get("builtin") or "custom",
         grid=grid,
     )
+    return LightlikeChart(chart) if kind == "lightlike" else chart
 
 
 def chart_to_doc(chart: GcsChart | LightlikeChart) -> dict:
     """Serialize a chart to its JSON document form (exact coefficients)."""
     kind = "lightlike" if isinstance(chart, LightlikeChart) else "gcs"
-    coeff_dim = chart.base_dim if isinstance(chart, LightlikeChart) else chart.n
-    entries = []
-    for i in range(coeff_dim):
-        for j in range(i, coeff_dim):
-            f = chart.entries[i][j]
-            if f.is_zero:
-                continue
-            entries.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "num": f.num.to_json_terms(),
-                    "den": f.den.to_json_terms(),
-                }
-            )
+    base = chart.base if isinstance(chart, LightlikeChart) else chart
+    entries = [
+        {"i": i, "j": j, "num": f.num.to_json_terms(), "den": f.den.to_json_terms()}
+        for i in range(base.n)
+        for j in range(i, base.n)
+        if not (f := base.entries[i][j]).is_zero
+    ]
     return {
         "kind": kind,
         "n": chart.n,
-        "domain": [[lo, hi] for lo, hi in chart.domain],
-        "interval": [chart.interval[0], chart.interval[1]],
+        "domain": [[lo, hi] for lo, hi in base.domain],
+        "interval": [base.interval[0], base.interval[1]],
         "entries": entries,
-        "builtin": chart.name if chart.name in BUILTIN_DESCRIPTIONS else None,
-        "params": {k: str(v) for k, v in sorted(chart.params.items())},
+        "builtin": chart.name if chart.name in BUILTINS else None,
+        "params": {k: str(v) for k, v in sorted(base.params.items())},
     }

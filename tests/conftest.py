@@ -1,5 +1,12 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# tests that start ``python -m rigidity_lab`` find the package of this checkout
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def random_orthogonal(rng, n):

@@ -18,6 +18,8 @@ from rigidity_lab import __version__, cli, gcs, prolongation, reportio
 TESTS_DIR = Path(__file__).parent
 GOLDEN_DIR = TESTS_DIR / "golden"
 CURVE_FILE = str(TESTS_DIR / "data" / "rotation_orbit.json")
+RATIONAL_CHART_FILE = str(TESTS_DIR / "data" / "chart_rational.json")
+LIGHTLIKE_CHART_FILE = str(TESTS_DIR / "data" / "chart_lightlike.json")
 
 GOLDEN_CASES = {
     "certify_conformal_flat.json": [
@@ -27,6 +29,10 @@ GOLDEN_CASES = {
     "certify_product_nonrigid_samples.json": [
         "certify", "--builtin", "product_nonrigid", "--n", "3",
         "--point", "0,0,0", "--r-samples", "0.5,1,2",
+    ],
+    "certify_chart_rational.json": [
+        "certify", "--chart", RATIONAL_CHART_FILE,
+        "--point", "0.1,-0.2,0.25", "--r-samples", "0.75,1.5",
     ],
     "braid_degenerate.json": [
         "braid", "--n", "3", "--J", "identity", "--Jp", "diag:1,0,0",
@@ -38,6 +44,9 @@ GOLDEN_CASES = {
     "lightlike_product_nonrigid.json": [
         "lightlike", "--builtin", "product_nonrigid", "--n", "3",
         "--point", "0,0,0", "--r", "1",
+    ],
+    "lightlike_chart_document.json": [
+        "lightlike", "--chart", LIGHTLIKE_CHART_FILE, "--point", "0.1,0.2,-0.3", "--r", "1.25",
     ],
     "symspace_orbit.json": ["symspace", "--curve", CURVE_FILE, "--resample", "33"],
     "examples_list.txt": ["examples", "list"],
@@ -284,7 +293,62 @@ class TestExitCodes:
              "--r", "1"]
         )
         assert code == 2
-        assert "1280000000 points" in capsys.readouterr().err
+        assert "20^7 points" in capsys.readouterr().err
+
+    def test_grid_cap_is_two_before_any_coefficient(self, monkeypatch, tmp_path, capsys):
+        def no_poly(*args, **kwargs):
+            raise AssertionError("a coefficient was built")
+
+        n = 4000
+        doc = {
+            "kind": "gcs", "n": n, "domain": [[-1, 1]] * n, "interval": [0.5, 2],
+            "entries": [{"i": 0, "j": 0, "num": [["1", [0] * n + [1]]]}],
+        }
+        chart = tmp_path / "chart.json"
+        chart.write_text(json.dumps(doc))
+        monkeypatch.setattr(gcs.Poly, "var", no_poly)
+        monkeypatch.setattr(gcs.Poly, "from_terms", no_poly)
+        message = "grid of 5^4001 points over 4001 axes is above the cap of 10000000"
+        for source in (["--builtin", "conformal_flat", "--n", str(n)], ["--chart", str(chart)]):
+            assert cli.main(["certify", *source, "--r", "1"]) == 2
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, n, message",
+        [
+            ("linear_hyperbolic", 5, "builtin 'linear_hyperbolic' has dimension 3 only, got n = 5"),
+            ("lightcone", 1, "builtin 'lightcone' needs n >= 2, got 1"),
+            ("conformal_flat", 0, "builtin 'conformal_flat' needs n >= 1, got 0"),
+        ],
+    )
+    def test_dimension_a_builtin_lacks_is_two(self, name, n, message, capsys):
+        assert cli.main(["certify", "--builtin", name, "--n", str(n), "--r", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_builtin_reference_field_it_ignores_is_two(self, tmp_path, capsys):
+        doc = {
+            "builtin": "conformal_flat", "n": 3, "domain": [[0.5, 0.9]] * 3,
+            "interval": [1, 3], "kind": "lightlike",
+        }
+        chart = tmp_path / "chart.json"
+        chart.write_text(json.dumps(doc))
+        assert cli.main(["certify", "--chart", str(chart), "--r", "1"]) == 2
+        assert "reads only builtin, n and params, not domain, interval, kind" in (
+            capsys.readouterr().err
+        )
+
+    def test_prolong_order_above_size_cap_is_two_before_solving(self, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an order above the size cap was solved")
+
+        monkeypatch.setattr(cli, "finite_type", no_solve)
+        monkeypatch.setattr(cli, "prolongation_space", no_solve)
+        assert cli.main(["prolong", "--algebra", "so", "--n", "13"]) == 2
+        assert "order 3 would have 23660 unknowns (cap 20000)" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "SIZE_CAP", 20)
+        monkeypatch.setattr(prolongation, "SIZE_CAP", 20)
+        assert cli.main(["prolong", "--algebra", "so", "--n", "3"]) == 2
+        assert "order 3 would have 45 unknowns (cap 20)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("exponent", [1100, 3000000])
     def test_non_finite_grid_value_is_two(self, exponent, tmp_path, capsys):
@@ -665,9 +729,9 @@ class TestGridScans:
         calls = []
         original = gcs._scan_grid
 
-        def counted(chart, per_axis, check_positive):
-            calls.append((chart.n, per_axis, check_positive))
-            return original(chart, per_axis, check_positive)
+        def counted(chart):
+            calls.append((chart.n, chart.grid))
+            return original(chart)
 
         monkeypatch.setattr(gcs, "_scan_grid", counted)
         return calls
@@ -679,7 +743,7 @@ class TestGridScans:
              "--r", "1", "--output", str(out)]
         )
         assert code == 0
-        assert scans == [(3, 4, True)]
+        assert scans == [(3, 4)]
         assert json.loads(out.read_text())["chart_genericity"]["grid"] == 4
 
     def test_lightlike_lift_reuses_chart_scan(self, scans, tmp_path):
@@ -689,7 +753,7 @@ class TestGridScans:
              "--output", str(out)]
         )
         assert code == 0
-        assert scans == [(3, 5, True)]
+        assert scans == [(3, 5)]
 
 
 #: The shared flags each command takes; every command also takes --output.

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -216,7 +217,7 @@ class TestLiftQuotient:
             raise AssertionError("grid scanned again")
 
         monkeypatch.setattr(gcs, "_scan_grid", no_scan)
-        assert quotient_to_gcs(lc) is lc._base_chart
+        assert quotient_to_gcs(lc) is lc.base
 
     def test_t_independent_chart_refused(self):
         nv = 3  # two base coordinates + t
@@ -224,7 +225,7 @@ class TestLiftQuotient:
         zero = RationalField.const(nv, 0)
         entries = [[one, zero], [zero, one]]
         lc = LightlikeChart(
-            n=3, domain=[(-1.0, 1.0)] * 2, interval=(0.5, 2.0), entries=entries
+            GcsChart(n=2, domain=[(-1.0, 1.0)] * 2, interval=(0.5, 2.0), entries=entries)
         )
         with pytest.raises(TransversallyRiemannianError):
             quotient_to_gcs(lc)
@@ -490,12 +491,14 @@ class TestGridScanOracle:
     @pytest.mark.parametrize("other_grid", [False, True])
     def test_matches_exact_scan(self, case, other_grid):
         chart = _oracle_cases()[case]()
-        base = chart._base_chart if isinstance(chart, LightlikeChart) else chart
+        base = chart.base if isinstance(chart, LightlikeChart) else chart
         per_axis = base.grid + 1 if other_grid else base.grid
         if other_grid and case == "dense_n4":
             per_axis = 3
+        if other_grid:
+            chart = dataclasses.replace(base, grid=per_axis)
         exact = _exact_genericity(base, per_axis)
-        report = genericity_report(chart, grid=per_axis)
+        report = genericity_report(chart)
         assert report.grid == per_axis
         assert report.nowhere_tr == exact["nowhere_tr"]
         assert report.generic == exact["generic"]
@@ -547,9 +550,9 @@ class TestGridScanReuse:
             raise AssertionError("grid scanned again")
 
         monkeypatch.setattr(gcs, "_scan_grid", no_scan)
-        assert genericity_report(chart) == genericity_report(chart, grid=chart.grid)
+        assert genericity_report(chart).grid == chart.grid
         lc = lift_to_lightlike(chart)
-        assert lc._base_chart is chart
+        assert lc.base is chart
         assert not genericity_report(lc).generic
 
     def test_other_grid_scans_without_positivity(self):
@@ -559,9 +562,6 @@ class TestGridScanReuse:
         args = (1, square, [(-1.0, 1.0)], (0.5, 2.0))
         chart = _diag_chart(*args, grid=4)
         assert genericity_report(chart).generic
-        report = genericity_report(chart, grid=5)
-        assert report.grid == 5 and not report.generic
-        assert report.worst_point == ([-1.0], 1.25)
         with pytest.raises(ValueError, match="positive definite"):
             _diag_chart(*args, grid=5)
 
@@ -570,5 +570,5 @@ class TestGridScanReuse:
             raise AssertionError("oversized grid was scanned")
 
         monkeypatch.setattr(gcs, "_compile_grid_program", no_scan)
-        with pytest.raises(ValueError, match="1280000000 points"):
+        with pytest.raises(ValueError, match=r"20\^7 points"):
             builtin_chart("conformal_flat", 6, grid=20)
