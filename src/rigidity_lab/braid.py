@@ -22,6 +22,16 @@ value decomposition, and every block's rank is cut with one relative
 tolerance against the largest singular value of the whole system.  Every
 rank decision is reported together with the merged spectrum and the gap
 ratio that justifies it.
+
+A congruence ``P^T(.)P`` of the forms, complex ones included, leaves the
+kernel dimension and both projection dimensions unchanged, since rank does
+not change over C.  A pair that is not already diagonal is therefore first
+solved in its normal form: ``(I, diag lambda)`` for the generalized system
+(complex rows when the pencil has complex eigenvalues) and ``diag(sign e)``
+for the classical one, both of which split into many small blocks.  That
+answer is kept only when it is ``rigid`` and the congruence is well
+conditioned; every other case, and every kernel basis, comes from the
+system of the forms as given.
 """
 
 from __future__ import annotations
@@ -44,6 +54,12 @@ from .multilinear import (
 #: ratio at the rank cut falls below this factor.
 GAP_VERDICT_THRESHOLD = 1e3
 
+#: A pencil normal form decides a verdict only when its congruence P has
+#: condition number at most this, and P^T J P, P^T Jp P match the normal
+#: form to this relative residual; otherwise the forms are solved as given.
+PENCIL_CONDITION_CAP = 1e3
+PENCIL_RESIDUAL_CAP = 1e-9
+
 
 @dataclass
 class LinearSystem:
@@ -51,7 +67,8 @@ class LinearSystem:
 
     ``unknown_labels[j]`` names column j as a tuple
     ``(tensor_name, sym_index, output_axis_or_None)``; ``rows`` holds one
-    dense row per scalar constraint.  The right-hand side is identically
+    dense row per scalar constraint, real, or complex for the system of a
+    complex congruence normal form.  The right-hand side is identically
     zero.  ``blocks`` maps the names of contiguous unknown blocks to their
     column slices when the assembler knows them (see :func:`_packed_rows`);
     with two or more of them :func:`solve_kernel` reports the kernel's
@@ -63,7 +80,8 @@ class LinearSystem:
     blocks: dict[str, slice] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=float)
+        rows = np.asarray(self.rows)
+        self.rows = rows if np.iscomplexobj(rows) else rows.astype(float, copy=False)
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.unknown_labels):
             raise ValueError(
                 f"row matrix of shape {self.rows.shape} does not match "
@@ -80,7 +98,7 @@ class LinearSystem:
 
     def residual(self, vector: np.ndarray) -> float:
         """Max row residual of a candidate kernel vector."""
-        return float(np.max(np.abs(self.rows @ np.asarray(vector, dtype=float)), initial=0.0))
+        return float(np.max(np.abs(self.rows @ np.asarray(vector)), initial=0.0))
 
     def coefficient_scale(self) -> float:
         return float(np.max(np.abs(self.rows), initial=0.0))
@@ -102,6 +120,12 @@ class KernelReport:
     is below 10^3.  ``kernel_basis`` rows are orthonormal: each block's
     null right singular vectors in its own columns, blocks in the order of
     their first column, and a unit vector for a column no row touches.
+
+    ``pencil`` is set when a congruence normal form of the forms decided
+    the verdict (always ``rigid``): its ``eigenvalues`` as ``[re, im]``
+    pairs, the ``transform_condition`` of the congruence and its relative
+    ``residual``.  The spectrum and gap ratio are then those of the
+    normal-form system.
     """
 
     unknowns: int
@@ -114,6 +138,7 @@ class KernelReport:
     kernel_basis: np.ndarray | None = None
     split: dict[str, int] | None = None
     unknown_labels: list[tuple] = field(default_factory=list)
+    pencil: dict | None = None
 
 
 def solve_kernel(
@@ -164,7 +189,7 @@ def solve_kernel(
                 if vt is None and null.any():
                     _, vt = _block_svd(rows, comps, ids[null], cols[null], True)
                     solved[k] = (ids[null], cols[null], block_svals[null], vt)
-        basis = _kernel_basis(solved, comps.col_count.size, ncols, cut)
+        basis = _kernel_basis(solved, comps.col_count.size, ncols, cut, rows.dtype)
 
     split = None
     if want_split:
@@ -279,16 +304,16 @@ def _block_svd(
     return svals, vt
 
 
-def _kernel_basis(solved: list, count: int, ncols: int, cut: float) -> np.ndarray:
-    """Orthonormal kernel rows: each component's V^T rows below ``cut``,
-    embedded in its columns, components in order."""
+def _kernel_basis(solved: list, count: int, ncols: int, cut: float, dtype) -> np.ndarray:
+    """Orthonormal kernel rows of ``dtype``: each component's V^T rows below
+    ``cut``, embedded in its columns, components in order."""
     kept = np.zeros(count, dtype=np.intp)
     nulls = np.zeros(count, dtype=np.intp)
     for ids, cols, svals, _ in solved:
         kept[ids] = np.sum(svals >= cut, axis=1)
         nulls[ids] = cols.shape[1] - kept[ids]
     offset = np.cumsum(nulls) - nulls
-    basis = np.zeros((int(nulls.sum()), ncols))
+    basis = np.zeros((int(nulls.sum()), ncols), dtype=dtype)
     for ids, cols, _, vt in solved:
         # a sorted set, not np.unique: np.unique without return_index
         # imports numpy.ma (about 19 ms) on its first call in a process
@@ -343,8 +368,10 @@ def classical_braid_kernel(
             f"form is degenerate: {form.zero_count} zero eigenvalue(s) "
             f"(signature {form.signature})"
         )
-    system = classical_braid_system(form)
-    return solve_kernel(system, tol=tol, want_basis=want_basis)
+    report = _normal_form_kernel(form, None, tol, want_basis)
+    if report is None:
+        report = solve_kernel(classical_braid_system(form), tol=tol, want_basis=want_basis)
+    return report
 
 
 def classical_braid_system(j: BilinForm) -> LinearSystem:
@@ -428,9 +455,93 @@ def generalized_braid_kernel(
 
     For nondegenerate J and Jp in dimension >= 3 the kernel is {0}.  The
     report splits the kernel dimension into the dimensions of its
-    projections onto the A-block and the K-block.
+    projections onto the A-block and the K-block.  A pair that is not
+    diagonal is first solved in its pencil normal form (see
+    :func:`_pencil_normal_form`), whose answer is kept only when rigid.
     """
-    return solve_kernel(generalized_braid_system(j, jp, n), tol=tol, want_basis=want_basis)
+    jf = _as_form(j, n)
+    jpf = _as_form(jp, jf.n)
+    report = _normal_form_kernel(jf, jpf, tol, want_basis)
+    if report is None:
+        report = solve_kernel(generalized_braid_system(jf, jpf), tol=tol, want_basis=want_basis)
+    return report
+
+
+@dataclass(frozen=True)
+class _PencilForm:
+    """A congruence normal form: ``P^T J P ~ forms[0]`` and, for a pair,
+    ``P^T Jp P ~ forms[1]``, with the evidence a report carries."""
+
+    forms: tuple[np.ndarray, ...]
+    eigenvalues: np.ndarray
+    condition: float
+    residual: float
+
+    def evidence(self) -> dict:
+        return {
+            "eigenvalues": np.column_stack([self.eigenvalues.real, self.eigenvalues.imag]),
+            "transform_condition": self.condition,
+            "residual": self.residual,
+        }
+
+
+def _pencil_normal_form(j: BilinForm, jp: BilinForm | None) -> _PencilForm | None:
+    """The congruence normal form of the pencil (J, Jp), or of J alone.
+
+    For a pair, the eigenvectors V of ``solve(J, Jp)`` are scaled by
+    ``diag(V^T J V)^(-1/2)`` (complex square root), so that ``P^T J P = I``
+    and ``P^T Jp P = diag(lambda)``, the eigenvalues sorted by real, then
+    imaginary part.  For J alone, ``P = Q |e|^(-1/2)`` from ``eigh(J)``
+    gives ``diag(sign e)`` and the eigenvalues e.  None when the forms are
+    already diagonal, J is singular, or P has condition above
+    ``PENCIL_CONDITION_CAP`` or residual above ``PENCIL_RESIDUAL_CAP``
+    (largest entry of ``P^T J P`` and ``P^T Jp P`` less their normal
+    forms, over the largest entry of the normal forms).
+    """
+    pair = (j.matrix,) if jp is None else (j.matrix, jp.matrix)
+    if not j.nondegenerate or all(np.array_equal(f, np.diag(np.diagonal(f))) for f in pair):
+        return None
+    if jp is None:
+        values, q = np.linalg.eigh(j.matrix)
+        p = q / np.sqrt(np.abs(values))
+        forms = (np.diag(np.sign(values)),)
+    else:
+        try:
+            values, v = np.linalg.eig(np.linalg.solve(j.matrix, jp.matrix))
+        except np.linalg.LinAlgError:  # no convergence, or an overflow to inf
+            return None
+        order = np.lexsort((values.imag, values.real))
+        values, v = values[order], v[:, order]
+        with np.errstate(all="ignore"):
+            p = v / np.sqrt(np.einsum("ik,ij,jk->k", v, j.matrix, v).astype(complex))
+        if not np.isfinite(p).all():
+            return None
+        forms = (np.eye(j.n), np.diag(values))
+    scale = max(np.abs(f).max() for f in forms)
+    residual = max(np.abs(p.T @ f @ p - g).max() for f, g in zip(pair, forms)) / scale
+    condition = float(np.linalg.cond(p))
+    if not (residual <= PENCIL_RESIDUAL_CAP and condition <= PENCIL_CONDITION_CAP):
+        return None
+    return _PencilForm(forms, values, condition, float(residual))
+
+
+def _normal_form_kernel(
+    j: BilinForm, jp: BilinForm | None, tol: float, want_basis: bool
+) -> KernelReport | None:
+    """The braid kernel solved in the normal form of (J, Jp), or of J alone
+    (the classical system); None unless that form exists and gives
+    ``rigid``."""
+    pencil = _pencil_normal_form(j, jp)
+    if pencil is None:
+        return None
+    system = _braid_rows(pencil.forms[0], 2 if jp is None else 3, *pencil.forms[1:])
+    report = solve_kernel(system, tol=tol)
+    if report.verdict != "rigid":
+        return None
+    if want_basis:
+        report.kernel_basis = np.zeros((0, report.unknowns))
+    report.pencil = pencil.evidence()
+    return report
 
 
 @lru_cache(maxsize=None)
@@ -470,7 +581,8 @@ def _packed_rows(
     insert = _insert_positions(n, degree)
     tensor_cols = sym_index_count(n, degree) * m
     shift_cols = len(shifts) if coupling is not None else 0
-    rows = np.zeros((len(shifts) * nq, tensor_cols + shift_cols))
+    dtype = np.result_type(tests, float if coupling is None else coupling)
+    rows = np.zeros((len(shifts) * nq, tensor_cols + shift_cols), dtype=dtype)
     r = np.arange(len(rows)).reshape(len(shifts), nq, 1, 1)
     # within one row the columns of the (u, out) terms are distinct, so one
     # fancy assignment writes every coefficient (a fancy add would also
@@ -500,12 +612,13 @@ def _braid_rows(
     through :func:`_packed_rows` with the test matrix of (a, b) holding
     column b of P at column a and column a of P at column b.  The pairing
     P is m x n (rectangular for a degenerate metric padded with zero
-    columns); the optional coupling form C is n x n.
+    columns); the optional coupling form C is n x n.  The rows are complex
+    when P or C is.
     """
     m, n = pairing.shape
     a, b = _sym_index_array(n, 2).T
     q = np.arange(len(a))
-    tests = np.zeros((len(a), m, n))
+    tests = np.zeros((len(a), m, n), dtype=np.result_type(pairing, float))
     tests[q, :, a] += pairing[:, b].T
     tests[q, :, b] += pairing[:, a].T
     return _packed_rows(tests, degree, None if coupling is None else coupling[a, b], names)

@@ -302,6 +302,8 @@ def kernel_report_doc(report: KernelReport, include_basis: bool = False) -> dict
     }
     if report.split is not None:
         doc["projection_dims"] = dict(sorted(report.split.items()))
+    if report.pencil is not None:
+        doc["pencil"] = report.pencil
     if include_basis and report.kernel_basis is not None:
         doc["kernel_basis"] = report.kernel_basis
         doc["unknown_labels"] = report.unknown_labels

@@ -717,6 +717,10 @@ def builtin_chart(
 
 _CHART_KEYS = {"kind", "n", "domain", "interval", "entries", "builtin", "params"}
 
+#: Largest exponent a chart document may use; exact evaluation of a higher
+#: power costs time and memory that grow with the exponent.
+MAX_EXPONENT = 64
+
 
 def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeChart:
     """Build a chart from its JSON document form, validated on ``grid``
@@ -724,9 +728,12 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
 
     Either a builtin reference ``{"builtin": name, "n": ..., "params": ...}``,
     which reads only those three fields, or an explicit coefficient listing;
-    unknown fields are rejected.  Coefficients are decimal or fraction
-    strings, parsed exactly.  A grid above the cap is refused before any
-    coefficient is read.
+    unknown fields are rejected.  An explicit listing that names a builtin
+    (as :func:`chart_to_doc` writes one) is that builtin with its params,
+    and must match it in kind, domain, interval and entries.  Coefficients
+    are decimal or fraction strings, parsed exactly.  A grid above the cap
+    is refused before any coefficient is read, and an exponent above
+    ``MAX_EXPONENT`` before any coefficient is built.
     """
     if not isinstance(doc, dict):
         raise ValueError("chart document must be a JSON object")
@@ -747,15 +754,38 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
         raise ValueError(f"unknown chart kind '{kind}'")
     coeff_dim = n - 1 if kind == "lightlike" else n
     _check_grid_cap(coeff_dim, grid)
-    nv = coeff_dim + 1
-    upper: dict[tuple[int, int], RationalField] = {}
-    for item in doc["entries"]:
+    entries = _doc_entries(doc["entries"], coeff_dim)
+    if doc.get("builtin") is not None:
+        return _named_chart(doc, kind, n, entries, grid)
+    chart = GcsChart(
+        n=coeff_dim,
+        domain=[tuple(side) for side in doc["domain"]],
+        interval=tuple(doc["interval"]),
+        entries=entries,
+        grid=grid,
+    )
+    return LightlikeChart(chart) if kind == "lightlike" else chart
+
+
+def _doc_entries(items, dim: int) -> list[list[RationalField]]:
+    """The full symmetric coefficient matrix of a document's entry list;
+    every exponent is checked against ``MAX_EXPONENT`` first."""
+    nv = dim + 1
+    for item in items:
+        if not isinstance(item, dict):
+            raise ValueError(f"chart entry must be a JSON object, got {item!r}")
         extra = set(item) - {"i", "j", "num", "den"}
         if extra:
             raise ValueError(f"unknown entry field(s): {', '.join(sorted(extra))}")
+        for _, exps in [*item["num"], *(item.get("den") or [])]:
+            for e in exps:
+                if _as_int(e, "exponent") > MAX_EXPONENT:
+                    raise ValueError(f"exponent {e} is above the cap of {MAX_EXPONENT}")
+    upper: dict[tuple[int, int], RationalField] = {}
+    for item in items:
         i, j = _as_int(item["i"], "entry index i"), _as_int(item["j"], "entry index j")
-        if not (0 <= i < coeff_dim and 0 <= j < coeff_dim):
-            raise ValueError(f"entry index ({i}, {j}) out of range for dimension {coeff_dim}")
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"entry index ({i}, {j}) out of range for dimension {dim}")
         num = Poly.from_terms(nv, [(c, e) for c, e in item["num"]])
         den_terms = item.get("den") or [["1", [0] * nv]]
         den = Poly.from_terms(nv, [(c, e) for c, e in den_terms])
@@ -767,18 +797,24 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
         except ZeroDivisionError as exc:  # a denominator that is identically zero
             raise ValueError(f"entry ({i}, {j}): {exc}") from exc
     zero = RationalField.const(nv, 0)
-    chart = GcsChart(
-        n=coeff_dim,
-        domain=[tuple(side) for side in doc["domain"]],
-        interval=tuple(doc["interval"]),
-        entries=[
-            [upper.get((min(i, j), max(i, j)), zero) for j in range(coeff_dim)]
-            for i in range(coeff_dim)
-        ],
-        name=doc.get("builtin") or "custom",
-        grid=grid,
-    )
-    return LightlikeChart(chart) if kind == "lightlike" else chart
+    return [[upper.get((min(i, j), max(i, j)), zero) for j in range(dim)] for i in range(dim)]
+
+
+def _named_chart(doc: dict, kind: str, n: int, entries, grid: int):
+    """The builtin an explicit document names, with the document's params;
+    the document must list exactly that builtin's chart."""
+    name = doc["builtin"]
+    chart = builtin_chart(name, n=n, params=doc.get("params"), grid=grid)
+    base = chart.base if isinstance(chart, LightlikeChart) else chart
+    for what, differs in (
+        ("kind", kind != BUILTINS[name].kind),
+        ("domain", _check_box(doc["domain"]) != base.domain),
+        ("interval", _check_interval(doc["interval"]) != base.interval),
+        ("entries", entries != base.entries),
+    ):
+        if differs:
+            raise ValueError(f"chart document names builtin '{name}' but does not match it in {what}")
+    return chart
 
 
 def chart_to_doc(chart: GcsChart | LightlikeChart) -> dict:
@@ -798,5 +834,14 @@ def chart_to_doc(chart: GcsChart | LightlikeChart) -> dict:
         "interval": [base.interval[0], base.interval[1]],
         "entries": entries,
         "builtin": chart.name if chart.name in BUILTINS else None,
-        "params": {k: str(v) for k, v in sorted(base.params.items())},
+        "params": {k: _param_doc(v) for k, v in sorted(base.params.items())},
     }
+
+
+def _param_doc(value):
+    """A builtin parameter as a document holds it, readable back to the same
+    value: lists item by item, strings and numbers as they are, any other
+    value (an exact ``Fraction``) as its string."""
+    if isinstance(value, (list, tuple)):
+        return [_param_doc(v) for v in value]
+    return value if isinstance(value, (str, int, float)) else str(value)

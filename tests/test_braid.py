@@ -8,9 +8,12 @@ from scipy.linalg import block_diag, subspace_angles
 from rigidity_lab import braid, certifier, prolongation
 from rigidity_lab.braid import (
     GAP_VERDICT_THRESHOLD,
+    PENCIL_CONDITION_CAP,
     LinearSystem,
+    _as_form,
     _braid_rows,
     _gap_ratio,
+    _pencil_normal_form,
     classical_braid_kernel,
     classical_braid_system,
     generalized_braid_kernel,
@@ -23,7 +26,7 @@ from rigidity_lab.certifier import gcs_certificate, lightlike_subrigidity_certif
 from rigidity_lab.gcs import builtin_chart, lift_to_lightlike
 from rigidity_lab.multilinear import SPECTRAL_TOL, BilinForm, SymTensor, enumerate_sym_indices
 from rigidity_lab.prolongation import builtin_algebra, prolongation_space
-from conftest import random_nondegenerate_form, random_well_conditioned
+from conftest import random_nondegenerate_form, random_orthogonal, random_well_conditioned
 
 
 def witness_vector(report, assignments):
@@ -128,7 +131,7 @@ class TestBraidRowsOracle:
     the braid expression evaluated on the unpacked tensors."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("pairing_kind", ["square", "lightlike"])
+    @pytest.mark.parametrize("pairing_kind", ["square", "lightlike", "complex"])
     @pytest.mark.parametrize("coupled", [False, True])
     @pytest.mark.parametrize("degree", [2, 3])
     def test_rows_match_einsum(self, degree, coupled, pairing_kind, n):
@@ -137,6 +140,11 @@ class TestBraidRowsOracle:
             m, nt = n, n
             pairing = _random_symmetric(rng, n)
             coupling = _random_symmetric(rng, n)
+        elif pairing_kind == "complex":
+            # a complex normal form: rows take the complex dtype
+            m, nt = n, n
+            pairing = _random_symmetric(rng, n) + 1j * _random_symmetric(rng, n)
+            coupling = _random_symmetric(rng, n) - 1j * _random_symmetric(rng, n)
         else:
             # a degenerate metric on R^(n+1): values in the n-dimensional
             # base, zero pairing and coupling along the last axis
@@ -146,6 +154,7 @@ class TestBraidRowsOracle:
             coupling = np.zeros((nt, nt))
             coupling[:n, :n] = _random_symmetric(rng, n)
         system = _braid_rows(pairing, degree, coupling if coupled else None)
+        assert system.rows.dtype == (complex if pairing_kind == "complex" else float)
 
         tensor_size = m * math.comb(nt + degree - 1, degree)
         shift_size = math.comb(nt + degree - 2, degree - 1)
@@ -553,3 +562,112 @@ class TestBlockSolveProperties:
             [system.unknown_labels[k] for k in col_perm], system.rows[row_perm][:, col_perm]
         )
         self.assert_same(solve_kernel(system), solve_kernel(moved))
+
+
+def _pencil_pairs(n):
+    """A definite pair and an indefinite pair with complex pencil
+    eigenvalues, both dense, from a seed fixed by n."""
+    rng = np.random.default_rng((n, 13))
+    definite = (random_nondegenerate_form(rng, n, False), random_nondegenerate_form(rng, n))
+    while True:
+        j = random_nondegenerate_form(rng, n, True)
+        jp = random_nondegenerate_form(rng, n, True)
+        if np.any(np.iscomplex(np.linalg.eigvals(np.linalg.solve(j, jp)))):
+            return [definite, (j, jp)]
+
+
+def _assert_matches_dense(report, j, jp):
+    dense = solve_kernel(generalized_braid_system(j, jp))
+    assert (report.kernel_dim, report.verdict, report.split) == (
+        dense.kernel_dim, dense.verdict, dense.split
+    )
+
+
+class TestPencilNormalForm:
+    """The normal form decides only rigid verdicts, and those agree with the
+    system of the forms as given (the dense oracle)."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_matches_dense_oracle(self, n):
+        pairs = _pencil_pairs(n)
+        for j, jp in pairs:
+            report = generalized_braid_kernel(j, jp)
+            _assert_matches_dense(report, j, jp)
+            assert report.verdict == "rigid"
+            assert report.pencil["transform_condition"] <= PENCIL_CONDITION_CAP
+            basis = generalized_braid_kernel(j, jp, want_basis=True).kernel_basis
+            assert basis.shape == (0, report.unknowns) and basis.dtype == float
+        # the definite pencil is real, the indefinite one is not
+        assert not generalized_braid_kernel(*pairs[0]).pencil["eigenvalues"][:, 1].any()
+        assert report.pencil["eigenvalues"][:, 1].any()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_classical_matches_dense_oracle(self, n):
+        j = random_nondegenerate_form(np.random.default_rng((n, 14)), n, True)
+        report = classical_braid_kernel(j)
+        dense = solve_kernel(classical_braid_system(BilinForm(j)))
+        assert (report.kernel_dim, report.verdict) == (dense.kernel_dim, dense.verdict) == (0, "rigid")
+        values = report.pencil["eigenvalues"]
+        assert np.allclose(values[:, 0], np.linalg.eigvalsh(j)) and not values[:, 1].any()
+        assert report.unknowns == dense.unknowns and report.singular_values.shape == dense.singular_values.shape
+
+    def test_diagonal_forms_are_solved_as_given(self):
+        for kind in ("classical", "generalized"):
+            j, jp = np.diag([2.0, -1.0, 0.5]), np.diag([1.0, 3.0, -2.0])
+            report = classical_braid_kernel(j) if kind == "classical" else generalized_braid_kernel(j, jp)
+            assert report.pencil is None
+
+    def test_singular_dense_j_takes_the_dense_path(self):
+        j = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        jp = random_nondegenerate_form(np.random.default_rng(15), 3)
+        assert _pencil_normal_form(_as_form(j), _as_form(jp)) is None
+        report = generalized_braid_kernel(j, jp)
+        assert report.pencil is None
+        _assert_matches_dense(report, j, jp)
+
+    def test_rank_one_jp_falls_back_with_a_basis_of_the_given_rows(self):
+        rng = np.random.default_rng(16)
+        j = random_nondegenerate_form(rng, 4, True)
+        u = rng.standard_normal(4)
+        jp = np.outer(u, u)
+        report = generalized_braid_kernel(j, jp, want_basis=True)
+        assert report.pencil is None
+        assert report.kernel_dim == 4 and report.kernel_basis.dtype == float
+        system = generalized_braid_system(j, jp)
+        for vec in report.kernel_basis:
+            assert system.residual(vec) < 1e-8 * system.coefficient_scale()
+
+    def test_ill_conditioned_congruence_falls_back(self, monkeypatch):
+        # J = P0^-T S P0^-1 and Jp = P0^-T S diag(mu) P0^-1: the normal form's
+        # P is P0 up to column signs, of condition 3e3
+        rng = np.random.default_rng(17)
+        p0 = random_orthogonal(rng, 4) @ np.diag([1.0, 1.0, 1.0, 1 / 3e3]) @ random_orthogonal(rng, 4)
+        inv = np.linalg.inv(p0)
+        j = inv.T @ np.diag([1.0, -1.0, 1.0, 1.0]) @ inv
+        jp = inv.T @ np.diag([1.0, 2.0, -3.0, 4.0]) @ inv
+        assert _pencil_normal_form(_as_form(j), _as_form(jp)) is None
+        report = generalized_braid_kernel(j, jp)
+        assert report.pencil is None
+        _assert_matches_dense(report, j, jp)
+        monkeypatch.setattr(braid, "PENCIL_CONDITION_CAP", 1e6)
+        assert _pencil_normal_form(_as_form(j), _as_form(jp)).condition > PENCIL_CONDITION_CAP
+
+    @pytest.mark.parametrize("split", [0.0, 1e-12, 1e-4])
+    def test_repeated_eigenvalues_fall_back_or_match(self, split):
+        rng = np.random.default_rng(18)
+        inv = np.linalg.inv(random_well_conditioned(rng, 4))
+        signs = np.array([1.0, -1.0, 1.0, -1.0])
+        j = inv.T @ np.diag(signs) @ inv
+        jp = inv.T @ np.diag(signs * [1.0, 1.0 + split, 2.0, 3.0]) @ inv
+        for pair in ((j, jp), (j, j)):
+            report = generalized_braid_kernel(*pair)
+            _assert_matches_dense(report, *pair)
+            if split != 1e-4 or pair[1] is j:
+                assert report.pencil is None
+
+    def test_defective_pencil_falls_back(self):
+        # J^-1 Jp has a 2x2 Jordan block: no eigenvector basis exists
+        j = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        jp = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        assert _pencil_normal_form(_as_form(j), _as_form(jp)) is None
+        _assert_matches_dense(generalized_braid_kernel(j, jp), j, jp)

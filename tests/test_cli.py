@@ -21,6 +21,11 @@ CURVE_FILE = str(TESTS_DIR / "data" / "rotation_orbit.json")
 RATIONAL_CHART_FILE = str(TESTS_DIR / "data" / "chart_rational.json")
 LIGHTLIKE_CHART_FILE = str(TESTS_DIR / "data" / "chart_lightlike.json")
 
+# a dense indefinite pair whose pencil has a complex conjugate pair of
+# eigenvalues: the report carries the normal form's evidence
+DENSE_J4 = "[[2,0.25,-0.125,0.1],[0.25,-2.5,0.2,0.05],[-0.125,0.2,2.2,-0.15],[0.1,0.05,-0.15,-2.8]]"
+DENSE_JP4 = "[[-2.4,0.2,0.1,-0.25],[0.2,2.6,-0.1,0.15],[0.1,-0.1,-2.1,0.2],[-0.25,0.15,0.2,2.9]]"
+
 GOLDEN_CASES = {
     "certify_conformal_flat.json": [
         "certify", "--builtin", "conformal_flat", "--n", "3",
@@ -36,6 +41,9 @@ GOLDEN_CASES = {
     ],
     "braid_degenerate.json": [
         "braid", "--n", "3", "--J", "identity", "--Jp", "diag:1,0,0",
+    ],
+    "braid_dense_pencil.json": [
+        "braid", "--n", "4", "--J", DENSE_J4, "--Jp", DENSE_JP4,
     ],
     "prolong_one_param.json": [
         "prolong", "--algebra", "one_param",
@@ -350,19 +358,54 @@ class TestExitCodes:
         assert cli.main(["prolong", "--algebra", "so", "--n", "3"]) == 2
         assert "order 3 would have 45 unknowns (cap 20)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("exponent", [1100, 3000000])
-    def test_non_finite_grid_value_is_two(self, exponent, tmp_path, capsys):
-        # 1 + r^e overflows a float at the larger grid values of r
+    @pytest.mark.parametrize("coefficient", ["1e290", "1e303"])
+    def test_non_finite_grid_value_is_two(self, coefficient, tmp_path, capsys):
+        # 1 + c r^64 overflows a float at the larger grid values of r
         doc = {
             "kind": "gcs", "n": 1, "domain": [[-1, 1]], "interval": [0.5, 2],
-            "entries": [{"i": 0, "j": 0, "num": [["1", [0, 0]], ["1", [0, exponent]]]}],
+            "entries": [{"i": 0, "j": 0, "num": [["1", [0, 0]], [coefficient, [0, 64]]]}],
         }
         chart = tmp_path / "chart.json"
         chart.write_text(json.dumps(doc))
         code = cli.main(["certify", "--chart", str(chart), "--r", "1.5", "--point", "0"])
         assert code == 2
-        first = "(-1.0, 2.0)" if exponent == 1100 else "(-1.0, 1.25)"
+        first = "(-1.0, 2.0)" if coefficient == "1e290" else "(-1.0, 1.25)"
         assert f"not finite at grid point {first}" in capsys.readouterr().err
+
+    def test_exponent_above_cap_is_two_before_any_coefficient(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        def no_poly(*args, **kwargs):
+            raise AssertionError("a coefficient was built")
+
+        doc = {
+            "kind": "gcs", "n": 1, "domain": [[-1, 1]], "interval": [0.5, 2],
+            "entries": [{"i": 0, "j": 0, "num": [["1", [1000000, 0]], ["1", [0, 1]]]}],
+        }  # x^1000000 + r
+        chart = tmp_path / "chart.json"
+        chart.write_text(json.dumps(doc))
+        monkeypatch.setattr(gcs.Poly, "from_terms", no_poly)
+        assert cli.main(["certify", "--chart", str(chart), "--r", "1", "--point", "0"]) == 2
+        assert "exponent 1000000 is above the cap of 64" in capsys.readouterr().err
+
+    def test_singular_dense_form_is_zero_through_the_given_system(self, tmp_path):
+        argv = ["braid", "--n", "3", "--J", "[[1,1,0],[1,1,0],[0,0,1]]",
+                "--Jp", "[[2,0.5,0],[0.5,-1,0.25],[0,0.25,3]]"]
+        code, report = _main_report(argv, tmp_path)
+        assert code == 0
+        doc = json.loads(report)["report"]
+        assert "pencil" not in doc and doc["verdict"] == "non_rigid"
+
+    def test_chart_document_unlike_its_builtin_is_two(self, tmp_path, capsys):
+        doc = gcs.chart_to_doc(gcs.builtin_chart("conformal_flat", 3))
+        doc["builtin"] = "product_nonrigid"
+        chart = tmp_path / "chart.json"
+        chart.write_text(json.dumps(doc))
+        assert cli.main(["certify", "--chart", str(chart), "--r", "1"]) == 2
+        assert (
+            "chart document names builtin 'product_nonrigid' but does not match it in entries"
+            in capsys.readouterr().err
+        )
 
     def test_numerical_failure_is_three(self, monkeypatch, capsys):
         def no_svd(*args, **kwargs):
@@ -410,7 +453,7 @@ class TestExitCodes:
             ("exponent", True, "exponent must be an integer, got True"),
             ("exponent", float("inf"), "exponent must be an integer, got inf"),
             ("exponent", 0.5, "exponent must be an integer, got 0.5"),
-            ("exponent", 2**70, "a chart exponent is out of the 64-bit integer range"),
+            ("exponent", 2**70, f"exponent {2**70} is above the cap of 64"),
             ("den", "0", "entry (0, 0): denominator polynomial is identically zero"),
             ("n", True, "chart n must be an integer, got True"),
         ],
@@ -869,6 +912,17 @@ class TestCommands:
             ["braid", "--n", "4", "--J", "minkowski", "--variant", "classical"]
         )
         assert json.loads(proc.stdout)["report"]["kernel_dim"] == 0
+
+    def test_braid_dense_pencil_same_bytes_across_threads(self):
+        rng = np.random.default_rng(19)
+        forms = []
+        for _ in range(2):
+            a = rng.uniform(-0.25, 0.25, (7, 7))
+            forms.append(json.dumps((a + a.T + np.diag(rng.choice([-2.5, 2.5], 7))).tolist()))
+        args = ["braid", "--n", "7", "--J", forms[0], "--Jp", forms[1]]
+        single = run_cli(args, threads="1").stdout
+        assert "pencil" in json.loads(single)["report"]
+        assert single == run_cli(args, threads="2").stdout
 
     def test_braid_symskew_variant(self):
         proc = run_cli(["braid", "--n", "2", "--variant", "symskew"])

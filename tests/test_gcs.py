@@ -298,6 +298,36 @@ class TestChartJson:
         with pytest.raises(ValueError, match="unknown chart field"):
             chart_from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "name, n, params",
+        [
+            ("product_nonrigid", 3, {"epsilon": "1/8"}),
+            ("product_nonrigid", 3, {"epsilon": 0.1}),
+            ("linear_hyperbolic", 3, {"f_coeffs": [1, "1/2", 1], "interval": [0.25, 0.75]}),
+            ("lightcone", 4, {"domain": [[-0.25, 0.25]] * 3}),
+        ],
+    )
+    def test_builtin_round_trip_keeps_name_and_params(self, name, n, params):
+        chart = builtin_chart(name, n, params)
+        doc = json.loads(json.dumps(chart_to_doc(chart)))
+        loaded = chart_from_doc(doc)
+        assert loaded == chart
+        assert (loaded.name, getattr(loaded, "base", loaded).params) == (name, params)
+        assert chart_to_doc(loaded) == doc
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("builtin", "product_nonrigid"), ("interval", [0.5, 3.0]), ("domain", [[-1, 2]] * 3),
+         ("entries", [])],
+    )
+    def test_document_unlike_its_builtin_refused(self, field, value):
+        doc = chart_to_doc(builtin_chart("conformal_flat", 3))
+        doc[field] = value
+        name = doc["builtin"]
+        what = "entries" if field == "builtin" else field
+        with pytest.raises(ValueError, match=f"names builtin '{name}' but does not match it in {what}"):
+            chart_from_doc(doc)
+
     def test_builtin_reference_doc(self):
         chart = chart_from_doc({"builtin": "conformal_flat", "n": 2})
         assert chart.name == "conformal_flat"
