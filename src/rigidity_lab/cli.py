@@ -5,11 +5,13 @@ parsed arguments; every default lives in the argument parser.  One envelope
 writes every report's metadata: the tool version and the command, then the
 seed, grid and resolved tolerances of the commands that take ``--seed``,
 ``--grid`` and ``--tol``, then the canonical ``input`` document and
-``input_hash``, the sha256 of that document's canonical bytes, so a report
-can be reproduced, and checked, from its own metadata.  Byte-identical
+``input_hash``, the sha256 of that document's canonical bytes (written
+once: the report embeds the bytes it hashes), so a report can be
+reproduced, and checked, from its own metadata.  Byte-identical
 output for identical inputs is a contract covered by golden-file tests.
 Exit status 0 means the run completed (verdicts live in the report, not the
-exit code), 2 flags invalid input and 3 a numerical failure: a
+exit code), 2 flags invalid input or an ``--output`` path that cannot be
+written, and 3 a numerical failure: a
 decomposition that did not converge or an arithmetic error the input
 checks did not anticipate.
 """
@@ -164,8 +166,10 @@ def _envelope(args: argparse.Namespace, input_doc: dict, payload: dict) -> dict:
         doc["grid"] = args.grid
     if "tol" in flags:
         doc["tolerances"] = {"kernel_tol": args.tol, "gap_threshold": GAP_VERDICT_THRESHOLD}
-    doc["input"] = input_doc
-    doc["input_hash"] = reportio.input_hash(input_doc)
+    # written once: the report embeds these canonical bytes and hashes them
+    embedded = reportio.Embedded(input_doc)
+    doc["input"] = embedded
+    doc["input_hash"] = embedded.sha256()
     doc.update(payload)
     return doc
 
@@ -470,6 +474,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _save(path: str, report: bytes) -> None:
+    """Write ``report`` to ``path``; a failed write removes the partial file."""
+    with open(path, "wb") as fh:
+        try:
+            fh.write(report)
+            fh.flush()
+        except OSError:
+            if os.path.isfile(path):
+                os.remove(path)
+            raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -493,8 +509,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(report)
+        try:
+            _save(args.output, report)
+        except OSError as exc:
+            print(f"error: cannot write report to {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(report.decode("ascii"))
     return 0

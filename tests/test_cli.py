@@ -859,6 +859,38 @@ class TestFlags:
         doc = json.loads(out.read_text())
         assert doc["report"]["kernel_dim"] == 0
 
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("how", ["main", "module"])
+    def test_unwritable_output_is_two(self, target, how, tmp_path, capsys):
+        """An ``--output`` that cannot be opened is invalid input: exit 2, one
+        error line, no traceback and no file left behind."""
+        path = tmp_path / "no" / "such" / "x.json" if target == "missing-dir" else tmp_path
+        argv = ["braid", "--n", "3", "--output", str(path)]
+        if how == "main":
+            code, err = cli.main(argv), capsys.readouterr().err
+        else:
+            proc = run_cli(argv, check=False)
+            code, err = proc.returncode, proc.stderr.decode()
+        assert code == 2
+        assert err.startswith(f"error: cannot write report to {path}: ")
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+        """A write that fails midway (a full disk) removes what it wrote."""
+
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                super().write(data[:100])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda path, mode: FullDisk(path, mode), raising=False)
+        out = tmp_path / "report.json"
+        assert cli.main(["braid", "--n", "3", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write report to {out}: No space left on device\n"
+        assert not out.exists()
+
     def test_env_tolerance_recorded(self):
         proc = run_cli(
             ["braid", "--n", "3", "--J", "identity", "--Jp", "identity"],

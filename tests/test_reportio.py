@@ -1,0 +1,261 @@
+"""The one-pass report writer against the recursive writer it replaced.
+
+``oracle_dumps`` is the earlier recursive serializer, kept here as the byte
+oracle: the writer must produce its bytes for every document it accepts.
+The one intended difference is that numpy bool scalars are written as
+``true`` / ``false`` instead of being refused.
+"""
+
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from rigidity_lab import cli, reportio
+
+TESTS_DIR = Path(__file__).parent
+GOLDEN_DIR = TESTS_DIR / "golden"
+GOLDENS = sorted(p.name for p in GOLDEN_DIR.glob("*.json"))
+CURVE_FILE = str(TESTS_DIR / "data" / "rotation_orbit.json")
+
+
+# -- the oracle: the recursive writer ---------------------------------------
+
+
+def _oracle_serialize(obj, pieces, indent, level):
+    pad = " " * (indent * level)
+    pad_in = " " * (indent * (level + 1))
+    if obj is None:
+        pieces.append("null")
+    elif isinstance(obj, bool):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        pieces.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        pieces.append(reportio.format_float(float(obj)))
+    elif isinstance(obj, str):
+        pieces.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, dict):
+        if not obj:
+            pieces.append("{}")
+            return
+        pieces.append("{\n")
+        for k, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            pieces.append(pad_in + json.dumps(key, ensure_ascii=True) + ": ")
+            _oracle_serialize(value, pieces, indent, level + 1)
+            pieces.append(",\n" if k < len(obj) - 1 else "\n")
+        pieces.append(pad + "}")
+    elif isinstance(obj, np.ndarray):
+        _oracle_serialize(obj.tolist(), pieces, indent, level)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            pieces.append("[]")
+            return
+        pieces.append("[\n")
+        for k, value in enumerate(obj):
+            pieces.append(pad_in)
+            _oracle_serialize(value, pieces, indent, level + 1)
+            pieces.append(",\n" if k < len(obj) - 1 else "\n")
+        pieces.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def oracle_dumps(obj) -> str:
+    pieces = []
+    _oracle_serialize(obj, pieces, indent=2, level=0)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+# -- documents ----------------------------------------------------------------
+
+SPECIAL_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    # where %.17g switches between positional and exponent notation
+    1e-4, 9.9999999999999991e-05, 1e-5, 1e16, 9.9999999999999998e16, 1e17,
+    # values that need all 17 digits
+    0.1, 0.30000000000000004, 1 / 3, 2.0 ** 53 + 2, 123456789.12345679,
+]
+STRINGS = ["", "\n", "a\nb", "\u2028", "line\u2028sep", "café", "日本", '"q"\\', "\x00\t"]
+
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+arrays = hnp.arrays(
+    dtype=st.sampled_from([np.float64, np.float32, np.int64]),
+    shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+)
+leaves = st.one_of(
+    floats,
+    st.lists(floats, max_size=6),  # flat float lists take the one-join path
+    st.integers(-(2**80), 2**80),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans(),
+    st.none(),
+    st.one_of(st.sampled_from(STRINGS), st.text(max_size=8)),
+    arrays,
+)
+keys = st.one_of(st.sampled_from(STRINGS), st.text(max_size=6))
+documents = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+# -- the writer against the oracle ----------------------------------------------
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_golden_rewrites_to_its_own_bytes(name):
+    """A parsed golden report re-serializes to its exact file bytes."""
+    raw = (GOLDEN_DIR / name).read_bytes()
+    assert reportio.dump_bytes(json.loads(raw)) == raw
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_golden_input_hash_is_sha256_of_oracle_bytes(name):
+    doc = json.loads((GOLDEN_DIR / name).read_bytes())
+    expected = hashlib.sha256(oracle_dumps(doc["input"]).encode("ascii")).hexdigest()
+    assert reportio.input_hash(doc["input"]) == expected == doc["input_hash"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(documents)
+def test_writer_matches_oracle(doc):
+    assert reportio.dump_bytes(doc) == oracle_dumps(doc).encode("ascii")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(documents)
+def test_embedded_document_matches_oracle_at_any_depth(doc):
+    embedded = reportio.Embedded(doc)
+    report = {"input": embedded, "deep": [[embedded]], "tail": embedded}
+    plain = {"input": doc, "deep": [[doc]], "tail": doc}
+    assert reportio.dumps(report) == oracle_dumps(plain)
+    assert reportio.dumps(embedded) == oracle_dumps(doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(documents)
+def test_input_hash_is_sha256_of_oracle_bytes(doc):
+    expected = hashlib.sha256(oracle_dumps(doc).encode("ascii")).hexdigest()
+    assert reportio.input_hash(doc) == expected
+    assert reportio.Embedded(doc).sha256() == expected
+
+
+def test_float_list_with_non_finite_values_is_written_element_by_element():
+    doc = {"v": [1.5, math.nan, -0.0, math.inf, -math.inf]}
+    assert reportio.dumps(doc) == (
+        '{\n  "v": [\n    1.5,\n    "nan",\n    -0,\n    "inf",\n    "-inf"\n  ]\n}\n'
+    )
+    assert reportio.dumps(doc) == oracle_dumps(doc)
+
+
+def test_numpy_bool_scalars_are_written_as_json_booleans():
+    """The one intended difference from the oracle, which refused them."""
+    doc = {"flags": [np.True_, np.False_], "array": np.array([True, False])}
+    assert reportio.dumps(doc) == (
+        '{\n  "flags": [\n    true,\n    false\n  ],\n'
+        '  "array": [\n    true,\n    false\n  ]\n}\n'
+    )
+    with pytest.raises(TypeError, match="cannot serialize bool"):
+        oracle_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({1: "x"}, "report keys must be strings"),
+        ({"a": {"b": [1, {2.5: 0}]}}, "report keys must be strings"),
+        ({"a": object()}, "cannot serialize object"),
+        ([{1, 2}], "cannot serialize set"),
+        (np.array([1 + 2j]), "cannot serialize complex"),
+    ],
+)
+def test_unserializable_documents_raise_like_the_oracle(doc, message):
+    with pytest.raises(TypeError, match=message):
+        reportio.dumps(doc)
+    with pytest.raises(TypeError, match=message):
+        oracle_dumps(doc)
+
+
+# -- call counts through the CLI ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symspace", "--curve", CURVE_FILE, "--resample", "33"],
+        ["certify", "--builtin", "conformal_flat", "--n", "3", "--point", "0,0,0", "--r", "1"],
+    ],
+    ids=["symspace", "certify"],
+)
+def test_input_is_written_once_per_report(argv, tmp_path, monkeypatch):
+    """The envelope writes the input once; the report embeds those bytes and
+    ``input_hash`` hashes them (re-serializing to hash would make it 2)."""
+    inputs = []
+    envelope = cli._envelope
+
+    def spy_envelope(args, input_doc, payload):
+        inputs.append(input_doc)
+        return envelope(args, input_doc, payload)
+
+    visits = []
+    write = reportio._write
+
+    def spy_write(obj, out, nl):
+        if inputs and obj is inputs[0]:
+            visits.append(nl)
+        write(obj, out, nl)
+
+    monkeypatch.setattr(cli, "_envelope", spy_envelope)
+    monkeypatch.setattr(reportio, "_write", spy_write)
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    assert len(inputs) == 1
+    assert len(visits) == 1
+    doc = json.loads(out.read_bytes())
+    assert doc["input_hash"] == hashlib.sha256(
+        oracle_dumps(doc["input"]).encode("ascii")
+    ).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--builtin", "conformal_flat", "--n", "3", "--r", "1", "--grid", "3"],
+        ["lightlike", "--builtin", "lightcone", "--n", "4", "--point", "0.1,0,0", "--r", "1"],
+        ["braid", "--n", "3"],
+        ["prolong", "--algebra", "so", "--n", "3", "--max-order", "1"],
+        ["symspace", "--curve", CURVE_FILE],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_run_writes_every_report_through_dump_bytes(argv, tmp_path, monkeypatch):
+    """``cli.run`` hands each report to ``reportio.dump_bytes`` once, the
+    function a tracer wraps to time and count report writing."""
+    calls = []
+    dump_bytes = reportio.dump_bytes
+
+    def spy(doc):
+        calls.append(doc["command"])
+        return dump_bytes(doc)
+
+    monkeypatch.setattr(reportio, "dump_bytes", spy)
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    assert calls == [argv[0]]
