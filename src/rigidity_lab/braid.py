@@ -63,45 +63,77 @@ PENCIL_RESIDUAL_CAP = 1e-9
 
 @dataclass
 class LinearSystem:
-    """A homogeneous linear system in labeled packed unknowns.
+    """A homogeneous linear system in labeled packed unknowns, held as its
+    nonzero entries.
 
     ``unknown_labels[j]`` names column j as a tuple
-    ``(tensor_name, sym_index, output_axis_or_None)``; ``rows`` holds one
-    dense row per scalar constraint, real, or complex for the system of a
-    complex congruence normal form.  The right-hand side is identically
-    zero.  ``blocks`` maps the names of contiguous unknown blocks to their
-    column slices when the assembler knows them (see :func:`_packed_rows`);
-    with two or more of them :func:`solve_kernel` reports the kernel's
-    projection onto each.
+    ``(tensor_name, sym_index, output_axis_or_None)``.  Entry k of the
+    system is ``values[k]`` at row ``row_ids[k]`` and column
+    ``col_ids[k]``; the values are real, or complex for the system of a
+    complex congruence normal form.  The system has ``equations`` rows, a
+    row with no entry being the zero constraint, and its right-hand side
+    is identically zero.  The constructor drops exact zeros; no (row,
+    column) pair may repeat, which every assembler guarantees (an entry
+    would overwrite, not add to, another at its place).  ``blocks`` maps
+    the names of contiguous unknown blocks to their column slices when the
+    assembler knows them (see :func:`_packed_rows`); with two or more of
+    them :func:`solve_kernel` reports the kernel's projection onto each.
     """
 
     unknown_labels: list[tuple]
-    rows: np.ndarray
+    equations: int
+    row_ids: np.ndarray
+    col_ids: np.ndarray
+    values: np.ndarray
     blocks: dict[str, slice] = field(default_factory=dict)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows)
-        self.rows = rows if np.iscomplexobj(rows) else rows.astype(float, copy=False)
-        if self.rows.ndim != 2 or self.rows.shape[1] != len(self.unknown_labels):
+        values = np.asarray(self.values)
+        values = values if np.iscomplexobj(values) else values.astype(float, copy=False)
+        row_ids = np.asarray(self.row_ids, dtype=np.intp)
+        col_ids = np.asarray(self.col_ids, dtype=np.intp)
+        if not values.ndim == row_ids.ndim == col_ids.ndim == 1 or not (
+            values.size == row_ids.size == col_ids.size
+        ):
+            raise ValueError("row ids, column ids and values must be equally long 1-d arrays")
+        if values.size and not (
+            0 <= row_ids.min() and row_ids.max() < self.equations
+            and 0 <= col_ids.min() and col_ids.max() < len(self.unknown_labels)
+        ):
             raise ValueError(
-                f"row matrix of shape {self.rows.shape} does not match "
-                f"{len(self.unknown_labels)} unknowns"
+                f"an entry lies outside the {self.equations} x "
+                f"{len(self.unknown_labels)} system"
             )
+        if not values.all():
+            nonzero = values != 0
+            row_ids, col_ids, values = row_ids[nonzero], col_ids[nonzero], values[nonzero]
+        self.row_ids, self.col_ids, self.values = row_ids, col_ids, values
 
     @property
     def unknowns(self) -> int:
-        return self.rows.shape[1]
+        return len(self.unknown_labels)
 
     @property
-    def equations(self) -> int:
-        return self.rows.shape[0]
+    def shape(self) -> tuple[int, int]:
+        return self.equations, self.unknowns
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The dense row matrix, built on each access; for tests and the
+        dense oracle only, never for a solve."""
+        rows = np.zeros(self.shape, dtype=self.values.dtype)
+        rows[self.row_ids, self.col_ids] = self.values
+        return rows
 
     def residual(self, vector: np.ndarray) -> float:
         """Max row residual of a candidate kernel vector."""
-        return float(np.max(np.abs(self.rows @ np.asarray(vector)), initial=0.0))
+        terms = self.values * np.asarray(vector)[self.col_ids]
+        sums = np.zeros(self.equations, dtype=terms.dtype)
+        np.add.at(sums, self.row_ids, terms)
+        return float(np.max(np.abs(sums), initial=0.0))
 
     def coefficient_scale(self) -> float:
-        return float(np.max(np.abs(self.rows), initial=0.0))
+        return float(np.max(np.abs(self.values), initial=0.0))
 
 
 @dataclass
@@ -156,18 +188,17 @@ def solve_kernel(
     When ``system.blocks`` names two or more blocks, the report also
     carries the dimension of the kernel's projection onto each block.
     """
-    rows = system.rows
-    m, ncols = rows.shape
-    comps = _components(rows)
+    m, ncols = system.shape
+    comps = _components(system)
     solved = []  # (component ids, their columns, their spectra, their V^T or None)
-    for ids in comps.shape_groups():
+    for g, ids in enumerate(comps.groups):
         c = int(comps.col_count[ids[0]])
         cols = comps.col_order[comps.col_start[ids, None] + np.arange(c)]
         if comps.row_count[ids[0]] == 0:
             # a column no row touches: a unit kernel vector
             solved.append((ids, cols, np.zeros((len(ids), 0)), np.ones((len(ids), 1, 1))))
         else:
-            solved.append((ids, cols, *_block_svd(rows, comps, ids, cols, want_basis)))
+            solved.append((ids, cols, *_block_svd(comps.stack(g), want_basis)))
 
     spectra = np.concatenate([s.ravel() for _, _, s, _ in solved] + [np.zeros(0)])
     smax = float(spectra.max(initial=0.0))
@@ -184,12 +215,12 @@ def solve_kernel(
     if want_basis or want_split:
         if not want_basis and kernel_dim:
             # the split needs V^T only of the blocks with a kernel
-            for k, (ids, cols, block_svals, vt) in enumerate(solved):
+            for g, (ids, cols, block_svals, vt) in enumerate(solved):
                 null = np.sum(block_svals >= cut, axis=1) < cols.shape[1]
                 if vt is None and null.any():
-                    _, vt = _block_svd(rows, comps, ids[null], cols[null], True)
-                    solved[k] = (ids[null], cols[null], block_svals[null], vt)
-        basis = _kernel_basis(solved, comps.col_count.size, ncols, cut, rows.dtype)
+                    _, vt = _block_svd(comps.stack(g)[null], True)
+                    solved[g] = (ids[null], cols[null], block_svals[null], vt)
+        basis = _kernel_basis(solved, comps.col_count.size, ncols, cut, system.values.dtype)
 
     split = None
     if want_split:
@@ -220,40 +251,50 @@ def solve_kernel(
 
 @dataclass(frozen=True)
 class _Components:
-    """Connected components of a row/column nonzero pattern.
+    """Connected components of a system's row/column nonzero pattern.
 
     Components are numbered in the order of their first column.  A column
-    no row touches is a component of its own with no rows; an all-zero row
-    belongs to no component.  ``row_order`` lists the rows of component 0,
-    then of component 1, and so on, each in ascending order, starting at
-    ``row_start``; ``col_order`` and ``col_start`` do the same for columns.
+    no row touches is a component of its own with no rows; a row with no
+    entry belongs to no component.  ``col_order`` lists the columns of
+    component 0, then of component 1, and so on, each in ascending order,
+    starting at ``col_start``.  ``groups`` lists the component ids of one
+    (rows, columns) shape, shapes ascending and ids ascending within.
+    Group g's entries are ``entry_value[entry_start[g]:entry_start[g + 1]]``
+    at the places ``entry_at`` of the same slice in its flattened (k, r, c)
+    stack, rows and columns of each block in ascending order.
     """
 
-    row_order: np.ndarray
-    row_start: np.ndarray
     row_count: np.ndarray
     col_order: np.ndarray
     col_start: np.ndarray
     col_count: np.ndarray
+    groups: list[np.ndarray]
+    entry_start: np.ndarray
+    entry_at: np.ndarray
+    entry_value: np.ndarray
 
-    def shape_groups(self) -> list[np.ndarray]:
-        """Component ids grouped by (rows, columns) shape, ascending within."""
-        key = self.row_count * (self.col_count.max(initial=0) + 1) + self.col_count
-        order = np.argsort(key, kind="stable")
-        return np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if order.size else []
+    def stack(self, g: int) -> np.ndarray:
+        """The dense (k, r, c) stack of the blocks of group g."""
+        ids = self.groups[g]
+        shape = (len(ids), int(self.row_count[ids[0]]), int(self.col_count[ids[0]]))
+        stack = np.zeros(shape[0] * shape[1] * shape[2], dtype=self.entry_value.dtype)
+        at = slice(self.entry_start[g], self.entry_start[g + 1])
+        stack[self.entry_at[at]] = self.entry_value[at]
+        return stack.reshape(shape)
 
 
-def _components(rows: np.ndarray) -> _Components:
-    """Label the components of the bipartite row/column graph of ``rows``.
+def _components(system: LinearSystem) -> _Components:
+    """Label the components of the bipartite row/column graph of ``system``.
 
     Nodes are the rows (0..m-1) and the columns (m..m+n-1), and every
-    nonzero entry is an edge.  Each sweep hooks the larger of two adjacent
-    roots onto the smaller, then jumps pointers until every node points at
-    its root; a sweep is O(nnz + m + n).
+    entry is an edge.  Each sweep hooks the larger of two adjacent roots
+    onto the smaller, then jumps pointers until every node points at its
+    root; a sweep is O(nnz + m + n).  The entries are then ordered by
+    shape group and placed in their blocks; a system that is one block of
+    all its rows and columns keeps them as they are.
     """
-    m, n = rows.shape
-    ri, ci = np.nonzero(rows)
-    ci = ci + m
+    m, n = system.shape
+    ri, ci = system.row_ids, system.col_ids + m
     parent = np.arange(m + n)
     while True:
         pr, pc = parent[ri], parent[ci]
@@ -263,44 +304,70 @@ def _components(rows: np.ndarray) -> _Components:
         np.minimum.at(parent, np.maximum(pr, pc)[differ], np.minimum(pr, pc)[differ])
         while True:
             grand = parent[parent]
-            if np.array_equal(grand, parent):
+            if (grand == parent).all():
                 break
             parent = grand
     col_root = parent[m:]
     roots, first = np.unique(col_root, return_index=True)
+    count = roots.size
     comp_of = np.full(m + n, -1)
-    comp_of[roots[np.argsort(first)]] = np.arange(roots.size)
+    comp_of[roots[np.argsort(first)]] = np.arange(count)
     col_comp = comp_of[col_root]
     row_comp = comp_of[parent[:m]]
     live = np.flatnonzero(row_comp >= 0)
-    row_count = np.bincount(row_comp[live], minlength=roots.size)
-    col_count = np.bincount(col_comp, minlength=roots.size)
+    row_count = np.bincount(row_comp[live], minlength=count)
+    col_count = np.bincount(col_comp, minlength=count)
+    col_order = col_comp.argsort(kind="stable")
+    col_start = col_count.cumsum() - col_count
+    # components in group order: by shape, then by id
+    key = row_count * (col_count.max(initial=0) + 1) + col_count
+    order = key.argsort(kind="stable")
+    cuts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
+    bounds = [0, *cuts, count] if count else [0]
+    groups = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    if count == 1 and live.size == m:
+        # one block of every row and column: each entry stays at its place
+        entry_start = np.array([0, system.values.size])
+        entry_at, entry_value = system.row_ids * n + system.col_ids, system.values
+    else:
+        # each row's and column's place inside its block
+        local = np.empty(m + n, dtype=np.intp)
+        row_order = live[row_comp[live].argsort(kind="stable")]
+        row_start = row_count.cumsum() - row_count
+        local[row_order] = np.arange(live.size) - row_start.repeat(row_count)
+        local[m + col_order] = np.arange(n) - col_start.repeat(col_count)
+        # each component's place in group order, and in its group's stack
+        rank, slot = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
+        rank[order] = np.arange(count)
+        slot[order] = np.arange(count) - np.repeat(bounds[:-1], np.diff(bounds))
+        entry_rank = rank[col_comp[system.col_ids]]
+        by_group = entry_rank.argsort(kind="stable")
+        entry_rank, ri, ci = entry_rank[by_group], ri[by_group], ci[by_group]
+        entry_comp = order[entry_rank]
+        entry_at = (slot * row_count)[entry_comp] + local[ri]
+        entry_at = entry_at * col_count[entry_comp] + local[ci]
+        entry_value = system.values[by_group]
+        entry_start = np.searchsorted(entry_rank, bounds)
     return _Components(
-        row_order=live[np.argsort(row_comp[live], kind="stable")],
-        row_start=np.cumsum(row_count) - row_count,
         row_count=row_count,
-        col_order=np.argsort(col_comp, kind="stable"),
-        col_start=np.cumsum(col_count) - col_count,
+        col_order=col_order,
+        col_start=col_start,
         col_count=col_count,
+        groups=groups,
+        entry_start=entry_start,
+        entry_at=entry_at,
+        entry_value=entry_value,
     )
 
 
-def _block_svd(
-    rows: np.ndarray, comps: _Components, ids: np.ndarray, cols: np.ndarray, want_v: bool
-):
-    """Spectra of the same-shape components ``ids`` from one batched SVD,
-    with their V^T when ``want_v``."""
-    r, c = int(comps.row_count[ids[0]]), cols.shape[1]
-    if (r, c) == rows.shape:
-        stack = rows[None]  # one component: solved in place, not copied
-    else:
-        block_rows = comps.row_order[comps.row_start[ids, None] + np.arange(r)]
-        stack = rows[block_rows[:, :, None], cols[:, None, :]]
+def _block_svd(stack: np.ndarray, want_v: bool):
+    """Spectra of a (k, r, c) stack of blocks from one batched SVD, with
+    their V^T when ``want_v``."""
     if not want_v:
         return np.linalg.svd(stack, compute_uv=False), None
     # a wide block needs its full V for the null rows; a tall one never
     # needs the full U
-    _, svals, vt = np.linalg.svd(stack, full_matrices=r < c)
+    _, svals, vt = np.linalg.svd(stack, full_matrices=stack.shape[1] < stack.shape[2])
     return svals, vt
 
 
@@ -421,15 +488,13 @@ def trilinear_symskew_system(n: int) -> LinearSystem:
     i, j, k = np.repeat(axis, j.size), np.tile(j, n), np.tile(k, n)
     skew_a, skew_b = cols(i, j, k), cols(i, k, j)
 
-    nsym = sym_plus.size
-    rows = np.zeros((nsym + skew_a.size, n**4))
-    r = np.arange(len(rows))
-    # within one statement a row's column is unique, so each += applies once
-    rows[r[:nsym], sym_plus] += 1.0
-    rows[r[:nsym], sym_minus] -= 1.0
-    rows[r[nsym:], skew_a] += 1.0
-    rows[r[nsym:], skew_b] += 1.0
-    return LinearSystem(unknown_labels=labels, rows=rows)
+    nsym, nskew = sym_plus.size, skew_a.size
+    # on the diagonal j == k the two skew terms share a column: one entry 2
+    twice = (skew_a == skew_b).astype(float)
+    row_ids = np.concatenate([np.arange(nsym)] * 2 + [nsym + np.arange(nskew)] * 2)
+    col_ids = np.concatenate([sym_plus, sym_minus, skew_a, skew_b])
+    values = np.concatenate([np.ones(nsym), -np.ones(nsym), 1.0 + twice, 1.0 - twice])
+    return LinearSystem(labels, nsym + nskew, row_ids, col_ids, values)
 
 
 def generalized_braid_system(j, jp, n: int | None = None) -> LinearSystem:
@@ -557,13 +622,27 @@ def _insert_positions(n: int, degree: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _entry_columns(n: int, degree: int, m: int, coupled: bool) -> np.ndarray:
+    """``[s, out * n + u]`` -> column of ``(sort(s + (u,)), out)`` for every
+    symmetric index s of length ``degree - 1``; with ``coupled`` one more
+    entry per s, ``[s, m * n]``, holds the column of the shift S(s)."""
+    insert = _insert_positions(n, degree)
+    table = (insert[:, None, :] * m + np.arange(m)[:, None]).reshape(len(insert), m * n)
+    if coupled:
+        shift_cols = sym_index_count(n, degree) * m + np.arange(len(insert))
+        table = np.concatenate([table, shift_cols[:, None]], axis=1)
+    table.setflags(write=False)
+    return table
+
+
 def _packed_rows(
     tests: np.ndarray,
     degree: int,
     coupling: np.ndarray | None = None,
     names: tuple[str, str | None] = ("A", "K"),
 ) -> LinearSystem:
-    """The scatter shared by every braid, jet-level and prolongation system.
+    """The entries shared by every braid, jet-level and prolongation system.
 
     ``tests`` stacks m x n test matrices C_q.  One row per symmetric index
     s of length ``degree - 1`` (outer) and test q (inner):
@@ -575,27 +654,30 @@ def _packed_rows(
     inner.  The optional ``coupling`` (one entry c_q per test) adds the
     packed scalar unknown S, indexed by s, after T.  The system's
     ``blocks`` name both column ranges.
+
+    Every nonzero C_q[out, u] gives one entry in each row (s, q), at the
+    column of ``(sort(s + (u,)), out)``; within a row those columns are
+    distinct, so no (row, column) pair repeats.  Only the small stack of
+    test matrices is scanned for nonzeros, never the system.
     """
     nq, m, n = tests.shape
     shifts = _sym_indices(n, degree - 1)
-    insert = _insert_positions(n, degree)
     tensor_cols = sym_index_count(n, degree) * m
-    shift_cols = len(shifts) if coupling is not None else 0
-    dtype = np.result_type(tests, float if coupling is None else coupling)
-    rows = np.zeros((len(shifts) * nq, tensor_cols + shift_cols), dtype=dtype)
-    r = np.arange(len(rows)).reshape(len(shifts), nq, 1, 1)
-    # within one row the columns of the (u, out) terms are distinct, so one
-    # fancy assignment writes every coefficient (a fancy add would also
-    # gather a temporary of the full index shape)
-    rows[r, insert[:, None, :, None] * m + np.arange(m)] = tests.transpose(0, 2, 1)
+    # test q as one row of its m n entries, the coupling c_q appended
+    flat = tests.reshape(nq, m * n)
+    if coupling is not None:
+        flat = np.concatenate([flat, np.reshape(coupling, (nq, 1))], axis=1)
+    q, at = np.nonzero(flat)
+    row_ids = (q + nq * np.arange(len(shifts))[:, None]).ravel()
+    col_ids = _entry_columns(n, degree, m, coupling is not None)[:, at].ravel()
+    values = flat[q, at][None].repeat(len(shifts), axis=0).ravel()
     tensor, shift = names
     labels = [(tensor, idx, o) for idx in _sym_indices(n, degree) for o in range(m)]
     blocks = {tensor: slice(0, tensor_cols)}
     if coupling is not None:
-        rows[r[:, :, 0, 0], tensor_cols + np.arange(len(shifts))[:, None]] += coupling
         labels += [(shift, idx, None) for idx in shifts]
-        blocks[shift] = slice(tensor_cols, tensor_cols + shift_cols)
-    return LinearSystem(unknown_labels=labels, rows=rows, blocks=blocks)
+        blocks[shift] = slice(tensor_cols, tensor_cols + len(shifts))
+    return LinearSystem(labels, len(shifts) * nq, row_ids, col_ids, values, blocks)
 
 
 def _braid_rows(

@@ -92,7 +92,7 @@ def _jet_kernel(
     if coupling is not None and dim > nb:
         # the assembler runs (w1, w2) outer; step 2 lists (u, v) outer
         npairs = sym_index_count(dim, 2)
-        system.rows = system.rows.reshape(npairs, npairs, -1).swapaxes(0, 1).reshape(npairs**2, -1)
+        system.row_ids = system.row_ids % npairs * npairs + system.row_ids // npairs
     return solve_kernel(system, tol=tol, want_basis=want_basis)
 
 

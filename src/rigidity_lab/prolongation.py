@@ -504,10 +504,9 @@ def curve_stabilizer_algebra(
     n = np.asarray(samples[0][0]).shape[0]
     k = len(samples)
     npairs = sym_index_count(n, 2)
-    ncols = n * n + k
     labels = [("X", (i, j), None) for i in range(n) for j in range(n)]
     labels += [("lambda", (s,), None) for s in range(k)]
-    rows = np.zeros((k * npairs, ncols))
+    row_ids, col_ids, values = [], [], []
     i, j = _sym_index_array(n, 2).T
     for s, (b, t) in enumerate(samples):
         b = np.asarray(b, dtype=float)
@@ -516,11 +515,18 @@ def curve_stabilizer_algebra(
             raise ValueError("all samples must be n x n matrices of equal size")
         if np.max(np.abs(t)) == 0.0:
             raise ValueError(f"tangent matrix of sample {s} is zero")
-        # (X^T b + b X)_{ij} - lambda_s t_{ij} = 0
-        block = slice(s * npairs, (s + 1) * npairs)
-        rows[block, : n * n] = _congruence_rows(b)
-        rows[block, n * n + s] -= t[i, j]
-    system = LinearSystem(unknown_labels=labels, rows=rows)
+        # (X^T b + b X)_{ij} - lambda_s t_{ij} = 0, rows s * npairs onward
+        r, c, v = _congruence_rows(b)
+        row_ids += [s * npairs + r, s * npairs + np.arange(npairs)]
+        col_ids += [c, np.full(npairs, n * n + s)]
+        values += [v, -t[i, j]]
+    system = LinearSystem(
+        labels,
+        k * npairs,
+        np.concatenate(row_ids),
+        np.concatenate(col_ids),
+        np.concatenate(values),
+    )
     report = solve_kernel(system, tol=tol, want_basis=True)
     if report.kernel_dim == 0:
         raise ValueError("stabilizer system has trivial kernel; no algebra to return")
@@ -532,19 +538,26 @@ def curve_stabilizer_algebra(
     return MatrixAlgebra(n, gens)
 
 
-def _congruence_rows(b: np.ndarray) -> np.ndarray:
-    """Rows of ``(X^T b + b X)_{ij}`` over symmetric pairs (i, j) in the
-    row-major entries of X; b need not be symmetric."""
+def _congruence_rows(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (row ids, column ids, values) of ``(X^T b + b X)_{ij}``, one
+    row per symmetric pair (i, j), over the row-major entries of X; b need
+    not be symmetric.  Exact zeros are left for :class:`LinearSystem` to
+    drop."""
     n = b.shape[0]
     i, j = _sym_index_array(n, 2).T
     m = np.arange(n)
-    r = np.arange(len(i))[:, None]
-    rows = np.zeros((len(i), n * n))
-    # X[m, i] b[m, j] and b[i, m] X[m, j]: within one call a row's columns
-    # are distinct, so each coefficient is added exactly once
-    rows[r, m * n + i[:, None]] += b[m, j[:, None]]
-    rows[r, m * n + j[:, None]] += b[i[:, None], m]
-    return rows
+    rows = np.repeat(np.arange(len(i)), n)
+    # X[m, i] b[m, j] at column m n + i and b[i, m] X[m, j] at m n + j; the
+    # two columns differ unless i == j, where the terms add in one entry
+    left, right = b[m, j[:, None]], b[i[:, None], m]
+    diagonal = (i == j)[:, None]
+    left = np.where(diagonal, left + right, left)
+    right = np.where(diagonal, 0.0, right)
+    return (
+        np.concatenate([rows, rows]),
+        np.concatenate([(m * n + i[:, None]).ravel(), (m * n + j[:, None]).ravel()]),
+        np.concatenate([left.ravel(), right.ravel()]),
+    )
 
 
 def builtin_algebra(
@@ -602,8 +615,8 @@ def _lightlike_orth(n: int) -> MatrixAlgebra:
         raise ValueError("lightlike orthogonal algebra needs n >= 2")
     g = np.eye(n)
     g[n - 1, n - 1] = 0.0
-    rows = _congruence_rows(g)
     labels = [("X", (i, j), None) for i in range(n) for j in range(n)]
-    report = solve_kernel(LinearSystem(unknown_labels=labels, rows=rows), want_basis=True)
+    system = LinearSystem(labels, sym_index_count(n, 2), *_congruence_rows(g))
+    report = solve_kernel(system, want_basis=True)
     gens = [vec.reshape(n, n) for vec in report.kernel_basis]
     return MatrixAlgebra(n, gens)

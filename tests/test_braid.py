@@ -24,9 +24,24 @@ from rigidity_lab.braid import (
 )
 from rigidity_lab.certifier import gcs_certificate, lightlike_subrigidity_certificate
 from rigidity_lab.gcs import builtin_chart, lift_to_lightlike
-from rigidity_lab.multilinear import SPECTRAL_TOL, BilinForm, SymTensor, enumerate_sym_indices
+from rigidity_lab.multilinear import (
+    SPECTRAL_TOL,
+    BilinForm,
+    SymTensor,
+    enumerate_sym_indices,
+    sym_index_count,
+    _sym_index_array,
+    _sym_indices,
+)
 from rigidity_lab.prolongation import builtin_algebra, prolongation_space
 from conftest import random_nondegenerate_form, random_orthogonal, random_well_conditioned
+
+
+def dense_system(labels, rows, blocks=None):
+    """The system of a dense row matrix, from its nonzero entries."""
+    rows = np.asarray(rows)
+    row_ids, col_ids = np.nonzero(rows)
+    return LinearSystem(labels, rows.shape[0], row_ids, col_ids, rows[row_ids, col_ids], blocks or {})
 
 
 def witness_vector(report, assignments):
@@ -295,7 +310,7 @@ class TestKernelReports:
     def test_zero_rows_matrix(self):
         from rigidity_lab.braid import LinearSystem
 
-        system = LinearSystem(unknown_labels=[("x", (0,), None)] * 3, rows=np.zeros((2, 3)))
+        system = dense_system([("x", (0,), None)] * 3, np.zeros((2, 3)))
         report = solve_kernel(system, want_basis=True)
         assert report.kernel_dim == 3
         assert report.verdict == "non_rigid"
@@ -310,7 +325,7 @@ class TestKernelReports:
 
         labels = [("x", (k,), None) for k in range(3)]
         rows = np.diag([1.0, 3e-10, 0.9e-10])
-        report = solve_kernel(LinearSystem(unknown_labels=labels, rows=rows))
+        report = solve_kernel(dense_system(labels, rows))
         assert report.kernel_dim == 1
         assert report.gap_ratio < 1e3
         assert report.verdict == "indeterminate"
@@ -376,7 +391,7 @@ def _forms(kind, n):
 
 def _edge_system(rows, blocks=None):
     rows = np.asarray(rows, dtype=float).reshape(-1, 3) if np.size(rows) else np.zeros((0, 3))
-    return LinearSystem([("x", (k,), None) for k in range(rows.shape[1])], rows, blocks or {})
+    return dense_system([("x", (k,), None) for k in range(rows.shape[1])], rows, blocks)
 
 
 BRAID_CASES = {
@@ -496,20 +511,38 @@ class TestBlockSolveOracle:
         assert dropped.size and not np.any(dropped)
         assert report.gap_ratio == float("inf")
 
-    def test_one_component_is_not_copied(self, monkeypatch):
-        # a dense pair gives one component touching every row and column
-        system = generalized_braid_system(*_forms("dense", 3))
-        stacks = []
-        svd = np.linalg.svd
+    def test_no_solve_reads_the_dense_rows(self, monkeypatch):
+        def refuse(system):
+            raise AssertionError("a solve densified the row matrix")
 
-        def spy(a, *args, **kwargs):
-            stacks.append(a)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
-        solve_kernel(system)
-        monkeypatch.undo()
-        assert np.shares_memory(stacks[0], system.rows)
+        chart = builtin_chart("conformal_flat", 3)
+        lightcone = builtin_chart("lightcone", 4)
+        definite = _pencil_pairs(4)[0]
+        co4 = builtin_algebra("co", 4)
+        monkeypatch.setattr(LinearSystem, "rows", property(refuse))
+        for want_basis in (False, True):
+            # the projection split runs for every system with blocks A and K;
+            # the degenerate pair has a kernel, so the split solves V^T
+            for forms in (
+                _forms("diagonal", 4),
+                _forms("dense", 4),
+                (np.eye(3), np.diag([1.0, 0.0, 0.0])),
+            ):
+                report = solve_kernel(generalized_braid_system(*forms), want_basis=want_basis)
+                assert set(report.split) == {"A", "K"}
+            report = generalized_braid_kernel(*definite, want_basis=want_basis)
+            assert report.pencil is not None and report.verdict == "rigid"
+            report = certifier.level1_system(chart, [0.1, 0.0, -0.2], 1.0, want_basis=want_basis)
+            assert report.kernel_dim == 3 and set(report.split) == {"phi2", "dk"}
+            report = certifier.level2_system(chart, [0.1, 0.0, -0.2], 1.0, want_basis=want_basis)
+            assert report.verdict == "rigid"
+            report = certifier.lightlike_step2_system(
+                lightcone, [0.1, 0.0, -0.2], 1.0, want_basis=want_basis
+            )
+            assert set(report.split) == {"phi3", "delta2"}
+        space = prolongation_space(co4, 3)
+        assert space.dim == 0 and space.basis == []
+        assert prolongation_space(co4, 1).basis
 
 
 @st.composite
@@ -548,8 +581,8 @@ class TestBlockSolveProperties:
     def test_permutations_leave_the_kernel_unchanged(self, drawn):
         rows, row_perm, col_perm = drawn
         labels = [("x", (k,), None) for k in range(rows.shape[1])]
-        base = solve_kernel(LinearSystem(labels, rows))
-        moved = solve_kernel(LinearSystem(labels, rows[row_perm][:, col_perm]))
+        base = solve_kernel(dense_system(labels, rows))
+        moved = solve_kernel(dense_system(labels, rows[row_perm][:, col_perm]))
         self.assert_same(base, moved)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -558,10 +591,235 @@ class TestBlockSolveProperties:
         system = generalized_braid_system(*_forms("diagonal", 4))
         row_perm = random.sample(range(system.equations), system.equations)
         col_perm = random.sample(range(system.unknowns), system.unknowns)
+        # entry (x, y) moves to the row and column that list x and y
+        row_at, col_at = np.argsort(row_perm), np.argsort(col_perm)
         moved = LinearSystem(
-            [system.unknown_labels[k] for k in col_perm], system.rows[row_perm][:, col_perm]
+            [system.unknown_labels[k] for k in col_perm],
+            system.equations,
+            row_at[system.row_ids],
+            col_at[system.col_ids],
+            system.values,
         )
         self.assert_same(solve_kernel(system), solve_kernel(moved))
+
+
+# -- the dense scatters the entry assemblers replaced, kept as oracles --------
+
+
+def _dense_packed_rows(tests, degree, coupling=None):
+    nq, m, n = tests.shape
+    shifts = _sym_indices(n, degree - 1)
+    insert = braid._insert_positions(n, degree)
+    tensor_cols = sym_index_count(n, degree) * m
+    shift_cols = len(shifts) if coupling is not None else 0
+    dtype = np.result_type(tests, float if coupling is None else coupling)
+    rows = np.zeros((len(shifts) * nq, tensor_cols + shift_cols), dtype=dtype)
+    r = np.arange(len(rows)).reshape(len(shifts), nq, 1, 1)
+    rows[r, insert[:, None, :, None] * m + np.arange(m)] = tests.transpose(0, 2, 1)
+    if coupling is not None:
+        rows[r[:, :, 0, 0], tensor_cols + np.arange(len(shifts))[:, None]] += coupling
+    return rows
+
+
+def _dense_symskew_rows(n):
+    axis = np.arange(n)
+
+    def cols(i, j, k):
+        return (((i[:, None] * n + j[:, None]) * n + k[:, None]) * n + axis).ravel()
+
+    i, j = np.triu_indices(n, 1)
+    i, j, k = np.repeat(i, n), np.repeat(j, n), np.tile(axis, i.size)
+    sym_plus, sym_minus = cols(i, j, k), cols(j, i, k)
+    j, k = np.triu_indices(n)
+    i, j, k = np.repeat(axis, j.size), np.tile(j, n), np.tile(k, n)
+    skew_a, skew_b = cols(i, j, k), cols(i, k, j)
+    nsym = sym_plus.size
+    rows = np.zeros((nsym + skew_a.size, n**4))
+    r = np.arange(len(rows))
+    rows[r[:nsym], sym_plus] += 1.0
+    rows[r[:nsym], sym_minus] -= 1.0
+    rows[r[nsym:], skew_a] += 1.0
+    rows[r[nsym:], skew_b] += 1.0
+    return rows
+
+
+def _dense_congruence_rows(b):
+    n = b.shape[0]
+    i, j = _sym_index_array(n, 2).T
+    m = np.arange(n)
+    r = np.arange(len(i))[:, None]
+    rows = np.zeros((len(i), n * n))
+    rows[r, m * n + i[:, None]] += b[m, j[:, None]]
+    rows[r, m * n + j[:, None]] += b[i[:, None], m]
+    return rows
+
+
+def _dense_stabilizer_rows(samples):
+    n, k = samples[0][0].shape[0], len(samples)
+    npairs = sym_index_count(n, 2)
+    rows = np.zeros((k * npairs, n * n + k))
+    i, j = _sym_index_array(n, 2).T
+    for s, (b, t) in enumerate(samples):
+        block = slice(s * npairs, (s + 1) * npairs)
+        rows[block, : n * n] = _dense_congruence_rows(b)
+        rows[block, n * n + s] -= t[i, j]
+    return rows
+
+
+def _assembled(monkeypatch, call):
+    """Each system ``call()`` assembles through ``_packed_rows``, with its
+    dense oracle (the lightlike step 2 takes the dense row reordering), and
+    each system it solves."""
+    packed, solved = [], []
+
+    def record(tests, degree, coupling=None, names=("A", "K")):
+        system = packed_rows(tests, degree, coupling, names)
+        packed.append((system, tests, degree, coupling))
+        return system
+
+    def capture(system, tol=SPECTRAL_TOL, want_basis=False):
+        solved.append(system)
+        return solve_kernel(system, tol=tol, want_basis=want_basis)
+
+    packed_rows = braid._packed_rows
+    for module in (braid, prolongation):
+        monkeypatch.setattr(module, "_packed_rows", record)
+    for module in (braid, certifier, prolongation):
+        monkeypatch.setattr(module, "solve_kernel", capture)
+    call()
+    monkeypatch.undo()
+    pairs = []
+    for system, tests, degree, coupling in packed:
+        rows = _dense_packed_rows(tests, degree, coupling)
+        if "delta2" in system.blocks:
+            npairs = math.isqrt(len(rows))
+            rows = rows.reshape(npairs, npairs, -1).swapaxes(0, 1).reshape(npairs**2, -1)
+        pairs.append((system, rows))
+    return pairs, solved
+
+
+def _assert_entries(system):
+    """No exact zero, and no (row, column) pair twice."""
+    assert system.values.ndim == system.row_ids.ndim == system.col_ids.ndim == 1
+    assert not np.any(system.values == 0)
+    at = system.row_ids * system.unknowns + system.col_ids
+    assert np.unique(at).size == at.size
+
+
+STABILIZER_SAMPLES = {
+    "conformal-ray": [(s * np.eye(3), np.eye(3)) for s in (0.5, 1.0, 2.0)],
+    "axis-scaling": [(np.diag([s, 1.0, 1.0]), np.diag([1.0, 0.0, 0.0])) for s in (0.5, 2.0)],
+    "dense": [
+        (random_nondegenerate_form(np.random.default_rng(20), 4, False) + 3.0 * np.eye(4),
+         random_nondegenerate_form(np.random.default_rng(21), 4))
+    ],
+}
+
+
+class TestEntries:
+    """Every assembler emits its nonzero entries once each, and its rows,
+    densified, are bit for bit those of the dense scatter it replaced."""
+
+    @pytest.mark.parametrize(
+        "case",
+        sorted(BRAID_CASES) + sorted(CALLER_CASES) + ["pencil-n4", "pencil-n8", "classical-pencil-n5"],
+    )
+    def test_packed_entries_match_dense_scatter(self, monkeypatch, case):
+        pencils = {
+            "pencil-n4": lambda: [generalized_braid_kernel(*pair) for pair in _pencil_pairs(4)],
+            "pencil-n8": lambda: [generalized_braid_kernel(*pair) for pair in _pencil_pairs(8)],
+            "classical-pencil-n5": lambda: classical_braid_kernel(
+                random_nondegenerate_form(np.random.default_rng(5), 5, True)
+            ),
+        }
+        call = pencils.get(case) or BRAID_CASES.get(case) or CALLER_CASES[case]
+        pairs, solved = _assembled(monkeypatch, call)
+        edge = {"no-rows", "untouched-column", "zero-row", "all-zero", "two-scales"}
+        assert bool(pairs) == (case not in edge)
+        for system, rows in pairs:
+            _assert_entries(system)
+            assert system.rows.dtype == rows.dtype
+            assert system.rows.tobytes() == rows.tobytes()
+        for system in solved:
+            _assert_entries(system)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_symskew_entries_match_dense_scatter(self, n):
+        system = trilinear_symskew_system(n)
+        _assert_entries(system)
+        assert system.rows.tobytes() == _dense_symskew_rows(n).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(STABILIZER_SAMPLES))
+    def test_stabilizer_entries_match_dense_scatter(self, monkeypatch, case):
+        samples = STABILIZER_SAMPLES[case]
+        _, solved = _assembled(monkeypatch, lambda: prolongation.curve_stabilizer_algebra(samples))
+        (system,) = solved
+        _assert_entries(system)
+        assert system.rows.tobytes() == _dense_stabilizer_rows(samples).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_lightlike_orth_entries_match_dense_scatter(self, monkeypatch, n):
+        _, solved = _assembled(monkeypatch, lambda: builtin_algebra("lightlike_orth", n))
+        g = np.eye(n)
+        g[-1, -1] = 0.0
+        (system,) = solved
+        _assert_entries(system)
+        assert system.rows.tobytes() == _dense_congruence_rows(g).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_congruence_entries_of_any_matrix(self, seed):
+        # b need not be symmetric; an antisymmetric part cancels on the
+        # diagonal rows and leaves no zero entry behind
+        b = np.random.default_rng(seed).standard_normal((4, 4))
+        for form in (b, b - b.T, np.round(b)):
+            system = LinearSystem(
+                [("X", (k,), None) for k in range(16)], 10, *prolongation._congruence_rows(form)
+            )
+            _assert_entries(system)
+            assert system.rows.tobytes() == _dense_congruence_rows(form).tobytes()
+
+    def test_residual_and_scale_from_entries(self):
+        rng = np.random.default_rng(19)
+        for system in (
+            generalized_braid_system(*_forms("dense", 3)),
+            braid._braid_rows(_pencil_pairs(3)[1][0] + 1j * np.eye(3), 3, np.eye(3)),
+        ):
+            vector = rng.standard_normal(system.unknowns)
+            dense = system.rows
+            assert np.isclose(system.residual(vector), np.max(np.abs(dense @ vector)), rtol=1e-14)
+            assert system.coefficient_scale() == np.max(np.abs(dense))
+
+    def test_exact_zeros_are_dropped_and_bounds_checked(self):
+        labels = [("x", (k,), None) for k in range(3)]
+        system = LinearSystem(labels, 2, [0, 1, 1], [0, 2, 1], [1.0, 0.0, -0.0 + 2.0])
+        assert system.row_ids.tolist() == [0, 1] and system.col_ids.tolist() == [0, 1]
+        with pytest.raises(ValueError, match="outside"):
+            LinearSystem(labels, 2, [2], [0], [1.0])
+        with pytest.raises(ValueError, match="outside"):
+            LinearSystem(labels, 2, [0], [-1], [1.0])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_block_diagonal_systems(), st.randoms(use_true_random=False))
+    def test_components_ignore_entry_order(self, drawn, random):
+        rows, row_perm, col_perm = drawn
+        labels = [("x", (k,), None) for k in range(rows.shape[1])]
+        system = dense_system(labels, rows[row_perm][:, col_perm])
+        order = random.sample(range(system.values.size), system.values.size)
+        shuffled = LinearSystem(
+            labels, system.equations, system.row_ids[order], system.col_ids[order], system.values[order]
+        )
+        a, b = braid._components(system), braid._components(shuffled)
+        for name in ("row_count", "col_order", "col_start", "col_count"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert [g.tolist() for g in a.groups] == [g.tolist() for g in b.groups]
+        for g, ids in enumerate(a.groups):
+            if a.row_count[ids[0]]:
+                assert a.stack(g).tobytes() == b.stack(g).tobytes()
+        # the blocks hold every entry: their Frobenius norms add up
+        total = sum(
+            float(np.sum(a.stack(g) ** 2)) for g, ids in enumerate(a.groups) if a.row_count[ids[0]]
+        )
+        assert np.isclose(total, float(np.sum(rows**2)), rtol=1e-12)
 
 
 def _pencil_pairs(n):

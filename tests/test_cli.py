@@ -620,6 +620,62 @@ print(codes)
     assert proc.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
+LARGE_SYSTEMS = {
+    "prolong-so-12": (
+        ["prolong", "--algebra", "so", "--n", "12"],
+        {"kind": "finite", "order": 1, "dims": {"1": 0, "2": 0, "3": 0}},
+    ),
+    "prolong-co-12": (
+        ["prolong", "--algebra", "co", "--n", "12"],
+        {"kind": "finite", "order": 2, "dims": {"1": 12, "2": 0, "3": 0}},
+    ),
+    "braid-12": (["braid", "--n", "12"], {"verdict": "rigid", "projection_dims": {"A": 0, "K": 0}}),
+}
+
+
+class TestLargeSystems:
+    """Sizes whose dense row matrices ran to gigabytes: so(12) and co(12) at
+    order 3 are 28392 x 16380, and the n = 12 braid system is 6084 x 4446.
+    They are solved from their nonzero entries."""
+
+    @pytest.mark.parametrize("case", sorted(LARGE_SYSTEMS))
+    def test_solved_in_process(self, case, tmp_path):
+        argv, expected = LARGE_SYSTEMS[case]
+        code, report = _main_report(argv, tmp_path)
+        assert code == 0
+        doc = json.loads(report)
+        if argv[0] == "braid":
+            assert doc["report"]["verdict"] == expected["verdict"]
+            assert doc["report"]["projection_dims"] == expected["projection_dims"]
+        else:
+            assert doc["prolongation_dims"] == expected["dims"]
+            assert doc["type"]["kind"] == expected["kind"]
+            assert doc["type"]["order"] == expected["order"]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_peak_memory(self, tmp_path):
+        # a fresh process whose address space is capped at 1 GiB, so that a
+        # dense row matrix fails at once instead of filling the machine; its
+        # VmHWM, unlike getrusage's ru_maxrss, does not inherit the peak of
+        # the process that started it
+        script = f"""
+import re, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.path.insert(0, {str(TESTS_DIR.parent / "src")!r})
+from rigidity_lab import cli
+codes = [cli.main(argv + ["--output", {str(tmp_path)!r} + f"/{{k}}.json"])
+         for k, argv in enumerate({[argv for argv, _ in LARGE_SYSTEMS.values()]!r})]
+with open("/proc/self/status") as status:
+    print(codes, re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1))
+"""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        codes, peak_kib = proc.stdout.rsplit("]", 1)
+        assert codes == "[0, 0, 0"
+        assert int(peak_kib) < 100 * 1024
+
+
 def _curve_doc(values, closed=False):
     """Curve document with 1x1 samples ``[[v]]`` at t = 0, 1, 2, ..."""
     return {
