@@ -284,12 +284,12 @@ def _run_prolong(args: argparse.Namespace) -> dict:
             f"(cap {SIZE_CAP}); reduce --n or --max-order"
         )
     result = finite_type(algebra, max_order=args.max_order, tol=args.tol, seed=args.seed)
-    # orders that finite_type solved are not solved again
-    solved = {} if isinstance(result, InfiniteType) else result.dims
+    # orders that finite_type solved are not solved again; a finite type
+    # stops at its verifying order, so the orders above it are solved here
     dims = {}
     for d in range(1, args.max_order + 1):
-        if d in solved:
-            dims[str(d)] = solved[d]
+        if d in result.dims:
+            dims[str(d)] = result.dims[d]
         else:
             dims[str(d)] = prolongation_space(algebra, d, tol=args.tol).dim
     input_doc = {

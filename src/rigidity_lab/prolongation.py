@@ -240,7 +240,11 @@ class FiniteType:
 
 @dataclass
 class InfiniteType:
+    """A rank-one element, whose witness family is nonzero at every order,
+    with the prolongation dimensions solved before it was searched for."""
+
     witness: Rank1Witness
+    dims: dict[int, int]
 
 
 @dataclass
@@ -461,17 +465,27 @@ def finite_type(
 ) -> FiniteType | InfiniteType | UnknownBeyond:
     """Determine the type of an algebra up to ``max_order``.
 
-    A rank-one element (if the heuristic search finds one) certifies
-    infinite type through its explicit witness family.  Otherwise
-    prolongation spaces are computed order by order; the first vanishing
-    order is returned and, where the size cap allows, the next order is
-    recomputed to confirm that vanishing persists rather than assuming it.
+    Prolongation spaces are solved order by order first.  At the first
+    vanishing order the type is finite: that order is returned and, where
+    the size cap allows, the next order is solved to confirm that vanishing
+    persists rather than assuming it.  A finite type never runs the
+    rank-one search, since a rank-one element ``v a^T`` would give the
+    nonzero ``<a,x>^(d+1) v`` at every order.  Only when no order up to
+    ``max_order`` vanishes does the heuristic search run: a rank-one
+    element certifies infinite type through its explicit witness family,
+    and otherwise the type is unknown beyond ``max_order``.  An algebra
+    whose order-``max_order`` system exceeds ``SIZE_CAP`` unknowns is
+    refused before any solve.
     """
     if max_order < 1 or max_order > MAX_ORDER_CAP:
         raise ValueError(f"max_order must be in 1..{MAX_ORDER_CAP}, got {max_order}")
-    witness = find_rank1(h, trials=trials, seed=seed)
-    if witness is not None:
-        return InfiniteType(witness=witness)
+    # unknowns grow with the order, so the highest order bounds them all
+    unknowns = prolongation_unknowns(h.n, max_order)
+    if unknowns > SIZE_CAP:
+        raise ValueError(
+            f"prolongation order {max_order} would have {unknowns} unknowns "
+            f"(cap {SIZE_CAP}); reduce n or the order"
+        )
     dims: dict[int, int] = {}
     for d in range(1, max_order + 1):
         dims[d] = prolongation_space(h, d, tol=tol).dim
@@ -486,6 +500,9 @@ def finite_type(
                     )
                 verified = d + 1
             return FiniteType(order=d, dims=dims, verified_next_order=verified)
+    witness = find_rank1(h, trials=trials, seed=seed)
+    if witness is not None:
+        return InfiniteType(witness=witness, dims=dims)
     return UnknownBeyond(max_order=max_order, dims=dims)
 
 

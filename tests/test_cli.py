@@ -1075,6 +1075,25 @@ class TestCommands:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "b39c0c143572499542ae9e68d123bc80b449d2b022a4c6eeb4cd3b8b4237c60f"
 
+        # an infinite type solves every order before its search, and the
+        # report's dims are the result's
+        results = []
+        original_finite_type = cli.finite_type
+
+        def recorded(*args, **kwargs):
+            results.append(original_finite_type(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "finite_type", recorded)
+        calls.clear()
+        argv = ["prolong", "--algebra", "lightlike_orth", "--n", "4", "--output", str(out)]
+        assert cli.main(argv) == 0
+        assert calls == [1, 2, 3]
+        [result] = results
+        assert isinstance(result, prolongation.InfiniteType)
+        doc = json.loads(out.read_text())
+        assert doc["prolongation_dims"] == {str(d): dim for d, dim in result.dims.items()}
+
     def test_certify_with_chart_file(self, tmp_path):
         doc = {"builtin": "conformal_flat", "n": 3}
         chart = tmp_path / "chart.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -317,11 +318,17 @@ class TestFiniteType:
         for trial in range(20):
             n = 3 if trial % 2 == 0 else 4
             r1 = rank1_matrix(rng, n)
-            res = finite_type(builtin_algebra("one_param", r_matrix=r1), seed=trial)
+            span = builtin_algebra("one_param", r_matrix=r1)
+            res = finite_type(span, seed=trial)
             assert isinstance(res, InfiniteType)
+            # the orders were solved before the search, and the witness
+            # family is a nonzero element at each of them
+            assert list(res.dims) == [1, 2, 3]
+            assert all(dim > 0 for dim in res.dims.values())
             w = res.witness
-            l1 = rank1_witness_prolongation(w.a, w.v, 1)
-            assert membership_residual(builtin_algebra("one_param", r_matrix=r1), l1) < 1e-8
+            for d in res.dims:
+                ld = rank1_witness_prolongation(w.a, w.v, d)
+                assert membership_residual(span, ld) < 1e-8, d
 
             r2 = rank_at_least_2(rng, n)
             res2 = finite_type(builtin_algebra("one_param", r_matrix=r2), seed=trial)
@@ -331,6 +338,17 @@ class TestFiniteType:
     def test_max_order_cap(self):
         with pytest.raises(ValueError):
             finite_type(builtin_algebra("so", 3), max_order=9)
+
+    def test_size_cap_before_any_solve(self, monkeypatch):
+        # so(13) vanishes at order 1, but its order-3 system has 23660
+        # unknowns: the call is refused before orders 1 and 2 are solved
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the size cap was checked")
+
+        monkeypatch.setattr(prolongation, "prolongation_space", no_solve)
+        monkeypatch.setattr(prolongation, "find_rank1", no_solve)
+        with pytest.raises(ValueError, match="order 3 would have 23660 unknowns"):
+            finite_type(builtin_algebra("so", 13), max_order=3)
 
 
 class TestFindRank1:
@@ -410,19 +428,33 @@ class TestRank1Conjugates:
         assert_valid_witness(h, find_rank1(h, seed=seed))
 
 
+def _sym_forms(n, degree):
+    """Dimension of the symmetric degree-forms on R^n."""
+    return math.comb(n + degree - 1, degree)
+
+
 # kind, order, dims and verified_next_order from the theory: so has finite
 # type 1; co(n) finite type 2 with an n-dimensional first prolongation for
 # n >= 3, while co(2) (holomorphic maps) keeps 2-dimensional prolongations;
-# lightlike_orth holds x -> f(x) e_n, so it has infinite type; span{R} has
-# finite type 1 when rank R >= 2 and infinite type when rank R = 1; a
-# generic 3-dimensional subspace of gl(4) has type 1.
+# lightlike_orth holds x -> f(x) e_n, so it has infinite type and its order-d
+# prolongation is every symmetric (d+1)-form times e_n; span{R} has finite
+# type 1 when rank R >= 2 and infinite type with one-dimensional
+# prolongations when rank R = 1; a generic 3-dimensional subspace of gl(4)
+# has type 1.
 _FINITE_TYPE_TABLE = [
     *[(("so", n), ("finite", 1, {1: 0, 2: 0}, 2)) for n in range(2, 7)],
     (("co", 2), ("unknown_beyond", None, {1: 2, 2: 2, 3: 2}, None)),
     *[(("co", n), ("finite", 2, {1: n, 2: 0, 3: 0}, 3)) for n in range(3, 7)],
-    *[(("lightlike_orth", n), ("infinite", None, None, None)) for n in range(2, 7)],
-    (("one_param-rank1", 4), ("infinite", None, None, None)),
-    (("one_param-rank1", 5), ("infinite", None, None, None)),
+    *[
+        (
+            ("lightlike_orth", n),
+            ("infinite", None, {d: _sym_forms(n, d + 1) for d in (1, 2, 3)}, None),
+        )
+        for n in range(2, 7)
+    ],
+    (("one_param-rank1", 4), ("infinite", None, {1: 1, 2: 1, 3: 1}, None)),
+    (("one_param-rank1", 5), ("infinite", None, {1: 1, 2: 1, 3: 1}, None)),
+    (("one_param-rank2", 3), ("finite", 1, {1: 0, 2: 0}, 2)),
     (("one_param-full-rank", 4), ("finite", 1, {1: 0, 2: 0}, 2)),
     (("custom-3gen", 4), ("finite", 1, {1: 0, 2: 0}, 2)),
 ]
@@ -432,6 +464,10 @@ def _table_algebra(name, n):
     if name == "one_param-rank1":
         v, a = np.arange(1.0, n + 1.0), np.array([1.0, -2.0, 0.0, 3.0, -1.0][:n])
         return builtin_algebra("one_param", r_matrix=np.outer(v, a))
+    if name == "one_param-rank2":
+        r = np.zeros((n, n))
+        r[0, 1], r[1, 0] = 1.0, -1.0
+        return builtin_algebra("one_param", r_matrix=r)
     if name == "one_param-full-rank":
         r = np.array([[6, 1, 0, -1], [0, 5, 1, 0], [-1, 0, 7, 1], [1, -1, 0, 8]], dtype=float)
         return builtin_algebra("one_param", r_matrix=r)
@@ -446,12 +482,20 @@ class TestFiniteTypeTable:
     @pytest.mark.parametrize(
         "case,expected", _FINITE_TYPE_TABLE, ids=[f"{c[0]}-{c[1]}" for c, _ in _FINITE_TYPE_TABLE]
     )
-    def test_pinned(self, case, expected):
+    def test_pinned(self, case, expected, monkeypatch):
         h = _table_algebra(*case)
-        result = finite_type(h)
         kind, order, dims, verified = expected
+        if kind == "finite":
+            # a vanishing order proves finite type, and a rank-one element
+            # would keep every order nonzero, so the search never runs
+            def refuse(*args, **kwargs):
+                raise AssertionError("find_rank1 ran on a finite-type algebra")
+
+            monkeypatch.setattr(prolongation, "find_rank1", refuse)
+        result = finite_type(h)
         if kind == "infinite":
             assert isinstance(result, InfiniteType)
+            assert result.dims == dims
             assert_valid_witness(h, result.witness)
             if case[0] == "lightlike_orth":
                 # every rank-one element of lightlike_orth maps into e_n
