@@ -55,10 +55,18 @@ def _finite_end(value, what: str) -> float:
     return out
 
 
+def _check_pair(value, what: str) -> None:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(f"{what} must be a pair [lo, hi], got {value!r}")
+
+
 def _check_box(box) -> list[tuple[float, float]]:
+    if not isinstance(box, (list, tuple)):
+        raise ValueError(f"domain must be a list of sides, got {box!r}")
     out = []
-    for k, (lo, hi) in enumerate(box):
-        lo, hi = (_finite_end(v, f"domain side {k} end") for v in (lo, hi))
+    for k, side in enumerate(box):
+        _check_pair(side, f"domain side {k}")
+        lo, hi = (_finite_end(v, f"domain side {k} end") for v in side)
         if not lo < hi:
             raise ValueError(f"degenerate box side [{lo}, {hi}]")
         out.append((lo, hi))
@@ -66,8 +74,7 @@ def _check_box(box) -> list[tuple[float, float]]:
 
 
 def _check_interval(iv) -> tuple[float, float]:
-    if len(iv) != 2:
-        raise ValueError(f"interval must be a pair, got {iv}")
+    _check_pair(iv, "interval")
     lo, hi = (_finite_end(v, "interval end") for v in iv)
     if not lo < hi:
         raise ValueError(f"degenerate parameter interval {(lo, hi)}")
@@ -116,7 +123,9 @@ class _GridProgram:
     denominator; ``coefs[:, 2k]`` and ``coefs[:, 2k + 1]`` hold the
     coefficients of field k's numerator and denominator on them.  Field k
     sits at ``(rows[k], cols[k])`` of its matrix; the first ``n_metric``
-    fields are metric entries.
+    fields are metric entries.  ``diagonal`` is true when every field lies
+    on the diagonal (the r-derivative of a zero entry is zero), so that the
+    matrices' eigenvalues are their diagonal values.
     """
 
     exps: np.ndarray
@@ -124,6 +133,7 @@ class _GridProgram:
     rows: np.ndarray
     cols: np.ndarray
     n_metric: int
+    diagonal: bool
 
 
 def _compile_grid_program(chart: "GcsChart") -> _GridProgram:
@@ -159,6 +169,7 @@ def _compile_grid_program(chart: "GcsChart") -> _GridProgram:
         rows=np.array([i for i, _, _ in fields], dtype=np.int64),
         cols=np.array([j for _, j, _ in fields], dtype=np.int64),
         n_metric=n_metric,
+        diagonal=all(i == j for i, j, _ in fields),
     )
 
 
@@ -199,8 +210,10 @@ def _grid_point(axes, digits, k) -> tuple[list[float], float]:
 # an overflow in the scan is refused as a value that is not finite
 @np.errstate(over="ignore", invalid="ignore")
 def _scan_grid(chart: "GcsChart") -> GridSummary:
-    """Evaluate the metric and its r-derivative over the chart's grid, block
-    by block.
+    """Evaluate the metric and its r-derivative over the chart's grid, in
+    blocks of points, and take their eigenvalues: a diagonal chart's are its
+    diagonal values (a diagonal entry without a field is 0), any other
+    chart's come from one batched ``eigvalsh`` call per matrix.
 
     Points run in lexicographic order, the last axis (r) fastest; the first
     point with a vanishing denominator, a metric or derivative value that
@@ -229,20 +242,30 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
         mono = tables[0][digits[0]]
         for table, d in zip(tables[1:], digits[1:]):
             mono *= table[d]
-        parts = mono @ prog.coefs
-        num, den = parts[:, 0::2], parts[:, 1::2]
-        vanished = np.any(np.abs(den[:, :na]) <= vanish_tol * (np.abs(mono) @ den_abs), axis=1)
-        vals = num / np.where(vanished[:, None], 1.0, den)
-        # a row maximum is not finite exactly when the row holds such a value
-        metric_max = np.abs(vals[:, :na]).max(axis=1, initial=0.0)
-        norm = np.abs(vals[:, na:]).max(axis=1, initial=0.0)
+        # field-major (fields, points): reductions over fields run along rows
+        parts = np.ascontiguousarray((mono @ prog.coefs).T)
+        num, den = parts[0::2], parts[1::2]
+        bound = vanish_tol * (np.abs(mono) @ den_abs).T
+        vanished = np.any(np.abs(den[:na]) <= bound, axis=0)
+        vals = num / np.where(vanished, 1.0, den)
+        # a column maximum is not finite exactly when the column holds such a value
+        metric_max = np.abs(vals[:na]).max(axis=0, initial=0.0)
+        norm = np.abs(vals[na:]).max(axis=0, initial=0.0)
         nonfinite = ~(np.isfinite(metric_max) & np.isfinite(norm))
-        vals[nonfinite] = 0.0  # refused below; keeps LAPACK off them
-        mats = np.zeros((len(vals), 2, n, n))
-        mats[:, slot, prog.rows, prog.cols] = vals
-        mats[:, slot, prog.cols, prog.rows] = vals
-        eigs = np.linalg.eigvalsh(mats[:, 0])
-        lo, hi = eigs[:, 0], eigs[:, -1]
+        vals[:, nonfinite] = 0.0  # refused below; keeps LAPACK off them
+        if prog.diagonal:
+            diag = np.zeros((2, n, len(nonfinite)))
+            diag[slot, prog.rows] = vals
+            # the first least value in diagonal order, where eigvalsh would
+            # put it: a zero keeps its sign in the refusal message
+            lo = np.take_along_axis(diag[0], diag[0].argmin(axis=0)[None], axis=0)[0]
+            hi = diag[0].max(axis=0)
+        else:
+            mats = np.zeros((2, len(nonfinite), n, n))
+            mats[slot, :, prog.rows, prog.cols] = vals
+            mats[slot, :, prog.cols, prog.rows] = vals
+            eigs = np.linalg.eigvalsh(mats[0])
+            lo, hi = eigs[:, 0], eigs[:, -1]
         bad = vanished | nonfinite | (lo <= SPECTRAL_TOL * np.maximum(np.abs(hi), 1.0))
         bad |= hi <= 0.0
         if bad.any():
@@ -259,7 +282,10 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
                 f"{where} (min eigenvalue {lo[k]:.3e})"
             )
         scale = np.maximum(metric_max, 1.0)
-        min_eig = np.abs(np.linalg.eigvalsh(mats[:, 1])).min(axis=1)
+        if prog.diagonal:
+            min_eig = np.abs(diag[1]).min(axis=0)
+        else:
+            min_eig = np.abs(np.linalg.eigvalsh(mats[1])).min(axis=1)
         k = int(np.argmin(min_eig))
         if min_eig[k] < worst:
             worst, worst_point = float(min_eig[k]), _grid_point(axes, digits, k)
@@ -731,39 +757,40 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
     unknown fields are rejected.  An explicit listing that names a builtin
     (as :func:`chart_to_doc` writes one) is that builtin with its params,
     and must match it in kind, domain, interval and entries.  Coefficients
-    are decimal or fraction strings, parsed exactly.  A grid above the cap
-    is refused before any coefficient is read, and an exponent above
-    ``MAX_EXPONENT`` before any coefficient is built.
+    are decimal or fraction strings, parsed exactly.  A malformed ``n``,
+    ``domain``, ``interval`` or ``entries`` field and a grid above the cap
+    are refused, naming the field, before any coefficient is read, and an
+    exponent above ``MAX_EXPONENT`` before any coefficient is built.
     """
     if not isinstance(doc, dict):
         raise ValueError("chart document must be a JSON object")
     unknown = set(doc) - _CHART_KEYS
     if unknown:
         raise ValueError(f"unknown chart field(s): {', '.join(sorted(unknown))}")
-    n = None if doc.get("n") is None else _as_int(doc["n"], "chart n")
     if doc.get("builtin") is not None and "entries" not in doc:
         ignored = ", ".join(sorted(set(doc) - {"builtin", "n", "params"}))
         if ignored:
             raise ValueError(f"a builtin reference reads only builtin, n and params, not {ignored}")
+        n = None if doc.get("n") is None else _as_int(doc["n"], "chart n")
         return builtin_chart(doc["builtin"], n=n, params=doc.get("params"), grid=grid)
     for key in ("n", "domain", "interval", "entries"):
         if key not in doc:
             raise ValueError(f"chart document is missing '{key}'")
+    domain, interval = _check_box(doc["domain"]), _check_interval(doc["interval"])
+    if not isinstance(doc["entries"], list):
+        raise ValueError(f"chart entries must be a list, got {doc['entries']!r}")
     kind = doc.get("kind", "gcs")
     if kind not in ("gcs", "lightlike"):
         raise ValueError(f"unknown chart kind '{kind}'")
+    n = _as_int(doc["n"], "chart n")
     coeff_dim = n - 1 if kind == "lightlike" else n
+    if coeff_dim < 1:
+        raise ValueError(f"chart n must be at least {n - coeff_dim + 1} for a {kind} chart, got {n}")
     _check_grid_cap(coeff_dim, grid)
     entries = _doc_entries(doc["entries"], coeff_dim)
     if doc.get("builtin") is not None:
-        return _named_chart(doc, kind, n, entries, grid)
-    chart = GcsChart(
-        n=coeff_dim,
-        domain=[tuple(side) for side in doc["domain"]],
-        interval=tuple(doc["interval"]),
-        entries=entries,
-        grid=grid,
-    )
+        return _named_chart(doc, kind, n, domain, interval, entries, grid)
+    chart = GcsChart(n=coeff_dim, domain=domain, interval=interval, entries=entries, grid=grid)
     return LightlikeChart(chart) if kind == "lightlike" else chart
 
 
@@ -800,7 +827,7 @@ def _doc_entries(items, dim: int) -> list[list[RationalField]]:
     return [[upper.get((min(i, j), max(i, j)), zero) for j in range(dim)] for i in range(dim)]
 
 
-def _named_chart(doc: dict, kind: str, n: int, entries, grid: int):
+def _named_chart(doc: dict, kind: str, n: int, domain, interval, entries, grid: int):
     """The builtin an explicit document names, with the document's params;
     the document must list exactly that builtin's chart."""
     name = doc["builtin"]
@@ -808,8 +835,8 @@ def _named_chart(doc: dict, kind: str, n: int, entries, grid: int):
     base = chart.base if isinstance(chart, LightlikeChart) else chart
     for what, differs in (
         ("kind", kind != BUILTINS[name].kind),
-        ("domain", _check_box(doc["domain"]) != base.domain),
-        ("interval", _check_interval(doc["interval"]) != base.interval),
+        ("domain", domain != base.domain),
+        ("interval", interval != base.interval),
         ("entries", entries != base.entries),
     ):
         if differs:

@@ -223,7 +223,12 @@ class RationalField:
         return RationalField(self.num.scale(value), self.den)
 
     def diff(self, var: int) -> "RationalField":
-        num = self.num.diff(var) * self.den - self.num * self.den.diff(var)
+        """``num'/den`` when the denominator does not involve the variable,
+        else the quotient rule over ``den^2``; either way the same function."""
+        den_diff = self.den.diff(var)
+        if den_diff.is_zero:
+            return RationalField(self.num.diff(var), self.den)
+        num = self.num.diff(var) * self.den - self.num * den_diff
         return RationalField(num, self.den * self.den)
 
     def eval(self, point: tuple[Fraction, ...]) -> Fraction:

@@ -279,8 +279,9 @@ def test_criterion_8_cross_module_consistency():
 
 def test_criterion_9_deterministic_reports(tmp_path):
     # in-process double runs for every catalogued command, byte-compared to
-    # the stored goldens; two representative commands re-run in subprocesses
-    # with different BLAS thread counts
+    # the stored goldens; representative commands re-run in subprocesses
+    # with different BLAS thread counts, among them the two chart documents,
+    # whose grid scans are not diagonal and so call eigvalsh
     from rigidity_lab.cli import main
 
     for name, args in sorted(GOLDEN_CASES.items()):
@@ -292,7 +293,12 @@ def test_criterion_9_deterministic_reports(tmp_path):
         assert b1 == out2.read_bytes(), f"{name}: two runs differ"
         assert b1 == (GOLDEN_DIR / name).read_bytes(), f"{name}: drifted from golden"
 
-    for name in ("certify_conformal_flat.json", "braid_degenerate.json"):
+    for name in (
+        "certify_conformal_flat.json",
+        "braid_degenerate.json",
+        "certify_chart_rational.json",
+        "lightlike_chart_document.json",
+    ):
         outputs = []
         for threads in ("1", "4"):
             env = dict(os.environ)
@@ -306,5 +312,6 @@ def test_criterion_9_deterministic_reports(tmp_path):
             assert proc.returncode == 0
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], f"{name}: thread count changed the bytes"
+        assert outputs[0] == (GOLDEN_DIR / name).read_bytes(), f"{name}: drifted from golden"
     announce(9, "all reports are byte-identical across runs and thread counts "
                 "and match the stored golden files")

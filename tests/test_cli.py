@@ -407,6 +407,33 @@ class TestExitCodes:
             in capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n", None, "chart n must be an integer, got None"),
+            ("domain", 5, "domain must be a list of sides, got 5"),
+            ("interval", 5, "interval must be a pair [lo, hi], got 5"),
+            ("entries", 5, "chart entries must be a list, got 5"),
+            ("domain", [[-1], [-1, 1], [-1, 1]], "domain side 0 must be a pair [lo, hi], got [-1]"),
+            ("interval", [0.5], "interval must be a pair [lo, hi], got [0.5]"),
+            ("kind", "lightlike", "chart n must be at least 2 for a lightlike chart, got 0"),
+        ],
+    )
+    def test_malformed_chart_field_is_named(self, field, value, message, tmp_path, monkeypatch,
+                                            capsys):
+        def no_entries(*args, **kwargs):
+            raise AssertionError("coefficients read before the fields were checked")
+
+        monkeypatch.setattr(gcs, "_doc_entries", no_entries)
+        doc = json.loads(Path(RATIONAL_CHART_FILE).read_text())
+        doc[field] = value
+        if field == "kind":
+            doc["n"] = 0
+        chart = tmp_path / "chart.json"
+        chart.write_text(json.dumps(doc))
+        assert cli.main(["certify", "--chart", str(chart), "--r", "1"]) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+
     def test_numerical_failure_is_three(self, monkeypatch, capsys):
         def no_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -430,6 +457,9 @@ class TestExitCodes:
             ({"interval": [0.5, float("inf")]}, "interval end must be finite, got inf"),
             ({"interval": [True, 2]}, "interval end must be a number, got True"),
             ({"domain": [[-1, 1], [-1, 1], ["-1", 1]]}, "domain side 2 end must be a number"),
+            ({"interval": 5}, "interval must be a pair [lo, hi], got 5"),
+            ({"domain": 5}, "domain must be a list of sides, got 5"),
+            ({"domain": [[-1, 1], [-1], [-1, 1]]}, "domain side 1 must be a pair [lo, hi], got [-1]"),
         ],
     )
     def test_invalid_builtin_number_is_two(self, params, message):

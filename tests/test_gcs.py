@@ -3,9 +3,11 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rigidity_lab import gcs
 from rigidity_lab.gcs import (
@@ -22,6 +24,8 @@ from rigidity_lab.gcs import (
 )
 from rigidity_lab.multilinear import SPECTRAL_TOL
 from rigidity_lab.ratfield import Poly, RationalField
+
+TESTS_DIR = Path(__file__).parent
 
 
 class TestRatField:
@@ -54,6 +58,51 @@ class TestRatField:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalField(Poly.const(1, 1), Poly.const(1, 0))
+
+    def test_derivative_keeps_a_denominator_free_of_the_variable(self):
+        chart = builtin_chart("lightcone", 4).base
+        f = chart.entries[0][0]  # 4 t^2 / (1 + |x|^2)^2
+        d = chart._derived_entry(0, 0, (0,) * chart.n, 1)
+        assert d.den == f.den
+        assert d.num == f.num.diff(chart.n)
+        # an x-derivative differentiates the denominator: quotient rule over den^2
+        assert f.diff(0).den == f.den * f.den
+
+    @pytest.mark.parametrize(
+        "case", ["chart_rational", "lightcone", "linear_hyperbolic", "dense_n4"]
+    )
+    def test_derivatives_equal_the_plain_quotient_rule(self, case):
+        chart = {
+            "chart_rational": lambda: chart_from_doc(
+                json.loads((TESTS_DIR / "data" / "chart_rational.json").read_text())
+            ),
+            "lightcone": lambda: builtin_chart("lightcone", 3).base,
+            "linear_hyperbolic": lambda: builtin_chart("linear_hyperbolic"),
+            "dense_n4": _dense_chart,
+        }[case]()
+        n = chart.n
+        rng = random.Random(11)
+        points = [
+            tuple(Fraction(lo) + Fraction(rng.randint(0, 16), 16) * (Fraction(hi) - Fraction(lo))
+                  for lo, hi in [*chart.domain, chart.interval])
+            for _ in range(3)
+        ]
+
+        def quotient_rule(f, var):
+            num = f.num.diff(var) * f.den - f.num * f.den.diff(var)
+            return RationalField(num, f.den * f.den)
+
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            for m in range(gcs.MAX_X_ORDER + 1):
+                for idx in itertools.combinations_with_replacement(range(n), m):
+                    orders = tuple(idx.count(k) for k in range(n))
+                    for l in range(gcs.MAX_R_ORDER + 1):
+                        plain = chart.entries[i][j]
+                        for var in [*idx, *[n] * l]:
+                            plain = quotient_rule(plain, var)
+                        derived = chart._derived_entry(i, j, orders, l)
+                        for point in points:
+                            assert derived.eval(point) == plain.eval(point), (i, j, orders, l)
 
 
 class TestEvalMetric:
@@ -602,3 +651,219 @@ class TestGridScanReuse:
         monkeypatch.setattr(gcs, "_compile_grid_program", no_scan)
         with pytest.raises(ValueError, match=r"20\^7 points"):
             builtin_chart("conformal_flat", 6, grid=20)
+
+
+# -- grid scan against the dense scan -------------------------------------------
+
+
+# an overflow in the scan is refused as a value that is not finite
+@np.errstate(over="ignore", invalid="ignore")
+def _dense_scan(chart):
+    """The grid scan on full n x n matrices, two eigvalsh calls per block of
+    points: the oracle for the scan, which must agree with it."""
+    per_axis = chart.grid
+    axes = [
+        np.array([float(v) for v in gcs._axis_samples(lo, hi, per_axis)])
+        for lo, hi in [*chart.domain, chart.interval]
+    ]
+    prog = gcs._compile_grid_program(chart)
+    n, na = chart.n, prog.n_metric
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    deriv = [chart._derived_entry(i, j, (0,) * n, 1) for i, j in upper]
+    # the program's fields: nonzero metric entries, then nonzero derivatives
+    places = [(i, j) for i, j in upper if not chart.entries[i][j].is_zero]
+    places += [(i, j) for (i, j), d in zip(upper, deriv) if not d.is_zero]
+    rows, cols = np.array(places, dtype=np.int64).reshape(len(places), 2).T
+    shape = (per_axis,) * (n + 1)
+    tables = [axis[:, None] ** prog.exps[:, k] for k, axis in enumerate(axes)]
+    den_abs = np.abs(prog.coefs[:, 1 : 2 * na : 2])
+    vanish_tol = gcs.DEN_VANISH_ULPS * np.finfo(float).eps
+    worst = min_norm = min_eig_ratio = min_norm_ratio = np.inf
+    worst_point = min_norm_point = None
+    slot = (np.arange(len(rows)) >= na).astype(np.int64)
+    total = per_axis ** (n + 1)
+    for start in range(0, total, gcs.GRID_BLOCK):
+        digits = np.unravel_index(np.arange(start, min(start + gcs.GRID_BLOCK, total)), shape)
+        mono = tables[0][digits[0]]
+        for table, d in zip(tables[1:], digits[1:]):
+            mono *= table[d]
+        parts = mono @ prog.coefs
+        num, den = parts[:, 0::2], parts[:, 1::2]
+        vanished = np.any(np.abs(den[:, :na]) <= vanish_tol * (np.abs(mono) @ den_abs), axis=1)
+        vals = num / np.where(vanished[:, None], 1.0, den)
+        metric_max = np.abs(vals[:, :na]).max(axis=1, initial=0.0)
+        norm = np.abs(vals[:, na:]).max(axis=1, initial=0.0)
+        nonfinite = ~(np.isfinite(metric_max) & np.isfinite(norm))
+        vals[nonfinite] = 0.0
+        mats = np.zeros((len(vals), 2, n, n))
+        mats[:, slot, rows, cols] = vals
+        mats[:, slot, cols, rows] = vals
+        eigs = np.linalg.eigvalsh(mats[:, 0])
+        lo, hi = eigs[:, 0], eigs[:, -1]
+        bad = vanished | nonfinite | (lo <= SPECTRAL_TOL * np.maximum(np.abs(hi), 1.0))
+        bad |= hi <= 0.0
+        if bad.any():
+            k = int(np.argmax(bad))
+            where = tuple(float(axis[d[k]]) for axis, d in zip(axes, digits))
+            if nonfinite[k]:
+                raise ValueError(
+                    f"metric or r-derivative value is not finite at grid point {where}"
+                )
+            if vanished[k]:
+                raise ValueError(f"denominator vanishes at grid point {where}")
+            raise ValueError(
+                f"coefficient matrix is not positive definite at grid point "
+                f"{where} (min eigenvalue {lo[k]:.3e})"
+            )
+        scale = np.maximum(metric_max, 1.0)
+        min_eig = np.abs(np.linalg.eigvalsh(mats[:, 1])).min(axis=1)
+        k = int(np.argmin(min_eig))
+        if min_eig[k] < worst:
+            worst, worst_point = float(min_eig[k]), gcs._grid_point(axes, digits, k)
+        k = int(np.argmin(norm))
+        if norm[k] < min_norm:
+            min_norm, min_norm_point = float(norm[k]), gcs._grid_point(axes, digits, k)
+        min_eig_ratio = min(min_eig_ratio, float(np.min(min_eig / scale)))
+        min_norm_ratio = min(min_norm_ratio, float(np.min(norm / scale)))
+    return gcs.GridSummary(
+        worst_min_abs_eig=worst,
+        worst_point=worst_point,
+        min_norm=min_norm,
+        min_norm_point=min_norm_point,
+        min_eig_ratio=min_eig_ratio,
+        min_norm_ratio=min_norm_ratio,
+    )
+
+
+def _scan_outcome(scan, chart):
+    """The summary of a scan, or the message of its refusal."""
+    try:
+        return scan(chart)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_scan_matches_dense(factory):
+    """Builds the chart with its scan held back, then compares the scan with
+    the dense oracle: the same summary or the same refusal, bit for bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gcs, "_scan_grid", lambda chart: None)
+        chart = factory()
+    base = chart.base if isinstance(chart, LightlikeChart) else chart
+    assert _scan_outcome(gcs._scan_grid, base) == _scan_outcome(_dense_scan, base)
+    return base
+
+
+class TestDiagonalScan:
+    """The grid scan, which reads a diagonal chart's eigenvalues off its
+    diagonal, against the dense scan."""
+
+    @pytest.mark.parametrize(
+        "name, n",
+        [(name, n) for name in ("conformal_flat", "product_nonrigid") for n in range(1, 7)]
+        + [("lightcone", n) for n in range(2, 7)],  # the lightcone needs n >= 2
+    )
+    def test_builtins_match_dense(self, name, n):
+        assert _assert_scan_matches_dense(lambda: builtin_chart(name, n))._grid_program.diagonal
+
+    @pytest.mark.parametrize("params", [{}, {"f_coeffs": ["1/2", 1, 1], "shift": 2}])
+    def test_linear_hyperbolic_matches_dense(self, params):
+        _assert_scan_matches_dense(lambda: builtin_chart("linear_hyperbolic", 3, params))
+
+    @pytest.mark.parametrize("name", ["chart_rational.json", "chart_lightlike.json"])
+    def test_chart_documents_match_dense(self, name):
+        # blocks {0, 1}, {2} and, in the lightlike base, interleaved {0, 2}, {1}
+        doc = json.loads((TESTS_DIR / "data" / name).read_text())
+        assert not _assert_scan_matches_dense(lambda: chart_from_doc(doc))._grid_program.diagonal
+
+    def test_dense_chart_matches_dense(self):
+        assert not _assert_scan_matches_dense(_dense_chart)._grid_program.diagonal
+
+    def test_signed_zero_refusal_matches_dense(self):
+        # a_11 = (x_1 + 1) / -1 is -0.0 at x_1 = -1 and a_00, without a field,
+        # is 0.0: the message names the zero that eigvalsh puts first
+        doc = {
+            "kind": "gcs", "n": 2, "domain": [[-1, 1], [-1, 1]], "interval": [0.5, 2],
+            "entries": [{"i": 1, "j": 1, "num": [["1", [1, 0, 0]], ["1", [0, 0, 0]]],
+                         "den": [["-1", [0, 0, 0]]]}],
+        }
+        base = _assert_scan_matches_dense(lambda: chart_from_doc(doc, grid=3))
+        assert _scan_outcome(gcs._scan_grid, base).endswith("(min eigenvalue 0.000e+00)")
+
+    @pytest.mark.parametrize(
+        "name", ["conformal_flat", "product_nonrigid", "linear_hyperbolic", "lightcone"]
+    )
+    def test_diagonal_builtins_make_no_eigvalsh_call(self, name, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a diagonal chart")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        chart = builtin_chart(name, 5 if name != "linear_hyperbolic" else 3)
+        base = chart.base if isinstance(chart, LightlikeChart) else chart
+        assert base._grid_program.diagonal
+
+    def test_dense_chart_makes_two_calls_per_point_block(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(mats):
+            calls.append(mats.shape)
+            return eigvalsh(mats)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        chart = _dense_chart(grid=5)
+        point_blocks = -(-(5 ** 5) // gcs.GRID_BLOCK)
+        assert len(calls) == 2 * point_blocks == 8
+        assert all(shape[1:] == (4, 4) for shape in calls)
+        assert sum(shape[0] for shape in calls) == 2 * 5 ** 5
+        assert genericity_report(chart).generic
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_patterns_match_dense(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        nv, r = n + 1, n
+        grid = data.draw(st.sampled_from([2, 3] if n > 4 else [3, 4]), label="grid")
+
+        def var(k):
+            return tuple(int(v == k) for v in range(nv))
+
+        # r-independent diagonals, zero diagonals, denominators that vanish on
+        # the grid (x_k = 0 is a sample of odd grids) and negative ones (a
+        # zero value divided by -1 is -0.0) all occur, rarely enough that
+        # most charts are positive
+        diag_r = st.sampled_from([0, 0, 1, 2, "1/2"])
+        entries = {}
+        for i in range(n):
+            c0 = data.draw(st.sampled_from([0, 6, 8, 12, 6, 8, 12, 6, 8, 12]), label=f"a{i}{i}")
+            if c0 == 0 and data.draw(st.booleans()):
+                continue  # a zero diagonal entry, isolated when its row is empty
+            num = [(c0, (0,) * nv), (data.draw(diag_r), var(r)),
+                   (data.draw(st.sampled_from([0, 1, "-1/2"])), var(i))]
+            den = data.draw(st.sampled_from([None, None, "2+x", "x^2", "-1"]), label=f"den{i}")
+            entries[i, i] = (num, den)
+        for i, j in itertools.combinations(range(n), 2):
+            if data.draw(st.integers(0, 2), label=f"p{i}{j}"):
+                continue
+            num = [(data.draw(st.sampled_from([1, "-1/2", "1/4"])), (0,) * nv),
+                   (data.draw(st.sampled_from([0, 0, "1/4", "-1/3"])), var(r)),
+                   (data.draw(st.sampled_from([0, "1/4"])), var(j))]
+            entries[i, j] = (num, data.draw(st.sampled_from([None, "2+x"]), label=f"den{i}{j}"))
+
+        def den_terms(kind, i):
+            if kind is None:
+                return None
+            x = list(var(i))
+            if kind == "-1":
+                return [["-1", [0] * nv]]
+            return [["1", [2 * e for e in x]]] if kind == "x^2" else [["2", [0] * nv], ["1", x]]
+
+        doc = {
+            "kind": "gcs", "n": n, "domain": [[-1, 1]] * n, "interval": [0.5, 2],
+            "entries": [
+                {"i": i, "j": j, "num": [[str(c), list(e)] for c, e in num],
+                 "den": den_terms(den, i)}
+                for (i, j), (num, den) in entries.items()
+            ],
+        }
+        _assert_scan_matches_dense(lambda: chart_from_doc(doc, grid=grid))
