@@ -18,10 +18,6 @@ from .braid import (
 from .certifier import (
     Certificate,
     gcs_certificate,
-    level1_system,
-    level2_system,
-    lightlike_step1_system,
-    lightlike_step2_system,
     lightlike_subrigidity_certificate,
 )
 from .gcs import (

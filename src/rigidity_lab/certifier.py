@@ -18,16 +18,29 @@ explicit homogeneous linear system in the unpinned jet data:
   With the braid module's sign convention the K-block of a kernel element
   equals minus the shift Hessian.
 
-The lightlike path runs the same program for a degenerate metric in one
-dimension more: a first step pins the second derivative of the base map,
-and the joint step over (phi3, delta2) pins the remaining order-2 data --
-the (3,1) sub-rigidity of generic lightlike metrics in total dimension at
-least 4.
+The lightlike path runs the same program for a degenerate metric g in one
+dimension more, pairing through its base block and the block's
+t-derivative g01.  Step 1 pins the second derivative phi2 of the base map
+(arguments in every direction, values in the base); a positive-definite
+base block forces its kernel to vanish without any genericity.  The joint
+step 2 over (phi3, delta2), with rows over symmetric pairs (u, v) and
+(w1, w2) of all directions,
+
+    g(phi3(u,w1,w2), v) + g(u, phi3(v,w1,w2)) + delta2(w1,w2) g01(u,v) = 0,
+
+pins the remaining order-2 data when g01 is nondegenerate and the base has
+dimension at least 3 -- the (3,1) sub-rigidity of generic lightlike metrics
+in total dimension at least 4.
+
+One table (``_KINDS``) holds each kind's two levels and verdict words, and
+one point function runs genericity, level 1, level 2 and the verdict for
+both kinds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,71 +69,77 @@ def _point_genericity(j: np.ndarray, j01: np.ndarray, tol: float) -> dict:
     }
 
 
+class _Level(NamedTuple):
+    """One jet level: its report key, the degree of its braid-type system,
+    the sign with which the parameter derivative couples into it (None: it
+    does not), and the names of its two unknown blocks."""
+
+    key: str
+    degree: int
+    coupling: int | None
+    names: tuple[str, str | None]
+
+
+class _Kind(NamedTuple):
+    """A certificate kind: the least dimension its theorem covers, its rigid
+    and non-rigid verdicts, the jet components it leaves unconstrained, its
+    two levels, and the first level whose kernel decides the verdict."""
+
+    least: int
+    rigid: str
+    non_rigid: str
+    unconstrained: list[str]
+    levels: tuple[_Level, _Level]
+    deciding: int
+
+
+_KINDS = {
+    "gcs": _Kind(
+        3, "2-rigid", "non-rigid", [],
+        (_Level("level1", 2, 1, ("phi2", "dk")), _Level("level2", 3, -1, ("A", "K"))),
+        1,
+    ),
+    "lightlike": _Kind(
+        4, "(3,1) sub-rigid", "non-sub-rigid", LIGHTLIKE_UNCONSTRAINED,
+        (_Level("step1", 2, None, ("phi2", None)), _Level("step2", 3, 1, ("phi3", "delta2"))),
+        0,
+    ),
+}
+
+
 def _jet_kernel(
-    h: np.ndarray,
-    degree: int,
-    coupling: np.ndarray | None,
-    names: tuple[str, str | None],
-    tol: float,
-    want_basis: bool,
-    dim: int | None = None,
+    h: np.ndarray, h01: np.ndarray, level: _Level, dim: int, tol: float, want_basis: bool
 ) -> KernelReport:
-    """Assemble and solve one jet level: the braid-type system of ``degree``
-    with pairing ``h`` and, when given, the coupling form (see
+    """Assemble and solve one jet level in total dimension ``dim``: the
+    braid-type system of the level's degree with pairing ``h`` and, when the
+    level couples, the form ``level.coupling * h01`` (see
     :func:`rigidity_lab.braid._braid_rows`).
 
-    A lightlike level passes its total dimension ``dim``: ``h`` is then the
-    base block, pairing and coupling are padded with zeros to ``dim``
-    directions, and the coupled step lists its rows with the pair (u, v)
-    outer.  The coupled order-2 level needs a nonzero coupling, since
-    otherwise nothing constrains its shift gradient.
+    A lightlike ``h`` is the base block, of fewer than ``dim`` directions:
+    pairing and coupling are then padded with zeros to ``dim`` directions,
+    and the coupled step lists its rows with the pair (u, v) outer.  The
+    coupled order-2 level needs a nonzero coupling, since otherwise nothing
+    constrains its shift gradient.
     """
     nb = len(h)
-    dim = dim or nb
     pairing = np.zeros((nb, dim))
     pairing[:, :nb] = h
-    if coupling is not None:
+    coupling = None
+    if level.coupling is not None:
         scale = max(float(np.max(np.abs(h))), 1.0)
-        if degree == 2 and float(np.max(np.abs(coupling))) <= tol * scale:
+        if level.degree == 2 and float(np.max(np.abs(h01))) <= tol * scale:
             raise ValueError(
                 "the parameter derivative vanishes at this point; the shift "
                 "gradient cannot be constrained there"
             )
-        coupling, padded = np.zeros((dim, dim)), coupling
-        coupling[:nb, :nb] = padded
-    system = _braid_rows(pairing, degree, coupling, names)
+        coupling = np.zeros((dim, dim))
+        coupling[:nb, :nb] = level.coupling * h01
+    system = _braid_rows(pairing, level.degree, coupling, level.names)
     if coupling is not None and dim > nb:
         # the assembler runs (w1, w2) outer; step 2 lists (u, v) outer
         npairs = sym_index_count(dim, 2)
         system.row_ids = system.row_ids % npairs * npairs + system.row_ids // npairs
     return solve_kernel(system, tol=tol, want_basis=want_basis)
-
-
-def level1_system(
-    c: GcsChart, p, r, tol: float = SPECTRAL_TOL, want_basis: bool = False
-) -> KernelReport:
-    """Kernel of the order-2 jet constraints with trivial base level.
-
-    Rows run over w (outer) and (u, v) (inner):
-    ``J(phi2(u, w), v) + J(phi2(v, w), u) + dk(w) J01(u, v) = 0``.  The
-    kernel dimension counts the second-order jet freedoms compatible with
-    the chart at (p, r); it is reported, not asserted zero.  Requires the
-    parameter derivative J01 to be nonzero at the point.
-    """
-    jm, j01 = c.eval_metric(p, r).matrix, c.eval_partials(p, r, 0, 1)
-    return _jet_kernel(jm, 2, j01, ("phi2", "dk"), tol, want_basis)
-
-
-def level2_system(
-    c: GcsChart, p, r, tol: float = SPECTRAL_TOL, want_basis: bool = False
-) -> KernelReport:
-    """Kernel of the order-3 jet constraints with trivial order-2 data.
-
-    This is the generalized braid system with forms J(p, r) and -J01(p, r);
-    a zero kernel here is the content of a pointwise rigidity certificate.
-    """
-    jm, j01 = c.eval_metric(p, r).matrix, c.eval_partials(p, r, 0, 1)
-    return _jet_kernel(jm, 3, -j01, ("A", "K"), tol, want_basis)
 
 
 @dataclass
@@ -150,38 +169,42 @@ class Certificate:
     unconstrained: list[str] = field(default_factory=list)
 
 
-#: Certificate kind -> (least dimension the theorem covers, rigid verdict,
-#: non-rigid verdict, jet components left unconstrained).
-_KINDS = {
-    "gcs": (3, "2-rigid", "non-rigid", []),
-    "lightlike": (4, "(3,1) sub-rigid", "non-sub-rigid", LIGHTLIKE_UNCONSTRAINED),
-}
-
-
 def _point_verdict(
-    kind: str, dimension: int, genericity: dict, deciding: list[KernelReport]
+    spec: _Kind, dimension: int, genericity: dict, deciding: list[KernelReport]
 ) -> str:
     """The theorem-level verdict at one point from the kernels that decide it."""
-    least, rigid, non_rigid, _ = _KINDS[kind]
-    if dimension < least:
+    if dimension < spec.least:
         return "indeterminate-by-hypothesis"
     if any(k.verdict == "indeterminate" for k in deciding):
         return "indeterminate"
     if all(k.kernel_dim == 0 for k in deciding) and genericity["nondegenerate"]:
-        return rigid
+        return spec.rigid
     if any(k.kernel_dim > 0 for k in deciding):
-        return non_rigid
+        return spec.non_rigid
     return "indeterminate-by-hypothesis"
+
+
+def _point_report(
+    kind: str, dim: int, r: float, h: np.ndarray, h01: np.ndarray, tol: float, want_basis: bool
+) -> PointReport:
+    """Genericity, then both jet levels, then the verdict at one point, from
+    the metric (a lightlike chart's base block) ``h`` and its parameter
+    derivative ``h01`` in total dimension ``dim``."""
+    spec = _KINDS[kind]
+    genericity = _point_genericity(h, h01, tol)
+    levels = [_jet_kernel(h, h01, level, dim, tol, want_basis) for level in spec.levels]
+    verdict = _point_verdict(spec, dim, genericity, levels[spec.deciding :])
+    return PointReport(r, genericity, *levels, verdict)
 
 
 def _certificate(kind: str, chart, p, samples: list[PointReport]) -> Certificate:
     """A certificate over per-point reports: rigid as soon as one point is,
     else indeterminate, non-rigid or indeterminate-by-hypothesis, in that
     order."""
-    _, rigid, non_rigid, unconstrained = _KINDS[kind]
+    spec = _KINDS[kind]
     verdicts = [s.verdict for s in samples]
     verdict = next(
-        (v for v in (rigid, "indeterminate", non_rigid) if v in verdicts),
+        (v for v in (spec.rigid, "indeterminate", spec.non_rigid) if v in verdicts),
         "indeterminate-by-hypothesis",
     )
     return Certificate(
@@ -191,7 +214,7 @@ def _certificate(kind: str, chart, p, samples: list[PointReport]) -> Certificate
         dimension=chart.n,
         samples=samples,
         verdict=verdict,
-        unconstrained=list(unconstrained),
+        unconstrained=list(spec.unconstrained),
     )
 
 
@@ -206,57 +229,21 @@ def gcs_certificate(
 
     The level-1 kernel dimension is informational second-order freedom; the
     verdict rests on the level-2 kernel and the pointwise genericity of the
-    parameter derivative.
+    parameter derivative.  Level 1 refuses a point where the parameter
+    derivative vanishes.
     """
     rs = sorted(float(r) for r in np.atleast_1d(np.asarray(r_samples, dtype=float)))
     if not rs:
         raise ValueError("need at least one parameter sample")
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    samples = []
-    for r in rs:
-        jm = c.eval_metric(p, r).matrix
-        j01 = c.eval_partials(p, r, 0, 1)
-        genericity = _point_genericity(jm, j01, tol)
-        lvl1 = _jet_kernel(jm, 2, j01, ("phi2", "dk"), tol, want_basis)
-        lvl2 = _jet_kernel(jm, 3, -j01, ("A", "K"), tol, want_basis)
-        verdict = _point_verdict("gcs", c.n, genericity, [lvl2])
-        samples.append(PointReport(r, genericity, lvl1, lvl2, verdict))
+    samples = [
+        _point_report(
+            "gcs", c.n, r, c.eval_metric(p, r).matrix, c.eval_partials(p, r, 0, 1),
+            tol, want_basis,
+        )
+        for r in rs
+    ]
     return _certificate("gcs", c, p, samples)
-
-
-# -- lightlike path --------------------------------------------------------
-
-
-def lightlike_step1_system(
-    lc: LightlikeChart, p, t, tol: float = SPECTRAL_TOL, want_basis: bool = False
-) -> KernelReport:
-    """Kernel of the order-2 constraints on the base map of a fiber-preserving map.
-
-    The unknown is the symmetric second derivative of the base component:
-    arguments range over all directions of the total space, values lie in
-    the base, and the pairing is the degenerate metric itself.  A
-    positive-definite base restriction forces the kernel to vanish; no
-    genericity is needed at this step.
-    """
-    h = lc.eval_base_metric(p, t).matrix
-    return _jet_kernel(h, 2, None, ("phi2", None), tol, want_basis, lc.n)
-
-
-def lightlike_step2_system(
-    lc: LightlikeChart, p, t, tol: float = SPECTRAL_TOL, want_basis: bool = False
-) -> KernelReport:
-    """Joint kernel over (phi3, delta2) of the degenerate braid-type system.
-
-    Rows, over symmetric pairs (u, v) and (w1, w2) of all coordinate
-    directions:
-
-        g(phi3(u,w1,w2), v) + g(u, phi3(v,w1,w2)) + delta2(w1,w2) g01(u,v) = 0
-
-    where g pairs through the base block and g01 is its t-derivative.  For
-    a nondegenerate g01 and base dimension >= 3 the kernel is zero.
-    """
-    h, h01 = lc.eval_base_metric(p, t).matrix, lc.eval_base_partials(p, t, 0, 1)
-    return _jet_kernel(h, 3, h01, ("phi3", "delta2"), tol, want_basis, lc.n)
 
 
 def lightlike_subrigidity_certificate(
@@ -277,13 +264,10 @@ def lightlike_subrigidity_certificate(
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     t = float(t)
-    h = lc.eval_base_metric(p, t).matrix
-    h01 = lc.eval_base_partials(p, t, 0, 1)
-    genericity = _point_genericity(h, h01, tol)
-    step1 = _jet_kernel(h, 2, None, ("phi2", None), tol, want_basis, lc.n)
-    step2 = _jet_kernel(h, 3, h01, ("phi3", "delta2"), tol, want_basis, lc.n)
-    verdict = _point_verdict("lightlike", lc.n, genericity, [step1, step2])
-    sample = PointReport(t, genericity, step1, step2, verdict)
+    sample = _point_report(
+        "lightlike", lc.n, t, lc.eval_base_metric(p, t).matrix,
+        lc.eval_base_partials(p, t, 0, 1), tol, want_basis,
+    )
     return _certificate("lightlike", lc, p, [sample])
 
 
@@ -313,19 +297,17 @@ def kernel_report_doc(report: KernelReport, include_basis: bool = False) -> dict
 def certificate_doc(cert: Certificate, include_basis: bool = False) -> dict:
     """Certificate document with a fixed field order for golden-file tests;
     the report envelope adds the tool version, input hash and tolerances."""
-    sample_docs = []
-    for s in cert.samples:
-        key1 = "level1" if cert.kind == "gcs" else "step1"
-        key2 = "level2" if cert.kind == "gcs" else "step2"
-        sample_docs.append(
-            {
-                "r": s.r,
-                "genericity": s.genericity,
-                key1: kernel_report_doc(s.level1, include_basis),
-                key2: kernel_report_doc(s.level2, include_basis),
-                "verdict": s.verdict,
-            }
-        )
+    key1, key2 = (level.key for level in _KINDS[cert.kind].levels)
+    sample_docs = [
+        {
+            "r": s.r,
+            "genericity": s.genericity,
+            key1: kernel_report_doc(s.level1, include_basis),
+            key2: kernel_report_doc(s.level2, include_basis),
+            "verdict": s.verdict,
+        }
+        for s in cert.samples
+    ]
     doc = {
         "kind": cert.kind,
         "structure": cert.structure,
@@ -334,6 +316,6 @@ def certificate_doc(cert: Certificate, include_basis: bool = False) -> dict:
         "samples": sample_docs,
         "verdict": cert.verdict,
     }
-    if cert.kind == "lightlike":
+    if cert.unconstrained:
         doc["unconstrained_jet_components"] = cert.unconstrained
     return doc

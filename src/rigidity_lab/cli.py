@@ -55,8 +55,6 @@ from .prolongation import (
     builtin_algebra,
     finite_type,
     prolongation_space,
-    prolongation_unknowns,
-    SIZE_CAP,
 )
 from .symspace import SpdCurve, arclength_reparam, circle_mean, curve_length
 
@@ -121,23 +119,23 @@ def _json_matrix(value, what: str) -> np.ndarray:
     return m
 
 
-def _parse_matrix(spec: str, n: int | None) -> np.ndarray:
-    """Matrix specs: 'identity', 'minkowski', 'diag:a,b,c', or inline JSON."""
-    if spec == "identity":
+def _parse_matrix(spec: str, n: int | None, flag: str) -> np.ndarray:
+    """The matrix of ``flag``: 'identity', 'minkowski', 'diag:a,b,c', or
+    inline JSON; a given ``n`` must be its dimension."""
+    if spec in ("identity", "minkowski"):
         if n is None:
-            raise ValueError("matrix spec 'identity' needs --n")
-        return np.eye(n)
-    if spec == "minkowski":
-        if n is None:
-            raise ValueError("matrix spec 'minkowski' needs --n")
-        d = np.ones(n)
-        d[:1] = -1.0  # n = 0 leaves an empty form, which braid refuses
-        return np.diag(d)
-    if spec.startswith("diag:"):
-        return np.diag(_parse_floats(spec[len("diag:") :]))
-    m = _json_matrix(json.loads(spec), "matrix JSON")
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix JSON must be square, got shape {m.shape}")
+            raise ValueError(f"matrix spec {spec!r} needs --n")
+        m = np.eye(n)
+        if spec == "minkowski":
+            m[:1, :1] = -1.0  # n = 0 leaves an empty form, which braid refuses
+    elif spec.startswith("diag:"):
+        m = np.diag(_parse_floats(spec[len("diag:") :]))
+    else:
+        m = _json_matrix(json.loads(spec), "matrix JSON")
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix JSON must be square, got shape {m.shape}")
+    if n is not None and len(m) != n:
+        raise ValueError(f"--n {n} differs from the dimension {len(m)} of {flag}")
     return m
 
 
@@ -148,6 +146,9 @@ def _load_json_file(path: str):
 
 def _resolve_chart(args: argparse.Namespace):
     if args.chart:
+        for flag in ("builtin", "n", "params"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} is not read next to --chart")
         return chart_from_doc(_load_json_file(args.chart), grid=args.grid)
     if args.builtin:
         params = json.loads(args.params) if args.params else None
@@ -178,6 +179,8 @@ def _envelope(args: argparse.Namespace, input_doc: dict, payload: dict) -> dict:
 
 
 def _run_certify(args: argparse.Namespace) -> dict:
+    if args.r is not None and args.r_samples is not None:
+        raise ValueError("--r is not read next to --r-samples")
     chart = _resolve_chart(args)
     if isinstance(chart, LightlikeChart):
         raise ValueError("certify expects a curve-of-metrics chart; use the lightlike command")
@@ -235,11 +238,11 @@ def _run_braid(args: argparse.Namespace) -> dict:
         report = trilinear_symskew_kernel(args.n, tol=args.tol, want_basis=args.kernel_basis)
         input_doc = {"variant": args.variant, "n": args.n, "tol": args.tol}
     elif args.variant == "classical":
-        j = _parse_matrix(args.J, args.n)
+        j = _parse_matrix(args.J, args.n, "--J")
         report = classical_braid_kernel(j, tol=args.tol, want_basis=args.kernel_basis)
         input_doc = {"variant": args.variant, "J": j, "tol": args.tol}
     else:
-        j, jp = _parse_matrix(args.J, args.n), _parse_matrix(args.Jp, args.n)
+        j, jp = _parse_matrix(args.J, args.n, "--J"), _parse_matrix(args.Jp, args.n, "--Jp")
         report = generalized_braid_kernel(j, jp, tol=args.tol, want_basis=args.kernel_basis)
         input_doc = {"variant": args.variant, "J": j, "Jp": jp, "tol": args.tol}
     return _envelope(args, input_doc, {"report": kernel_report_doc(report, args.kernel_basis)})
@@ -268,6 +271,9 @@ def _finite_type_doc(result) -> dict:
 
 
 def _run_prolong(args: argparse.Namespace) -> dict:
+    for flag, reader in (("R", "one_param"), ("generators", "custom")):
+        if getattr(args, flag) is not None and args.algebra != reader:
+            raise ValueError(f"--{flag} is read only by --algebra {reader}, not {args.algebra}")
     r_matrix = _json_matrix(json.loads(args.R), "R") if args.R else None
     generators = None
     if args.generators:
@@ -276,13 +282,8 @@ def _run_prolong(args: argparse.Namespace) -> dict:
             for k, g in enumerate(json.loads(args.generators))
         ]
     algebra = builtin_algebra(args.algebra, n=args.n, r_matrix=r_matrix, generators=generators)
-    # unknowns grow with the order, so the highest order bounds them all
-    unknowns = prolongation_unknowns(algebra.n, args.max_order)
-    if unknowns > SIZE_CAP:
-        raise ValueError(
-            f"prolongation order {args.max_order} would have {unknowns} unknowns "
-            f"(cap {SIZE_CAP}); reduce --n or --max-order"
-        )
+    if args.n is not None and args.n != algebra.n:
+        raise ValueError(f"--n {args.n} differs from the dimension {algebra.n} of the algebra")
     result = finite_type(algebra, max_order=args.max_order, tol=args.tol, seed=args.seed)
     # orders that finite_type solved are not solved again; a finite type
     # stops at its verifying order, so the orders above it are solved here

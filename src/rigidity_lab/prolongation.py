@@ -257,6 +257,16 @@ def prolongation_unknowns(n: int, d: int) -> int:
     return n * math.comb(n + d, d + 1)
 
 
+def _check_size(n: int, d: int) -> None:
+    """Refuse an order-d prolongation over n directions above ``SIZE_CAP``."""
+    unknowns = prolongation_unknowns(n, d)
+    if unknowns > SIZE_CAP:
+        raise ValueError(
+            f"prolongation order {d} would have {unknowns} unknowns "
+            f"(cap {SIZE_CAP}); reduce n or the order"
+        )
+
+
 def prolongation_system(h: MatrixAlgebra, d: int) -> LinearSystem:
     """Membership constraints on a packed symmetric degree-(d+1) unknown.
 
@@ -267,12 +277,7 @@ def prolongation_system(h: MatrixAlgebra, d: int) -> LinearSystem:
     """
     if d < 1:
         raise ValueError(f"order must be >= 1, got {d}")
-    ncols = prolongation_unknowns(h.n, d)
-    if ncols > SIZE_CAP:
-        raise ValueError(
-            f"prolongation system would have {ncols} unknowns "
-            f"(cap {SIZE_CAP}); reduce n or the order"
-        )
+    _check_size(h.n, d)
     # row (tup, q): <X_tup, Q>_F = sum_{out,u} Q[out,u] A[sort(u,tup), out]
     return _packed_rows(h.echelon_complement, d + 1)
 
@@ -480,12 +485,7 @@ def finite_type(
     if max_order < 1 or max_order > MAX_ORDER_CAP:
         raise ValueError(f"max_order must be in 1..{MAX_ORDER_CAP}, got {max_order}")
     # unknowns grow with the order, so the highest order bounds them all
-    unknowns = prolongation_unknowns(h.n, max_order)
-    if unknowns > SIZE_CAP:
-        raise ValueError(
-            f"prolongation order {max_order} would have {unknowns} unknowns "
-            f"(cap {SIZE_CAP}); reduce n or the order"
-        )
+    _check_size(h.n, max_order)
     dims: dict[int, int] = {}
     for d in range(1, max_order + 1):
         dims[d] = prolongation_space(h, d, tol=tol).dim

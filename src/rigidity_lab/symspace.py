@@ -104,10 +104,6 @@ class SpdCurve:
         object.__setattr__(self, "params", t)
         object.__setattr__(self, "matrices", mats)
 
-    @classmethod
-    def from_matrices(cls, params, matrices, closed: bool = False) -> "SpdCurve":
-        return cls(params, matrices, closed)
-
     @property
     def n(self) -> int:
         return self.matrices.shape[1]

@@ -21,12 +21,7 @@ from rigidity_lab.braid import (
     generalized_braid_system,
     trilinear_symskew_kernel,
 )
-from rigidity_lab.certifier import (
-    gcs_certificate,
-    level1_system,
-    level2_system,
-    lightlike_subrigidity_certificate,
-)
+from rigidity_lab.certifier import gcs_certificate, lightlike_subrigidity_certificate
 from rigidity_lab.gcs import builtin_chart, lift_to_lightlike
 from rigidity_lab.multilinear import BilinForm
 from rigidity_lab.prolongation import (
@@ -189,7 +184,7 @@ def test_criterion_5_rigidity_certificates():
     assert cert.samples[0].level2.kernel_dim == 0
 
     chart = builtin_chart("product_nonrigid", 3)
-    report = level2_system(chart, ORIGIN3, 1.0, want_basis=True)
+    report = gcs_certificate(chart, ORIGIN3, [1.0], want_basis=True).samples[0].level2
     assert report.kernel_dim >= 1
     jm = chart.eval_metric(ORIGIN3, 1.0).matrix
     j01 = chart.eval_partials(ORIGIN3, 1.0, 0, 1)
@@ -240,7 +235,7 @@ def test_criterion_7_symmetric_space_geometry():
     ts = np.linspace(0.0, 1.0, 200)
     base = np.diag([2.0, 1.0]) + 0.1
     mats = [base + np.sin(t) * np.diag([0.3, -0.2]) + 0.2 * t * np.eye(2) for t in ts]
-    open_curve = SpdCurve.from_matrices(ts, mats)
+    open_curve = SpdCurve(ts, mats)
     m = random_well_conditioned(rng, 2)
     assert abs(curve_length(open_curve.pushforward(m)) - curve_length(open_curve)) < 1e-6
 
@@ -251,7 +246,7 @@ def test_criterion_7_symmetric_space_geometry():
 
     orbit_mats = [rot(a) @ np.diag([2.0, 1.0]) @ rot(a).T for a in thetas]
     orbit_mats[-1] = orbit_mats[0]
-    orbit = SpdCurve.from_matrices(thetas, orbit_mats, closed=True)
+    orbit = SpdCurve(thetas, orbit_mats, closed=True)
     mean = circle_mean(orbit).matrix
     assert np.max(np.abs(mean - 1.5 * np.eye(2))) < 1e-6
     pushed = circle_mean(orbit.pushforward(m)).matrix
@@ -264,11 +259,11 @@ def test_criterion_7_symmetric_space_geometry():
 def test_criterion_8_cross_module_consistency():
     for n in (2, 3, 4):
         chart = builtin_chart("conformal_flat", n)
-        lvl1 = level1_system(chart, [0.0] * n, 1.0)
+        lvl1 = gcs_certificate(chart, [0.0] * n, [1.0]).samples[0].level1
         assert lvl1.kernel_dim == prolongation_space(builtin_algebra("co", n), 1).dim
 
     chart = builtin_chart("linear_hyperbolic")
-    report = level2_system(chart, ORIGIN3, 0.75)
+    report = gcs_certificate(chart, ORIGIN3, [0.75]).samples[0].level2
     jm = chart.eval_metric(ORIGIN3, 0.75).matrix
     j01 = chart.eval_partials(ORIGIN3, 0.75, 0, 1)
     direct = generalized_braid_kernel(BilinForm(jm), BilinForm(-j01))

@@ -532,14 +532,15 @@ class TestBlockSolveOracle:
                 assert set(report.split) == {"A", "K"}
             report = generalized_braid_kernel(*definite, want_basis=want_basis)
             assert report.pencil is not None and report.verdict == "rigid"
-            report = certifier.level1_system(chart, [0.1, 0.0, -0.2], 1.0, want_basis=want_basis)
-            assert report.kernel_dim == 3 and set(report.split) == {"phi2", "dk"}
-            report = certifier.level2_system(chart, [0.1, 0.0, -0.2], 1.0, want_basis=want_basis)
-            assert report.verdict == "rigid"
-            report = certifier.lightlike_step2_system(
-                lightcone, [0.1, 0.0, -0.2], 1.0, want_basis=want_basis
+            point = [0.1, 0.0, -0.2]
+            cert = certifier.gcs_certificate(chart, point, [1.0], want_basis=want_basis)
+            sample = cert.samples[0]
+            assert sample.level1.kernel_dim == 3 and set(sample.level1.split) == {"phi2", "dk"}
+            assert sample.level2.verdict == "rigid"
+            cert = certifier.lightlike_subrigidity_certificate(
+                lightcone, point, 1.0, want_basis=want_basis
             )
-            assert set(report.split) == {"phi3", "delta2"}
+            assert set(cert.samples[0].level2.split) == {"phi3", "delta2"}
         space = prolongation_space(co4, 3)
         assert space.dim == 0 and space.basis == []
         assert prolongation_space(co4, 1).basis

@@ -5,10 +5,6 @@ from rigidity_lab.braid import _braid_rows, generalized_braid_kernel
 from rigidity_lab.certifier import (
     certificate_doc,
     gcs_certificate,
-    level1_system,
-    level2_system,
-    lightlike_step1_system,
-    lightlike_step2_system,
     lightlike_subrigidity_certificate,
 )
 from rigidity_lab.gcs import (
@@ -28,17 +24,17 @@ ORIGIN3 = [0.0, 0.0, 0.0]
 
 class TestLevel1:
     def test_conformal_flat_n3_freedom(self):
-        report = level1_system(builtin_chart("conformal_flat", 3), ORIGIN3, 1.0)
-        assert report.kernel_dim == 3
+        cert = gcs_certificate(builtin_chart("conformal_flat", 3), ORIGIN3, [1.0])
+        assert cert.samples[0].level1.kernel_dim == 3
 
     def test_conformal_flat_n2_freedom(self):
-        report = level1_system(builtin_chart("conformal_flat", 2), [0.0, 0.0], 1.0)
-        assert report.kernel_dim == 2
+        cert = gcs_certificate(builtin_chart("conformal_flat", 2), [0.0, 0.0], [1.0])
+        assert cert.samples[0].level1.kernel_dim == 2
 
     def test_product_nonrigid_contains_axis_family(self):
         chart = builtin_chart("product_nonrigid", 3)
         r = 1.25
-        report = level1_system(chart, ORIGIN3, r, want_basis=True)
+        report = gcs_certificate(chart, ORIGIN3, [r], want_basis=True).samples[0].level1
         assert report.kernel_dim >= 1
         # the reparameterization family phi2(e1,e1) = c e1 with matching
         # shift gradient dk = -2 c r dx^1 solves every row
@@ -66,26 +62,26 @@ class TestLevel1:
             entries=[[one, zero], [zero, one]],
         )
         with pytest.raises(ValueError, match="derivative vanishes"):
-            level1_system(chart, [0.0, 0.0], 1.0)
+            gcs_certificate(chart, [0.0, 0.0], [1.0])
 
 
 class TestLevel2:
     def test_conformal_flat_rigid(self):
-        report = level2_system(builtin_chart("conformal_flat", 3), ORIGIN3, 1.0)
-        assert report.kernel_dim == 0
+        cert = gcs_certificate(builtin_chart("conformal_flat", 3), ORIGIN3, [1.0])
+        assert cert.samples[0].level2.kernel_dim == 0
 
     def test_product_nonrigid_escape(self):
-        report = level2_system(builtin_chart("product_nonrigid", 3), ORIGIN3, 1.0)
-        assert report.kernel_dim >= 1
+        cert = gcs_certificate(builtin_chart("product_nonrigid", 3), ORIGIN3, [1.0])
+        assert cert.samples[0].level2.kernel_dim >= 1
 
     def test_linear_hyperbolic_rigid(self):
-        report = level2_system(builtin_chart("linear_hyperbolic"), ORIGIN3, 0.5)
-        assert report.kernel_dim == 0
+        cert = gcs_certificate(builtin_chart("linear_hyperbolic"), ORIGIN3, [0.5])
+        assert cert.samples[0].level2.kernel_dim == 0
 
     def test_delegation_identity(self):
         chart = builtin_chart("linear_hyperbolic")
         r = 0.25
-        report = level2_system(chart, ORIGIN3, r)
+        report = gcs_certificate(chart, ORIGIN3, [r]).samples[0].level2
         jm = chart.eval_metric(ORIGIN3, r).matrix
         j01 = chart.eval_partials(ORIGIN3, r, 0, 1)
         direct = generalized_braid_kernel(BilinForm(jm), BilinForm(-j01))
@@ -140,17 +136,17 @@ class TestGcsCertificate:
 class TestLightlikeStep1:
     def test_lift_of_conformal_flat(self):
         lc = lift_to_lightlike(builtin_chart("conformal_flat", 3))
-        report = lightlike_step1_system(lc, ORIGIN3, 1.0)
+        report = lightlike_subrigidity_certificate(lc, ORIGIN3, 1.0).samples[0].level1
         assert report.kernel_dim == 0
 
     def test_lift_of_product_nonrigid_needs_no_genericity(self):
         lc = lift_to_lightlike(builtin_chart("product_nonrigid", 3))
-        report = lightlike_step1_system(lc, ORIGIN3, 1.0)
+        report = lightlike_subrigidity_certificate(lc, ORIGIN3, 1.0).samples[0].level1
         assert report.kernel_dim == 0
 
     def test_total_dimension_two(self):
         lc = lift_to_lightlike(builtin_chart("conformal_flat", 1))
-        report = lightlike_step1_system(lc, [0.0], 1.0)
+        report = lightlike_subrigidity_certificate(lc, [0.0], 1.0).samples[0].level1
         assert report.kernel_dim == 0
 
 
@@ -187,7 +183,8 @@ class TestLightlikeCertificate:
         # degenerate system of the lifted axis-scaling chart
         lc = lift_to_lightlike(builtin_chart("product_nonrigid", 3))
         r = 1.0
-        report = lightlike_step2_system(lc, ORIGIN3, r, want_basis=True)
+        cert = lightlike_subrigidity_certificate(lc, ORIGIN3, r, want_basis=True)
+        report = cert.samples[0].level2
         w = np.zeros(report.unknowns)
         for col, (name, idx, out) in enumerate(report.unknown_labels):
             if name == "phi3" and idx == (0, 0, 0) and out == 0:
@@ -202,7 +199,7 @@ class TestCrossModule:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_level1_freedom_equals_conformal_prolongation(self, n):
         chart = builtin_chart("conformal_flat", n)
-        report = level1_system(chart, [0.0] * n, 1.0)
+        report = gcs_certificate(chart, [0.0] * n, [1.0]).samples[0].level1
         assert report.kernel_dim == prolongation_space(builtin_algebra("co", n), 1).dim
 
     def test_linear_chart_invariance(self, rng):
@@ -214,19 +211,18 @@ class TestCrossModule:
         for name in ("conformal_flat", "product_nonrigid", "linear_hyperbolic"):
             chart = builtin_chart(name, 3 if name != "linear_hyperbolic" else None)
             r = 1.0 if name != "linear_hyperbolic" else 0.5
-            base1 = level1_system(chart, ORIGIN3, r).kernel_dim
-            base2 = level2_system(chart, ORIGIN3, r).kernel_dim
+            base = gcs_certificate(chart, ORIGIN3, [r]).samples[0]
             for m in maps:
-                moved = pullback_chart(chart, m)
-                assert level1_system(moved, ORIGIN3, r).kernel_dim == base1
-                assert level2_system(moved, ORIGIN3, r).kernel_dim == base2
+                moved = gcs_certificate(pullback_chart(chart, m), ORIGIN3, [r]).samples[0]
+                assert moved.level1.kernel_dim == base.level1.kernel_dim
+                assert moved.level2.kernel_dim == base.level2.kernel_dim
 
     def test_kernel_witnesses_satisfy_rows(self):
         chart = builtin_chart("product_nonrigid", 3)
         jm = chart.eval_metric(ORIGIN3, 1.0).matrix
         j01 = chart.eval_partials(ORIGIN3, 1.0, 0, 1)
         system = _braid_rows(jm, 2, j01, names=("phi2", "dk"))
-        report = level1_system(chart, ORIGIN3, 1.0, want_basis=True)
+        report = gcs_certificate(chart, ORIGIN3, [1.0], want_basis=True).samples[0].level1
         for vec in report.kernel_basis:
             assert system.residual(vec) < 1e-8 * system.coefficient_scale()
 

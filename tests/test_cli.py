@@ -262,11 +262,53 @@ class TestExitCodes:
              'generator 0 row 1 has an entry that is no number: "1"'),
             (["--generators", "[[[1, 0],[0, null]]]"],
              "generator 0 row 1 has an entry that is no number: null"),
+            (["--algebra", "so", "--n", "3", "--R", "[[1]]", "--generators", "[[[1]]]"],
+             "--R is read only by --algebra one_param, not so"),
+            (["--algebra", "so", "--n", "3", "--generators", "[[[1]]]"],
+             "--generators is read only by --algebra custom, not so"),
+            (["--algebra", "custom", "--R", "[[1]]", "--generators", "[[[1]]]"],
+             "--R is read only by --algebra one_param, not custom"),
+            (["--algebra", "one_param", "--R", "[[1,0],[0,1]]", "--generators", "[[[1]]]"],
+             "--generators is read only by --algebra custom, not one_param"),
+            (["--algebra", "one_param", "--n", "3", "--R", "[[1,0],[0,1]]"],
+             "--n 3 differs from the dimension 2 of the algebra"),
+            (["--n", "4", "--generators", "[[[1,0],[0,1]]]"],
+             "--n 4 differs from the dimension 2 of the algebra"),
         ],
     )
     def test_invalid_algebra_input_is_two(self, args, message, capsys):
         assert cli.main(["prolong", *args]) == 2
         err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["certify", "--builtin", "conformal_flat", "--n", "3", "--r", "1",
+              "--r-samples", "0.5,2"], "--r is not read next to --r-samples"),
+            (["certify", "--chart", RATIONAL_CHART_FILE, "--builtin", "conformal_flat",
+              "--r", "1"], "--builtin is not read next to --chart"),
+            (["certify", "--chart", RATIONAL_CHART_FILE, "--n", "3", "--r", "1"],
+             "--n is not read next to --chart"),
+            (["certify", "--chart", RATIONAL_CHART_FILE, "--params", "{}", "--r", "1"],
+             "--params is not read next to --chart"),
+            (["lightlike", "--chart", LIGHTLIKE_CHART_FILE, "--n", "4", "--r", "1"],
+             "--n is not read next to --chart"),
+            (["lightlike", "--chart", LIGHTLIKE_CHART_FILE, "--builtin", "lightcone",
+              "--r", "1"], "--builtin is not read next to --chart"),
+            (["braid", "--n", "5", "--J", "diag:1,2,3", "--Jp", "diag:1,2,3"],
+             "--n 5 differs from the dimension 3 of --J"),
+            (["braid", "--n", "3", "--Jp", "[[1,0],[0,1]]"],
+             "--n 3 differs from the dimension 2 of --Jp"),
+            (["braid", "--variant", "classical", "--n", "2", "--J", "diag:1,2,3"],
+             "--n 2 differs from the dimension 3 of --J"),
+        ],
+    )
+    def test_invalid_flag_pair_is_two(self, argv, message):
+        # a flag the run would not read is named, not dropped
+        code, err = _main_exit(argv)
+        assert code == 2, err
         assert message in err
         assert "Traceback" not in err
 
@@ -349,11 +391,11 @@ class TestExitCodes:
         def no_solve(*args, **kwargs):
             raise AssertionError("an order above the size cap was solved")
 
-        monkeypatch.setattr(cli, "finite_type", no_solve)
+        monkeypatch.setattr(prolongation, "prolongation_space", no_solve)
+        monkeypatch.setattr(prolongation, "find_rank1", no_solve)
         monkeypatch.setattr(cli, "prolongation_space", no_solve)
         assert cli.main(["prolong", "--algebra", "so", "--n", "13"]) == 2
         assert "order 3 would have 23660 unknowns (cap 20000)" in capsys.readouterr().err
-        monkeypatch.setattr(cli, "SIZE_CAP", 20)
         monkeypatch.setattr(prolongation, "SIZE_CAP", 20)
         assert cli.main(["prolong", "--algebra", "so", "--n", "3"]) == 2
         assert "order 3 would have 45 unknowns (cap 20)" in capsys.readouterr().err

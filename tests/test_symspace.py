@@ -26,7 +26,7 @@ def rotation(a):
 def rotation_orbit(samples=181, diag=(2.0, 1.0)):
     thetas = np.linspace(0.0, np.pi, samples)
     mats = [rotation(a) @ np.diag(diag) @ rotation(a).T for a in thetas]
-    return SpdCurve.from_matrices(thetas, mats, closed=True)
+    return SpdCurve(thetas, mats, closed=True)
 
 
 def random_spd(rng, n, shift=3.0):
@@ -42,7 +42,7 @@ def random_spd_curve(rng, n, samples=200):
     d2 = (d2 + d2.T) / 2.0
     ts = np.linspace(0.0, 1.0, samples)
     mats = [base + np.sin(t) * d1 + 0.3 * t * t * d2 for t in ts]
-    return SpdCurve.from_matrices(ts, mats)
+    return SpdCurve(ts, mats)
 
 
 class TestSpdInner:
@@ -92,12 +92,12 @@ class TestSpdInner:
 class TestCurveLength:
     def test_constant_curve(self):
         ts = np.linspace(0.0, 1.0, 20)
-        c = SpdCurve.from_matrices(ts, [np.eye(2)] * 20)
+        c = SpdCurve(ts, [np.eye(2)] * 20)
         assert curve_length(c) == 0.0
 
     def test_exponential_has_unit_speed(self):
         ts = np.linspace(0.0, 1.0, 201)
-        c = SpdCurve.from_matrices(ts, [np.array([[np.exp(t)]]) for t in ts])
+        c = SpdCurve(ts, [np.array([[np.exp(t)]]) for t in ts])
         assert curve_length(c) == pytest.approx(1.0, abs=1e-4)
 
     def test_pushforward_invariance(self, rng):
@@ -108,7 +108,7 @@ class TestCurveLength:
     def test_grid_refinement_stability(self):
         def curve(samples):
             ts = np.linspace(0.0, 1.0, samples)
-            return SpdCurve.from_matrices(
+            return SpdCurve(
                 ts, [np.diag([np.exp(t), 1.0 + t * t]) for t in ts]
             )
 
@@ -117,7 +117,7 @@ class TestCurveLength:
         assert abs(fine - coarse) < 0.01 * abs(fine)
 
     def test_too_few_samples(self):
-        c = SpdCurve.from_matrices([0.0], [np.eye(2)])
+        c = SpdCurve([0.0], [np.eye(2)])
         with pytest.raises(ValueError):
             curve_length(c)
 
@@ -132,7 +132,7 @@ class TestCurveLength:
 class TestArclengthReparam:
     def test_already_arclength_fixed_point(self):
         ts = np.linspace(0.0, 1.0, 201)
-        c = SpdCurve.from_matrices(ts, [np.array([[np.exp(t)]]) for t in ts])
+        c = SpdCurve(ts, [np.array([[np.exp(t)]]) for t in ts])
         r = arclength_reparam(c, 201)
         for j in range(0, 201, 25):
             assert r.matrices[j, 0, 0] == pytest.approx(c.matrices[j, 0, 0], rel=1e-3)
@@ -140,7 +140,7 @@ class TestArclengthReparam:
     def test_quadratic_exponent_closed_form(self):
         # the curve e^{t^2} has arc length s(t) = t^2 under dx^2/x^2
         ts = np.linspace(0.0, 1.0, 401)
-        c = SpdCurve.from_matrices(ts, [np.array([[np.exp(t * t)]]) for t in ts])
+        c = SpdCurve(ts, [np.array([[np.exp(t * t)]]) for t in ts])
         r = arclength_reparam(c, 101)
         for j in range(101):
             assert r.matrices[j, 0, 0] == pytest.approx(np.exp(r.params[j]), abs=5e-3)
@@ -160,7 +160,7 @@ class TestArclengthReparam:
 
     def test_zero_length_rejected(self):
         ts = np.linspace(0.0, 1.0, 5)
-        c = SpdCurve.from_matrices(ts, [np.eye(2)] * 5)
+        c = SpdCurve(ts, [np.eye(2)] * 5)
         with pytest.raises(ValueError, match="zero length"):
             arclength_reparam(c, 10)
 
@@ -169,7 +169,7 @@ class TestCircleMean:
     def test_constant_closed_curve(self):
         ts = np.linspace(0.0, 1.0, 10)
         b = np.diag([2.0, 5.0])
-        c = SpdCurve.from_matrices(ts, [b] * 10, closed=True)
+        c = SpdCurve(ts, [b] * 10, closed=True)
         assert np.allclose(circle_mean(c).matrix, b, atol=1e-14)
 
     def test_rotation_orbit_mean_is_isotropic(self):
@@ -188,12 +188,12 @@ class TestCircleMean:
         mats = list(orbit.matrices)
         k = 97
         rotated = mats[k:-1] + mats[:k] + [mats[k]]
-        orbit2 = SpdCurve.from_matrices(orbit.params, rotated, closed=True)
+        orbit2 = SpdCurve(orbit.params, rotated, closed=True)
         assert np.max(np.abs(circle_mean(orbit2).matrix - circle_mean(orbit).matrix)) < 1e-8
 
     def test_open_curve_rejected(self):
         ts = np.linspace(0.0, 1.0, 10)
-        c = SpdCurve.from_matrices(ts, [np.eye(2)] * 10, closed=False)
+        c = SpdCurve(ts, [np.eye(2)] * 10, closed=False)
         with pytest.raises(ValueError, match="closed"):
             circle_mean(c)
 
@@ -201,11 +201,11 @@ class TestCircleMean:
 class TestSpdCurveValidation:
     def test_requires_increasing_params(self):
         with pytest.raises(ValueError, match="increasing"):
-            SpdCurve.from_matrices([0.0, 0.0], [np.eye(2), np.eye(2)])
+            SpdCurve([0.0, 0.0], [np.eye(2), np.eye(2)])
 
     def test_closed_requires_matching_endpoints(self):
         with pytest.raises(ValueError, match="closed"):
-            SpdCurve.from_matrices(
+            SpdCurve(
                 [0.0, 1.0], [np.eye(2), 2.0 * np.eye(2)], closed=True
             )
 
@@ -330,7 +330,7 @@ class TestLoopOracle:
     def test_stack_matches_loops(self, rng, n, samples, closed):
         t, raw = self.raw_curve(rng, n, samples, closed)
         mats = np.stack([(x + x.T) / 2.0 for x in raw])
-        curve = SpdCurve.from_matrices(t, raw, closed=closed)
+        curve = SpdCurve(t, raw, closed=closed)
         assert curve.matrices.tobytes() == mats.tobytes()
         assert symspace._tangents(curve).tobytes() == loop_tangents(t, mats, closed).tobytes()
         speeds = loop_speeds(t, mats, closed)
