@@ -45,8 +45,8 @@ from .multilinear import (
     SPECTRAL_TOL,
     BilinForm,
     sym_index_count,
+    _packed_index,
     _sym_index_array,
-    _sym_index_position,
     _sym_indices,
 )
 
@@ -201,8 +201,7 @@ def solve_kernel(
             solved.append((ids, cols, *_block_svd(comps.stack(g), want_basis)))
 
     spectra = np.concatenate([s.ravel() for _, _, s, _ in solved] + [np.zeros(0)])
-    smax = float(spectra.max(initial=0.0))
-    cut = tol * smax if smax > 0.0 else np.inf
+    cut = _rank_cut(spectra, tol)
     # the structural zeros beyond the blocks' spectra are exact
     svals = np.zeros(min(m, ncols))
     svals[: spectra.size] = np.sort(spectra)[::-1]
@@ -227,9 +226,8 @@ def solve_kernel(
         split = {}
         for name, block in system.blocks.items():
             sub = basis[:, block]
-            sub_svals = np.linalg.svd(sub, compute_uv=False) if sub.size else np.zeros(1)
-            sub_max = sub_svals[0]
-            split[name] = int(np.sum(sub_svals >= tol * sub_max)) if sub_max > 0.0 else 0
+            sub_svals = np.linalg.svd(sub, compute_uv=False) if sub.size else np.zeros(0)
+            split[name] = int(np.sum(sub_svals >= _rank_cut(sub_svals, tol)))
 
     if gap_ratio < GAP_VERDICT_THRESHOLD:
         verdict = "indeterminate"
@@ -247,6 +245,14 @@ def solve_kernel(
         split=split,
         unknown_labels=list(system.unknown_labels),
     )
+
+
+def _rank_cut(svals: np.ndarray, tol: float) -> float:
+    """The package's one rank rule: a spectrum's rank counts its singular
+    values ``>= tol * max``, and is 0 when the spectrum is all zero (the
+    cut is then infinite)."""
+    smax = float(svals.max(initial=0.0))
+    return tol * smax if smax > 0.0 else np.inf
 
 
 @dataclass(frozen=True)
@@ -395,9 +401,7 @@ def _kernel_basis(solved: list, count: int, ncols: int, cut: float, dtype) -> np
 
 
 def _gap_ratio(svals: np.ndarray, rank: int, tol: float) -> float:
-    if svals.size == 0 or svals[0] == 0.0:
-        return float("inf")
-    if rank == 0:
+    if svals.size == 0 or svals[0] == 0.0 or rank == 0:
         return float("inf")
     if rank == svals.size:
         # nothing was dropped; report the margin of the smallest kept value
@@ -464,13 +468,7 @@ def trilinear_symskew_system(n: int) -> LinearSystem:
     (i, j <= k, out), on the n**4 components of L (value axis innermost)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    labels = [
-        ("L", (i, j, k), out)
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-        for out in range(n)
-    ]
+    labels = [("L", idx[:3], idx[3]) for idx in np.ndindex(n, n, n, n)]
     axis = np.arange(n)
 
     def cols(i, j, k):
@@ -610,24 +608,15 @@ def _normal_form_kernel(
 
 
 @lru_cache(maxsize=None)
-def _insert_positions(n: int, degree: int) -> np.ndarray:
-    """``[s, a]`` -> packed position of ``sorted(s + (a,))`` for every
-    symmetric index s of length ``degree - 1`` and every axis a."""
-    pos = _sym_index_position(n, degree)
-    table = np.array(
-        [[pos[tuple(sorted(s + (a,)))] for a in range(n)] for s in _sym_indices(n, degree - 1)],
-        dtype=np.intp,
-    )
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
 def _entry_columns(n: int, degree: int, m: int, coupled: bool) -> np.ndarray:
     """``[s, out * n + u]`` -> column of ``(sort(s + (u,)), out)`` for every
     symmetric index s of length ``degree - 1``; with ``coupled`` one more
     entry per s, ``[s, m * n]``, holds the column of the shift S(s)."""
-    insert = _insert_positions(n, degree)
+    shifts = _sym_index_array(n, degree - 1)
+    tuples = np.empty((len(shifts), n, degree), dtype=np.intp)
+    tuples[:, :, :-1] = shifts[:, None]
+    tuples[:, :, -1] = np.arange(n)
+    insert = _packed_index(n, tuples)
     table = (insert[:, None, :] * m + np.arange(m)[:, None]).reshape(len(insert), m * n)
     if coupled:
         shift_cols = sym_index_count(n, degree) * m + np.arange(len(insert))

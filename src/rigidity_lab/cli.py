@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -232,6 +233,13 @@ def _run_lightlike(args: argparse.Namespace) -> dict:
 
 
 def _run_braid(args: argparse.Namespace) -> dict:
+    # the forms default to identity only in the variants that read them
+    read = {"symskew": (), "classical": ("J",), "generalized": ("J", "Jp")}[args.variant]
+    for flag in ("J", "Jp"):
+        if getattr(args, flag) is None:
+            setattr(args, flag, "identity")
+        elif flag not in read:
+            raise ValueError(f"--{flag} is not read by braid --variant {args.variant}")
     if args.variant == "symskew":
         if args.n is None:
             raise ValueError("braid --variant symskew needs --n")
@@ -414,6 +422,7 @@ _SHARED_FLAGS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rigidity-lab",
@@ -451,8 +460,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("braid", "kernel of a braid-type system", "tol", "kernel_basis")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--J", dest="J", default="identity")
-    p.add_argument("--Jp", dest="Jp", default="identity")
+    p.add_argument("--J", dest="J", default=None, help="form J (default identity)")
+    p.add_argument("--Jp", dest="Jp", default=None, help="form Jp (default identity)")
     p.add_argument(
         "--variant", choices=["generalized", "classical", "symskew"], default="generalized"
     )

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .multilinear import SPECTRAL_TOL, BilinForm, _distinct_arrangements, _sym_indices
+from .multilinear import SPECTRAL_TOL, BilinForm, _full_positions, _sym_indices
 from .ratfield import Poly, RationalField, _as_fraction, _as_int
 
 DEFAULT_GRID = 5
@@ -138,7 +138,7 @@ class _GridProgram:
 
 def _compile_grid_program(chart: "GcsChart") -> _GridProgram:
     n = chart.n
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    upper = _sym_indices(n, 2)
     metric = [(i, j, chart.entries[i][j]) for i, j in upper]
     deriv = [(i, j, chart._derived_entry(i, j, (0,) * n, 1)) for i, j in upper]
     fields = [item for item in metric + deriv if not item[2].is_zero]
@@ -417,14 +417,12 @@ class GcsChart:
             raise ValueError(f"derivative orders (m={m}, l={l}) out of range")
         point = self._check_point(x, r)
         n = self.n
-        out = np.zeros((n,) * (m + 2))
+        blocks = []
         for idx in _sym_indices(n, m):
             orders = tuple(idx.count(k) for k in range(n))
             rows = [[self._derived_entry(i, j, orders, l) for j in range(n)] for i in range(n)]
-            block = self._eval_matrix(rows, point, "derivative")
-            for arr in _distinct_arrangements(idx):
-                out[arr] = block
-        return out
+            blocks.append(self._eval_matrix(rows, point, "derivative"))
+        return np.take(np.stack(blocks), _full_positions(n, m), axis=0)
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 A symmetric degree-d tensor is stored on the canonical multi-index basis:
 one coefficient per non-decreasing index tuple (there are C(n+d-1, d) of
-them), with multiplicity-aware evaluation.  Vector-valued tensors keep the
-output axis last, everywhere.
+them).  :func:`_packed_index` is the one map from index tuples to packed
+positions.  Vector-valued tensors keep the output axis last, everywhere.
 """
 
 from __future__ import annotations
@@ -30,21 +30,26 @@ def _sym_indices(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _sym_index_position(n: int, d: int) -> dict[tuple[int, ...], int]:
-    return {idx: pos for pos, idx in enumerate(_sym_indices(n, d))}
-
-
-@lru_cache(maxsize=None)
 def _sym_index_array(n: int, d: int) -> np.ndarray:
     """``_sym_indices(n, d)`` as a read-only (count, d) integer array."""
-    arr = np.array(_sym_indices(n, d), dtype=np.intp).reshape(-1, d)
+    tuples = _sym_indices(n, d)
+    arr = np.array(tuples, dtype=np.intp).reshape(len(tuples), d)
     arr.setflags(write=False)
     return arr
 
 
-@lru_cache(maxsize=None)
-def _distinct_arrangements(idx: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(set(itertools.permutations(idx))))
+def _packed_index(n: int, idx) -> np.ndarray:
+    """Packed positions of the sorted tuples along the last axis of ``idx``:
+    each sorted tuple, read as a base-n code, is binary-searched among the
+    ascending codes of ``_sym_index_array``."""
+    idx = np.sort(np.asarray(idx, dtype=np.intp), axis=-1)
+    weights = n ** np.arange(idx.shape[-1] - 1, -1, -1, dtype=np.intp)
+    return np.searchsorted(_sym_index_array(n, idx.shape[-1]) @ weights, idx @ weights)
+
+
+def _full_positions(n: int, d: int) -> np.ndarray:
+    """The (n,)*d table of packed positions of every full index tuple."""
+    return _packed_index(n, np.moveaxis(np.indices((n,) * d), 0, -1))
 
 
 def enumerate_sym_indices(n: int, d: int) -> list[tuple[int, ...]]:
@@ -94,33 +99,19 @@ class SymTensor:
         """Evaluate on ``degree`` vectors, symmetric under argument order."""
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments, got {len(args)}")
-        vecs = [np.asarray(a, dtype=float) for a in args]
-        for v in vecs:
+        out = self.unpack()
+        for a in args:
+            v = np.asarray(a, dtype=float)
             if v.shape != (self.n,):
                 raise ValueError(f"argument has shape {v.shape}, expected ({self.n},)")
-        total = np.zeros(self.n) if self.is_vector_valued else 0.0
-        for pos, idx in enumerate(_sym_indices(self.n, self.degree)):
-            weight = 0.0
-            for arr in _distinct_arrangements(idx):
-                prod = 1.0
-                for slot, axis in enumerate(arr):
-                    prod *= vecs[slot][axis]
-                weight += prod
-            total = total + self.coeffs[pos] * weight
-        return total
+            out = np.tensordot(v, out, axes=(0, 0))
+        return out if self.is_vector_valued else float(out)
 
     __call__ = evaluate
 
     def unpack(self) -> np.ndarray:
         """Full dense array of shape (n,)*degree (+ (n,) when vector-valued)."""
-        shape = (self.n,) * self.degree
-        if self.is_vector_valued:
-            shape = shape + (self.n,)
-        full = np.zeros(shape)
-        for pos, idx in enumerate(_sym_indices(self.n, self.degree)):
-            for arr in _distinct_arrangements(idx):
-                full[arr] = self.coeffs[pos]
-        return full
+        return np.take(self.coeffs, _full_positions(self.n, self.degree), axis=0)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.unpack()))
@@ -130,18 +121,15 @@ class SymTensor:
         """Pack an already-symmetric full array without averaging."""
         full = np.asarray(full, dtype=float)
         n = full.shape[0]
-        vector_valued = full.ndim == degree + 1
-        p = sym_index_count(n, degree)
-        coeffs = np.zeros((p, n)) if vector_valued else np.zeros(p)
-        for pos, idx in enumerate(_sym_indices(n, degree)):
-            coeffs[pos] = full[idx]
-        return SymTensor(n=n, degree=degree, coeffs=coeffs)
+        # at degree 0 the read is full itself, a view: copy, then add the packed axis
+        coeffs = np.array(full[tuple(_sym_index_array(n, degree).T)])
+        return SymTensor(n=n, degree=degree, coeffs=coeffs.reshape(-1, *full.shape[degree:]))
 
 
 def symmetrize(raw: np.ndarray, degree: int | None = None) -> SymTensor:
     """Symmetrize a full multilinear coefficient array into packed storage.
 
-    The result averages the input over all argument permutations, so it is
+    The result averages the input over all argument orders, so it is
     idempotent on already-symmetric input.  A trailing axis of the same
     length as the others is interpreted as the output axis of a
     vector-valued map when ``degree`` says so; with ``degree=None`` an array
@@ -161,16 +149,12 @@ def symmetrize(raw: np.ndarray, degree: int | None = None) -> SymTensor:
             f"array of ndim {raw.ndim} does not match degree {degree} "
             "(scalar) or degree+1 (vector-valued)"
         )
-    vector_valued = raw.ndim == degree + 1
-    p = sym_index_count(n, degree)
-    coeffs = np.zeros((p, n)) if vector_valued else np.zeros(p)
-    for pos, idx in enumerate(_sym_indices(n, degree)):
-        arrs = _distinct_arrangements(idx)
-        acc = np.zeros(n) if vector_valued else 0.0
-        for arr in arrs:
-            acc = acc + raw[arr]
-        coeffs[pos] = acc / len(arrs)
-    return SymTensor(n=n, degree=degree, coeffs=coeffs)
+    pos = _full_positions(n, degree).ravel()
+    coeffs = np.zeros((sym_index_count(n, degree),) + raw.shape[degree:])
+    # the arrangements of a tuple add up in lexicographic order
+    np.add.at(coeffs, pos, raw.reshape(pos.size, *raw.shape[degree:]))
+    counts = np.bincount(pos).reshape((-1,) + (1,) * (raw.ndim - degree))
+    return SymTensor(n=n, degree=degree, coeffs=coeffs / counts)
 
 
 def form_signature(matrix, tol: float = SPECTRAL_TOL) -> tuple[int, int, int]:

@@ -21,11 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .braid import LinearSystem, _packed_rows, solve_kernel
+from .braid import LinearSystem, _entry_columns, _packed_rows, _rank_cut, solve_kernel
 from .multilinear import (
     SPECTRAL_TOL,
     SymTensor,
-    enumerate_sym_indices,
     sym_index_count,
     _sym_index_array,
 )
@@ -90,8 +89,7 @@ class MatrixAlgebra:
             k = int(np.argmax(~np.isfinite(squares)))
             raise ValueError(f"generator {k}: the generators' Frobenius norm overflows")
         _, svals, vt = np.linalg.svd(stacked, full_matrices=True)
-        smax = svals[0] if svals.size else 0.0
-        rank = int(np.sum(svals >= SPECTRAL_TOL * smax)) if smax > 0.0 else 0
+        rank = int(np.sum(svals >= _rank_cut(svals, SPECTRAL_TOL)))
         if rank == 0:
             raise ValueError("generators span the zero subspace")
         self.orthonormalized_basis = vt[:rank].reshape(rank, self.n, self.n)
@@ -115,12 +113,13 @@ class MatrixAlgebra:
         c = np.asarray(coefficients, dtype=float)
         return np.tensordot(c, self.orthonormalized_basis, axes=([-1], [0]))
 
-    def projection_residual(self, x: np.ndarray) -> float:
-        """Frobenius norm of the component of x orthogonal to the subspace."""
+    def projection_residual(self, x: np.ndarray) -> float | np.ndarray:
+        """Frobenius norm of the component of x orthogonal to the subspace;
+        a (K, n, n) stack gives one norm per matrix."""
         x = np.asarray(x, dtype=float)
-        coeffs = np.tensordot(self.orthonormalized_basis, x, axes=([1, 2], [0, 1]))
-        proj = np.tensordot(coeffs, self.orthonormalized_basis, axes=([0], [0]))
-        return float(np.linalg.norm(x - proj))
+        coeffs = np.tensordot(x, self.orthonormalized_basis, axes=([-2, -1], [1, 2]))
+        residual = np.linalg.norm(x - self.element(coeffs), axis=(-2, -1))
+        return float(residual) if residual.ndim == 0 else residual
 
     def conjugate(self, g: np.ndarray) -> "MatrixAlgebra":
         """The algebra g h g^-1."""
@@ -293,14 +292,9 @@ def prolongation_space(
 
 def membership_residual(h: MatrixAlgebra, t: SymTensor) -> float:
     """Worst Frobenius projection residual of the partial evaluations of t."""
-    n = h.n
-    d = t.degree - 1
-    full = t.unpack()
-    worst = 0.0
-    for tup in enumerate_sym_indices(n, d):
-        x = full[(slice(None),) + tup + (slice(None),)].T  # X[out, u]
-        worst = max(worst, h.projection_residual(x))
-    return worst
+    # X_s[out, u] = T(sort(s + (u,)))_out for every symmetric index s
+    x = t.coeffs[_entry_columns(h.n, t.degree, 1, False)].transpose(0, 2, 1)
+    return float(np.max(h.projection_residual(x)))
 
 
 def find_rank1(
@@ -454,11 +448,10 @@ def rank1_witness_prolongation(a, v, d: int) -> SymTensor:
     if d < 1:
         raise ValueError(f"order must be >= 1, got {d}")
     n = a.shape[0]
-    indices = enumerate_sym_indices(n, d + 1)
-    coeffs = np.zeros((len(indices), n))
-    for pos, idx in enumerate(indices):
-        coeffs[pos] = math.prod(a[k] for k in idx) * v
-    return SymTensor(n=n, degree=d + 1, coeffs=coeffs)
+    prod = np.ones(sym_index_count(n, d + 1))
+    for axis in _sym_index_array(n, d + 1).T:  # one slot at a time, left to right
+        prod = prod * a[axis]
+    return SymTensor(n=n, degree=d + 1, coeffs=prod[:, None] * v)
 
 
 def finite_type(
@@ -549,8 +542,7 @@ def curve_stabilizer_algebra(
         raise ValueError("stabilizer system has trivial kernel; no algebra to return")
     xblock = report.kernel_basis[:, : n * n]
     _, svals, vt = np.linalg.svd(xblock, full_matrices=False)
-    smax = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals >= tol * smax)) if smax > 0.0 else 0
+    rank = int(np.sum(svals >= _rank_cut(svals, tol)))
     gens = [vt[i].reshape(n, n) for i in range(rank)]
     return MatrixAlgebra(n, gens)
 
@@ -615,16 +607,13 @@ def builtin_algebra(
 
 
 def _antisym_basis(n: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = 1.0
-            e[j, i] = -1.0
-            basis.append(e)
-    if not basis:  # n == 1: the only antisymmetric matrix is 0
+    if n < 2:  # n == 1: the only antisymmetric matrix is 0
         raise ValueError("so(1) is the zero algebra")
-    return basis
+    i, j = np.triu_indices(n, 1)
+    basis = np.zeros((len(i), n, n))
+    basis[np.arange(len(i)), i, j] = 1.0
+    basis[np.arange(len(i)), j, i] = -1.0
+    return list(basis)
 
 
 def _lightlike_orth(n: int) -> MatrixAlgebra:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from rigidity_lab.multilinear import (
     enumerate_sym_indices,
     sym_index_count,
     _sym_index_array,
-    _sym_indices,
 )
 from rigidity_lab.prolongation import builtin_algebra, prolongation_space
 from conftest import random_nondegenerate_form, random_orthogonal, random_well_conditioned
@@ -609,8 +609,9 @@ class TestBlockSolveProperties:
 
 def _dense_packed_rows(tests, degree, coupling=None):
     nq, m, n = tests.shape
-    shifts = _sym_indices(n, degree - 1)
-    insert = braid._insert_positions(n, degree)
+    shifts = enumerate_sym_indices(n, degree - 1)
+    pos = {idx: k for k, idx in enumerate(enumerate_sym_indices(n, degree))}
+    insert = np.array([[pos[tuple(sorted(s + (a,)))] for a in range(n)] for s in shifts])
     tensor_cols = sym_index_count(n, degree) * m
     shift_cols = len(shifts) if coupling is not None else 0
     dtype = np.result_type(tests, float if coupling is None else coupling)
@@ -743,6 +744,17 @@ class TestEntries:
             assert system.rows.tobytes() == rows.tobytes()
         for system in solved:
             _assert_entries(system)
+
+    def test_column_table_allocates_no_full_index_table(self):
+        # (n, degree) = (8, 6) is prolongation's largest allowed shape; a
+        # full (n,)*degree table of index tuples would need about 25 MB
+        tracemalloc.start()
+        try:
+            braid._entry_columns.__wrapped__(8, 6, 8, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_symskew_entries_match_dense_scatter(self, n):

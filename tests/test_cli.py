@@ -303,6 +303,12 @@ class TestExitCodes:
              "--n 3 differs from the dimension 2 of --Jp"),
             (["braid", "--variant", "classical", "--n", "2", "--J", "diag:1,2,3"],
              "--n 2 differs from the dimension 3 of --J"),
+            (["braid", "--variant", "symskew", "--n", "2", "--J", "diag:1,2,3", "--Jp", "[[1]]"],
+             "--J is not read by braid --variant symskew"),
+            (["braid", "--variant", "symskew", "--n", "2", "--Jp", "identity"],
+             "--Jp is not read by braid --variant symskew"),
+            (["braid", "--variant", "classical", "--n", "2", "--Jp", "identity"],
+             "--Jp is not read by braid --variant classical"),
         ],
     )
     def test_invalid_flag_pair_is_two(self, argv, message):
@@ -579,7 +585,10 @@ def test_fuzzed_braid_and_prolong_argv_exit_zero_or_two(data):
             st.sampled_from(["generalized", "classical", "symskew"]), label="variant"
         )
         argv = ["braid", "--variant", variant, *n]
-        argv += ["--J", _matrix_spec(data, "J"), "--Jp", _matrix_spec(data, "Jp")]
+        if variant != "symskew":
+            argv += ["--J", _matrix_spec(data, "J")]
+        if variant == "generalized":
+            argv += ["--Jp", _matrix_spec(data, "Jp")]
     else:
         algebra = data.draw(
             st.sampled_from(["so", "co", "lightlike_orth", "one_param", "custom"]), label="algebra"
@@ -966,6 +975,9 @@ class TestFlags:
             settable += len(flags) + (command == "examples")  # the list positional
         assert settable == 41
         assert len(_REMOVED_FLAGS) == 14
+
+    def test_parser_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
 
     @pytest.mark.parametrize("command, flag", _REMOVED_FLAGS)
     def test_flag_a_command_does_not_read_is_usage_error(self, command, flag):

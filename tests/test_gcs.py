@@ -164,6 +164,15 @@ class TestEvalPartials:
             scale = max(np.max(np.abs(exact[w])), 1e-3)
             assert np.max(np.abs(fd - exact[w])) < 1e-6 * max(scale, 1.0)
 
+    def test_partials_equal_across_arrangements(self):
+        # every arrangement of a differentiation tuple reads the same block
+        chart = builtin_chart("linear_hyperbolic")
+        exact = chart.eval_partials([0.11, -0.07, 0.23], 0.8, 2, 1)
+        assert exact.shape == (3,) * 4
+        for a, b in itertools.product(range(3), repeat=2):
+            assert exact[a, b].tobytes() == exact[b, a].tobytes()
+        assert chart.eval_partials([0.11, -0.07, 0.23], 0.8, 0, 1).shape == (3, 3)
+
     def test_richardson_order_two(self):
         lc = builtin_chart("lightcone", 4)
         chart = quotient_to_gcs(lc)

@@ -12,6 +12,8 @@ from rigidity_lab.multilinear import (
     pushforward,
     sym_index_count,
     symmetrize,
+    _packed_index,
+    _sym_index_array,
 )
 from conftest import random_well_conditioned
 
@@ -54,6 +56,73 @@ class TestEnumerate:
             enumerate_sym_indices(0, 2)
         with pytest.raises(ValueError):
             enumerate_sym_indices(3, -1)
+
+
+class TestPackedIndex:
+    def test_degree_zero_array_has_one_empty_tuple(self):
+        for n in (1, 3):
+            assert _sym_index_array(n, 0).shape == (1, 0)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_dict_of_sorted_tuples(self, n):
+        for d in range(6):
+            pos = {idx: k for k, idx in enumerate(enumerate_sym_indices(n, d))}
+            full = list(itertools.product(range(n), repeat=d))
+            want = [pos[tuple(sorted(t))] for t in full]
+            got = _packed_index(n, np.array(full, dtype=np.intp).reshape(len(full), d))
+            assert got.tolist() == want
+
+
+# -- the arrangement loops the packed-index map replaced, kept as oracles ------
+
+
+def _arrangements(idx):
+    return sorted(set(itertools.permutations(idx)))
+
+
+def _unpack_loop(t):
+    shape = (t.n,) * t.degree + t.coeffs.shape[1:]
+    full = np.zeros(shape)
+    for pos, idx in enumerate(enumerate_sym_indices(t.n, t.degree)):
+        for arr in _arrangements(idx):
+            full[arr] = t.coeffs[pos]
+    return full
+
+
+def _pack_full_loop(full, degree):
+    n = full.shape[0]
+    coeffs = np.zeros((sym_index_count(n, degree),) + full.shape[degree:])
+    for pos, idx in enumerate(enumerate_sym_indices(n, degree)):
+        coeffs[pos] = full[idx]
+    return coeffs
+
+
+def _symmetrize_loop(raw, degree):
+    n = raw.shape[0]
+    coeffs = np.zeros((sym_index_count(n, degree),) + raw.shape[degree:])
+    for pos, idx in enumerate(enumerate_sym_indices(n, degree)):
+        arrs = _arrangements(idx)
+        acc = np.zeros(raw.shape[degree:]) if raw.ndim > degree else 0.0
+        for arr in arrs:
+            acc = acc + raw[arr]
+        coeffs[pos] = acc / len(arrs)
+    return coeffs
+
+
+class TestLoopOracles:
+    CASES = [(n, d, vector) for n in (1, 2, 3, 4) for d in range(5) for vector in (False, True)
+             if d + vector > 0]
+
+    @pytest.mark.parametrize("n, degree, vector", CASES)
+    def test_same_bytes_as_the_loops(self, rng, n, degree, vector):
+        raw = rng.standard_normal((n,) * (degree + vector))
+        t = symmetrize(raw, degree=degree)
+        assert t.coeffs.tobytes() == _symmetrize_loop(raw, degree).tobytes()
+        full = t.unpack()
+        assert full.shape == raw.shape
+        assert np.asarray(full).tobytes() == _unpack_loop(t).tobytes()
+        packed = SymTensor.pack_full(full, degree).coeffs
+        assert packed.tobytes() == _pack_full_loop(full, degree).tobytes()
 
 
 class TestSymmetrize:

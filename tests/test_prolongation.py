@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rigidity_lab import prolongation
 from rigidity_lab.braid import _packed_rows, solve_kernel
-from rigidity_lab.multilinear import _sym_index_position, enumerate_sym_indices
+from rigidity_lab.multilinear import enumerate_sym_indices
 from rigidity_lab.prolongation import (
     RANK1_RATIO_TOL,
     FiniteType,
@@ -212,7 +212,7 @@ def prolongation_rows_loop(h, d):
     a time: row (tup, q) holds Q[out, u] at column pos[sort(u, tup)] * n + out
     for the test matrices Q of the exact complement."""
     n = h.n
-    pos = _sym_index_position(n, d + 1)
+    pos = {idx: k for k, idx in enumerate(enumerate_sym_indices(n, d + 1))}
     tuples = enumerate_sym_indices(n, d)
     rows = np.zeros((len(tuples) * len(h.echelon_complement), prolongation_unknowns(n, d)))
     r = 0
