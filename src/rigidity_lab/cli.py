@@ -19,10 +19,13 @@ checks did not anticipate.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -496,6 +499,40 @@ def _save(path: str, report: bytes) -> None:
             raise
 
 
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """The (get, set) thread-count calls of numpy's bundled OpenBLAS, or None
+    when numpy was built against another BLAS.  The library is only looked
+    up among those already loaded, never loaded a second time."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    try:
+        lib = ctypes.CDLL(str(libs[0]), mode=os.RTLD_NOLOAD)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the old count (no
+    call at all when it is one already): a threaded BLAS splits its sums
+    differently, so the last bits of a dense decomposition, and so a
+    report's bytes, would depend on the count."""
+    get, set_ = _openblas_threads() or (lambda: 1, None)
+    old = get()
+    if old == 1:
+        yield
+        return
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -504,7 +541,8 @@ def main(argv: list[str] | None = None) -> int:
                 args.tol = _default_tol()
             if not 0.0 < args.tol < 1.0:
                 raise ValueError(f"--tol must be in (0, 1), got {args.tol}")
-        report = run(args)
+        with _one_blas_thread():
+            report = run(args)
     except json.JSONDecodeError as exc:
         print(
             f"error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",

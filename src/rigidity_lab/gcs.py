@@ -8,12 +8,14 @@ point.  The r-derivative field decides everything downstream: the structure
 is *nowhere transversally Riemannian* when that derivative never vanishes
 and *generic* when it is nondegenerate.
 
-A chart is validated by one scan of its own sample grid, which also
-summarizes the r-derivative field.  A lightlike chart is the degenerate
-companion: a validated chart read in one more dimension, a positive
-semi-definite metric on dimension base+1 whose kernel is exactly the last
-coordinate direction.  Lifting a chart to its tautological lightlike metric
-and quotienting back are exact inverse operations on the coefficient data.
+A chart's coefficients are compiled once into one program, evaluated in
+floats over the chart's sample grid and exactly at a point.  A chart is
+validated by one scan of that grid, which also summarizes the r-derivative
+field.  A lightlike chart is the degenerate companion: a validated chart
+read in one more dimension, a positive semi-definite metric on dimension
+base+1 whose kernel is exactly the last coordinate direction.  Lifting a
+chart to its tautological lightlike metric and quotienting back are exact
+inverse operations on the coefficient data.
 """
 
 from __future__ import annotations
@@ -89,18 +91,7 @@ def _axis_samples(lo: float, hi: float, count: int) -> list[Fraction]:
     return [lo_f + k * step for k in range(count)]
 
 
-def _eval_entry_matrix(entries, point) -> np.ndarray:
-    dim = len(entries)
-    out = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            v = float(entries[i][j].eval(point))
-            out[i, j] = v
-            out[j, i] = v
-    return out
-
-
-# -- grid scan ----------------------------------------------------------------
+# -- the chart program ----------------------------------------------------------
 
 #: Grid points evaluated per numpy block.  A scan holds a few arrays of this
 #: many rows at a time, so its peak memory does not depend on the grid size.
@@ -114,63 +105,150 @@ GRID_POINT_CAP = 10_000_000
 DEN_VANISH_ULPS = 64
 
 
-@dataclass(frozen=True)
-class _GridProgram:
-    """The chart's nonzero metric entries, then its nonzero r-derivative
-    entries, compiled for float evaluation at many points at once.
+def _jet_divide(num: dict, den: dict, alphas: list) -> dict:
+    """The partials of a quotient f = N / D from those of N and D.
 
-    ``exps`` lists the distinct monomials of every numerator and
-    denominator; ``coefs[:, 2k]`` and ``coefs[:, 2k + 1]`` hold the
-    coefficients of field k's numerator and denominator on them.  Field k
-    sits at ``(rows[k], cols[k])`` of its matrix; the first ``n_metric``
-    fields are metric entries.  ``diagonal`` is true when every field lies
-    on the diagonal (the r-derivative of a zero entry is zero), so that the
-    matrices' eigenvalues are their diagonal values.
+    ``alphas`` lists multi-indices, each after every index below it;
+    ``num[a]`` is the value of the partial of N of index a and ``den[a]``
+    that of D, absent where that partial is identically zero, and the
+    partials of f below a that the rule reads for a must be listed too.
+    Leibniz applied to f D = N gives, for each a in turn,
+
+        f_a = (N_a - sum over b < a of C(a, b) f_b D_(a-b)) / D,
+
+    with C(a, b) the product of the componentwise binomials, so no
+    denominator is ever raised to a power.  The values may be Fractions,
+    floats or float arrays; a term whose partial of D is absent is skipped.
+    """
+    out = {}
+    for a in alphas:
+        acc = num[a]
+        for b, fb in out.items():
+            d = den.get(tuple(x - y for x, y in zip(a, b)))
+            if d is not None:
+                c = math.prod(math.comb(x, y) for x, y in zip(a, b))
+                acc = acc - (fb if c == 1 else c * fb) * d
+        out[a] = acc / den[(0,) * len(a)]
+    return out
+
+
+@dataclass(frozen=True)
+class _ChartProgram:
+    """The chart's coefficient field, compiled once; a point (exactly) and
+    the grid (in floats) both evaluate it and divide by :func:`_jet_divide`.
+
+    ``entries`` lists the nonzero upper entries (i, j); ``jets[k][l]``
+    holds the l-th r-partials (N, D) of entry k's numerator and
+    denominator for l <= MAX_R_ORDER, and ``varying[k]`` is true when the
+    entry depends on r (N_r D - N D_r is not zero).  For the grid, ``exps``
+    lists the distinct monomials of N, D, N_r and D_r, ``coefs`` holds
+    their float coefficients, and ``columns[l, 0, k]`` and
+    ``columns[l, 1, k]`` name the columns of entry k's N and D at r-order
+    l (the last column, all zero, for a zero polynomial); ``diagonal`` is
+    true when every entry lies on the diagonal.
     """
 
+    entries: tuple[tuple[int, int], ...]
+    jets: tuple[tuple[tuple[Poly, Poly], ...], ...]
+    varying: tuple[bool, ...]
     exps: np.ndarray
     coefs: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    n_metric: int
+    columns: np.ndarray
     diagonal: bool
 
 
-def _compile_grid_program(chart: "GcsChart") -> _GridProgram:
+def _compile_program(chart: "GcsChart") -> _ChartProgram:
     n = chart.n
-    upper = _sym_indices(n, 2)
-    metric = [(i, j, chart.entries[i][j]) for i, j in upper]
-    deriv = [(i, j, chart._derived_entry(i, j, (0,) * n, 1)) for i, j in upper]
-    fields = [item for item in metric + deriv if not item[2].is_zero]
-    n_metric = sum(1 for i, j, f in metric if not f.is_zero)
+    entries = [(i, j) for i, j in _sym_indices(n, 2) if not chart.entries[i][j].is_zero]
+    jets, varying = [], []
+    for i, j in entries:
+        f = chart.entries[i][j]
+        jet = [(f.num, f.den)]
+        for _ in range(MAX_R_ORDER):
+            jet.append((jet[-1][0].diff(n), jet[-1][1].diff(n)))
+        num_r, den_r = jet[1]
+        varying.append(not (num_r if den_r.is_zero else num_r * f.den - f.num * den_r).is_zero)
+        jets.append(tuple(jet))
+    # columns: every N and D, then their first r-partials; a zero polynomial
+    # reads the last column, which is zero
     monomials: dict[tuple[int, ...], int] = {}
+    column: dict[int, int] = {}
     terms = []
-    for k, (i, j, f) in enumerate(fields):
-        for col, poly in ((2 * k, f.num), (2 * k + 1, f.den)):
-            for exps, c in poly.terms.items():
-                try:
-                    value = float(c)
-                except OverflowError as exc:
-                    what = "entry" if k < n_metric else "r-derivative of entry"
-                    raise ValueError(
-                        f"{what} ({i}, {j}) has a coefficient out of float range"
-                    ) from exc
-                terms.append((monomials.setdefault(exps, len(monomials)), col, value))
-    coefs = np.zeros((len(monomials), 2 * len(fields)))
+    for l, what in ((0, "entry"), (1, "r-derivative of entry")):
+        for (i, j), jet in zip(entries, jets):
+            for poly in jet[l]:
+                if id(poly) in column or poly.is_zero:
+                    continue
+                column[id(poly)] = len(column)
+                for exps, c in poly.terms.items():
+                    try:
+                        value = float(c)
+                    except OverflowError as exc:
+                        raise ValueError(
+                            f"{what} ({i}, {j}) has a coefficient out of float range"
+                        ) from exc
+                    row = monomials.setdefault(exps, len(monomials))
+                    terms.append((row, len(column) - 1, value))
+    coefs = np.zeros((len(monomials), len(column) + 1))
     for row, col, c in terms:
         coefs[row, col] = c
     try:
         exps = np.array(list(monomials), dtype=np.int64).reshape(len(monomials), n + 1)
     except OverflowError as exc:
         raise ValueError("a chart exponent is out of the 64-bit integer range") from exc
-    return _GridProgram(
+    columns = [[[column.get(id(jet[l][k]), len(column)) for jet in jets] for k in (0, 1)]
+               for l in (0, 1)]
+    return _ChartProgram(
+        entries=tuple(entries),
+        jets=tuple(jets),
+        varying=tuple(varying),
         exps=exps,
         coefs=coefs,
-        rows=np.array([i for i, _, _ in fields], dtype=np.int64),
-        cols=np.array([j for _, j, _ in fields], dtype=np.int64),
-        n_metric=n_metric,
-        diagonal=all(i == j for i, j, _ in fields),
+        columns=np.array(columns, dtype=np.int64).reshape(2, 2, len(jets)),
+        diagonal=all(i == j for i, j in entries),
     )
+
+
+def _point_jets(prog: _ChartProgram, point: tuple[Fraction, ...], wanted: list) -> list[dict]:
+    """Every entry's exact partials at the point of the multi-indices
+    ``wanted`` (x-orders, then the r-order) and of those the Leibniz rule
+    reads for them: the partials of N and D from ``Poly.diff``, evaluated
+    exactly and divided by :func:`_jet_divide`."""
+    n = len(point) - 1
+    m, l = max(sum(a[:n]) for a in wanted), max(a[n] for a in wanted)
+    alphas = sorted(
+        (tuple(idx.count(v) for v in range(n)) + (k,)
+         for d in range(m + 1) for idx in _sym_indices(n, d) for k in range(l + 1)),
+        key=sum,
+    )
+    # an index with an x-order is one x-partial (v) of an index listed before it
+    below = {
+        a: next(((v, a[:v] + (a[v] - 1,) + a[v + 1 :]) for v in range(n) if a[v]), None)
+        for a in alphas
+    }
+    out = []
+    for jet in prog.jets:
+        polys = {}
+        for a in alphas:
+            step = below[a]
+            polys[a] = jet[a[n]] if step is None else tuple(p.diff(step[0]) for p in polys[step[1]])
+        dens = {a: p for a, (_, p) in polys.items() if not p.is_zero}
+        # f_b is read for a needed index a when D's partial of index a - b is not zero
+        need = set(wanted)
+        if len(dens) > 1:
+            for a in reversed(alphas):
+                if a in need:
+                    steps = ((b, tuple(x - y for x, y in zip(a, b))) for b in alphas if b != a)
+                    need |= {b for b, d in steps if d in dens}
+        den = {a: p.eval(point) for a, p in dens.items()}
+        if den[alphas[0]] == 0:
+            raise ValueError(f"denominator vanishes at {tuple(map(float, point))}")
+        num = {a: polys[a][0].eval(point) for a in alphas if a in need}
+        out.append(_jet_divide(num, den, [a for a in alphas if a in need]))
+    return out
+
+
+# -- grid scan ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -225,29 +303,42 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
         np.array([float(v) for v in _axis_samples(lo, hi, per_axis)])
         for lo, hi in [*chart.domain, chart.interval]
     ]
-    prog = chart._grid_program
-    n, na = chart.n, prog.n_metric
+    prog = chart._program
+    n, na = chart.n, len(prog.entries)
     shape = (per_axis,) * (n + 1)
     # powers of each axis's samples for every monomial: (per_axis, monomials)
     tables = [axis[:, None] ** prog.exps[:, k] for k, axis in enumerate(axes)]
-    den_abs = np.abs(prog.coefs[:, 1 : 2 * na : 2])
+    den_abs = np.abs(prog.coefs[:, prog.columns[0, 1]])
     vanish_tol = DEN_VANISH_ULPS * np.finfo(float).eps
     worst = min_norm = min_eig_ratio = min_norm_ratio = np.inf
     worst_point = min_norm_point = None
-    # metric entries go to slot 0 of a point's matrix pair, derivatives to 1
-    slot = (np.arange(len(prog.rows)) >= na).astype(np.int64)
+    # fields: every entry in the metric (slot 0), then those that vary with r
+    # in the r-derivative (slot 1), in the order of the values below
+    varying = np.array(prog.varying, dtype=bool)
+    entries = np.array(prog.entries, dtype=np.int64).reshape(na, 2)
+    rows, cols = np.concatenate([entries, entries[varying]]).T
+    slots = np.repeat([0, 1], [na, int(varying.sum())])
+    alphas = [(0,) * (n + 1), (0,) * n + (1,)]
+    # every entry's r-partial of D reads the zero column when it is zero, so
+    # the rule skips that term only when no entry's denominator involves r
+    r_free = all(jet[1][1].is_zero for jet in prog.jets)
     total = per_axis ** (n + 1)
     for start in range(0, total, GRID_BLOCK):
         digits = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, total)), shape)
         mono = tables[0][digits[0]]
         for table, d in zip(tables[1:], digits[1:]):
             mono *= table[d]
-        # field-major (fields, points): reductions over fields run along rows
+        # column-major (columns, points): reductions over entries run along rows
         parts = np.ascontiguousarray((mono @ prog.coefs).T)
-        num, den = parts[0::2], parts[1::2]
         bound = vanish_tol * (np.abs(mono) @ den_abs).T
-        vanished = np.any(np.abs(den[:na]) <= bound, axis=0)
-        vals = num / np.where(vanished, 1.0, den)
+        den = parts[prog.columns[0, 1]]
+        vanished = np.any(np.abs(den) <= bound, axis=0)
+        num = dict(zip(alphas, parts[prog.columns[:, 0]]))
+        dens = {alphas[0]: np.where(vanished, 1.0, den)}
+        if not r_free:
+            dens[alphas[1]] = parts[prog.columns[1, 1]]
+        jet = _jet_divide(num, dens, alphas)
+        vals = np.concatenate([jet[alphas[0]], jet[alphas[1]][varying]])
         # a column maximum is not finite exactly when the column holds such a value
         metric_max = np.abs(vals[:na]).max(axis=0, initial=0.0)
         norm = np.abs(vals[na:]).max(axis=0, initial=0.0)
@@ -255,15 +346,15 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
         vals[:, nonfinite] = 0.0  # refused below; keeps LAPACK off them
         if prog.diagonal:
             diag = np.zeros((2, n, len(nonfinite)))
-            diag[slot, prog.rows] = vals
+            diag[slots, rows] = vals
             # the first least value in diagonal order, where eigvalsh would
             # put it: a zero keeps its sign in the refusal message
             lo = np.take_along_axis(diag[0], diag[0].argmin(axis=0)[None], axis=0)[0]
             hi = diag[0].max(axis=0)
         else:
             mats = np.zeros((2, len(nonfinite), n, n))
-            mats[slot, :, prog.rows, prog.cols] = vals
-            mats[slot, :, prog.cols, prog.rows] = vals
+            mats[slots, :, rows, cols] = vals
+            mats[slots, :, cols, rows] = vals
             eigs = np.linalg.eigvalsh(mats[0])
             lo, hi = eigs[:, 0], eigs[:, -1]
         bad = vanished | nonfinite | (lo <= SPECTRAL_TOL * np.maximum(np.abs(hi), 1.0))
@@ -323,7 +414,6 @@ class GcsChart:
     name: str = "custom"
     params: dict = dc_field(default_factory=dict)
     grid: int = DEFAULT_GRID
-    _deriv_cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
     _grid_summary: GridSummary = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -351,8 +441,8 @@ class GcsChart:
         self._grid_summary = _scan_grid(self)
 
     @cached_property
-    def _grid_program(self) -> _GridProgram:
-        return _compile_grid_program(self)
+    def _program(self) -> _ChartProgram:
+        return _compile_program(self)
 
     # -- exact evaluation ------------------------------------------------
 
@@ -370,35 +460,29 @@ class GcsChart:
             raise ValueError(f"parameter r = {r} outside [{lo}, {hi}]")
         return tuple(Fraction(float(v)) for v in x) + (Fraction(float(r)),)
 
-    def _derived_entry(self, i, j, xorders: tuple[int, ...], l: int) -> RationalField:
-        key = (min(i, j), max(i, j), xorders, l)
-        cached = self._deriv_cache.get(key)
-        if cached is not None:
-            return cached
-        f = self.entries[i][j]
-        for var, count in enumerate(xorders):
-            for _ in range(count):
-                f = f.diff(var)
-        for _ in range(l):
-            f = f.diff(self.n)
-        self._deriv_cache[key] = f
-        return f
-
-    def _eval_matrix(self, entries, point, what: str) -> np.ndarray:
-        """``_eval_entry_matrix``; a vanishing denominator or a value beyond
-        the float range raises ValueError."""
-        try:
-            return _eval_entry_matrix(entries, point)
-        except ZeroDivisionError as exc:
-            raise ValueError(str(exc)) from exc
-        except OverflowError as exc:
-            where = tuple(map(float, point))
-            raise ValueError(f"{what} is out of float range at {where}") from exc
+    def _partials(self, x, r, m: int, l: int) -> np.ndarray:
+        """The exact partials of x-order m and r-order l at (x, r), one n x n
+        block per sorted index tuple of ``_sym_indices(n, m)``, each value
+        rounded to float once; a vanishing denominator or a value beyond the
+        float range raises ValueError."""
+        point = self._check_point(x, r)
+        prog, n = self._program, self.n
+        wanted = [tuple(idx.count(k) for k in range(n)) + (l,) for idx in _sym_indices(n, m)]
+        jets = _point_jets(prog, point, wanted)
+        blocks = np.zeros((len(wanted), n, n))
+        for block, alpha in zip(blocks, wanted):
+            for (i, j), jet in zip(prog.entries, jets):
+                try:
+                    block[i, j] = block[j, i] = float(jet[alpha])
+                except OverflowError as exc:
+                    what = "metric" if m == l == 0 else "derivative"
+                    where = tuple(map(float, point))
+                    raise ValueError(f"{what} is out of float range at {where}") from exc
+        return blocks
 
     def eval_metric(self, x, r) -> BilinForm:
         """Exact evaluation of the scalar product at (x, r)."""
-        point = self._check_point(x, r)
-        form = BilinForm(self._eval_matrix(self.entries, point, "metric"))
+        form = BilinForm(self._partials(x, r, 0, 0)[0])
         if form.signature != (self.n, 0, 0):
             raise ValueError(
                 f"metric is not positive definite at the requested point "
@@ -411,18 +495,14 @@ class GcsChart:
 
         Returns an array of shape (n,)*m + (n, n): m symmetric slots for the
         base directions of differentiation, then the two form slots.  Orders
-        are limited to m <= 2, l <= 1.
+        are limited to m <= 2, l <= 1.  The chart program's numerators and
+        denominators are differentiated as polynomials and evaluated, and
+        their quotients divided by :func:`_jet_divide`, all in exact
+        rationals, so each value is rounded to float once.
         """
         if not (0 <= m <= MAX_X_ORDER) or not (0 <= l <= MAX_R_ORDER):
             raise ValueError(f"derivative orders (m={m}, l={l}) out of range")
-        point = self._check_point(x, r)
-        n = self.n
-        blocks = []
-        for idx in _sym_indices(n, m):
-            orders = tuple(idx.count(k) for k in range(n))
-            rows = [[self._derived_entry(i, j, orders, l) for j in range(n)] for i in range(n)]
-            blocks.append(self._eval_matrix(rows, point, "derivative"))
-        return np.take(np.stack(blocks), _full_positions(n, m), axis=0)
+        return np.take(self._partials(x, r, m, l), _full_positions(self.n, m), axis=0)
 
 
 @dataclass
@@ -521,11 +601,11 @@ def quotient_to_gcs(lc: LightlikeChart) -> GcsChart:
     Exact inverse of :func:`lift_to_lightlike` on the coefficient data: the
     result is the lightlike chart's validated base chart, so its grid is
     not scanned again.  Refuses charts whose coefficients do not depend on
-    t at all: those are transversally Riemannian and the projected family
-    of scalar products degenerates to a point.
+    t at all (N_t D - N D_t is the zero polynomial for every entry N / D,
+    as the chart program records): those are transversally Riemannian and
+    the projected family of scalar products degenerates to a point.
     """
-    nb, entries = lc.base_dim, lc.base.entries
-    if all(entries[i][j].diff(nb).is_zero for i in range(nb) for j in range(i, nb)):
+    if not any(lc.base._program.varying):
         raise TransversallyRiemannianError(
             "all coefficients are independent of t: the chart is transversally "
             "Riemannian and projects to a single scalar product, not a curve"
@@ -794,18 +874,32 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
 
 def _doc_entries(items, dim: int) -> list[list[RationalField]]:
     """The full symmetric coefficient matrix of a document's entry list;
-    every exponent is checked against ``MAX_EXPONENT`` first."""
+    every entry's fields and terms are checked, naming the entry, and every
+    exponent against ``MAX_EXPONENT``, before any coefficient is built."""
     nv = dim + 1
-    for item in items:
+    for k, item in enumerate(items):
         if not isinstance(item, dict):
             raise ValueError(f"chart entry must be a JSON object, got {item!r}")
         extra = set(item) - {"i", "j", "num", "den"}
         if extra:
             raise ValueError(f"unknown entry field(s): {', '.join(sorted(extra))}")
-        for _, exps in [*item["num"], *(item.get("den") or [])]:
-            for e in exps:
-                if _as_int(e, "exponent") > MAX_EXPONENT:
-                    raise ValueError(f"exponent {e} is above the cap of {MAX_EXPONENT}")
+        for key in ("i", "j", "num"):
+            if key not in item:
+                raise ValueError(f"chart entry {k} is missing '{key}'")
+        for key, terms in (("num", item["num"]), ("den", item.get("den") or [])):
+            if not isinstance(terms, list):
+                raise ValueError(
+                    f"chart entry {k}: '{key}' must be a list of terms, got {terms!r}"
+                )
+            for term in terms:
+                if not (isinstance(term, list) and len(term) == 2 and isinstance(term[1], list)):
+                    raise ValueError(
+                        f"chart entry {k}: a '{key}' term must be a pair "
+                        f"[coefficient, exponents], got {term!r}"
+                    )
+                for e in term[1]:
+                    if _as_int(e, "exponent") > MAX_EXPONENT:
+                        raise ValueError(f"exponent {e} is above the cap of {MAX_EXPONENT}")
     upper: dict[tuple[int, int], RationalField] = {}
     for item in items:
         i, j = _as_int(item["i"], "entry index i"), _as_int(item["j"], "entry index j")

@@ -1,8 +1,10 @@
 """Exact multivariate rational functions over the rationals.
 
 Charts store their coefficient fields as quotients of polynomials with
-Fraction coefficients, so partial derivatives of any order are available in
-closed form and point evaluations are exact up to the final float
+Fraction coefficients.  Polynomials differentiate in closed form
+(``Poly.diff``); a quotient is never differentiated symbolically; the
+chart program divides the partials of its numerator and denominator at a
+point instead, so point evaluations are exact up to the final float
 conversion.  No finite differencing ever enters a rank decision.
 """
 
@@ -131,16 +133,19 @@ class Poly:
         return Poly(self.nvars, acc)
 
     def eval(self, point: tuple[Fraction, ...]) -> Fraction:
+        """The exact value at a point of rationals.  Each term is an unreduced
+        pair of integers, so the sum is reduced once, not after every term."""
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
-        total = Fraction(0)
+        num, den = 0, 1
         for e, c in self.terms.items():
-            term = c
-            for base, exp in zip(point, e):
-                if exp:
-                    term *= base**exp
-            total += term
-        return total
+            term_num = c.numerator * math.prod(p.numerator**k for p, k in zip(point, e) if k)
+            term_den = c.denominator * math.prod(p.denominator**k for p, k in zip(point, e) if k)
+            if term_den == den:
+                num += term_num
+            else:
+                num, den = num * term_den + term_num * den, den * term_den
+        return Fraction(num, den)
 
     def subst_linear(self, matrix) -> "Poly":
         """Substitute each variable by a rational linear combination of variables.
@@ -221,15 +226,6 @@ class RationalField:
 
     def scale(self, value) -> "RationalField":
         return RationalField(self.num.scale(value), self.den)
-
-    def diff(self, var: int) -> "RationalField":
-        """``num'/den`` when the denominator does not involve the variable,
-        else the quotient rule over ``den^2``; either way the same function."""
-        den_diff = self.den.diff(var)
-        if den_diff.is_zero:
-            return RationalField(self.num.diff(var), self.den)
-        num = self.num.diff(var) * self.den - self.num * den_diff
-        return RationalField(num, self.den * self.den)
 
     def eval(self, point: tuple[Fraction, ...]) -> Fraction:
         den = self.den.eval(point)

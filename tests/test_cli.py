@@ -343,7 +343,7 @@ class TestExitCodes:
         def no_compile(*args, **kwargs):
             raise AssertionError("oversized grid was evaluated")
 
-        monkeypatch.setattr(gcs, "_compile_grid_program", no_compile)
+        monkeypatch.setattr(gcs, "_compile_program", no_compile)
         code = cli.main(
             ["certify", "--builtin", "conformal_flat", "--n", "6", "--grid", "20",
              "--r", "1"]
@@ -477,6 +477,25 @@ class TestExitCodes:
         doc[field] = value
         if field == "kind":
             doc["n"] = 0
+        chart = tmp_path / "chart.json"
+        chart.write_text(json.dumps(doc))
+        assert cli.main(["certify", "--chart", str(chart), "--r", "1"]) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"i": 0, "j": 0}, "chart entry 0 is missing 'num'"),
+            ({"i": 0, "num": [["1", [0, 1]]]}, "chart entry 0 is missing 'j'"),
+            ({"i": 0, "j": 0, "num": [["1"]]},
+             "chart entry 0: a 'num' term must be a pair [coefficient, exponents], got ['1']"),
+            ({"i": 0, "j": 0, "num": [["1", [0, 1]]], "den": "1"},
+             "chart entry 0: 'den' must be a list of terms, got '1'"),
+        ],
+    )
+    def test_malformed_chart_entry_is_named(self, entry, message, tmp_path, capsys):
+        doc = {"kind": "gcs", "n": 1, "domain": [[-1, 1]], "interval": [0.5, 2],
+               "entries": [entry]}
         chart = tmp_path / "chart.json"
         chart.write_text(json.dumps(doc))
         assert cli.main(["certify", "--chart", str(chart), "--r", "1"]) == 2
@@ -1095,6 +1114,38 @@ class TestCommands:
         single = run_cli(args, threads="1").stdout
         assert "pencil" in json.loads(single)["report"]
         assert single == run_cli(args, threads="2").stdout
+
+    def test_braid_dense_n8_same_bytes_across_blas_threads(self):
+        # a dense 1296 x 996 system: a threaded OpenBLAS splits its sums
+        # differently, so without the one-thread pin in ``main`` the
+        # singular values differ in their last bits
+        j = [[2.216, -0.14, 0.221, -0.103, 0.232, -0.217, 0.233, 0.136],
+             [-0.14, -2.391, -0.141, 0.143, -0.191, -0.168, 0.114, -0.2],
+             [0.221, -0.141, 2.859, -0.051, 0.103, -0.117, 0.224, 0.155],
+             [-0.103, 0.143, -0.051, 2.247, 0.186, -0.174, -0.077, -0.208],
+             [0.232, -0.191, 0.103, 0.186, 2.525, -0.092, -0.244, -0.179],
+             [-0.217, -0.168, -0.117, -0.174, -0.092, 2.711, 0.222, -0.158],
+             [0.233, 0.114, 0.224, -0.077, -0.244, 0.222, 2.915, 0.185],
+             [0.136, -0.2, 0.155, -0.208, -0.179, -0.158, 0.185, 2.206]]
+        jp = [[-2.654, -0.126, -0.105, 0.178, 0.014, -0.2, 0.195, 0.214],
+              [-0.126, -2.695, 0.201, -0.207, -0.175, -0.171, -0.003, -0.106],
+              [-0.105, 0.201, -2.892, 0.234, 0.035, 0.139, 0.107, -0.062],
+              [0.178, -0.207, 0.234, 2.214, 0.134, 0.213, -0.233, 0.212],
+              [0.014, -0.175, 0.035, 0.134, 2.657, -0.074, 0.15, -0.161],
+              [-0.2, -0.171, 0.139, 0.213, -0.074, 2.506, -0.231, 0.205],
+              [0.195, -0.003, 0.107, -0.233, 0.15, -0.231, -2.87, -0.012],
+              [0.214, -0.106, -0.062, 0.212, -0.161, 0.205, -0.012, -2.638]]
+        args = ["braid", "--n", "8", "--J", json.dumps(j), "--Jp", json.dumps(jp)]
+        single = run_cli(args, threads="1").stdout
+        assert json.loads(single)["report"]["verdict"] == "rigid"
+        assert single == run_cli(args, threads="4").stdout
+
+    def test_blas_without_thread_calls_runs_unpinned(self, monkeypatch, tmp_path):
+        # numpy linked against another BLAS: nothing to pin, the command runs
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        out = tmp_path / "report.json"
+        assert cli.main(["braid", "--n", "3", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["verdict"] == "rigid"
 
     def test_braid_symskew_variant(self):
         proc = run_cli(["braid", "--n", "2", "--variant", "symskew"])

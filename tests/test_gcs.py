@@ -28,22 +28,75 @@ from rigidity_lab.ratfield import Poly, RationalField
 TESTS_DIR = Path(__file__).parent
 
 
+_PARTIAL_CASES = {
+    "conformal_flat": lambda: builtin_chart("conformal_flat", 3),
+    "product_nonrigid": lambda: builtin_chart("product_nonrigid", 3),
+    "product_nonrigid_eps": lambda: builtin_chart("product_nonrigid", 3, {"epsilon": "1/8"}),
+    "linear_hyperbolic": lambda: builtin_chart("linear_hyperbolic"),
+    "lightcone": lambda: builtin_chart("lightcone", 3),
+    "chart_rational": lambda: chart_from_doc(
+        json.loads((TESTS_DIR / "data" / "chart_rational.json").read_text())
+    ),
+    "chart_lightlike": lambda: chart_from_doc(
+        json.loads((TESTS_DIR / "data" / "chart_lightlike.json").read_text())
+    ),
+    "dense_n4": lambda: _dense_chart(),
+}
+
+
+def _assert_partials_match_quotient_rule(chart, points):
+    """Every partial of x-order m <= 2 and r-order l <= 1 at each exact
+    point, in every arrangement of its x-slots, equals the plain quotient
+    rule evaluated by ``RationalField.eval``, to the last bit."""
+    n = chart.n
+    plain = {}
+
+    def oracle(i, j, variables):
+        if variables not in plain.setdefault((i, j), {}):
+            f = chart.entries[i][j]
+            if variables:
+                f = quotient_rule(oracle(i, j, variables[:-1]), variables[-1])
+            plain[i, j][variables] = f
+        return plain[i, j][variables]
+
+    for point in points:
+        x, r = [float(v) for v in point[:-1]], float(point[-1])
+        for m in range(gcs.MAX_X_ORDER + 1):
+            for l in range(gcs.MAX_R_ORDER + 1):
+                got = chart.eval_partials(x, r, m, l)
+                for idx in itertools.product(range(n), repeat=m):
+                    variables = tuple(sorted(idx)) + (n,) * l
+                    fields = [[oracle(min(i, j), max(i, j), variables) for j in range(n)]
+                              for i in range(n)]
+                    want = _exact_matrix(fields, point)
+                    assert got[idx].tobytes() == want.tobytes(), (point, m, l, idx)
+
+
+def _partial(poly, alpha):
+    """The partial of a polynomial of multi-index ``alpha``."""
+    for var, count in enumerate(alpha):
+        for _ in range(count):
+            poly = poly.diff(var)
+    return poly
+
+
 class TestRatField:
     def test_exact_derivative(self):
-        # d/dx of x^2 y / (1 + y) at (1/2, 1/3)
+        # d/dx of x^2 y / (1 + y) at (1/2, 1/3), by jet division
         p = Poly.from_terms(2, [(1, (2, 1))])
         den = Poly.from_terms(2, [(1, (0, 0)), (1, (0, 1))])
-        f = RationalField(p, den)
-        d = f.diff(0)
-        val = d.eval((Fraction(1, 2), Fraction(1, 3)))
-        assert val == Fraction(2, 1) * Fraction(1, 2) * Fraction(1, 3) / Fraction(4, 3)
+        point = (Fraction(1, 2), Fraction(1, 3))
+        alphas = [(0, 0), (1, 0)]
+        jet = gcs._jet_divide(
+            {a: _partial(p, a).eval(point) for a in alphas}, {(0, 0): den.eval(point)}, alphas
+        )
+        assert jet[1, 0] == Fraction(2, 1) * Fraction(1, 2) * Fraction(1, 3) / Fraction(4, 3)
 
     def test_quotient_rule(self):
-        x = Poly.var(1, 0)
-        one = Poly.const(1, 1)
-        f = RationalField(one, one + x)  # 1/(1+x)
-        d = f.diff(0)
-        assert d.eval((Fraction(1),)) == Fraction(-1, 4)
+        # 1/(1+x) at x = 1: the denominator's partial enters once, unsquared
+        jet = gcs._jet_divide({(0,): Fraction(1), (1,): Fraction(0)},
+                              {(0,): Fraction(2), (1,): Fraction(1)}, [(0,), (1,)])
+        assert jet[(1,)] == Fraction(-1, 4)
 
     def test_decimal_string_coefficients_exact(self):
         p = Poly.from_terms(1, [("0.1", (1,))])
@@ -62,47 +115,55 @@ class TestRatField:
     def test_derivative_keeps_a_denominator_free_of_the_variable(self):
         chart = builtin_chart("lightcone", 4).base
         f = chart.entries[0][0]  # 4 t^2 / (1 + |x|^2)^2
-        d = chart._derived_entry(0, 0, (0,) * chart.n, 1)
-        assert d.den == f.den
-        assert d.num == f.num.diff(chart.n)
-        # an x-derivative differentiates the denominator: quotient rule over den^2
-        assert f.diff(0).den == f.den * f.den
+        prog = chart._program
+        assert prog.jets[0] == ((f.num, f.den), (f.num.diff(chart.n), Poly(chart.n + 1, {})))
+        # the zero r-partial of D reads the zero column, and the rule skips
+        # it: the grid reads N_r / D
+        assert prog.columns[1, 1, 0] == prog.coefs.shape[1] - 1
+        assert not prog.coefs[:, -1].any()
 
-    @pytest.mark.parametrize(
-        "case", ["chart_rational", "lightcone", "linear_hyperbolic", "dense_n4"]
-    )
+    def test_point_partials_square_no_denominator(self, monkeypatch):
+        # (1 + |x|^2)^8 would be the denominator of the (2, 1) partial by the
+        # quotient rule; jet division multiplies no polynomials
+        chart = builtin_chart("lightcone", 5).base
+
+        def no_product(*args):
+            raise AssertionError("a polynomial product at a point")
+
+        monkeypatch.setattr(Poly, "__mul__", no_product)
+        out = chart.eval_partials([0.25, -0.125, 0.5, 0.0], 1.5, 2, 1)
+        assert out.shape == (4,) * 4 and np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("case", sorted(_PARTIAL_CASES))
     def test_derivatives_equal_the_plain_quotient_rule(self, case):
-        chart = {
-            "chart_rational": lambda: chart_from_doc(
-                json.loads((TESTS_DIR / "data" / "chart_rational.json").read_text())
-            ),
-            "lightcone": lambda: builtin_chart("lightcone", 3).base,
-            "linear_hyperbolic": lambda: builtin_chart("linear_hyperbolic"),
-            "dense_n4": _dense_chart,
-        }[case]()
-        n = chart.n
+        chart = _PARTIAL_CASES[case]()
+        chart = chart.base if isinstance(chart, LightlikeChart) else chart
         rng = random.Random(11)
         points = [
             tuple(Fraction(lo) + Fraction(rng.randint(0, 16), 16) * (Fraction(hi) - Fraction(lo))
                   for lo, hi in [*chart.domain, chart.interval])
             for _ in range(3)
         ]
+        _assert_partials_match_quotient_rule(chart, points)
 
-        def quotient_rule(f, var):
-            num = f.num.diff(var) * f.den - f.num * f.den.diff(var)
-            return RationalField(num, f.den * f.den)
-
-        for i, j in itertools.combinations_with_replacement(range(n), 2):
-            for m in range(gcs.MAX_X_ORDER + 1):
-                for idx in itertools.combinations_with_replacement(range(n), m):
-                    orders = tuple(idx.count(k) for k in range(n))
-                    for l in range(gcs.MAX_R_ORDER + 1):
-                        plain = chart.entries[i][j]
-                        for var in [*idx, *[n] * l]:
-                            plain = quotient_rule(plain, var)
-                        derived = chart._derived_entry(i, j, orders, l)
-                        for point in points:
-                            assert derived.eval(point) == plain.eval(point), (i, j, orders, l)
+    def test_high_exponents_stay_exact(self):
+        # 3 + x_0^45 r and x_1^40 / (4 (2 + x_0^41 x_1)), exponents below
+        # MAX_EXPONENT = 64: 3^45 is beyond the 64-bit integer range, so a
+        # power with an int64 exponent would silently overflow
+        doc = {
+            "kind": "gcs", "n": 2, "domain": [[-1, 1]] * 2, "interval": [0.5, 2],
+            "entries": [
+                {"i": 0, "j": 0, "num": [["3", [0, 0, 0]], ["1", [45, 0, 1]]]},
+                {"i": 0, "j": 1, "num": [["1/4", [0, 40, 0]]],
+                 "den": [["2", [0, 0, 0]], ["1", [41, 1, 0]]]},
+                {"i": 1, "j": 1, "num": [["3", [0, 0, 0]], ["1/2", [0, 0, 1]]]},
+            ],
+        }
+        chart = chart_from_doc(doc)
+        point = (Fraction(3, 4), Fraction(-7, 8), Fraction(5, 4))
+        metric = chart.eval_metric([0.75, -0.875], 1.25).matrix
+        assert metric.tobytes() == _exact_matrix(chart.entries, point).tobytes()
+        _assert_partials_match_quotient_rule(chart, [point])
 
 
 class TestEvalMetric:
@@ -281,12 +342,16 @@ class TestLiftQuotient:
         nv = 3  # two base coordinates + t
         one = RationalField.const(nv, 1)
         zero = RationalField.const(nv, 0)
-        entries = [[one, zero], [zero, one]]
-        lc = LightlikeChart(
-            GcsChart(n=2, domain=[(-1.0, 1.0)] * 2, interval=(0.5, 2.0), entries=entries)
-        )
-        with pytest.raises(TransversallyRiemannianError):
-            quotient_to_gcs(lc)
+        t = Poly.var(nv, 2)
+        # (t + t x^2) / t mentions t in both polynomials but equals 1 + x^2
+        mentions_t = RationalField(t + t * Poly.var(nv, 0) * Poly.var(nv, 0), t)
+        for corner in (one, mentions_t):
+            entries = [[corner, zero], [zero, one]]
+            lc = LightlikeChart(
+                GcsChart(n=2, domain=[(-1.0, 1.0)] * 2, interval=(0.5, 2.0), entries=entries)
+            )
+            with pytest.raises(TransversallyRiemannianError):
+                quotient_to_gcs(lc)
 
 
 class TestBuiltins:
@@ -432,45 +497,123 @@ def _exact_grid(domain, interval, per_axis):
     return itertools.product(*axes)
 
 
-def _exact_first_failure(domain, interval, entries, per_axis):
-    """Message of the first grid point failing the exact positivity scan."""
-    for point in _exact_grid(domain, interval, per_axis):
-        where = tuple(map(float, point))
-        try:
-            m = gcs._eval_entry_matrix(entries, point)
-        except ZeroDivisionError:
-            return f"denominator vanishes at grid point {where}"
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] <= SPECTRAL_TOL * max(abs(eigs[-1]), 1.0) or eigs[-1] <= 0.0:
-            return (
-                f"coefficient matrix is not positive definite at grid point "
-                f"{where} (min eigenvalue {eigs[0]:.3e})"
-            )
-    return None
+def quotient_rule(f, var):
+    """The plain quotient rule, over the squared denominator where that
+    involves the variable: the oracle for every partial of a chart entry."""
+    if f.den.diff(var).is_zero:
+        return RationalField(f.num.diff(var), f.den)
+    num = f.num.diff(var) * f.den - f.num * f.den.diff(var)
+    return RationalField(num, f.den * f.den)
 
 
-def _exact_genericity(chart, per_axis, tol=SPECTRAL_TOL):
-    """The genericity scan in exact Fraction arithmetic, point by point."""
-    n = chart.n
-    out = {"nowhere_tr": True, "generic": True, "worst": np.inf, "min_norm": np.inf}
-    for point in _exact_grid(chart.domain, chart.interval, per_axis):
-        d = np.zeros((n, n))
+def _exact_matrix(entries, point):
+    """The symmetric matrix of ``entries`` at an exact point, each value by
+    ``RationalField.eval`` and rounded once."""
+    n = len(entries)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            out[i, j] = out[j, i] = float(entries[i][j].eval(point))
+    return out
+
+
+def _exact_value(f, point):
+    """``f`` at an exact point by ``RationalField.eval``, rounded once, or the
+    grid scan's refusal of that value."""
+    try:
+        return float(f.eval(point))
+    except ZeroDivisionError:
+        return "denominator vanishes"
+    except OverflowError:
+        return "metric or r-derivative value is not finite"
+
+
+def _exact_values(f, points):
+    """``_exact_value`` at every point, evaluated once per distinct value of
+    the coordinates that ``f`` mentions."""
+    used = sorted({v for p in (f.num, f.den) for e in p.terms for v, k in enumerate(e) if k})
+    seen, out = {}, []
+    for p in points:
+        key = tuple(p[v] for v in used)
+        if key not in seen:
+            seen[key] = _exact_value(f, p)
+        out.append(seen[key])
+    return out
+
+
+def _exact_scan(domain, interval, entries, per_axis):
+    """The grid scan in exact arithmetic on full matrices: the metric by
+    ``RationalField.eval``, its r-derivative by the plain quotient rule,
+    each value rounded once (a field shared by several entries is evaluated
+    once), then ``eigvalsh``.  Returns the summary or raises the scan's
+    ValueError at the first failing point."""
+    n = len(entries)
+    points = list(_exact_grid(domain, interval, per_axis))
+    mats = np.zeros((2, len(points), n, n))
+    refusals = [set() for _ in points]
+    values = {}
+    for slot in (0, 1):
         for i in range(n):
             for j in range(i, n):
-                d[i, j] = d[j, i] = float(chart._derived_entry(i, j, (0,) * n, 1).eval(point))
-        scale = max(float(np.max(np.abs(gcs._eval_entry_matrix(chart.entries, point)))), 1.0)
-        norm = float(np.max(np.abs(d)))
-        min_eig = float(np.min(np.abs(np.linalg.eigvalsh(d))))
-        floats = ([float(c) for c in point[:-1]], float(point[-1]))
-        if norm <= tol * scale:
-            out["nowhere_tr"] = False
-        if min_eig <= tol * scale:
-            out["generic"] = False
-        if min_eig < out["worst"]:
-            out["worst"], out["worst_point"] = min_eig, floats
-        if norm < out["min_norm"]:
-            out["min_norm"], out["min_norm_point"] = norm, floats
-    return out
+                f = entries[i][j]
+                if (slot, id(f)) not in values:
+                    field = quotient_rule(f, n) if slot else f
+                    column = _exact_values(field, points)
+                    for k, v in enumerate(column):
+                        if isinstance(v, str):
+                            refusals[k].add(v)
+                    values[slot, id(f)] = [0.0 if isinstance(v, str) else v for v in column]
+                mats[slot, :, i, j] = mats[slot, :, j, i] = values[slot, id(f)]
+    eigs = np.linalg.eigvalsh(mats[0])
+    for k, point in enumerate(points):
+        where = tuple(map(float, point))
+        for message in sorted(refusals[k], reverse=True):  # "not finite" first
+            raise ValueError(f"{message} at grid point {where}")
+        lo, hi = eigs[k, 0], eigs[k, -1]
+        if lo <= SPECTRAL_TOL * max(abs(hi), 1.0) or hi <= 0.0:
+            raise ValueError(
+                f"coefficient matrix is not positive definite at grid point "
+                f"{where} (min eigenvalue {lo:.3e})"
+            )
+    scale = np.maximum(np.abs(mats[0]).max(axis=(1, 2)), 1.0)
+    norm = np.abs(mats[1]).max(axis=(1, 2))
+    min_eig = np.abs(np.linalg.eigvalsh(mats[1])).min(axis=1)
+    worst, low = int(np.argmin(min_eig)), int(np.argmin(norm))
+    where = [tuple(map(float, points[k])) for k in (worst, low)]
+    return gcs.GridSummary(
+        worst_min_abs_eig=float(min_eig[worst]),
+        worst_point=(list(where[0][:-1]), where[0][-1]),
+        min_norm=float(norm[low]),
+        min_norm_point=(list(where[1][:-1]), where[1][-1]),
+        min_eig_ratio=float(np.min(min_eig / scale)),
+        min_norm_ratio=float(np.min(norm / scale)),
+    )
+
+
+def _scan_outcome(scan, *args):
+    """The summary of a scan, or the message of its refusal."""
+    try:
+        return scan(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_outcomes_match(got, want):
+    """A float scan's outcome against the exact scan's: the same refusal
+    (the minimum eigenvalue in it to 1e-12), or a summary with the same
+    points and its values equal to 1e-12."""
+    if isinstance(want, str):
+        assert isinstance(got, str), got
+        head, _, eig = want.partition(" (min eigenvalue ")
+        got_head, _, got_eig = got.partition(" (min eigenvalue ")
+        assert got_head == head
+        if eig:
+            assert float(got_eig[:-1]) == pytest.approx(float(eig[:-1]), abs=1e-12)
+        return
+    assert not isinstance(got, str), got
+    assert (got.worst_point, got.min_norm_point) == (want.worst_point, want.min_norm_point)
+    for name in ("worst_min_abs_eig", "min_norm", "min_eig_ratio", "min_norm_ratio"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-14)
 
 
 def _diag_entries(n, diag):
@@ -585,15 +728,17 @@ class TestGridScanOracle:
             per_axis = 3
         if other_grid:
             chart = dataclasses.replace(base, grid=per_axis)
-        exact = _exact_genericity(base, per_axis)
+        exact = _exact_scan(base.domain, base.interval, base.entries, per_axis)
         report = genericity_report(chart)
         assert report.grid == per_axis
-        assert report.nowhere_tr == exact["nowhere_tr"]
-        assert report.generic == exact["generic"]
-        assert report.worst_point == exact["worst_point"]
-        assert report.min_norm_point == exact["min_norm_point"]
-        assert report.worst_min_abs_eig == pytest.approx(exact["worst"], rel=1e-12, abs=1e-14)
-        assert report.min_norm == pytest.approx(exact["min_norm"], rel=1e-12, abs=1e-14)
+        assert report.nowhere_tr == (exact.min_norm_ratio > SPECTRAL_TOL)
+        assert report.generic == (exact.min_eig_ratio > SPECTRAL_TOL)
+        assert report.worst_point == exact.worst_point
+        assert report.min_norm_point == exact.min_norm_point
+        assert report.worst_min_abs_eig == pytest.approx(
+            exact.worst_min_abs_eig, rel=1e-12, abs=1e-14
+        )
+        assert report.min_norm == pytest.approx(exact.min_norm, rel=1e-12, abs=1e-14)
 
     def test_singular_indefinite_derivative_is_not_generic(self):
         report = genericity_report(_singular_derivative_chart())
@@ -606,7 +751,7 @@ class TestGridScanOracle:
         # 1 + x_1 r turns negative at x_1 = -1, r = 1.25
         domain, interval = [(-1.0, 1.0)] * 2, (0.5, 2.0)
         entries = _diag_entries(2, [[(1, (0, 0, 0)), (1, (1, 0, 1))], [(1, (0, 0, 0))]])
-        expected = _exact_first_failure(domain, interval, entries, 5)
+        expected = _scan_outcome(_exact_scan, domain, interval, entries, 5)
         assert expected.startswith(
             "coefficient matrix is not positive definite at grid point (-1.0, -1.0, 1.25)"
         )
@@ -623,7 +768,7 @@ class TestGridScanOracle:
         one = RationalField.const(nv, 1)
         entries = [[f, zero], [zero, one]]
         domain, interval = [(-1.0, 1.0)] * 2, (0.5, 2.0)
-        expected = _exact_first_failure(domain, interval, entries, 5)
+        expected = _scan_outcome(_exact_scan, domain, interval, entries, 5)
         assert expected == "denominator vanishes at grid point (0.0, -1.0, 0.5)"
         with pytest.raises(ValueError) as err:
             GcsChart(n=2, domain=domain, interval=interval, entries=entries)
@@ -657,115 +802,31 @@ class TestGridScanReuse:
         def no_scan(*args, **kwargs):
             raise AssertionError("oversized grid was scanned")
 
-        monkeypatch.setattr(gcs, "_compile_grid_program", no_scan)
+        monkeypatch.setattr(gcs, "_compile_program", no_scan)
         with pytest.raises(ValueError, match=r"20\^7 points"):
             builtin_chart("conformal_flat", 6, grid=20)
 
 
-# -- grid scan against the dense scan -------------------------------------------
-
-
-# an overflow in the scan is refused as a value that is not finite
-@np.errstate(over="ignore", invalid="ignore")
-def _dense_scan(chart):
-    """The grid scan on full n x n matrices, two eigvalsh calls per block of
-    points: the oracle for the scan, which must agree with it."""
-    per_axis = chart.grid
-    axes = [
-        np.array([float(v) for v in gcs._axis_samples(lo, hi, per_axis)])
-        for lo, hi in [*chart.domain, chart.interval]
-    ]
-    prog = gcs._compile_grid_program(chart)
-    n, na = chart.n, prog.n_metric
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    deriv = [chart._derived_entry(i, j, (0,) * n, 1) for i, j in upper]
-    # the program's fields: nonzero metric entries, then nonzero derivatives
-    places = [(i, j) for i, j in upper if not chart.entries[i][j].is_zero]
-    places += [(i, j) for (i, j), d in zip(upper, deriv) if not d.is_zero]
-    rows, cols = np.array(places, dtype=np.int64).reshape(len(places), 2).T
-    shape = (per_axis,) * (n + 1)
-    tables = [axis[:, None] ** prog.exps[:, k] for k, axis in enumerate(axes)]
-    den_abs = np.abs(prog.coefs[:, 1 : 2 * na : 2])
-    vanish_tol = gcs.DEN_VANISH_ULPS * np.finfo(float).eps
-    worst = min_norm = min_eig_ratio = min_norm_ratio = np.inf
-    worst_point = min_norm_point = None
-    slot = (np.arange(len(rows)) >= na).astype(np.int64)
-    total = per_axis ** (n + 1)
-    for start in range(0, total, gcs.GRID_BLOCK):
-        digits = np.unravel_index(np.arange(start, min(start + gcs.GRID_BLOCK, total)), shape)
-        mono = tables[0][digits[0]]
-        for table, d in zip(tables[1:], digits[1:]):
-            mono *= table[d]
-        parts = mono @ prog.coefs
-        num, den = parts[:, 0::2], parts[:, 1::2]
-        vanished = np.any(np.abs(den[:, :na]) <= vanish_tol * (np.abs(mono) @ den_abs), axis=1)
-        vals = num / np.where(vanished[:, None], 1.0, den)
-        metric_max = np.abs(vals[:, :na]).max(axis=1, initial=0.0)
-        norm = np.abs(vals[:, na:]).max(axis=1, initial=0.0)
-        nonfinite = ~(np.isfinite(metric_max) & np.isfinite(norm))
-        vals[nonfinite] = 0.0
-        mats = np.zeros((len(vals), 2, n, n))
-        mats[:, slot, rows, cols] = vals
-        mats[:, slot, cols, rows] = vals
-        eigs = np.linalg.eigvalsh(mats[:, 0])
-        lo, hi = eigs[:, 0], eigs[:, -1]
-        bad = vanished | nonfinite | (lo <= SPECTRAL_TOL * np.maximum(np.abs(hi), 1.0))
-        bad |= hi <= 0.0
-        if bad.any():
-            k = int(np.argmax(bad))
-            where = tuple(float(axis[d[k]]) for axis, d in zip(axes, digits))
-            if nonfinite[k]:
-                raise ValueError(
-                    f"metric or r-derivative value is not finite at grid point {where}"
-                )
-            if vanished[k]:
-                raise ValueError(f"denominator vanishes at grid point {where}")
-            raise ValueError(
-                f"coefficient matrix is not positive definite at grid point "
-                f"{where} (min eigenvalue {lo[k]:.3e})"
-            )
-        scale = np.maximum(metric_max, 1.0)
-        min_eig = np.abs(np.linalg.eigvalsh(mats[:, 1])).min(axis=1)
-        k = int(np.argmin(min_eig))
-        if min_eig[k] < worst:
-            worst, worst_point = float(min_eig[k]), gcs._grid_point(axes, digits, k)
-        k = int(np.argmin(norm))
-        if norm[k] < min_norm:
-            min_norm, min_norm_point = float(norm[k]), gcs._grid_point(axes, digits, k)
-        min_eig_ratio = min(min_eig_ratio, float(np.min(min_eig / scale)))
-        min_norm_ratio = min(min_norm_ratio, float(np.min(norm / scale)))
-    return gcs.GridSummary(
-        worst_min_abs_eig=worst,
-        worst_point=worst_point,
-        min_norm=min_norm,
-        min_norm_point=min_norm_point,
-        min_eig_ratio=min_eig_ratio,
-        min_norm_ratio=min_norm_ratio,
-    )
-
-
-def _scan_outcome(scan, chart):
-    """The summary of a scan, or the message of its refusal."""
-    try:
-        return scan(chart)
-    except ValueError as exc:
-        return str(exc)
+# -- grid scan against the exact scan -------------------------------------------
 
 
 def _assert_scan_matches_dense(factory):
     """Builds the chart with its scan held back, then compares the scan with
-    the dense oracle: the same summary or the same refusal, bit for bit."""
+    the exact scan on full matrices."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gcs, "_scan_grid", lambda chart: None)
         chart = factory()
     base = chart.base if isinstance(chart, LightlikeChart) else chart
-    assert _scan_outcome(gcs._scan_grid, base) == _scan_outcome(_dense_scan, base)
+    _assert_outcomes_match(
+        _scan_outcome(gcs._scan_grid, base),
+        _scan_outcome(_exact_scan, base.domain, base.interval, base.entries, base.grid),
+    )
     return base
 
 
 class TestDiagonalScan:
     """The grid scan, which reads a diagonal chart's eigenvalues off its
-    diagonal, against the dense scan."""
+    diagonal, against the exact scan on full matrices."""
 
     @pytest.mark.parametrize(
         "name, n",
@@ -773,7 +834,7 @@ class TestDiagonalScan:
         + [("lightcone", n) for n in range(2, 7)],  # the lightcone needs n >= 2
     )
     def test_builtins_match_dense(self, name, n):
-        assert _assert_scan_matches_dense(lambda: builtin_chart(name, n))._grid_program.diagonal
+        assert _assert_scan_matches_dense(lambda: builtin_chart(name, n))._program.diagonal
 
     @pytest.mark.parametrize("params", [{}, {"f_coeffs": ["1/2", 1, 1], "shift": 2}])
     def test_linear_hyperbolic_matches_dense(self, params):
@@ -783,10 +844,10 @@ class TestDiagonalScan:
     def test_chart_documents_match_dense(self, name):
         # blocks {0, 1}, {2} and, in the lightlike base, interleaved {0, 2}, {1}
         doc = json.loads((TESTS_DIR / "data" / name).read_text())
-        assert not _assert_scan_matches_dense(lambda: chart_from_doc(doc))._grid_program.diagonal
+        assert not _assert_scan_matches_dense(lambda: chart_from_doc(doc))._program.diagonal
 
     def test_dense_chart_matches_dense(self):
-        assert not _assert_scan_matches_dense(_dense_chart)._grid_program.diagonal
+        assert not _assert_scan_matches_dense(_dense_chart)._program.diagonal
 
     def test_signed_zero_refusal_matches_dense(self):
         # a_11 = (x_1 + 1) / -1 is -0.0 at x_1 = -1 and a_00, without a field,
@@ -809,7 +870,7 @@ class TestDiagonalScan:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
         chart = builtin_chart(name, 5 if name != "linear_hyperbolic" else 3)
         base = chart.base if isinstance(chart, LightlikeChart) else chart
-        assert base._grid_program.diagonal
+        assert base._program.diagonal
 
     def test_dense_chart_makes_two_calls_per_point_block(self, monkeypatch):
         calls = []
