@@ -786,8 +786,8 @@ def builtin_chart(
     """Construct a chart from the builtin catalog, validated on ``grid``
     samples per axis; each chart satisfies the genericity profile stated in
     its catalog description.  Invalid input raises ValueError: an unknown
-    name, a dimension the builtin lacks or a grid above the cap before any
-    coefficient is built."""
+    name, a dimension the builtin lacks, a grid above the cap or ``params``
+    neither a dict nor None, before any coefficient is built."""
     spec = BUILTINS.get(name)
     if spec is None:
         raise ValueError(
@@ -800,6 +800,10 @@ def builtin_chart(
     if coeff_n < 1:
         raise ValueError(f"builtin '{name}' needs n >= {n - coeff_n + 1}, got {n}")
     _check_grid_cap(coeff_n, grid)
+    if params is not None and not isinstance(params, dict):
+        raise ValueError(
+            f"params must be a JSON object of parameter names to values, got {params!r}"
+        )
     params = dict(params or {})
     unknown = set(params) - {"interval", "domain", *spec.params}
     if unknown:

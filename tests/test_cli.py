@@ -124,6 +124,9 @@ def _json_text(doc):
     return json.dumps(doc).replace("Infinity", "1e400")
 
 
+_NOT_AN_OBJECT = "params must be a JSON object of parameter names to values"
+
+
 def _main_exit(argv):
     """Exit code and stderr of ``cli.main(argv)``, in process; argparse's
     usage errors end in SystemExit."""
@@ -200,6 +203,45 @@ def test_package_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_runs_load_no_openssl():
+    # input_hash comes from the builtin SHA-256: importing hashlib would map
+    # OpenSSL's libcrypto through _hashlib
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys\n"
+         "from rigidity_lab import cli\n"
+         "for argv in (['certify', '--builtin', 'conformal_flat', '--n', '3', '--r', '1'],\n"
+         "             ['braid', '--n', '6'], ['prolong', '--algebra', 'co', '--n', '4']):\n"
+         "    with contextlib.redirect_stdout(io.StringIO()):\n"
+         "        assert cli.main(argv) == 0, argv\n"
+         "print('_hashlib' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def test_hashlib_fallback_gives_each_golden_input_hash():
+    # with the builtin modules blocked, reportio falls back to hashlib
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, pathlib, sys\n"
+         "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+         "from rigidity_lab import reportio\n"
+         "assert reportio._sha256.__module__ == '_hashlib', reportio._sha256\n"
+         "hashes = {}\n"
+         "for path in sys.argv[1:]:\n"
+         "    doc = json.loads(pathlib.Path(path).read_text())\n"
+         "    hashes[path] = [doc['input_hash'], reportio.input_hash(doc['input'])]\n"
+         "print(json.dumps(hashes))",
+         *sorted(str(p) for p in GOLDEN_DIR.glob("*.json"))],
+        capture_output=True, text=True, check=True,
+    )
+    hashes = json.loads(proc.stdout)
+    assert len(hashes) == len([c for c in GOLDEN_CASES if c.endswith(".json")])
+    for path, (golden, fallback) in hashes.items():
+        assert fallback == golden, path
 
 
 class TestExitCodes:
@@ -527,6 +569,9 @@ class TestExitCodes:
             ({"interval": 5}, "interval must be a pair [lo, hi], got 5"),
             ({"domain": 5}, "domain must be a list of sides, got 5"),
             ({"domain": [[-1, 1], [-1], [-1, 1]]}, "domain side 1 must be a pair [lo, hi], got [-1]"),
+            ([1], f"{_NOT_AN_OBJECT}, got [1]"),
+            ("x", f"{_NOT_AN_OBJECT}, got 'x'"),
+            ([["epsilon", "1/2"]], f"{_NOT_AN_OBJECT}, got [['epsilon', '1/2']]"),
         ],
     )
     def test_invalid_builtin_number_is_two(self, params, message):
@@ -535,6 +580,20 @@ class TestExitCodes:
         code, err = _main_exit(argv)
         assert code == 2, err
         assert message in err
+
+    def test_chart_document_params_not_an_object_is_two(self, tmp_path):
+        chart = tmp_path / "chart.json"
+        chart.write_text('{"builtin": "product_nonrigid", "n": 3, "params": [1]}')
+        code, err = _main_exit(["certify", "--chart", str(chart), "--r", "1"])
+        assert code == 2, err
+        assert f"{_NOT_AN_OBJECT}, got [1]" in err
+
+    def test_params_null_reads_as_no_parameters(self, tmp_path):
+        # JSON's null is the one non-object the dict-or-None rule lets through
+        argv = ["certify", "--builtin", "product_nonrigid", "--n", "3", "--r", "1"]
+        omitted = _main_report(argv, tmp_path)
+        assert omitted[0] == 0
+        assert _main_report([*argv, "--params", "null"], tmp_path) == omitted
 
     @pytest.mark.parametrize(
         "field, value, message",
