@@ -15,6 +15,7 @@ gives a nonzero element at every order, so the type is infinite.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -37,6 +38,12 @@ MAX_ORDER_CAP = 5
 
 #: sigma_2 / sigma_1 threshold below which a matrix counts as rank one.
 RANK1_RATIO_TOL = 1e-8
+
+#: Largest sign-pattern grid {-1, 0, 1}^dim the rank-one scan enumerates.
+RANK1_GRID_CAP = 20_000
+
+#: Seeded dense +-1 sign patterns scanned in place of a larger grid.
+RANK1_SIGN_DRAWS = 2000
 
 #: Candidates scored per batched SVD in the rank-one scan (bounds memory).
 RANK1_SCAN_BLOCK = 4096
@@ -303,13 +310,15 @@ def find_rank1(
     """Search the subspace for a rank-one element.
 
     Strategy: scan sign patterns in {-1, 0, 1}^dim over the orthonormalized
-    basis (or random patterns when that grid is too large) and seeded random
-    directions (one RNG per trial index, so trials are order independent),
-    scored by sigma_2/sigma_1 in batched SVDs.  If no candidate is rank one,
-    an alternating solve over the factors of ``v a^T`` starts from the
-    leading singular pairs of the best candidates and from one seeded random
-    covector per trial.  Returning None is a heuristic negative, not a proof
-    of absence.
+    basis (or ``RANK1_SIGN_DRAWS`` seeded dense +-1 patterns when that grid
+    exceeds ``RANK1_GRID_CAP``) and seeded random directions, scored by
+    sigma_2/sigma_1 in batched SVDs.  Trial i draws its direction and its
+    covector from its own Mersenne Twister, a ``random.Random`` seeded from
+    ``(seed, i)``, so trials are order independent and any int seeds the
+    search.  If no candidate is rank one, an alternating solve over the
+    factors of ``v a^T`` starts from the leading singular pairs of the best
+    candidates and from each trial's covector.  Returning None is a
+    heuristic negative, not a proof of absence.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -322,20 +331,12 @@ def find_rank1(
             return _make_witness(h, c)
         return None
 
-    if 3**dim <= 20_000:
-        signs = np.array(
-            np.meshgrid(*([[-1.0, 0.0, 1.0]] * dim), indexing="ij")
-        ).reshape(dim, -1).T
-        signs = signs[np.any(signs, axis=1)]
-    else:
-        rng = np.random.default_rng(seed)
-        signs = np.sign(rng.standard_normal((2000, dim)))
-    directions, covectors = [], []
-    for i in range(trials):
-        rng_i = np.random.default_rng((seed, i))
-        c = rng_i.standard_normal(dim)
-        directions.append(c / np.linalg.norm(c))
-        covectors.append(rng_i.standard_normal(n))
+    signs = _sign_patterns(dim, seed)
+    # dim + n normal draws per trial: its direction, then its covector
+    rngs = [_seeded(seed, i) for i in range(trials)]
+    draws = np.array([[rng.gauss(0.0, 1.0) for _ in range(dim + n)] for rng in rngs])
+    directions = draws[:, :dim] / np.linalg.norm(draws[:, :dim], axis=1, keepdims=True)
+    covectors = draws[:, dim:]
     # sums of squares of sign patterns are exact, so the row norms equal
     # the per-vector ones
     candidates = np.concatenate(
@@ -362,6 +363,31 @@ def find_rank1(
     best = np.argsort(_sigma_ratios(h.element(coefficients)), kind="stable")[0]
     witness = _make_witness(h, coefficients[best])
     return witness if witness.sigma_ratio < RANK1_RATIO_TOL else None
+
+
+def _seeded(seed: int, key: int | str) -> random.Random:
+    """A Mersenne Twister seeded from ``(seed, key)``.
+
+    The pair is written as one string, injective in both parts since an int
+    has no space, and ``Random`` hashes it itself (SHA-512), so draws do not
+    depend on PYTHONHASHSEED; ``Random`` refuses tuples, and an int seed
+    would lose its sign.
+    """
+    return random.Random(f"{seed} {key}")
+
+
+def _sign_patterns(dim: int, seed: int) -> np.ndarray:
+    """The nonzero patterns of {-1, 0, 1}^dim, or ``RANK1_SIGN_DRAWS``
+    seeded dense +-1 patterns when that grid exceeds ``RANK1_GRID_CAP``."""
+    if 3**dim <= RANK1_GRID_CAP:
+        signs = np.array(
+            np.meshgrid(*([[-1.0, 0.0, 1.0]] * dim), indexing="ij")
+        ).reshape(dim, -1).T
+        return signs[np.any(signs, axis=1)]
+    count = RANK1_SIGN_DRAWS * dim
+    packed = _seeded(seed, "signs").randbytes(-(-count // 8))
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=count)
+    return 1.0 - 2.0 * bits.reshape(RANK1_SIGN_DRAWS, dim)
 
 
 def _alternating_rank1(

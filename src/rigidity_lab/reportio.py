@@ -18,12 +18,11 @@ the writer splices in re-indented, so ``input_hash`` costs no second pass.
 on Python 3.12+, ``_sha256`` on 3.10 and 3.11), the same digest as
 ``hashlib``'s.  Importing ``hashlib`` loads OpenSSL's libcrypto through
 ``_hashlib``, about 3.6 MB of resident memory in a process that has
-imported numpy; with the builtin module the package loads neither OpenSSL
-nor scipy, and ``hashlib`` is the fallback only where that module is
-missing.  The builtin hash costs 4.3 to 7.9 ms per MB against OpenSSL's
-0.8 ms per MB (2-vCPU Xeon VM, Python 3.10 to 3.13).  A ``prolong`` run
-that reaches the rank-one search imports ``numpy.random``, which loads
-libcrypto anyway (``secrets`` -> ``hmac`` -> ``_hashlib``).
+imported numpy; ``hashlib`` is the fallback only where that module is
+missing.  No run of the package loads OpenSSL, ``numpy.random`` (which
+would load it through ``secrets`` -> ``hmac`` -> ``_hashlib``) or scipy.
+The builtin hash costs 4.3 to 7.9 ms per MB against OpenSSL's 0.8 ms per
+MB (2-vCPU Xeon VM, Python 3.10 to 3.13).
 """
 
 from __future__ import annotations

@@ -206,20 +206,25 @@ def test_package_import_loads_no_scipy():
 
 
 def test_runs_load_no_openssl():
-    # input_hash comes from the builtin SHA-256: importing hashlib would map
-    # OpenSSL's libcrypto through _hashlib
+    # input_hash comes from the builtin SHA-256 and the rank-one search draws
+    # from random.Random: hashlib, and numpy.random through secrets and hmac,
+    # would map OpenSSL's libcrypto through _hashlib
     proc = subprocess.run(
         [sys.executable, "-c",
          "import contextlib, io, sys\n"
          "from rigidity_lab import cli\n"
          "for argv in (['certify', '--builtin', 'conformal_flat', '--n', '3', '--r', '1'],\n"
-         "             ['braid', '--n', '6'], ['prolong', '--algebra', 'co', '--n', '4']):\n"
+         "             ['braid', '--n', '6'], ['prolong', '--algebra', 'co', '--n', '4'],\n"
+         "             ['prolong', '--algebra', 'lightlike_orth', '--n', '5'],\n"
+         "             ['prolong', '--algebra', 'one_param', '--R', '[[0,1,0],[0,0,0],[0,0,0]]'],\n"
+         "             ['symspace', '--curve', sys.argv[1], '--resample', '33']):\n"
          "    with contextlib.redirect_stdout(io.StringIO()):\n"
          "        assert cli.main(argv) == 0, argv\n"
-         "print('_hashlib' in sys.modules)"],
+         "print(sorted(m for m in ('_hashlib', 'secrets', 'numpy.random') if m in sys.modules))",
+         CURVE_FILE],
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_hashlib_fallback_gives_each_golden_input_hash():
@@ -1235,6 +1240,20 @@ class TestCommands:
         single = run_cli(args, threads="1").stdout
         assert single == run_cli(args, threads="2").stdout
         assert json.loads(single)["type"]["kind"] == "infinite"
+
+    @pytest.mark.parametrize("algebra", [
+        ["--algebra", "lightlike_orth", "--n", "5"],
+        ["--algebra", "one_param", "--R", "[[0,1,0],[0,0,0],[0,0,0]]"],
+    ])
+    def test_prolong_negative_seed_same_bytes(self, algebra, tmp_path):
+        # every int seeds the rank-one search, a negative one included
+        argv = ["prolong", *algebra, "--seed", "-1"]
+        code, first = _main_report(argv, tmp_path)
+        assert code == 0
+        assert _main_report(argv, tmp_path) == (0, first)
+        doc = json.loads(first)
+        assert doc["seed"] == -1
+        assert doc["type"]["kind"] == "infinite"
 
     @pytest.mark.parametrize(
         "name, dims", [("co", {"1": 8, "2": 0, "3": 0}), ("so", {"1": 0, "2": 0, "3": 0})]

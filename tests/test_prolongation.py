@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,9 @@ from rigidity_lab import prolongation
 from rigidity_lab.braid import _packed_rows, solve_kernel
 from rigidity_lab.multilinear import enumerate_sym_indices
 from rigidity_lab.prolongation import (
+    RANK1_GRID_CAP,
     RANK1_RATIO_TOL,
+    RANK1_SIGN_DRAWS,
     FiniteType,
     InfiniteType,
     MatrixAlgebra,
@@ -374,6 +380,38 @@ class TestFindRank1:
         w1 = find_rank1(h, trials=16, seed=7)
         w2 = find_rank1(h, trials=16, seed=7)
         assert np.array_equal(w1.coefficients, w2.coefficients)
+
+    def test_witness_independent_of_hash_seed(self):
+        # the generators are seeded from strings, which Random hashes itself
+        code = (
+            "from rigidity_lab.prolongation import builtin_algebra, find_rank1\n"
+            "w = find_rank1(builtin_algebra('lightlike_orth', 5), seed=7)\n"
+            "print(w.coefficients.tobytes().hex())"
+        )
+        src = str(Path(prolongation.__file__).parents[1])
+        witnesses = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            ).stdout.strip()
+            for hash_seed in ("0", "1")
+        }
+        w = find_rank1(builtin_algebra("lightlike_orth", 5), seed=7)
+        assert witnesses == {w.coefficients.tobytes().hex()}
+
+    def test_seeded_sign_patterns_past_grid(self):
+        dim = 10
+        assert 3**dim > RANK1_GRID_CAP >= 3 ** (dim - 1)
+        signs = prolongation._sign_patterns(dim, 0)
+        assert signs.shape == (RANK1_SIGN_DRAWS, dim) == (2000, dim)
+        assert set(np.unique(signs)) == {-1.0, 1.0}
+        assert np.array_equal(signs, prolongation._sign_patterns(dim, 0))
+        assert not np.array_equal(signs, prolongation._sign_patterns(dim, 1))
+        # an int seed keeps its sign
+        assert not np.array_equal(
+            prolongation._sign_patterns(dim, 1), prolongation._sign_patterns(dim, -1)
+        )
+        assert prolongation._sign_patterns(dim - 1, 0).shape == (3 ** (dim - 1) - 1, dim - 1)
 
 
 def assert_valid_witness(h, w):
