@@ -296,8 +296,7 @@ def _components(system: LinearSystem) -> _Components:
     entry is an edge.  Each sweep hooks the larger of two adjacent roots
     onto the smaller, then jumps pointers until every node points at its
     root; a sweep is O(nnz + m + n).  The entries are then ordered by
-    shape group and placed in their blocks; a system that is one block of
-    all its rows and columns keeps them as they are.
+    shape group and placed in their blocks.
     """
     m, n = system.shape
     ri, ci = system.row_ids, system.col_ids + m
@@ -331,29 +330,24 @@ def _components(system: LinearSystem) -> _Components:
     cuts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
     bounds = [0, *cuts, count] if count else [0]
     groups = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    if count == 1 and live.size == m:
-        # one block of every row and column: each entry stays at its place
-        entry_start = np.array([0, system.values.size])
-        entry_at, entry_value = system.row_ids * n + system.col_ids, system.values
-    else:
-        # each row's and column's place inside its block
-        local = np.empty(m + n, dtype=np.intp)
-        row_order = live[row_comp[live].argsort(kind="stable")]
-        row_start = row_count.cumsum() - row_count
-        local[row_order] = np.arange(live.size) - row_start.repeat(row_count)
-        local[m + col_order] = np.arange(n) - col_start.repeat(col_count)
-        # each component's place in group order, and in its group's stack
-        rank, slot = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
-        rank[order] = np.arange(count)
-        slot[order] = np.arange(count) - np.repeat(bounds[:-1], np.diff(bounds))
-        entry_rank = rank[col_comp[system.col_ids]]
-        by_group = entry_rank.argsort(kind="stable")
-        entry_rank, ri, ci = entry_rank[by_group], ri[by_group], ci[by_group]
-        entry_comp = order[entry_rank]
-        entry_at = (slot * row_count)[entry_comp] + local[ri]
-        entry_at = entry_at * col_count[entry_comp] + local[ci]
-        entry_value = system.values[by_group]
-        entry_start = np.searchsorted(entry_rank, bounds)
+    # each row's and column's place inside its block
+    local = np.empty(m + n, dtype=np.intp)
+    row_order = live[row_comp[live].argsort(kind="stable")]
+    row_start = row_count.cumsum() - row_count
+    local[row_order] = np.arange(live.size) - row_start.repeat(row_count)
+    local[m + col_order] = np.arange(n) - col_start.repeat(col_count)
+    # each component's place in group order, and in its group's stack
+    rank, slot = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
+    rank[order] = np.arange(count)
+    slot[order] = np.arange(count) - np.repeat(bounds[:-1], np.diff(bounds))
+    entry_rank = rank[col_comp[system.col_ids]]
+    by_group = entry_rank.argsort(kind="stable")
+    entry_rank, ri, ci = entry_rank[by_group], ri[by_group], ci[by_group]
+    entry_comp = order[entry_rank]
+    entry_at = (slot * row_count)[entry_comp] + local[ri]
+    entry_at = entry_at * col_count[entry_comp] + local[ci]
+    entry_value = system.values[by_group]
+    entry_start = np.searchsorted(entry_rank, bounds)
     return _Components(
         row_count=row_count,
         col_order=col_order,

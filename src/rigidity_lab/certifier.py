@@ -117,21 +117,14 @@ def _jet_kernel(
 
     A lightlike ``h`` is the base block, of fewer than ``dim`` directions:
     pairing and coupling are then padded with zeros to ``dim`` directions,
-    and the coupled step lists its rows with the pair (u, v) outer.  The
-    coupled order-2 level needs a nonzero coupling, since otherwise nothing
-    constrains its shift gradient.
+    and the coupled step lists its rows with the pair (u, v) outer.  A
+    vanishing coupling is refused by :func:`_point_report`, not here.
     """
     nb = len(h)
     pairing = np.zeros((nb, dim))
     pairing[:, :nb] = h
     coupling = None
     if level.coupling is not None:
-        scale = max(float(np.max(np.abs(h))), 1.0)
-        if level.degree == 2 and float(np.max(np.abs(h01))) <= tol * scale:
-            raise ValueError(
-                "the parameter derivative vanishes at this point; the shift "
-                "gradient cannot be constrained there"
-            )
         coupling = np.zeros((dim, dim))
         coupling[:nb, :nb] = level.coupling * h01
     system = _braid_rows(pairing, level.degree, coupling, level.names)
@@ -189,9 +182,16 @@ def _point_report(
 ) -> PointReport:
     """Genericity, then both jet levels, then the verdict at one point, from
     the metric (a lightlike chart's base block) ``h`` and its parameter
-    derivative ``h01`` in total dimension ``dim``."""
+    derivative ``h01`` in total dimension ``dim``.  When the kind's first
+    level couples, a vanishing ``h01`` (genericity ``nonzero`` false) is
+    refused, since nothing then constrains the shift gradient."""
     spec = _KINDS[kind]
     genericity = _point_genericity(h, h01, tol)
+    if spec.levels[0].coupling is not None and not genericity["nonzero"]:
+        raise ValueError(
+            "the parameter derivative vanishes at this point; the shift "
+            "gradient cannot be constrained there"
+        )
     levels = [_jet_kernel(h, h01, level, dim, tol, want_basis) for level in spec.levels]
     verdict = _point_verdict(spec, dim, genericity, levels[spec.deciding :])
     return PointReport(r, genericity, *levels, verdict)
@@ -274,7 +274,8 @@ def lightlike_subrigidity_certificate(
 # -- report documents -------------------------------------------------------
 
 
-def kernel_report_doc(report: KernelReport, include_basis: bool = False) -> dict:
+def kernel_report_doc(report: KernelReport) -> dict:
+    """A kernel report's document, with its basis exactly when it has one."""
     doc = {
         "unknowns": report.unknowns,
         "equations": report.equations,
@@ -288,22 +289,23 @@ def kernel_report_doc(report: KernelReport, include_basis: bool = False) -> dict
         doc["projection_dims"] = dict(sorted(report.split.items()))
     if report.pencil is not None:
         doc["pencil"] = report.pencil
-    if include_basis and report.kernel_basis is not None:
+    if report.kernel_basis is not None:
         doc["kernel_basis"] = report.kernel_basis
         doc["unknown_labels"] = report.unknown_labels
     return doc
 
 
-def certificate_doc(cert: Certificate, include_basis: bool = False) -> dict:
+def certificate_doc(cert: Certificate) -> dict:
     """Certificate document with a fixed field order for golden-file tests;
-    the report envelope adds the tool version, input hash and tolerances."""
+    the report envelope adds the tool version, input hash and tolerances.
+    A level's kernel basis is written exactly when its report carries one."""
     key1, key2 = (level.key for level in _KINDS[cert.kind].levels)
     sample_docs = [
         {
             "r": s.r,
             "genericity": s.genericity,
-            key1: kernel_report_doc(s.level1, include_basis),
-            key2: kernel_report_doc(s.level2, include_basis),
+            key1: kernel_report_doc(s.level1),
+            key2: kernel_report_doc(s.level2),
             "verdict": s.verdict,
         }
         for s in cert.samples

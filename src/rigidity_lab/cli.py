@@ -92,7 +92,7 @@ def _default_tol() -> float:
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return [float(part) for part in text.split(",")] if text else []
     except ValueError as exc:
         raise ValueError(f"cannot parse float list from {text!r}") from exc
 
@@ -197,7 +197,7 @@ def _run_certify(args: argparse.Namespace) -> dict:
         raise ValueError("need --r or --r-samples")
     cert = gcs_certificate(chart, point, rs, tol=args.tol, want_basis=args.kernel_basis)
     gen = genericity_report(chart, tol=args.tol)
-    payload = certificate_doc(cert, include_basis=args.kernel_basis)
+    payload = certificate_doc(cert)
     payload["chart_genericity"] = {
         "nowhere_parameter_constant": gen.nowhere_tr,
         "generic": gen.generic,
@@ -232,7 +232,7 @@ def _run_lightlike(args: argparse.Namespace) -> dict:
         "tol": args.tol,
         "grid": args.grid,
     }
-    return _envelope(args, input_doc, certificate_doc(cert, include_basis=args.kernel_basis))
+    return _envelope(args, input_doc, certificate_doc(cert))
 
 
 def _run_braid(args: argparse.Namespace) -> dict:
@@ -256,7 +256,7 @@ def _run_braid(args: argparse.Namespace) -> dict:
         j, jp = _parse_matrix(args.J, args.n, "--J"), _parse_matrix(args.Jp, args.n, "--Jp")
         report = generalized_braid_kernel(j, jp, tol=args.tol, want_basis=args.kernel_basis)
         input_doc = {"variant": args.variant, "J": j, "Jp": jp, "tol": args.tol}
-    return _envelope(args, input_doc, {"report": kernel_report_doc(report, args.kernel_basis)})
+    return _envelope(args, input_doc, {"report": kernel_report_doc(report)})
 
 
 def _finite_type_doc(result) -> dict:

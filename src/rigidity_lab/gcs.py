@@ -127,7 +127,7 @@ def _jet_divide(num: dict, den: dict, alphas: list) -> dict:
             d = den.get(tuple(x - y for x, y in zip(a, b)))
             if d is not None:
                 c = math.prod(math.comb(x, y) for x, y in zip(a, b))
-                acc = acc - (fb if c == 1 else c * fb) * d
+                acc = acc - c * fb * d
         out[a] = acc / den[(0,) * len(a)]
     return out
 
@@ -211,9 +211,11 @@ def _compile_program(chart: "GcsChart") -> _ChartProgram:
 
 def _point_jets(prog: _ChartProgram, point: tuple[Fraction, ...], wanted: list) -> list[dict]:
     """Every entry's exact partials at the point of the multi-indices
-    ``wanted`` (x-orders, then the r-order) and of those the Leibniz rule
-    reads for them: the partials of N and D from ``Poly.diff``, evaluated
-    exactly and divided by :func:`_jet_divide`."""
+    ``wanted`` (x-orders, then the r-order): the partials of N and D from
+    ``Poly.diff``, evaluated exactly and divided by :func:`_jet_divide`.
+    Where D's value is its only nonzero partial, f_a = N_a / D and only the
+    wanted indices are evaluated; elsewhere every index up to the wanted
+    orders, which the Leibniz rule reads."""
     n = len(point) - 1
     m, l = max(sum(a[:n]) for a in wanted), max(a[n] for a in wanted)
     alphas = sorted(
@@ -233,18 +235,12 @@ def _point_jets(prog: _ChartProgram, point: tuple[Fraction, ...], wanted: list) 
             step = below[a]
             polys[a] = jet[a[n]] if step is None else tuple(p.diff(step[0]) for p in polys[step[1]])
         dens = {a: p for a, (_, p) in polys.items() if not p.is_zero}
-        # f_b is read for a needed index a when D's partial of index a - b is not zero
-        need = set(wanted)
-        if len(dens) > 1:
-            for a in reversed(alphas):
-                if a in need:
-                    steps = ((b, tuple(x - y for x, y in zip(a, b))) for b in alphas if b != a)
-                    need |= {b for b, d in steps if d in dens}
+        need = alphas if len(dens) > 1 else wanted
         den = {a: p.eval(point) for a, p in dens.items()}
         if den[alphas[0]] == 0:
             raise ValueError(f"denominator vanishes at {tuple(map(float, point))}")
-        num = {a: polys[a][0].eval(point) for a in alphas if a in need}
-        out.append(_jet_divide(num, den, [a for a in alphas if a in need]))
+        num = {a: polys[a][0].eval(point) for a in need}
+        out.append(_jet_divide(num, den, need))
     return out
 
 
@@ -688,7 +684,10 @@ def _product_nonrigid(n: int, params: dict, interval) -> list[list[RationalField
 def _linear_hyperbolic(n: int, params: dict, interval) -> list[list[RationalField]]:
     nv = n + 1
     shift = _as_fraction(params.get("shift", 1))
-    coeffs = [_as_fraction(c) for c in params.get("f_coeffs", [1, 0, 1])]
+    coeffs = params.get("f_coeffs", [1, 0, 1])
+    if not isinstance(coeffs, list):
+        raise ValueError(f"parameter f_coeffs must be a list of coefficients, got {coeffs!r}")
+    coeffs = [_as_fraction(c) for c in coeffs]
     # f is supplied in a shifted variable: f_used(r) = f(r + shift), the
     # shift keeping f and f' positive over the interval
     r_poly = Poly.var(nv, n)

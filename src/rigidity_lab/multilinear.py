@@ -157,20 +157,19 @@ def symmetrize(raw: np.ndarray, degree: int | None = None) -> SymTensor:
     return SymTensor(n=n, degree=degree, coeffs=coeffs / counts)
 
 
-def form_signature(matrix, tol: float = SPECTRAL_TOL) -> tuple[int, int, int]:
+def form_signature(matrix) -> tuple[int, int, int]:
     """Counts (p, q, z) of positive/negative/zero eigenvalues of a symmetric matrix.
 
-    Eigenvalues with ``|lam| < tol * max|lam|`` count as zero; the zero matrix
-    reports (0, 0, n).  Accepts either a matrix or a BilinForm.
+    Eigenvalues with ``|lam| < SPECTRAL_TOL * max|lam|`` count as zero; the
+    zero matrix reports (0, 0, n).  A :class:`BilinForm` carries its own
+    ``signature``.
     """
-    if isinstance(matrix, BilinForm):
-        matrix = matrix.matrix
     matrix = np.asarray(matrix, dtype=float)
     eigs = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
     scale = np.max(np.abs(eigs)) if eigs.size else 0.0
     if scale == 0.0:
         return (0, 0, matrix.shape[0])
-    cut = tol * scale
+    cut = SPECTRAL_TOL * scale
     p = int(np.sum(eigs > cut))
     q = int(np.sum(eigs < -cut))
     return (p, q, matrix.shape[0] - p - q)
@@ -181,12 +180,11 @@ class BilinForm:
     """Symmetric bilinear form on R^n with spectral metadata.
 
     Storage enforces exact symmetry and finite entries; ``signature`` is the
-    (p, q, z) count of positive/negative/zero eigenvalues at the form's
-    tolerance and ``rank = p + q``.
+    (p, q, z) count of positive/negative/zero eigenvalues from
+    :func:`form_signature`, at ``SPECTRAL_TOL``, and ``rank = p + q``.
     """
 
     matrix: np.ndarray
-    tol: float = SPECTRAL_TOL
     signature: tuple[int, int, int] = field(init=False)
     rank: int = field(init=False)
 
@@ -201,7 +199,7 @@ class BilinForm:
                 raise ValueError("form has a non-finite entry")
             raise ValueError("form's symmetrization (m + m^T) / 2 overflows")
         self.matrix.setflags(write=False)
-        self.signature = form_signature(self.matrix, self.tol)
+        self.signature = form_signature(self.matrix)
         self.rank = self.signature[0] + self.signature[1]
 
     @property
@@ -220,10 +218,10 @@ class BilinForm:
         return float(np.asarray(u) @ self.matrix @ np.asarray(v))
 
 
-def _checked_inverse(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _checked_inverse(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     svals = np.linalg.svd(m, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] < tol * svals[0]:
+    if svals[0] == 0.0 or svals[-1] < 1e-12 * svals[0]:
         raise ValueError(
             f"map is numerically singular (sigma_min/sigma_max = "
             f"{0.0 if svals[0] == 0.0 else svals[-1] / svals[0]:.3e})"
@@ -250,19 +248,18 @@ def pushforward(t: "SymTensor | BilinForm", m: np.ndarray) -> "SymTensor | Bilin
     m = np.asarray(m, dtype=float)
     if isinstance(t, BilinForm):
         _checked_inverse(m)  # reject singular maps up front
-        return BilinForm(m.T @ t.matrix @ m, tol=t.tol)
+        return BilinForm(m.T @ t.matrix @ m)
     if not isinstance(t, SymTensor):
         raise TypeError(f"expected SymTensor or BilinForm, got {type(t).__name__}")
     if m.shape != (t.n, t.n):
         raise ValueError(f"map has shape {m.shape}, expected ({t.n}, {t.n})")
+    minv = _checked_inverse(m)
     full = t.unpack()
     if t.is_vector_valued:
-        minv = _checked_inverse(m)
         # inputs see m^-1 (contract m^-1 along each argument slot), output sees m;
         # after the slot loop the output axis sits first, tensordot puts it last
         out = _contract_slots(full, minv, t.degree)
         out = np.tensordot(out, m, axes=([0], [1]))
     else:
-        _checked_inverse(m)
         out = _contract_slots(full, m, t.degree)
     return SymTensor.pack_full(out, t.degree)

@@ -39,6 +39,9 @@ MAX_ORDER_CAP = 5
 #: sigma_2 / sigma_1 threshold below which a matrix counts as rank one.
 RANK1_RATIO_TOL = 1e-8
 
+#: Seeded random directions, each with a start covector, of the rank-one search.
+RANK1_TRIALS = 64
+
 #: Largest sign-pattern grid {-1, 0, 1}^dim the rank-one scan enumerates.
 RANK1_GRID_CAP = 20_000
 
@@ -304,24 +307,22 @@ def membership_residual(h: MatrixAlgebra, t: SymTensor) -> float:
     return float(np.max(h.projection_residual(x)))
 
 
-def find_rank1(
-    h: MatrixAlgebra, trials: int = 64, seed: int = 0
-) -> Rank1Witness | None:
+def find_rank1(h: MatrixAlgebra, seed: int = 0) -> Rank1Witness | None:
     """Search the subspace for a rank-one element.
 
     Strategy: scan sign patterns in {-1, 0, 1}^dim over the orthonormalized
     basis (or ``RANK1_SIGN_DRAWS`` seeded dense +-1 patterns when that grid
-    exceeds ``RANK1_GRID_CAP``) and seeded random directions, scored by
-    sigma_2/sigma_1 in batched SVDs.  Trial i draws its direction and its
-    covector from its own Mersenne Twister, a ``random.Random`` seeded from
-    ``(seed, i)``, so trials are order independent and any int seeds the
-    search.  If no candidate is rank one, an alternating solve over the
-    factors of ``v a^T`` starts from the leading singular pairs of the best
-    candidates and from each trial's covector.  Returning None is a
-    heuristic negative, not a proof of absence.
+    exceeds ``RANK1_GRID_CAP``) and ``RANK1_TRIALS`` seeded random
+    directions, scored by sigma_2/sigma_1 in batched SVDs.  Trial i draws
+    its direction and its covector from its own Mersenne Twister, a
+    ``random.Random`` seeded from ``(seed, i)``, so trials are order
+    independent and any int seeds the search.  If no candidate is rank
+    one, an alternating solve over the factors of ``v a^T`` starts from the
+    leading singular pairs of the best candidates and from each trial's
+    covector; its results are projected onto the algebra, which on a line
+    gives back the basis element.  Returning None is a heuristic negative,
+    not a proof of absence.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     dim, n = h.dim, h.n
     if n == 1:
         c = np.zeros(dim)
@@ -333,7 +334,7 @@ def find_rank1(
 
     signs = _sign_patterns(dim, seed)
     # dim + n normal draws per trial: its direction, then its covector
-    rngs = [_seeded(seed, i) for i in range(trials)]
+    rngs = [_seeded(seed, i) for i in range(RANK1_TRIALS)]
     draws = np.array([[rng.gauss(0.0, 1.0) for _ in range(dim + n)] for rng in rngs])
     directions = draws[:, :dim] / np.linalg.norm(draws[:, :dim], axis=1, keepdims=True)
     covectors = draws[:, dim:]
@@ -349,8 +350,6 @@ def find_rank1(
     order = np.argsort(ratios, kind="stable")
     if ratios[order[0]] < RANK1_RATIO_TOL:
         return _make_witness(h, candidates[order[0]])
-    if dim == 1:
-        return None
 
     _, _, vt = np.linalg.svd(h.element(candidates[order[:RANK1_POLISH_STARTS]]))
     v, a = _alternating_rank1(h._complement, np.concatenate([vt[:, 0, :], covectors]))
@@ -484,7 +483,6 @@ def finite_type(
     h: MatrixAlgebra,
     max_order: int = 3,
     tol: float = SPECTRAL_TOL,
-    trials: int = 64,
     seed: int = 0,
 ) -> FiniteType | InfiniteType | UnknownBeyond:
     """Determine the type of an algebra up to ``max_order``.
@@ -495,11 +493,11 @@ def finite_type(
     persists rather than assuming it.  A finite type never runs the
     rank-one search, since a rank-one element ``v a^T`` would give the
     nonzero ``<a,x>^(d+1) v`` at every order.  Only when no order up to
-    ``max_order`` vanishes does the heuristic search run: a rank-one
-    element certifies infinite type through its explicit witness family,
-    and otherwise the type is unknown beyond ``max_order``.  An algebra
-    whose order-``max_order`` system exceeds ``SIZE_CAP`` unknowns is
-    refused before any solve.
+    ``max_order`` vanishes does the heuristic search :func:`find_rank1` run
+    with ``seed``: a rank-one element certifies infinite type through its
+    explicit witness family, and otherwise the type is unknown beyond
+    ``max_order``.  An algebra whose order-``max_order`` system exceeds
+    ``SIZE_CAP`` unknowns is refused before any solve.
     """
     if max_order < 1 or max_order > MAX_ORDER_CAP:
         raise ValueError(f"max_order must be in 1..{MAX_ORDER_CAP}, got {max_order}")
@@ -519,21 +517,20 @@ def finite_type(
                     )
                 verified = d + 1
             return FiniteType(order=d, dims=dims, verified_next_order=verified)
-    witness = find_rank1(h, trials=trials, seed=seed)
+    witness = find_rank1(h, seed=seed)
     if witness is not None:
         return InfiniteType(witness=witness, dims=dims)
     return UnknownBeyond(max_order=max_order, dims=dims)
 
 
-def curve_stabilizer_algebra(
-    samples: list[tuple[np.ndarray, np.ndarray]], tol: float = SPECTRAL_TOL
-) -> MatrixAlgebra:
+def curve_stabilizer_algebra(samples: list[tuple[np.ndarray, np.ndarray]]) -> MatrixAlgebra:
     """Matrices X with ``X^T b_k + b_k X`` proportional to t_k at every sample.
 
     Each sample is a pair (b_k, t_k) of a point on a curve of symmetric
     positive forms and a nonzero symmetric tangent there.  The joint
     homogeneous system in (X, lambda_1, ..., lambda_K) is solved and the
-    X-projection of its kernel is returned as an algebra.
+    X-projection of its kernel is returned as an algebra; both ranks are
+    cut at ``SPECTRAL_TOL``.
     """
     if not samples:
         raise ValueError("need at least one (point, tangent) sample")
@@ -563,12 +560,12 @@ def curve_stabilizer_algebra(
         np.concatenate(col_ids),
         np.concatenate(values),
     )
-    report = solve_kernel(system, tol=tol, want_basis=True)
+    report = solve_kernel(system, want_basis=True)
     if report.kernel_dim == 0:
         raise ValueError("stabilizer system has trivial kernel; no algebra to return")
     xblock = report.kernel_basis[:, : n * n]
     _, svals, vt = np.linalg.svd(xblock, full_matrices=False)
-    rank = int(np.sum(svals >= _rank_cut(svals, tol)))
+    rank = int(np.sum(svals >= _rank_cut(svals, SPECTRAL_TOL)))
     gens = [vt[i].reshape(n, n) for i in range(rank)]
     return MatrixAlgebra(n, gens)
 
@@ -623,7 +620,11 @@ def builtin_algebra(
         return MatrixAlgebra(gens[0].shape[0], gens)
     if n is None:
         raise ValueError(f"algebra '{name}' needs a dimension n")
+    if n < 1 and name in ("so", "co", "lightlike_orth"):
+        raise ValueError(f"algebra '{name}' needs n >= 1, got {n}")
     if name == "so":
+        if n == 1:  # the only antisymmetric 1 x 1 matrix is 0
+            raise ValueError("so(1) is the zero algebra")
         return MatrixAlgebra(n, _antisym_basis(n))
     if name == "co":
         return MatrixAlgebra(n, [np.eye(n)] + _antisym_basis(n))
@@ -633,8 +634,7 @@ def builtin_algebra(
 
 
 def _antisym_basis(n: int) -> list[np.ndarray]:
-    if n < 2:  # n == 1: the only antisymmetric matrix is 0
-        raise ValueError("so(1) is the zero algebra")
+    """The basis E_ij - E_ji (i < j) of so(n), empty at n = 1."""
     i, j = np.triu_indices(n, 1)
     basis = np.zeros((len(i), n, n))
     basis[np.arange(len(i)), i, j] = 1.0

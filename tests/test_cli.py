@@ -321,6 +321,12 @@ class TestExitCodes:
              "--n 3 differs from the dimension 2 of the algebra"),
             (["--n", "4", "--generators", "[[[1,0],[0,1]]]"],
              "--n 4 differs from the dimension 2 of the algebra"),
+            (["--algebra", "co", "--n", "0"], "algebra 'co' needs n >= 1, got 0"),
+            (["--algebra", "co", "--n", "-2"], "algebra 'co' needs n >= 1, got -2"),
+            (["--algebra", "so", "--n", "0"], "algebra 'so' needs n >= 1, got 0"),
+            (["--algebra", "lightlike_orth", "--n", "-1"],
+             "algebra 'lightlike_orth' needs n >= 1, got -1"),
+            (["--algebra", "so", "--n", "1"], "so(1) is the zero algebra"),
         ],
     )
     def test_invalid_algebra_input_is_two(self, args, message, capsys):
@@ -356,10 +362,19 @@ class TestExitCodes:
              "--Jp is not read by braid --variant symskew"),
             (["braid", "--variant", "classical", "--n", "2", "--Jp", "identity"],
              "--Jp is not read by braid --variant classical"),
+            (["certify", "--builtin", "conformal_flat", "--n", "3", "--r", "1",
+              "--point", "0.5,,0,0"], "cannot parse float list from '0.5,,0,0'"),
+            (["certify", "--builtin", "conformal_flat", "--n", "3", "--r", "1",
+              "--point", "0.1,0.2,0.3,"], "cannot parse float list from '0.1,0.2,0.3,'"),
+            (["certify", "--builtin", "conformal_flat", "--n", "3", "--r-samples", "1,,2"],
+             "cannot parse float list from '1,,2'"),
+            (["braid", "--variant", "classical", "--J", "diag:1,,2"],
+             "cannot parse float list from '1,,2'"),
         ],
     )
     def test_invalid_flag_pair_is_two(self, argv, message):
-        # a flag the run would not read is named, not dropped
+        # a flag the run would not read, or an empty field of a list, is
+        # refused, not dropped
         code, err = _main_exit(argv)
         assert code == 2, err
         assert message in err
@@ -585,6 +600,15 @@ class TestExitCodes:
         code, err = _main_exit(argv)
         assert code == 2, err
         assert message in err
+
+    @pytest.mark.parametrize("coeffs", ["12", 12, {"1": 2}], ids=["string", "number", "object"])
+    def test_f_coeffs_not_a_list_is_two(self, coeffs):
+        # a string would be read one character at a time
+        argv = ["certify", "--builtin", "linear_hyperbolic", "--r", "0.5",
+                "--params", _json_text({"f_coeffs": coeffs})]
+        code, err = _main_exit(argv)
+        assert code == 2, err
+        assert f"parameter f_coeffs must be a list of coefficients, got {coeffs!r}" in err
 
     def test_chart_document_params_not_an_object_is_two(self, tmp_path):
         chart = tmp_path / "chart.json"
@@ -1224,6 +1248,16 @@ class TestCommands:
         assert doc["type"]["kind"] == "infinite"
         assert doc["type"]["witness"]["sigma_ratio"] < 1e-8
         assert doc["prolongation_dims"] == {"1": 1, "2": 1, "3": 1}
+
+    def test_prolong_co_1_is_the_line(self, tmp_path):
+        # co(1) = R Id, the one_param algebra of [[1]]
+        docs = [
+            json.loads(_main_report(["prolong", *algebra], tmp_path)[1])
+            for algebra in (["--algebra", "co", "--n", "1"], ["--algebra", "one_param", "--R", "[[1]]"])
+        ]
+        keys = ("algebra_dim", "prolongation_dims", "type")
+        assert [docs[0][k] for k in keys] == [docs[1][k] for k in keys]
+        assert docs[0]["type"]["kind"] == "infinite"
 
     def test_prolong_so_finite(self):
         proc = run_cli(["prolong", "--algebra", "so", "--n", "3", "--max-order", "2"])

@@ -234,9 +234,9 @@ def prolongation_rows_loop(h, d):
 def _oracle_algebras():
     rng = np.random.default_rng(4242)
     for n in range(1, 6):
+        yield f"co-{n}", builtin_algebra("co", n)
         if n >= 2:  # so(1) is zero and lightlike_orth needs n >= 2
             yield f"so-{n}", builtin_algebra("so", n)
-            yield f"co-{n}", builtin_algebra("co", n)
             yield f"lightlike_orth-{n}", builtin_algebra("lightlike_orth", n)
         yield f"one_param-{n}", builtin_algebra("one_param", r_matrix=rng.standard_normal((n, n)))
         gens = [rng.standard_normal((n, n)) for _ in range(min(3, n * n))]
@@ -365,7 +365,10 @@ class TestFindRank1:
         assert w.sigma_ratio < 1e-8
 
     def test_so3_none_found(self):
-        assert find_rank1(builtin_algebra("so", 3)) is None
+        # the line of the identity has no rank-one element either: its
+        # search polishes and projects back onto the identity
+        for h in (builtin_algebra("so", 3), builtin_algebra("one_param", r_matrix=np.eye(3))):
+            assert find_rank1(h) is None
 
     def test_lightlike_witness_factorization(self):
         h = builtin_algebra("lightlike_orth", 4)
@@ -377,8 +380,8 @@ class TestFindRank1:
 
     def test_deterministic_in_seed(self):
         h = builtin_algebra("lightlike_orth", 4)
-        w1 = find_rank1(h, trials=16, seed=7)
-        w2 = find_rank1(h, trials=16, seed=7)
+        w1 = find_rank1(h, seed=7)
+        w2 = find_rank1(h, seed=7)
         assert np.array_equal(w1.coefficients, w2.coefficients)
 
     def test_witness_independent_of_hash_seed(self):
