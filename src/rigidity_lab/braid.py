@@ -140,8 +140,8 @@ class LinearSystem:
 class KernelReport:
     """Numerically certified kernel of a homogeneous linear system.
 
-    ``singular_values`` merges the spectra of the system's independent
-    blocks in descending order, padded with exact zeros to
+    ``singular_values`` merges the values-only spectra of the system's
+    independent blocks in descending order, padded with exact zeros to
     ``min(equations, unknowns)`` entries.  ``kernel_dim`` counts the
     singular values below ``tol * sigma_max`` (sigma_max of the whole
     system) plus the columns beyond the row rank; ``gap_ratio`` measures
@@ -181,9 +181,9 @@ def solve_kernel(
 
     The system splits into the connected components of its row/column
     nonzero pattern; the components of one shape go through one batched
-    SVD, and every block's rank is cut against the largest singular value
-    of the whole system.  Right singular vectors are computed only when the
-    basis or the split needs them.
+    values-only SVD, and every block's rank is cut against the largest
+    singular value of the whole system.  The basis and the split read the
+    right singular vectors of a second SVD of only the blocks with a kernel.
 
     When ``system.blocks`` names two or more blocks, the report also
     carries the dimension of the kernel's projection onto each block.
@@ -194,11 +194,7 @@ def solve_kernel(
     for g, ids in enumerate(comps.groups):
         c = int(comps.col_count[ids[0]])
         cols = comps.col_order[comps.col_start[ids, None] + np.arange(c)]
-        if comps.row_count[ids[0]] == 0:
-            # a column no row touches: a unit kernel vector
-            solved.append((ids, cols, np.zeros((len(ids), 0)), np.ones((len(ids), 1, 1))))
-        else:
-            solved.append((ids, cols, *_block_svd(comps.stack(g), want_basis)))
+        solved.append((ids, cols, np.linalg.svd(comps.stack(g), compute_uv=False), None))
 
     spectra = np.concatenate([s.ravel() for _, _, s, _ in solved] + [np.zeros(0)])
     cut = _rank_cut(spectra, tol)
@@ -212,13 +208,15 @@ def solve_kernel(
     want_split = len(system.blocks) > 1
     basis = None
     if want_basis or want_split:
-        if not want_basis and kernel_dim:
-            # the split needs V^T only of the blocks with a kernel
-            for g, (ids, cols, block_svals, vt) in enumerate(solved):
-                null = np.sum(block_svals >= cut, axis=1) < cols.shape[1]
-                if vt is None and null.any():
-                    _, vt = _block_svd(comps.stack(g)[null], True)
-                    solved[g] = (ids[null], cols[null], block_svals[null], vt)
+        # V^T of only the blocks with a kernel: a wide block needs its full V
+        # for the null rows (a (0, 1) block's V^T is [[1]]), a tall one never
+        # needs the full U
+        for g, (ids, cols, block_svals, _) in enumerate(solved):
+            null = np.sum(block_svals >= cut, axis=1) < cols.shape[1]
+            if null.any():
+                stack = comps.stack(g)[null]
+                vt = np.linalg.svd(stack, full_matrices=stack.shape[1] < stack.shape[2])[2]
+                solved[g] = (ids[null], cols[null], block_svals[null], vt)
         basis = _kernel_basis(solved, comps.col_count.size, ncols, cut, system.values.dtype)
 
     split = None
@@ -358,17 +356,6 @@ def _components(system: LinearSystem) -> _Components:
         entry_at=entry_at,
         entry_value=entry_value,
     )
-
-
-def _block_svd(stack: np.ndarray, want_v: bool):
-    """Spectra of a (k, r, c) stack of blocks from one batched SVD, with
-    their V^T when ``want_v``."""
-    if not want_v:
-        return np.linalg.svd(stack, compute_uv=False), None
-    # a wide block needs its full V for the null rows; a tall one never
-    # needs the full U
-    _, svals, vt = np.linalg.svd(stack, full_matrices=stack.shape[1] < stack.shape[2])
-    return svals, vt
 
 
 def _kernel_basis(solved: list, count: int, ncols: int, cut: float, dtype) -> np.ndarray:

@@ -57,6 +57,7 @@ from .prolongation import (
     InfiniteType,
     UnknownBeyond,
     builtin_algebra,
+    check_max_order,
     finite_type,
     prolongation_space,
 )
@@ -98,9 +99,9 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _json_matrix(value, what: str) -> np.ndarray:
-    """A JSON matrix, a list of equally long rows of numbers, as a float
-    array; every refusal names ``what``, and a ragged row or an entry that
-    is no number also its row."""
+    """A JSON square matrix, a list of equally long rows of numbers, as a
+    float array; every refusal names ``what``, and a ragged row or an entry
+    that is no number also its row."""
     if isinstance(value, list) and all(isinstance(row, list) for row in value):
         for k, row in enumerate(value):
             if len(row) != len(value[0]):
@@ -120,6 +121,8 @@ def _json_matrix(value, what: str) -> np.ndarray:
         raise ValueError(f"{what}: {exc}") from exc
     if m.ndim != 2:
         raise ValueError(f"{what} must be a list of rows, got shape {m.shape}")
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {m.shape}")
     return m
 
 
@@ -136,8 +139,6 @@ def _parse_matrix(spec: str, n: int | None, flag: str) -> np.ndarray:
         m = np.diag(_parse_floats(spec[len("diag:") :]))
     else:
         m = _json_matrix(json.loads(spec), "matrix JSON")
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix JSON must be square, got shape {m.shape}")
     if n is not None and len(m) != n:
         raise ValueError(f"--n {n} differs from the dimension {len(m)} of {flag}")
     return m
@@ -288,10 +289,13 @@ def _run_prolong(args: argparse.Namespace) -> dict:
     r_matrix = _json_matrix(json.loads(args.R), "R") if args.R else None
     generators = None
     if args.generators:
-        generators = [
-            _json_matrix(g, f"generator {k}")
-            for k, g in enumerate(json.loads(args.generators))
-        ]
+        generators = json.loads(args.generators)
+        if not isinstance(generators, list):
+            raise ValueError("--generators must be a JSON list of matrices")
+        generators = [_json_matrix(g, f"generator {k}") for k, g in enumerate(generators)]
+    if args.n is not None and args.n >= 1 and r_matrix is None and generators is None:
+        # --n alone sets the size: refuse an oversized run before the basis is built
+        check_max_order(args.n, args.max_order)
     algebra = builtin_algebra(args.algebra, n=args.n, r_matrix=r_matrix, generators=generators)
     if args.n is not None and args.n != algebra.n:
         raise ValueError(f"--n {args.n} differs from the dimension {algebra.n} of the algebra")
@@ -334,10 +338,16 @@ def _run_symspace(args: argparse.Namespace) -> dict:
     if not isinstance(closed, bool):
         raise ValueError(f"curve field 'closed' must be true or false, got {json.dumps(closed)}")
     samples = doc.get("samples")
-    if not samples:
-        raise ValueError("curve document has no samples")
+    if not samples or not isinstance(samples, list):
+        raise ValueError("curve field 'samples' must be a nonempty list of samples")
     ts = []
     for k, s in enumerate(samples):
+        if not isinstance(s, dict):
+            raise ValueError(f"sample {k} must be an object with fields 't' and 'matrix'")
+        odd = sorted({"t", "matrix"} ^ set(s))  # missing or unknown fields
+        if odd:
+            what = "unknown" if odd[0] in s else "missing"
+            raise ValueError(f"sample {k}: {what} field '{odd[0]}'")
         t = s["t"]
         if type(t) not in _JSON_NUMBERS:
             raise ValueError(f"sample {k}: parameter is no number: {json.dumps(t)}")

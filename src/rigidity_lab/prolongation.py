@@ -194,10 +194,10 @@ class ProlongationSpace:
     """Kernel of the order-d prolongation constraints of an algebra.
 
     ``dim`` comes from a solve without singular vectors; ``basis`` solves
-    the system again with them on first use.  A thin SVD of a dense block
-    (one dense rank-one generator couples the whole system) needs about
-    three times the memory of its singular values alone, and callers that
-    only count dimensions never pay it.
+    the system again for them on first use, on the same spectrum.  A thin
+    SVD of a dense block (one dense rank-one generator couples the whole
+    system) needs about three times the memory of its singular values
+    alone, and callers that only count dimensions never pay it.
     """
 
     order: int
@@ -212,8 +212,8 @@ class ProlongationSpace:
         report = solve_kernel(system, tol=self.tol, want_basis=True)
         if report.kernel_dim != self.dim:
             raise ArithmeticError(
-                f"order-{self.order} prolongation has dimension {self.dim} without "
-                f"singular vectors but {report.kernel_dim} with them"
+                f"order-{self.order} prolongation has dimension {self.dim}, but "
+                f"{report.kernel_dim} when solved again for its basis"
             )
         n, degree = self.algebra.n, self.order + 1
         p = sym_index_count(n, degree)
@@ -264,6 +264,14 @@ class UnknownBeyond:
 
 def prolongation_unknowns(n: int, d: int) -> int:
     return n * math.comb(n + d, d + 1)
+
+
+def check_max_order(n: int, max_order: int) -> None:
+    """Refuse a ``max_order`` outside 1..``MAX_ORDER_CAP``, then (unknowns
+    grow with the order) an order-``max_order`` system above ``SIZE_CAP``."""
+    if max_order < 1 or max_order > MAX_ORDER_CAP:
+        raise ValueError(f"max_order must be in 1..{MAX_ORDER_CAP}, got {max_order}")
+    _check_size(n, max_order)
 
 
 def _check_size(n: int, d: int) -> None:
@@ -499,10 +507,7 @@ def finite_type(
     ``max_order``.  An algebra whose order-``max_order`` system exceeds
     ``SIZE_CAP`` unknowns is refused before any solve.
     """
-    if max_order < 1 or max_order > MAX_ORDER_CAP:
-        raise ValueError(f"max_order must be in 1..{MAX_ORDER_CAP}, got {max_order}")
-    # unknowns grow with the order, so the highest order bounds them all
-    _check_size(h.n, max_order)
+    check_max_order(h.n, max_order)
     dims: dict[int, int] = {}
     for d in range(1, max_order + 1):
         dims[d] = prolongation_space(h, d, tol=tol).dim
@@ -529,8 +534,8 @@ def curve_stabilizer_algebra(samples: list[tuple[np.ndarray, np.ndarray]]) -> Ma
     Each sample is a pair (b_k, t_k) of a point on a curve of symmetric
     positive forms and a nonzero symmetric tangent there.  The joint
     homogeneous system in (X, lambda_1, ..., lambda_K) is solved and the
-    X-projection of its kernel is returned as an algebra; both ranks are
-    cut at ``SPECTRAL_TOL``.
+    X-projection of its kernel is returned as an algebra, whose rank
+    :class:`MatrixAlgebra` cuts at ``SPECTRAL_TOL``.
     """
     if not samples:
         raise ValueError("need at least one (point, tangent) sample")
@@ -563,11 +568,7 @@ def curve_stabilizer_algebra(samples: list[tuple[np.ndarray, np.ndarray]]) -> Ma
     report = solve_kernel(system, want_basis=True)
     if report.kernel_dim == 0:
         raise ValueError("stabilizer system has trivial kernel; no algebra to return")
-    xblock = report.kernel_basis[:, : n * n]
-    _, svals, vt = np.linalg.svd(xblock, full_matrices=False)
-    rank = int(np.sum(svals >= _rank_cut(svals, SPECTRAL_TOL)))
-    gens = [vt[i].reshape(n, n) for i in range(rank)]
-    return MatrixAlgebra(n, gens)
+    return MatrixAlgebra(n, list(report.kernel_basis[:, : n * n].reshape(-1, n, n)))
 
 
 def _congruence_rows(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

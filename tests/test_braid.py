@@ -469,15 +469,18 @@ class TestBlockSolveOracle:
     def check(system, split_blocks):
         svals, kernel_dim, verdict, basis, split = _dense_oracle(system, split_blocks=split_blocks)
         smax = svals[0] if svals.size else 0.0
-        for want_basis in (True, False):
-            report = solve_kernel(system, want_basis=want_basis)
+        with_basis, without = reports = [solve_kernel(system, want_basis=w) for w in (True, False)]
+        for report in reports:
             assert report.kernel_dim == kernel_dim
             assert report.verdict == verdict
             assert report.split == split
             assert report.singular_values.shape == svals.shape
             assert np.all(np.diff(report.singular_values) <= 0.0)
             assert np.max(np.abs(report.singular_values - svals), initial=0.0) <= 1e-12 * smax
-        found = solve_kernel(system, want_basis=True).kernel_basis
+        # asking for the basis changes no other field, not even a last bit
+        assert np.array_equal(with_basis.singular_values, without.singular_values)
+        assert with_basis.gap_ratio == without.gap_ratio
+        found = with_basis.kernel_basis
         assert found.shape == basis.shape
         if kernel_dim:
             assert np.max(subspace_angles(found.T, basis.T)) <= 1e-10

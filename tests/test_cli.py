@@ -321,12 +321,18 @@ class TestExitCodes:
              "--n 3 differs from the dimension 2 of the algebra"),
             (["--n", "4", "--generators", "[[[1,0],[0,1]]]"],
              "--n 4 differs from the dimension 2 of the algebra"),
+            (["--algebra", "one_param", "--n", "40", "--R", "[[1,0],[0,1]]"],
+             "--n 40 differs from the dimension 2 of the algebra"),
             (["--algebra", "co", "--n", "0"], "algebra 'co' needs n >= 1, got 0"),
             (["--algebra", "co", "--n", "-2"], "algebra 'co' needs n >= 1, got -2"),
             (["--algebra", "so", "--n", "0"], "algebra 'so' needs n >= 1, got 0"),
             (["--algebra", "lightlike_orth", "--n", "-1"],
              "algebra 'lightlike_orth' needs n >= 1, got -1"),
             (["--algebra", "so", "--n", "1"], "so(1) is the zero algebra"),
+            (["--generators", "5"], "--generators must be a JSON list of matrices"),
+            (["--generators", '{"0": [[1]]}'], "--generators must be a JSON list of matrices"),
+            (["--algebra", "one_param", "--R", "[[1,2]]"],
+             "R must be square, got shape (1, 2)"),
         ],
     )
     def test_invalid_algebra_input_is_two(self, args, message, capsys):
@@ -467,6 +473,17 @@ class TestExitCodes:
         monkeypatch.setattr(prolongation, "SIZE_CAP", 20)
         assert cli.main(["prolong", "--algebra", "so", "--n", "3"]) == 2
         assert "order 3 would have 45 unknowns (cap 20)" in capsys.readouterr().err
+
+    def test_prolong_above_size_cap_is_two_before_the_algebra(self, monkeypatch, capsys):
+        def no_algebra(*args, **kwargs):
+            raise AssertionError("the algebra of an oversized run was built")
+
+        monkeypatch.setattr(prolongation, "builtin_algebra", no_algebra)
+        monkeypatch.setattr(cli, "builtin_algebra", no_algebra)
+        assert cli.main(["prolong", "--algebra", "so", "--n", "40"]) == 2
+        assert "order 3 would have 4936400 unknowns (cap 20000)" in capsys.readouterr().err
+        assert cli.main(["prolong", "--algebra", "co", "--n", "3", "--max-order", "6"]) == 2
+        assert "max_order must be in 1..5, got 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("coefficient", ["1e290", "1e303"])
     def test_non_finite_grid_value_is_two(self, coefficient, tmp_path, capsys):
@@ -884,13 +901,18 @@ def _run_curve(doc, tmp_path, extra=()):
     return code, err.getvalue(), json.loads(out.read_text()) if code == 0 else None
 
 
+#: A ``_with_sample_1`` value that removes the field.
+_DROP = object()
+
+
 def _with_sample_1(where, value):
-    """The curve [[1]], [[2]], [[3]] with the t or the matrix entry of sample 1 replaced."""
+    """The curve [[1]], [[2]], [[3]] with field ``where`` of sample 1 set (the
+    matrix to ``[[value]]``), or removed for ``_DROP``."""
     doc = _curve_doc([1, 2, 3])
-    if where == "t":
-        doc["samples"][1]["t"] = value
+    if value is _DROP:
+        del doc["samples"][1][where]
     else:
-        doc["samples"][1]["matrix"] = [[value]]
+        doc["samples"][1][where] = [[value]] if where == "matrix" else value
     return doc
 
 
@@ -913,6 +935,14 @@ class TestCurveDocuments:
             (_with_sample_1("matrix", "2"), 'matrix row 0 has an entry that is no number: "2"'),
             (_with_sample_1("matrix", True), "matrix row 0 has an entry that is no number: true"),
             (_with_sample_1("matrix", None), "matrix row 0 has an entry that is no number: null"),
+            (_with_sample_1("matrix", _DROP), "sample 1: missing field 'matrix'"),
+            (_with_sample_1("t", _DROP), "sample 1: missing field 't'"),
+            (_with_sample_1("weight", 1.0), "sample 1: unknown field 'weight'"),
+            ({"samples": 5}, "curve field 'samples' must be a nonempty list of samples"),
+            ({"samples": {"t": 0}}, "curve field 'samples' must be a nonempty list of samples"),
+            ({"samples": [1]}, "sample 0 must be an object with fields 't' and 'matrix'"),
+            ({"samples": [{"t": 0, "matrix": [[1]]}, [1, [[2]]]]},
+             "sample 1 must be an object with fields 't' and 'matrix'"),
             (_curve_doc([1, 2, 1.5], closed=True), "closed curve endpoints differ"),
             ('{"samples": [{"t": 0, "matrix": [[1]]}, {"t": 1, "matrix": [[1, 0], [0, 1]]}]}',
              "sample 1: matrix has shape (2, 2), sample 0 has (1, 1)"),
@@ -1170,6 +1200,34 @@ class TestFlags:
         doc = json.loads(proc.stdout)
         assert len(doc["report"]["kernel_basis"]) == doc["report"]["kernel_dim"]
         assert doc["report"]["unknown_labels"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["braid", "--n", "6", "--J", "identity", "--Jp", "diag:1,0,0,0,0,0"],
+            ["braid", "--J", "[[2,1,0,0,0],[1,2,1,0,0],[0,1,2,1,0],[0,0,1,2,1],[0,0,0,1,2]]",
+             "--Jp", "diag:1,0,0,0,0.5"],
+            ["braid", "--variant", "classical", "--J", "diag:1,-1,2,0.5"],
+            ["braid", "--variant", "symskew", "--n", "3"],
+            ["certify", "--builtin", "product_nonrigid", "--n", "3", "--r", "1"],
+            ["lightlike", "--builtin", "lightcone", "--n", "4", "--r", "1"],
+        ],
+    )
+    def test_kernel_basis_changes_no_other_field(self, argv, tmp_path):
+        def without_basis(doc):
+            if isinstance(doc, dict):
+                return {
+                    k: without_basis(v) for k, v in doc.items()
+                    if k not in ("kernel_basis", "unknown_labels")
+                }
+            return [without_basis(v) for v in doc] if isinstance(doc, list) else doc
+
+        code, plain = _main_report(argv, tmp_path)
+        assert code == 0
+        code, with_basis = _main_report([*argv, "--kernel-basis"], tmp_path)
+        assert code == 0
+        assert b"kernel_basis" in with_basis
+        assert without_basis(json.loads(with_basis)) == json.loads(plain)
 
     def test_report_embeds_reproduction_metadata(self):
         proc = run_cli(
