@@ -24,22 +24,16 @@ from .gcs import (
     GcsChart,
     GenericityReport,
     LightlikeChart,
-    TransversallyRiemannianError,
     builtin_chart,
     chart_from_doc,
     chart_to_doc,
     genericity_report,
     lift_to_lightlike,
-    pullback_chart,
-    quotient_to_gcs,
 )
 from .multilinear import (
     BilinForm,
     SymTensor,
-    enumerate_sym_indices,
     form_signature,
-    pushforward,
-    symmetrize,
 )
 from .prolongation import (
     FiniteType,

@@ -59,7 +59,6 @@ from .prolongation import (
     builtin_algebra,
     check_max_order,
     finite_type,
-    prolongation_space,
 )
 from .symspace import SpdCurve, arclength_reparam, circle_mean, curve_length
 
@@ -300,14 +299,9 @@ def _run_prolong(args: argparse.Namespace) -> dict:
     if args.n is not None and args.n != algebra.n:
         raise ValueError(f"--n {args.n} differs from the dimension {algebra.n} of the algebra")
     result = finite_type(algebra, max_order=args.max_order, tol=args.tol, seed=args.seed)
-    # orders that finite_type solved are not solved again; a finite type
-    # stops at its verifying order, so the orders above it are solved here
-    dims = {}
-    for d in range(1, args.max_order + 1):
-        if d in result.dims:
-            dims[str(d)] = result.dims[d]
-        else:
-            dims[str(d)] = prolongation_space(algebra, d, tol=args.tol).dim
+    # a finite type stops at its verifying order: g^(d) = 0 forces every
+    # higher prolongation to vanish, so the orders above it read 0 unsolved
+    dims = {str(d): result.dims.get(d, 0) for d in range(1, args.max_order + 1)}
     input_doc = {
         "algebra": args.algebra,
         "n": algebra.n,

@@ -14,8 +14,8 @@ validated by one scan of that grid, which also summarizes the r-derivative
 field.  A lightlike chart is the degenerate companion: a validated chart
 read in one more dimension, a positive semi-definite metric on dimension
 base+1 whose kernel is exactly the last coordinate direction.  Lifting a
-chart to its tautological lightlike metric and quotienting back are exact
-inverse operations on the coefficient data.
+chart to its tautological lightlike metric keeps its coefficient data
+exactly, and the lifted chart's ``base`` is the chart itself.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ DEFAULT_GRID = 5
 #: Maximum orders of exact differentiation offered by charts.
 MAX_X_ORDER = 2
 MAX_R_ORDER = 1
-
-
-class TransversallyRiemannianError(ValueError):
-    """The coefficient field does not depend on the parameter at all."""
 
 
 def _finite_end(value, what: str) -> float:
@@ -589,71 +585,6 @@ def lift_to_lightlike(chart: GcsChart) -> LightlikeChart:
     """Tautological lightlike metric of a chart: same coefficients, one more
     dimension, with the parameter promoted to the kernel coordinate."""
     return LightlikeChart(chart)
-
-
-def quotient_to_gcs(lc: LightlikeChart) -> GcsChart:
-    """Read the kernel coordinate of a lightlike chart as a curve parameter.
-
-    Exact inverse of :func:`lift_to_lightlike` on the coefficient data: the
-    result is the lightlike chart's validated base chart, so its grid is
-    not scanned again.  Refuses charts whose coefficients do not depend on
-    t at all (N_t D - N D_t is the zero polynomial for every entry N / D,
-    as the chart program records): those are transversally Riemannian and
-    the projected family of scalar products degenerates to a point.
-    """
-    if not any(lc.base._program.varying):
-        raise TransversallyRiemannianError(
-            "all coefficients are independent of t: the chart is transversally "
-            "Riemannian and projects to a single scalar product, not a curve"
-        )
-    return lc.base
-
-
-def pullback_chart(chart: GcsChart, m, domain: list | None = None) -> GcsChart:
-    """Pull the chart back along the linear base change x = M y.
-
-    The new coefficient matrix is M^T (a o M) M, computed exactly; M must
-    have rational entries.  When ``domain`` is omitted the box is shrunk so
-    that its image stays inside the original domain.
-    """
-    n = chart.n
-    mrows = [[_as_fraction(m[i][j]) for j in range(n)] for i in range(n)]
-    nv = n + 1
-    subst = [[Fraction(0)] * nv for _ in range(nv)]
-    for i in range(n):
-        for j in range(n):
-            subst[i][j] = mrows[i][j]
-    subst[n][n] = Fraction(1)
-    composed = [[chart.entries[i][j].subst_linear(subst) for j in range(n)] for i in range(n)]
-    zero = RationalField.const(nv, 0)
-    new_entries = [[zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = zero
-            for k in range(n):
-                for l in range(n):
-                    c = mrows[k][i] * mrows[l][j]
-                    if c != 0:
-                        acc = acc + composed[k][l].scale(c)
-            new_entries[i][j] = acc
-            new_entries[j][i] = acc
-    if domain is None:
-        row_sums = [sum(abs(mrows[i][j]) for j in range(n)) for i in range(n)]
-        amp = max(float(max(s, 1)) for s in row_sums)
-        widths = [min(abs(lo), abs(hi)) for lo, hi in chart.domain]
-        if any(lo > 0 or hi < 0 for lo, hi in chart.domain):
-            raise ValueError("automatic domain shrinking needs 0 in the domain box")
-        half = min(widths) / amp
-        domain = [(-half, half)] * n
-    return GcsChart(
-        n=n,
-        domain=domain,
-        interval=chart.interval,
-        entries=new_entries,
-        name=f"{chart.name}:pullback",
-        params=dict(chart.params),
-        grid=chart.grid,
-    )
 
 
 # -- builtin catalog ------------------------------------------------------

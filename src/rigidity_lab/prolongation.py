@@ -131,12 +131,6 @@ class MatrixAlgebra:
         residual = np.linalg.norm(x - self.element(coeffs), axis=(-2, -1))
         return float(residual) if residual.ndim == 0 else residual
 
-    def conjugate(self, g: np.ndarray) -> "MatrixAlgebra":
-        """The algebra g h g^-1."""
-        g = np.asarray(g, dtype=float)
-        ginv = np.linalg.inv(g)
-        return MatrixAlgebra(self.n, [g @ b @ ginv for b in self.orthonormalized_basis])
-
 
 def exact_null_basis(rows: np.ndarray, rank: int) -> np.ndarray:
     """Exact basis of the null space of ``rows`` as a Fraction object array.
@@ -498,7 +492,9 @@ def finite_type(
     Prolongation spaces are solved order by order first.  At the first
     vanishing order the type is finite: that order is returned and, where
     the size cap allows, the next order is solved to confirm that vanishing
-    persists rather than assuming it.  A finite type never runs the
+    persists rather than assuming it; ``dims`` lists exactly the orders
+    solved, and every order above them is 0 by heredity, since
+    g^(d) = 0 forces g^(k) = 0 for all k > d.  A finite type never runs the
     rank-one search, since a rank-one element ``v a^T`` would give the
     nonzero ``<a,x>^(d+1) v`` at every order.  Only when no order up to
     ``max_order`` vanishes does the heuristic search :func:`find_rank1` run

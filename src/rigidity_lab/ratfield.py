@@ -147,32 +147,6 @@ class Poly:
                 num, den = num * term_den + term_num * den, den * term_den
         return Fraction(num, den)
 
-    def subst_linear(self, matrix) -> "Poly":
-        """Substitute each variable by a rational linear combination of variables.
-
-        ``matrix[i]`` lists the coefficients expressing old variable i in the
-        new variables (same variable count).
-        """
-        nv = self.nvars
-        lin = [
-            Poly.from_terms(
-                nv,
-                [
-                    (matrix[i][j], tuple(1 if k == j else 0 for k in range(nv)))
-                    for j in range(nv)
-                ],
-            )
-            for i in range(nv)
-        ]
-        result = Poly(nv, {})
-        for e, c in self.terms.items():
-            term = Poly.const(nv, c)
-            for var, exp in enumerate(e):
-                for _ in range(exp):
-                    term = term * lin[var]
-            result = result + term
-        return result
-
     def to_json_terms(self) -> list:
         items = sorted(self.terms.items())
         return [[str(c), list(e)] for e, c in items]
@@ -232,6 +206,3 @@ class RationalField:
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at {tuple(map(float, point))}")
         return self.num.eval(point) / den
-
-    def subst_linear(self, matrix) -> "RationalField":
-        return RationalField(self.num.subst_linear(matrix), self.den.subst_linear(matrix))

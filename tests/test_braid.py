@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -29,7 +30,6 @@ from rigidity_lab.multilinear import (
     SPECTRAL_TOL,
     BilinForm,
     SymTensor,
-    enumerate_sym_indices,
     sym_index_count,
     _sym_index_array,
 )
@@ -193,10 +193,9 @@ class TestBraidRowsOracle:
         expr = expr + np.swapaxes(expr, -1, -2)
         if coupled:
             expr = expr + np.multiply.outer(s_full, coupling)
+        sym = itertools.combinations_with_replacement
         expected = [
-            expr[s + pair]
-            for s in enumerate_sym_indices(nt, degree - 1)
-            for pair in enumerate_sym_indices(nt, 2)
+            expr[s + pair] for s in sym(range(nt), degree - 1) for pair in sym(range(nt), 2)
         ]
         assert np.allclose(system.rows @ x, expected, rtol=1e-12, atol=1e-12)
 
@@ -612,8 +611,9 @@ class TestBlockSolveProperties:
 
 def _dense_packed_rows(tests, degree, coupling=None):
     nq, m, n = tests.shape
-    shifts = enumerate_sym_indices(n, degree - 1)
-    pos = {idx: k for k, idx in enumerate(enumerate_sym_indices(n, degree))}
+    sym = itertools.combinations_with_replacement
+    shifts = list(sym(range(n), degree - 1))
+    pos = {idx: k for k, idx in enumerate(sym(range(n), degree))}
     insert = np.array([[pos[tuple(sorted(s + (a,)))] for a in range(n)] for s in shifts])
     tensor_cols = sym_index_count(n, degree) * m
     shift_cols = len(shifts) if coupling is not None else 0

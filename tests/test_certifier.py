@@ -12,11 +12,11 @@ from rigidity_lab.gcs import (
     LightlikeChart,
     builtin_chart,
     lift_to_lightlike,
-    pullback_chart,
 )
 from rigidity_lab.multilinear import BilinForm
 from rigidity_lab.prolongation import builtin_algebra, prolongation_space
 from rigidity_lab.ratfield import RationalField
+from conftest import congruent_chart
 
 
 ORIGIN3 = [0.0, 0.0, 0.0]
@@ -213,7 +213,7 @@ class TestCrossModule:
             r = 1.0 if name != "linear_hyperbolic" else 0.5
             base = gcs_certificate(chart, ORIGIN3, [r]).samples[0]
             for m in maps:
-                moved = gcs_certificate(pullback_chart(chart, m), ORIGIN3, [r]).samples[0]
+                moved = gcs_certificate(congruent_chart(chart, m), ORIGIN3, [r]).samples[0]
                 assert moved.level1.kernel_dim == base.level1.kernel_dim
                 assert moved.level2.kernel_dim == base.level2.kernel_dim
 

@@ -467,7 +467,6 @@ class TestExitCodes:
 
         monkeypatch.setattr(prolongation, "prolongation_space", no_solve)
         monkeypatch.setattr(prolongation, "find_rank1", no_solve)
-        monkeypatch.setattr(cli, "prolongation_space", no_solve)
         assert cli.main(["prolong", "--algebra", "so", "--n", "13"]) == 2
         assert "order 3 would have 23660 unknowns (cap 20000)" in capsys.readouterr().err
         monkeypatch.setattr(prolongation, "SIZE_CAP", 20)
@@ -1359,7 +1358,8 @@ class TestCommands:
         assert doc["prolongation_dims"] == dims
         assert doc["type"]["kind"] == "finite"
 
-    def test_prolong_reuses_finite_type_spaces(self, monkeypatch, tmp_path):
+    @staticmethod
+    def count_spaces(monkeypatch):
         calls = []
         original = prolongation.prolongation_space
 
@@ -1367,8 +1367,14 @@ class TestCommands:
             calls.append(d)
             return original(h, d, **kwargs)
 
-        monkeypatch.setattr(prolongation, "prolongation_space", counted)
-        monkeypatch.setattr(cli, "prolongation_space", counted)
+        # wherever the package binds it, so a second solve path is counted too
+        for module in (prolongation, cli):
+            if getattr(module, "prolongation_space", None) is original:
+                monkeypatch.setattr(module, "prolongation_space", counted)
+        return calls
+
+    def test_prolong_reuses_finite_type_spaces(self, monkeypatch, tmp_path):
+        calls = self.count_spaces(monkeypatch)
         out = tmp_path / "report.json"
         code = cli.main(["prolong", "--algebra", "co", "--n", "4", "--output", str(out)])
         assert code == 0
@@ -1398,6 +1404,20 @@ class TestCommands:
         assert isinstance(result, prolongation.InfiniteType)
         doc = json.loads(out.read_text())
         assert doc["prolongation_dims"] == {str(d): dim for d, dim in result.dims.items()}
+
+    def test_prolong_orders_above_the_verifying_one_read_zero_unsolved(
+        self, monkeypatch, tmp_path
+    ):
+        # so(6) vanishes at order 1 and finite_type verifies order 2; orders
+        # 3 to 5 vanish by heredity, so nothing solves them
+        calls = self.count_spaces(monkeypatch)
+        out = tmp_path / "report.json"
+        argv = ["prolong", "--algebra", "so", "--n", "6", "--max-order", "5"]
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        assert calls == [1, 2]
+        doc = json.loads(out.read_text())
+        assert doc["prolongation_dims"] == {str(d): 0 for d in range(1, 6)}
+        assert doc["type"]["dims"] == {"1": 0, "2": 0}
 
     def test_certify_with_chart_file(self, tmp_path):
         doc = {"builtin": "conformal_flat", "n": 3}
