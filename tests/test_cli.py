@@ -1419,6 +1419,17 @@ class TestCommands:
         assert doc["prolongation_dims"] == {str(d): 0 for d in range(1, 6)}
         assert doc["type"]["dims"] == {"1": 0, "2": 0}
 
+    @pytest.mark.parametrize("name,n", [("so", 3), ("so", 4), ("co", 3), ("co", 4)])
+    def test_prolong_orders_read_zero_by_heredity_match_direct_solves(
+        self, name, n, tmp_path
+    ):
+        out = tmp_path / "report.json"
+        argv = ["prolong", "--algebra", name, "--n", str(n), "--max-order", "5"]
+        assert cli.main([*argv, "--output", str(out)]) == 0
+        h = prolongation.builtin_algebra(name, n)
+        direct = {str(d): prolongation.prolongation_space(h, d).dim for d in range(1, 6)}
+        assert json.loads(out.read_text())["prolongation_dims"] == direct
+
     def test_certify_with_chart_file(self, tmp_path):
         doc = {"builtin": "conformal_flat", "n": 3}
         chart = tmp_path / "chart.json"

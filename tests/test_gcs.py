@@ -292,7 +292,7 @@ class TestGenericity:
         assert report.generic
 
 
-class TestLift:
+class TestLiftQuotient:
     def test_lift_structure(self):
         chart = builtin_chart("conformal_flat", 3)
         lc = lift_to_lightlike(chart)
@@ -301,14 +301,36 @@ class TestLift:
         assert np.allclose(full[:3, :3], 1.5 * np.eye(3))
         assert np.allclose(full[3, :], 0.0) and np.allclose(full[:, 3], 0.0)
 
+    def test_round_trip_exact(self):
+        # the lift's base block is the chart's metric at r = t, bit for bit
+        chart = builtin_chart("linear_hyperbolic")
+        lc = lift_to_lightlike(chart)
+        for x, t in (([0.1, -0.2, 0.3], 0.5), ([0.0, 0.0, 0.0], 0.9)):
+            want = chart.eval_metric(x, t).matrix
+            assert lc.eval_base_metric(x, t).matrix.tobytes() == want.tobytes()
+            assert lc.eval_metric(x, t).matrix[:3, :3].tobytes() == want.tobytes()
+            got = lc.eval_base_partials(x, t, 1, 1)
+            assert got.tobytes() == chart.eval_partials(x, t, 1, 1).tobytes()
+
     def test_lift_of_nonrigid_matches_genericity(self):
         chart = builtin_chart("product_nonrigid", 3)
         lc = lift_to_lightlike(chart)
         report = genericity_report(lc)
         assert report.nowhere_tr and not report.generic
 
-    def test_lightcone_base_is_generic(self):
+    def test_lightcone_quotient_is_generic(self):
         assert genericity_report(builtin_chart("lightcone", 4).base).generic
+
+    def test_quotient_reuses_the_validated_chart(self, monkeypatch):
+        lc = builtin_chart("lightcone", 4)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("grid scanned again")
+
+        monkeypatch.setattr(gcs, "_scan_grid", no_scan)
+        assert lift_to_lightlike(lc.base).base is lc.base
+        with pytest.raises(TypeError, match="needs a GcsChart"):
+            LightlikeChart(lc)
 
     def test_t_independent_chart_is_transversally_riemannian(self):
         nv = 3  # two base coordinates + t
@@ -450,6 +472,16 @@ class TestPullback:
                 report = genericity_report(moved)
                 assert report.generic == base.generic
                 assert report.nowhere_tr == base.nowhere_tr
+
+    def test_pullback_matches_congruence_pointwise(self):
+        chart = builtin_chart("conformal_flat", 2)
+        m = [[1, 1], [0, 1]]
+        moved = congruent_chart(chart, m)
+        mm = np.array([[1.0, 1.0], [0.0, 1.0]])
+        y = np.array([0.2, -0.1])
+        lhs = moved.eval_metric(y, 1.3).matrix
+        rhs = mm.T @ chart.eval_metric(mm @ y, 1.3).matrix @ mm
+        assert np.allclose(lhs, rhs, atol=1e-14)
 
 
 # -- exact grid oracle ---------------------------------------------------------

@@ -86,7 +86,41 @@ class TestLoopOracles:
         assert np.asarray(full).tobytes() == _unpack_loop(t).tobytes()
 
 
-class TestSymTensor:
+def full_evaluate(t, args):
+    """Index-loop oracle for evaluating a packed tensor on ``args``: each full
+    index tuple reads the coefficient of its sorted tuple, not ``unpack``."""
+    pos = {
+        idx: k
+        for k, idx in enumerate(itertools.combinations_with_replacement(range(t.n), t.degree))
+    }
+    total = np.zeros(t.coeffs.shape[1:])
+    for idx in itertools.product(range(t.n), repeat=t.degree):
+        w = math.prod(args[k][idx[k]] for k in range(t.degree))
+        total = total + t.coeffs[pos[tuple(sorted(idx))]] * w
+    return total
+
+
+class TestPackedEvaluation:
+    @pytest.mark.parametrize("degree,vector", [(2, False), (3, False), (3, True), (4, True)])
+    def test_matches_full_tensor(self, rng, degree, vector):
+        n = 3
+        t = SymTensor(n, degree, rng.standard_normal((sym_index_count(n, degree),) + (n,) * vector))
+        full = t.unpack()
+        for _ in range(100):
+            args = [rng.standard_normal(n) for _ in range(degree)]
+            contracted = full
+            for a in args:
+                contracted = np.tensordot(a, contracted, axes=(0, 0))
+            assert np.allclose(contracted, full_evaluate(t, args), atol=1e-12)
+
+    def test_norm_weights_each_coefficient_by_its_arrangements(self, rng):
+        n, degree = 3, 3
+        t = SymTensor(n, degree, rng.standard_normal((sym_index_count(n, degree), n)))
+        sym = itertools.combinations_with_replacement(range(n), degree)
+        weights = np.array([len(_arrangements(idx)) for idx in sym], dtype=float)
+        expected = math.sqrt(float(weights @ np.sum(t.coeffs**2, axis=1)))
+        assert t.norm() == pytest.approx(expected, rel=1e-12)
+
     def test_coeff_shapes(self):
         assert SymTensor(3, 2, np.zeros(6)).coeffs.shape == (6,)
         assert SymTensor(3, 2, np.zeros((6, 3))).coeffs.shape == (6, 3)
@@ -116,6 +150,30 @@ class TestSignature:
             j = np.diag(d * rng.uniform(0.5, 2.0, size=n))
             m = random_well_conditioned(rng, n)
             assert form_signature(m.T @ j @ m) == form_signature(j)
+
+
+class TestSymmetrize:
+    """A BilinForm stores the symmetric part (m + m^T) / 2 of its matrix."""
+
+    def test_idempotent_on_symmetric(self, rng):
+        f = BilinForm(rng.standard_normal((3, 3)))
+        assert BilinForm(f.matrix).matrix.tobytes() == f.matrix.tobytes()
+
+    def test_two_term_average(self):
+        raw = np.zeros((2, 2))
+        raw[0, 1] = 1.0
+        f = BilinForm(raw)
+        assert f.matrix[0, 1] == f.matrix[1, 0] == 0.5
+        assert f.signature == (1, 1, 0)
+
+    def test_evaluation_permutation_invariant(self, rng):
+        f = BilinForm(rng.standard_normal((4, 4)))
+        u, v = rng.standard_normal(4), rng.standard_normal(4)
+        assert f(u, v) == pytest.approx(f(v, u), rel=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            BilinForm(np.zeros((2, 3)))
 
 
 class TestBilinForm:

@@ -198,6 +198,39 @@ class TestCircleMean:
             circle_mean(c)
 
 
+class TestPushforward:
+    """``SpdCurve.pushforward(m)`` is the congruence b -> m^T b m, sample by sample."""
+
+    def test_identity(self, rng):
+        c = random_spd_curve(rng, 3, samples=20)
+        assert c.pushforward(np.eye(3)).matrices.tobytes() == c.matrices.tobytes()
+
+    def test_form_homogeneity(self, rng):
+        c = random_spd_curve(rng, 3, samples=20)
+        assert np.allclose(c.pushforward(5.0 * np.eye(3)).matrices, 25.0 * c.matrices)
+
+    def test_form_round_trip(self, rng):
+        c = random_spd_curve(rng, 3, samples=20)
+        m = random_well_conditioned(rng, 3)
+        back = c.pushforward(m).pushforward(np.linalg.inv(m))
+        assert back.params.tobytes() == c.params.tobytes() and back.closed == c.closed
+        assert np.max(np.abs(back.matrices - c.matrices)) < 1e-10
+
+    def test_form_functorial(self, rng):
+        # forms compose contravariantly: the inner map acts last
+        c = random_spd_curve(rng, 3, samples=20)
+        m1 = random_well_conditioned(rng, 3)
+        m2 = random_well_conditioned(rng, 3)
+        lhs = c.pushforward(m1 @ m2).matrices
+        rhs = c.pushforward(m1).pushforward(m2).matrices
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    def test_singular_map_rejected(self, rng):
+        c = random_spd_curve(rng, 2, samples=5)
+        with pytest.raises(ValueError, match="sample 0: matrix is not positive definite"):
+            c.pushforward(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
 class TestSpdCurveValidation:
     def test_requires_increasing_params(self):
         with pytest.raises(ValueError, match="increasing"):
