@@ -39,20 +39,8 @@ MAX_ORDER_CAP = 5
 #: sigma_2 / sigma_1 threshold below which a matrix counts as rank one.
 RANK1_RATIO_TOL = 1e-8
 
-#: Seeded random directions, each with a start covector, of the rank-one search.
+#: Seeded start covectors of the rank-one search, after the basis elements'.
 RANK1_TRIALS = 64
-
-#: Largest sign-pattern grid {-1, 0, 1}^dim the rank-one scan enumerates.
-RANK1_GRID_CAP = 20_000
-
-#: Seeded dense +-1 sign patterns scanned in place of a larger grid.
-RANK1_SIGN_DRAWS = 2000
-
-#: Candidates scored per batched SVD in the rank-one scan (bounds memory).
-RANK1_SCAN_BLOCK = 4096
-
-#: Best scanned candidates whose leading singular pairs start the polish.
-RANK1_POLISH_STARTS = 8
 
 #: Distance of a unit ``v a^T`` from the algebra at which a start converged.
 RANK1_RESIDUAL_TOL = 1e-12
@@ -312,48 +300,21 @@ def membership_residual(h: MatrixAlgebra, t: SymTensor) -> float:
 def find_rank1(h: MatrixAlgebra, seed: int = 0) -> Rank1Witness | None:
     """Search the subspace for a rank-one element.
 
-    Strategy: scan sign patterns in {-1, 0, 1}^dim over the orthonormalized
-    basis (or ``RANK1_SIGN_DRAWS`` seeded dense +-1 patterns when that grid
-    exceeds ``RANK1_GRID_CAP``) and ``RANK1_TRIALS`` seeded random
-    directions, scored by sigma_2/sigma_1 in batched SVDs.  Trial i draws
-    its direction and its covector from its own Mersenne Twister, a
-    ``random.Random`` seeded from ``(seed, i)``, so trials are order
-    independent and any int seeds the search.  If no candidate is rank
-    one, an alternating solve over the factors of ``v a^T`` starts from the
-    leading singular pairs of the best candidates and from each trial's
-    covector; its results are projected onto the algebra, which on a line
-    gives back the basis element.  Returning None is a heuristic negative,
+    One alternating solve over the factors of ``v a^T`` (see
+    :func:`_alternating_rank1`) starts from the leading right singular
+    vector of each orthonormalized basis element, then from
+    ``RANK1_TRIALS`` seeded covectors: trial i draws n normals from its own
+    Mersenne Twister, a ``random.Random`` seeded from ``(seed, i)``, so
+    trials are order independent and any int seeds the search.  Each
+    result is projected onto the algebra, which on a line gives back the
+    basis element, and the projection with the least sigma_2/sigma_1 is
+    the witness if that ratio is below ``RANK1_RATIO_TOL``, signed so that
+    its largest entry is positive.  Returning None is a heuristic negative,
     not a proof of absence.
     """
-    dim, n = h.dim, h.n
-    if n == 1:
-        c = np.zeros(dim)
-        c[0] = 1.0
-        w = h.element(c)
-        if np.abs(w[0, 0]) > 0:
-            return _make_witness(h, c)
-        return None
-
-    signs = _sign_patterns(dim, seed)
-    # dim + n normal draws per trial: its direction, then its covector
+    _, _, vt = np.linalg.svd(h.orthonormalized_basis)
     rngs = [_seeded(seed, i) for i in range(RANK1_TRIALS)]
-    draws = np.array([[rng.gauss(0.0, 1.0) for _ in range(dim + n)] for rng in rngs])
-    directions = draws[:, :dim] / np.linalg.norm(draws[:, :dim], axis=1, keepdims=True)
-    covectors = draws[:, dim:]
-    # sums of squares of sign patterns are exact, so the row norms equal
-    # the per-vector ones
-    candidates = np.concatenate(
-        [signs / np.linalg.norm(signs, axis=1, keepdims=True), directions]
-    )
-    ratios = np.concatenate([
-        _sigma_ratios(h.element(candidates[i : i + RANK1_SCAN_BLOCK]))
-        for i in range(0, len(candidates), RANK1_SCAN_BLOCK)
-    ])
-    order = np.argsort(ratios, kind="stable")
-    if ratios[order[0]] < RANK1_RATIO_TOL:
-        return _make_witness(h, candidates[order[0]])
-
-    _, _, vt = np.linalg.svd(h.element(candidates[order[:RANK1_POLISH_STARTS]]))
+    covectors = np.array([[rng.gauss(0.0, 1.0) for _ in range(h.n)] for rng in rngs])
     v, a = _alternating_rank1(h._complement, np.concatenate([vt[:, 0, :], covectors]))
     # project each v a^T onto the algebra; a zero projection scores 1
     coefficients = np.tensordot(
@@ -361,8 +322,10 @@ def find_rank1(h: MatrixAlgebra, seed: int = 0) -> Rank1Witness | None:
     )
     norms = np.linalg.norm(coefficients, axis=1, keepdims=True)
     coefficients /= np.where(norms > 0.0, norms, 1.0)
-    best = np.argsort(_sigma_ratios(h.element(coefficients)), kind="stable")[0]
-    witness = _make_witness(h, coefficients[best])
+    best = coefficients[np.argsort(_sigma_ratios(h.element(coefficients)), kind="stable")[0]]
+    # the sign of v a^T is arbitrary: make the witness's largest entry positive
+    w = h.element(best)
+    witness = _make_witness(h, best * np.sign(w.flat[np.argmax(np.abs(w))]))
     return witness if witness.sigma_ratio < RANK1_RATIO_TOL else None
 
 
@@ -375,20 +338,6 @@ def _seeded(seed: int, key: int | str) -> random.Random:
     would lose its sign.
     """
     return random.Random(f"{seed} {key}")
-
-
-def _sign_patterns(dim: int, seed: int) -> np.ndarray:
-    """The nonzero patterns of {-1, 0, 1}^dim, or ``RANK1_SIGN_DRAWS``
-    seeded dense +-1 patterns when that grid exceeds ``RANK1_GRID_CAP``."""
-    if 3**dim <= RANK1_GRID_CAP:
-        signs = np.array(
-            np.meshgrid(*([[-1.0, 0.0, 1.0]] * dim), indexing="ij")
-        ).reshape(dim, -1).T
-        return signs[np.any(signs, axis=1)]
-    count = RANK1_SIGN_DRAWS * dim
-    packed = _seeded(seed, "signs").randbytes(-(-count // 8))
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=count)
-    return 1.0 - 2.0 * bits.reshape(RANK1_SIGN_DRAWS, dim)
 
 
 def _alternating_rank1(
@@ -432,10 +381,6 @@ def _null_direction(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vt[:, -1, :], svals[:, -1]
 
 
-def _sigma_ratio(x: np.ndarray) -> float:
-    return float(_sigma_ratios(x[None])[0])
-
-
 def _sigma_ratios(stack: np.ndarray) -> np.ndarray:
     """sigma_2/sigma_1 of each matrix of a (K, n, n) stack: 1 for a zero
     matrix, 0 for n == 1."""
@@ -455,7 +400,8 @@ def _make_witness(h: MatrixAlgebra, coefficients: np.ndarray) -> Rank1Witness:
         matrix=np.outer(v, a),
         a=a,
         v=v,
-        sigma_ratio=_sigma_ratio(w),
+        # w has unit norm, so svals[0] > 0
+        sigma_ratio=float(svals[1] / svals[0]) if h.n > 1 else 0.0,
         coefficients=np.asarray(coefficients),
     )
 

@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 from rigidity_lab import prolongation
 from rigidity_lab.braid import _packed_rows, solve_kernel
 from rigidity_lab.prolongation import (
-    RANK1_GRID_CAP,
     RANK1_RATIO_TOL,
-    RANK1_SIGN_DRAWS,
+    RANK1_TRIALS,
     FiniteType,
     InfiniteType,
     MatrixAlgebra,
@@ -403,19 +402,43 @@ class TestFindRank1:
         w = find_rank1(builtin_algebra("lightlike_orth", 5), seed=7)
         assert witnesses == {w.coefficients.tobytes().hex()}
 
-    def test_seeded_sign_patterns_past_grid(self):
-        dim = 10
-        assert 3**dim > RANK1_GRID_CAP >= 3 ** (dim - 1)
-        signs = prolongation._sign_patterns(dim, 0)
-        assert signs.shape == (RANK1_SIGN_DRAWS, dim) == (2000, dim)
-        assert set(np.unique(signs)) == {-1.0, 1.0}
-        assert np.array_equal(signs, prolongation._sign_patterns(dim, 0))
-        assert not np.array_equal(signs, prolongation._sign_patterns(dim, 1))
+    def test_seeded_start_covectors(self, monkeypatch):
+        # the alternating solve starts from the dim basis elements' leading
+        # right singular vectors, then from one seeded covector per trial
+        h = builtin_algebra("so", 4)
+        starts = []
+
+        def record(complement, a):
+            starts.append(a.copy())
+            return np.ones_like(a), a
+
+        monkeypatch.setattr(prolongation, "_alternating_rank1", record)
+
+        def covectors(seed):
+            find_rank1(h, seed=seed)
+            a = starts.pop()
+            assert a.shape == (h.dim + RANK1_TRIALS, h.n)
+            assert np.array_equal(a[: h.dim], np.linalg.svd(h.orthonormalized_basis)[2][:, 0])
+            return a[h.dim :].tobytes()
+
+        assert covectors(0) == covectors(0)
+        assert covectors(0) != covectors(1)
         # an int seed keeps its sign
-        assert not np.array_equal(
-            prolongation._sign_patterns(dim, 1), prolongation._sign_patterns(dim, -1)
-        )
-        assert prolongation._sign_patterns(dim - 1, 0).shape == (3 ** (dim - 1) - 1, dim - 1)
+        assert covectors(1) != covectors(-1)
+
+    def test_witness_sign_fixed_by_largest_entry(self):
+        # span{R} = span{-R}: the same witness, its largest entry positive
+        r = np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        w, w_neg = (find_rank1(builtin_algebra("one_param", r_matrix=m)) for m in (r, -r))
+        assert w.matrix.tobytes() == w_neg.matrix.tobytes()
+        assert w.matrix[0, 1] == np.max(np.abs(w.matrix)) > 0.0
+
+    def test_line_in_one_dimension(self):
+        # n = 1: the complement is empty, so every start is already rank one
+        w = find_rank1(MatrixAlgebra(1, [[[-3.0]]]))
+        assert w is not None
+        assert w.sigma_ratio == 0.0
+        assert w.matrix.tolist() == [[1.0]]
 
 
 def assert_valid_witness(h, w):
