@@ -62,8 +62,6 @@ from .prolongation import (
 )
 from .symspace import SpdCurve, arclength_reparam, circle_mean, curve_length
 
-TOL_ENV_VAR = "RIGIDITY_LAB_TOL"
-
 ALGEBRA_DESCRIPTIONS = {
     "so": "antisymmetric matrices; first prolongation vanishes (finite type 1)",
     "co": "scalings plus rotations; n-dimensional first prolongation, type 2 for n >= 3",
@@ -75,19 +73,6 @@ ALGEBRA_DESCRIPTIONS = {
 #: The Python types of JSON numbers; bool subclasses int, but a JSON true or
 #: false is no number, so entries are tested with ``type(v) in``.
 _JSON_NUMBERS = (int, float)
-
-
-def _default_tol() -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return SPECTRAL_TOL
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{TOL_ENV_VAR} must be a float, got {raw!r}") from exc
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{TOL_ENV_VAR} must be in (0, 1), got {value}")
-    return value
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -265,7 +250,6 @@ def _finite_type_doc(result) -> dict:
             "kind": "finite",
             "order": result.order,
             "dims": {str(k): v for k, v in sorted(result.dims.items())},
-            "verified_next_order": result.verified_next_order,
         }
     if isinstance(result, InfiniteType):
         w = result.witness
@@ -299,7 +283,7 @@ def _run_prolong(args: argparse.Namespace) -> dict:
     if args.n is not None and args.n != algebra.n:
         raise ValueError(f"--n {args.n} differs from the dimension {algebra.n} of the algebra")
     result = finite_type(algebra, max_order=args.max_order, tol=args.tol, seed=args.seed)
-    # a finite type stops at its verifying order: g^(d) = 0 forces every
+    # a finite type stops at its first vanishing order: g^(d) = 0 forces every
     # higher prolongation to vanish, so the orders above it read 0 unsolved
     dims = {str(d): result.dims.get(d, 0) for d in range(1, args.max_order + 1)}
     input_doc = {
@@ -420,7 +404,9 @@ def run(args: argparse.Namespace) -> bytes:
 
 #: The flags that several commands read; each command names those it takes.
 _SHARED_FLAGS = {
-    "tol": ("--tol", {"type": float, "default": None, "help": "relative kernel tolerance"}),
+    "tol": (
+        "--tol", {"type": float, "default": SPECTRAL_TOL, "help": "relative kernel tolerance"}
+    ),
     "seed": ("--seed", {"type": int, "default": 0}),
     "grid": ("--grid", {"type": int, "default": 5, "help": "validation samples per axis"}),
     "kernel_basis": (
@@ -540,11 +526,8 @@ def _one_blas_thread():
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if "tol" in vars(args):
-            if args.tol is None:
-                args.tol = _default_tol()
-            if not 0.0 < args.tol < 1.0:
-                raise ValueError(f"--tol must be in (0, 1), got {args.tol}")
+        if "tol" in vars(args) and not 0.0 < args.tol < 1.0:
+            raise ValueError(f"--tol must be in (0, 1), got {args.tol}")
         with _one_blas_thread():
             report = run(args)
     except json.JSONDecodeError as exc:

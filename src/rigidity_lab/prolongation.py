@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .braid import LinearSystem, _entry_columns, _packed_rows, _rank_cut, solve_kernel
+from .braid import LinearSystem, _braid_rows, _entry_columns, _packed_rows, _rank_cut, solve_kernel
 from .multilinear import (
     SPECTRAL_TOL,
     SymTensor,
@@ -226,7 +226,6 @@ class FiniteType:
 
     order: int
     dims: dict[int, int]
-    verified_next_order: int | None = None
 
 
 @dataclass
@@ -394,14 +393,17 @@ def _sigma_ratios(stack: np.ndarray) -> np.ndarray:
 def _make_witness(h: MatrixAlgebra, coefficients: np.ndarray) -> Rank1Witness:
     w = h.element(coefficients)
     u, svals, vt = np.linalg.svd(w)
-    a = vt[0]
-    v = svals[0] * u[:, 0]
+    # the SVD's sign is arbitrary: make a's largest |entry| (first on ties)
+    # positive; adding 0.0 turns the -0.0 of a negation or of LAPACK into +0.0
+    sign = np.sign(vt[0, np.argmax(np.abs(vt[0]))])
+    a = sign * vt[0] + 0.0
+    v = sign * svals[0] * u[:, 0] + 0.0
     return Rank1Witness(
-        matrix=np.outer(v, a),
+        matrix=np.outer(v, a) + 0.0,
         a=a,
         v=v,
         # w has unit norm, so svals[0] > 0
-        sigma_ratio=float(svals[1] / svals[0]) if h.n > 1 else 0.0,
+        sigma_ratio=float(svals[1] / svals[0]) + 0.0 if h.n > 1 else 0.0,
         coefficients=np.asarray(coefficients),
     )
 
@@ -436,34 +438,24 @@ def finite_type(
     """Determine the type of an algebra up to ``max_order``.
 
     Prolongation spaces are solved order by order first.  At the first
-    vanishing order the type is finite: that order is returned and, where
-    the size cap allows, the next order is solved to confirm that vanishing
-    persists rather than assuming it; ``dims`` lists exactly the orders
-    solved, and every order above them is 0 by heredity, since
-    g^(d) = 0 forces g^(k) = 0 for all k > d.  A finite type never runs the
-    rank-one search, since a rank-one element ``v a^T`` would give the
-    nonzero ``<a,x>^(d+1) v`` at every order.  Only when no order up to
-    ``max_order`` vanishes does the heuristic search :func:`find_rank1` run
-    with ``seed``: a rank-one element certifies infinite type through its
-    explicit witness family, and otherwise the type is unknown beyond
-    ``max_order``.  An algebra whose order-``max_order`` system exceeds
-    ``SIZE_CAP`` unknowns is refused before any solve.
+    vanishing order the type is finite: that order is returned with
+    ``dims`` listing the orders solved, and every order above it is 0 by
+    heredity, since g^(d) = 0 forces g^(k) = 0 for all k > d.  A finite type
+    never runs the rank-one search, since a rank-one element ``v a^T`` would
+    give the nonzero ``<a,x>^(d+1) v`` at every order.  Only when no order
+    up to ``max_order`` vanishes does the heuristic search
+    :func:`find_rank1` run with ``seed``: a rank-one element certifies
+    infinite type through its explicit witness family, and otherwise the
+    type is unknown beyond ``max_order``.  An algebra whose
+    order-``max_order`` system exceeds ``SIZE_CAP`` unknowns is refused
+    before any solve.
     """
     check_max_order(h.n, max_order)
     dims: dict[int, int] = {}
     for d in range(1, max_order + 1):
         dims[d] = prolongation_space(h, d, tol=tol).dim
         if dims[d] == 0:
-            verified = None
-            if d + 1 <= MAX_ORDER_CAP and prolongation_unknowns(h.n, d + 1) <= SIZE_CAP:
-                dims[d + 1] = prolongation_space(h, d + 1, tol=tol).dim
-                if dims[d + 1] != 0:
-                    raise ArithmeticError(
-                        f"prolongation dimensions are not monotone: order {d} is 0 "
-                        f"but order {d + 1} has dimension {dims[d + 1]}"
-                    )
-                verified = d + 1
-            return FiniteType(order=d, dims=dims, verified_next_order=verified)
+            return FiniteType(order=d, dims=dims)
     witness = find_rank1(h, seed=seed)
     if witness is not None:
         return InfiniteType(witness=witness, dims=dims)
@@ -475,7 +467,8 @@ def curve_stabilizer_algebra(samples: list[tuple[np.ndarray, np.ndarray]]) -> Ma
 
     Each sample is a pair (b_k, t_k) of a point on a curve of symmetric
     positive forms and a nonzero symmetric tangent there.  The joint
-    homogeneous system in (X, lambda_1, ..., lambda_K) is solved and the
+    homogeneous system in (X, lambda_1, ..., lambda_K) stacks one
+    :func:`_braid_rows` system per sample; it is solved and the
     X-projection of its kernel is returned as an algebra, whose rank
     :class:`MatrixAlgebra` cuts at ``SPECTRAL_TOL``.
     """
@@ -484,10 +477,9 @@ def curve_stabilizer_algebra(samples: list[tuple[np.ndarray, np.ndarray]]) -> Ma
     n = np.asarray(samples[0][0]).shape[0]
     k = len(samples)
     npairs = sym_index_count(n, 2)
-    labels = [("X", (i, j), None) for i in range(n) for j in range(n)]
+    labels = [("X", (o, u), None) for u in range(n) for o in range(n)]
     labels += [("lambda", (s,), None) for s in range(k)]
     row_ids, col_ids, values = [], [], []
-    i, j = _sym_index_array(n, 2).T
     for s, (b, t) in enumerate(samples):
         b = np.asarray(b, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -495,11 +487,12 @@ def curve_stabilizer_algebra(samples: list[tuple[np.ndarray, np.ndarray]]) -> Ma
             raise ValueError("all samples must be n x n matrices of equal size")
         if np.max(np.abs(t)) == 0.0:
             raise ValueError(f"tangent matrix of sample {s} is zero")
-        # (X^T b + b X)_{ij} - lambda_s t_{ij} = 0, rows s * npairs onward
-        r, c, v = _congruence_rows(b)
-        row_ids += [s * npairs + r, s * npairs + np.arange(npairs)]
-        col_ids += [c, np.full(npairs, n * n + s)]
-        values += [v, -t[i, j]]
+        # (X^T b + b X)_{ij} - lambda_s t_{ij} = 0 for symmetric b, X[o, u] at
+        # column u n + o; rows s * npairs onward, lambda_s moved to n^2 + s
+        rows = _braid_rows(b, 1, -t)
+        row_ids.append(s * npairs + rows.row_ids)
+        col_ids.append(np.where(rows.col_ids == n * n, n * n + s, rows.col_ids))
+        values.append(rows.values)
     system = LinearSystem(
         labels,
         k * npairs,
@@ -510,29 +503,7 @@ def curve_stabilizer_algebra(samples: list[tuple[np.ndarray, np.ndarray]]) -> Ma
     report = solve_kernel(system, want_basis=True)
     if report.kernel_dim == 0:
         raise ValueError("stabilizer system has trivial kernel; no algebra to return")
-    return MatrixAlgebra(n, list(report.kernel_basis[:, : n * n].reshape(-1, n, n)))
-
-
-def _congruence_rows(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries (row ids, column ids, values) of ``(X^T b + b X)_{ij}``, one
-    row per symmetric pair (i, j), over the row-major entries of X; b need
-    not be symmetric.  Exact zeros are left for :class:`LinearSystem` to
-    drop."""
-    n = b.shape[0]
-    i, j = _sym_index_array(n, 2).T
-    m = np.arange(n)
-    rows = np.repeat(np.arange(len(i)), n)
-    # X[m, i] b[m, j] at column m n + i and b[i, m] X[m, j] at m n + j; the
-    # two columns differ unless i == j, where the terms add in one entry
-    left, right = b[m, j[:, None]], b[i[:, None], m]
-    diagonal = (i == j)[:, None]
-    left = np.where(diagonal, left + right, left)
-    right = np.where(diagonal, 0.0, right)
-    return (
-        np.concatenate([rows, rows]),
-        np.concatenate([(m * n + i[:, None]).ravel(), (m * n + j[:, None]).ravel()]),
-        np.concatenate([left.ravel(), right.ravel()]),
-    )
+    return MatrixAlgebra(n, list(report.kernel_basis[:, : n * n].reshape(-1, n, n).mT))
 
 
 def builtin_algebra(
@@ -586,12 +557,10 @@ def _antisym_basis(n: int) -> list[np.ndarray]:
 
 
 def _lightlike_orth(n: int) -> MatrixAlgebra:
+    """X^T G + G X = 0 for G = diag(1, ..., 1, 0): with X = [[A, b], [c^T, d]]
+    it reads A^T + A = 0 and b = 0, so so(n - 1) padded by a zero last row
+    and column, then the n matrix units of the last row, are a basis."""
     if n < 2:
         raise ValueError("lightlike orthogonal algebra needs n >= 2")
-    g = np.eye(n)
-    g[n - 1, n - 1] = 0.0
-    labels = [("X", (i, j), None) for i in range(n) for j in range(n)]
-    system = LinearSystem(labels, sym_index_count(n, 2), *_congruence_rows(g))
-    report = solve_kernel(system, want_basis=True)
-    gens = [vec.reshape(n, n) for vec in report.kernel_basis]
-    return MatrixAlgebra(n, gens)
+    so = [np.pad(x, ((0, 1), (0, 1))) for x in _antisym_basis(n - 1)]
+    return MatrixAlgebra(n, so + list(np.eye(n * n)[-n:].reshape(n, n, n)))

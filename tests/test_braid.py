@@ -659,6 +659,14 @@ def _dense_congruence_rows(b):
     return rows
 
 
+def _transposed_x(rows, n):
+    """The dense scatter's rows with column o n + u, which holds X[o, u],
+    moved to u n + o, where the degree-1 braid system holds it; the columns
+    past n^2 stay."""
+    perm = np.arange(n * n).reshape(n, n).T.ravel()
+    return np.concatenate([rows[:, perm], rows[:, n * n :]], axis=1)
+
+
 def _dense_stabilizer_rows(samples):
     n, k = samples[0][0].shape[0], len(samples)
     npairs = sym_index_count(n, 2)
@@ -711,11 +719,19 @@ def _assert_entries(system):
     assert np.unique(at).size == at.size
 
 
+def _symmetrized(b):
+    """b + b^T halved: exactly symmetric, and b itself when b is."""
+    return (b + b.T) / 2.0
+
+
+# the points are exactly symmetric forms: the stabilizer reads only b's
+# columns, as the braid systems read their pairing
 STABILIZER_SAMPLES = {
     "conformal-ray": [(s * np.eye(3), np.eye(3)) for s in (0.5, 1.0, 2.0)],
     "axis-scaling": [(np.diag([s, 1.0, 1.0]), np.diag([1.0, 0.0, 0.0])) for s in (0.5, 2.0)],
     "dense": [
-        (random_nondegenerate_form(np.random.default_rng(20), 4, False) + 3.0 * np.eye(4),
+        (_symmetrized(random_nondegenerate_form(np.random.default_rng(20), 4, False))
+         + 3.0 * np.eye(4),
          random_nondegenerate_form(np.random.default_rng(21), 4))
     ],
 }
@@ -768,31 +784,41 @@ class TestEntries:
     @pytest.mark.parametrize("case", sorted(STABILIZER_SAMPLES))
     def test_stabilizer_entries_match_dense_scatter(self, monkeypatch, case):
         samples = STABILIZER_SAMPLES[case]
-        _, solved = _assembled(monkeypatch, lambda: prolongation.curve_stabilizer_algebra(samples))
+        pairs, solved = _assembled(
+            monkeypatch, lambda: prolongation.curve_stabilizer_algebra(samples)
+        )
+        # one braid system per sample, stacked
+        assert len(pairs) == len(samples)
+        for system, rows in pairs:
+            assert system.rows.tobytes() == rows.tobytes()
         (system,) = solved
         _assert_entries(system)
-        assert system.rows.tobytes() == _dense_stabilizer_rows(samples).tobytes()
+        n = samples[0][0].shape[0]
+        assert system.rows.tobytes() == _transposed_x(_dense_stabilizer_rows(samples), n).tobytes()
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_lightlike_orth_entries_match_dense_scatter(self, monkeypatch, n):
-        _, solved = _assembled(monkeypatch, lambda: builtin_algebra("lightlike_orth", n))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_lightlike_orth_basis_spans_dense_kernel(self, n):
         g = np.eye(n)
         g[-1, -1] = 0.0
-        (system,) = solved
-        _assert_entries(system)
-        assert system.rows.tobytes() == _dense_congruence_rows(g).tobytes()
+        rows = _dense_congruence_rows(g)
+        h = builtin_algebra("lightlike_orth", n)
+        gens = np.stack([x.ravel() for x in h.generators])
+        # every generator solves X^T G + G X = 0 exactly, and they span the
+        # whole kernel of the dense rows
+        assert not np.any(rows @ gens.T)
+        svals = np.linalg.svd(rows, compute_uv=False)
+        rank = int(np.sum(svals >= SPECTRAL_TOL * svals[0]))
+        assert h.dim == len(gens) == n * n - rank
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_congruence_entries_of_any_matrix(self, seed):
-        # b need not be symmetric; an antisymmetric part cancels on the
-        # diagonal rows and leaves no zero entry behind
+    def test_congruence_entries_of_symmetric_forms(self, seed):
+        # the degree-1 braid system of a symmetric b has the rows of
+        # X^T b + b X, and no (row, column) pair twice on the diagonal rows
         b = np.random.default_rng(seed).standard_normal((4, 4))
-        for form in (b, b - b.T, np.round(b)):
-            system = LinearSystem(
-                [("X", (k,), None) for k in range(16)], 10, *prolongation._congruence_rows(form)
-            )
+        for form in (b + b.T, np.round(b + b.T)):
+            system = _braid_rows(form, 1)
             _assert_entries(system)
-            assert system.rows.tobytes() == _dense_congruence_rows(form).tobytes()
+            assert system.rows.tobytes() == _transposed_x(_dense_congruence_rows(form), 4).tobytes()
 
     def test_residual_and_scale_from_entries(self):
         rng = np.random.default_rng(19)

@@ -299,7 +299,6 @@ class TestFiniteType:
         result = finite_type(builtin_algebra("one_param", r_matrix=r))
         assert isinstance(result, FiniteType)
         assert result.order == 1
-        assert result.verified_next_order == 2
 
     def test_lightlike_orthogonal_is_infinite(self):
         result = finite_type(builtin_algebra("lightlike_orth", 4), max_order=2)
@@ -377,6 +376,17 @@ class TestFindRank1:
         # the factorization reproduces the matrix and stays in the subspace
         assert np.max(np.abs(np.outer(w.v, w.a) - w.matrix)) < 1e-12
         assert h.projection_residual(w.matrix) < 1e-8 * np.linalg.norm(w.matrix)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_witness_signed_without_negative_zero(self, n):
+        # negating the SVD's factors turns +0.0 into -0.0, a report's "-0"
+        for k, sign in itertools.product(range(n * n), (1.0, -1.0)):
+            r = np.zeros((n, n))
+            r.flat[k] = sign
+            w = find_rank1(builtin_algebra("one_param", r_matrix=r))
+            assert w.a[np.argmax(np.abs(w.a))] > 0.0
+            for x in (w.a, w.v, w.matrix, np.float64(w.sigma_ratio)):
+                assert not np.any(np.signbit(x) & (x == 0.0)), (k, sign)
 
     def test_deterministic_in_seed(self):
         h = builtin_algebra("lightlike_orth", 4)
@@ -498,7 +508,7 @@ def _sym_forms(n, degree):
     return math.comb(n + degree - 1, degree)
 
 
-# kind, order, dims and verified_next_order from the theory: so has finite
+# kind, order and dims from the theory: so has finite
 # type 1; co(n) finite type 2 with an n-dimensional first prolongation for
 # n >= 3, while co(2) (holomorphic maps) keeps 2-dimensional prolongations;
 # lightlike_orth holds x -> f(x) e_n, so it has infinite type and its order-d
@@ -507,21 +517,18 @@ def _sym_forms(n, degree):
 # prolongations when rank R = 1; a generic 3-dimensional subspace of gl(4)
 # has type 1.
 _FINITE_TYPE_TABLE = [
-    *[(("so", n), ("finite", 1, {1: 0, 2: 0}, 2)) for n in range(2, 7)],
-    (("co", 2), ("unknown_beyond", None, {1: 2, 2: 2, 3: 2}, None)),
-    *[(("co", n), ("finite", 2, {1: n, 2: 0, 3: 0}, 3)) for n in range(3, 7)],
+    *[(("so", n), ("finite", 1, {1: 0})) for n in range(2, 7)],
+    (("co", 2), ("unknown_beyond", None, {1: 2, 2: 2, 3: 2})),
+    *[(("co", n), ("finite", 2, {1: n, 2: 0})) for n in range(3, 7)],
     *[
-        (
-            ("lightlike_orth", n),
-            ("infinite", None, {d: _sym_forms(n, d + 1) for d in (1, 2, 3)}, None),
-        )
+        (("lightlike_orth", n), ("infinite", None, {d: _sym_forms(n, d + 1) for d in (1, 2, 3)}))
         for n in range(2, 7)
     ],
-    (("one_param-rank1", 4), ("infinite", None, {1: 1, 2: 1, 3: 1}, None)),
-    (("one_param-rank1", 5), ("infinite", None, {1: 1, 2: 1, 3: 1}, None)),
-    (("one_param-rank2", 3), ("finite", 1, {1: 0, 2: 0}, 2)),
-    (("one_param-full-rank", 4), ("finite", 1, {1: 0, 2: 0}, 2)),
-    (("custom-3gen", 4), ("finite", 1, {1: 0, 2: 0}, 2)),
+    (("one_param-rank1", 4), ("infinite", None, {1: 1, 2: 1, 3: 1})),
+    (("one_param-rank1", 5), ("infinite", None, {1: 1, 2: 1, 3: 1})),
+    (("one_param-rank2", 3), ("finite", 1, {1: 0})),
+    (("one_param-full-rank", 4), ("finite", 1, {1: 0})),
+    (("custom-3gen", 4), ("finite", 1, {1: 0})),
 ]
 
 
@@ -549,7 +556,7 @@ class TestFiniteTypeTable:
     )
     def test_pinned(self, case, expected, monkeypatch):
         h = _table_algebra(*case)
-        kind, order, dims, verified = expected
+        kind, order, dims = expected
         if kind == "finite":
             # a vanishing order proves finite type, and a rank-one element
             # would keep every order nonzero, so the search never runs
@@ -571,7 +578,7 @@ class TestFiniteTypeTable:
             assert (result.max_order, result.dims) == (3, dims)
         else:
             assert isinstance(result, FiniteType)
-            assert (result.order, result.dims, result.verified_next_order) == (order, dims, verified)
+            assert (result.order, result.dims) == (order, dims)
 
 
 class TestWitnessProlongation:
@@ -638,16 +645,6 @@ class TestCurveStabilizer:
             curve_stabilizer_algebra([])
         with pytest.raises(ValueError, match="zero"):
             curve_stabilizer_algebra([(np.eye(2), np.zeros((2, 2)))])
-
-
-class TestMonotoneVanishing:
-    def test_vanishing_verified_at_next_order(self):
-        result = finite_type(builtin_algebra("co", 3), max_order=3)
-        assert isinstance(result, FiniteType)
-        assert result.order == 2
-        assert result.dims[2] == 0
-        assert result.verified_next_order == 3
-        assert result.dims[3] == 0
 
 
 def test_unknown_count_formula():
