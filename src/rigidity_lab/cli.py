@@ -25,6 +25,8 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +73,9 @@ ALGEBRA_DESCRIPTIONS = {
 }
 
 #: The Python types of JSON numbers; bool subclasses int, but a JSON true or
-#: false is no number, so entries are tested with ``type(v) in``.
-_JSON_NUMBERS = (int, float)
+#: false is no number, so entries are tested with ``type(v) in``, and a pass
+#: over many entries with ``set(map(type, entries)) <=``.
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -303,6 +306,71 @@ def _run_prolong(args: argparse.Namespace) -> dict:
     return _envelope(args, input_doc, payload)
 
 
+#: The key orders of a curve sample, as ``tuple(sample)`` lists them.
+_SAMPLE_KEYS = {("t", "matrix"), ("matrix", "t")}
+
+
+def _curve_params(ts: list) -> np.ndarray:
+    try:
+        return np.array(ts, dtype=float)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValueError(f"curve sample out of float range: {exc}") from exc
+
+
+def _curve_arrays(samples: list) -> tuple[np.ndarray, np.ndarray]:
+    """The parameters and the matrices, as given, of the curve's samples.
+
+    Types, keys and shapes are checked in passes over all samples, rows and
+    entries at once; only when a pass fails does :func:`_walk_curve` go
+    through the samples one by one, to name the first offender.
+    """
+    if set(map(type, samples)) != {dict} or not set(map(tuple, samples)) <= _SAMPLE_KEYS:
+        return _walk_curve(samples)
+    ts = list(map(itemgetter("t"), samples))
+    matrices = list(map(itemgetter("matrix"), samples))
+    if not set(map(type, ts)) <= _JSON_NUMBERS or set(map(type, matrices)) != {list}:
+        return _walk_curve(samples)
+    n = len(matrices[0])
+    rows = list(chain.from_iterable(matrices))
+    if set(map(len, matrices)) != {n} or set(map(type, rows)) != {list}:
+        return _walk_curve(samples)
+    # the float conversion alone would also read numeric strings and booleans
+    flat = list(chain.from_iterable(rows))
+    if set(map(len, rows)) != {n} or not set(map(type, flat)) <= _JSON_NUMBERS:
+        return _walk_curve(samples)
+    params = _curve_params(ts)
+    try:
+        return params, np.array(flat, dtype=float).reshape(len(samples), n, n)
+    except OverflowError:  # an integer beyond the float range, named by the walk
+        return _walk_curve(samples)
+
+
+def _walk_curve(samples: list) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_curve_arrays` one sample at a time: the first sample that is
+    no object with a numeric ``t`` and a matrix of numbers, or whose matrix
+    differs in shape from sample 0's, is named."""
+    ts = []
+    for k, s in enumerate(samples):
+        if not isinstance(s, dict):
+            raise ValueError(f"sample {k} must be an object with fields 't' and 'matrix'")
+        odd = sorted({"t", "matrix"} ^ set(s))  # missing or unknown fields
+        if odd:
+            what = "unknown" if odd[0] in s else "missing"
+            raise ValueError(f"sample {k}: {what} field '{odd[0]}'")
+        t = s["t"]
+        if type(t) not in _JSON_NUMBERS:
+            raise ValueError(f"sample {k}: parameter is no number: {json.dumps(t)}")
+        ts.append(t)
+    params = _curve_params(ts)
+    checked = [_json_matrix(s["matrix"], f"sample {k}: matrix") for k, s in enumerate(samples)]
+    for k, m in enumerate(checked):
+        if m.shape != checked[0].shape:
+            raise ValueError(
+                f"sample {k}: matrix has shape {m.shape}, sample 0 has {checked[0].shape}"
+            )
+    return params, np.array(checked)
+
+
 def _run_symspace(args: argparse.Namespace) -> dict:
     if not args.curve:
         raise ValueError("need --curve FILE with the sampled curve")
@@ -318,39 +386,9 @@ def _run_symspace(args: argparse.Namespace) -> dict:
     samples = doc.get("samples")
     if not samples or not isinstance(samples, list):
         raise ValueError("curve field 'samples' must be a nonempty list of samples")
-    ts = []
-    for k, s in enumerate(samples):
-        if not isinstance(s, dict):
-            raise ValueError(f"sample {k} must be an object with fields 't' and 'matrix'")
-        odd = sorted({"t", "matrix"} ^ set(s))  # missing or unknown fields
-        if odd:
-            what = "unknown" if odd[0] in s else "missing"
-            raise ValueError(f"sample {k}: {what} field '{odd[0]}'")
-        t = s["t"]
-        if type(t) not in _JSON_NUMBERS:
-            raise ValueError(f"sample {k}: parameter is no number: {json.dumps(t)}")
-        ts.append(t)
-    try:
-        ts = np.array(ts, dtype=float)
-    except OverflowError as exc:  # a JSON integer beyond the float range
-        raise ValueError(f"curve sample out of float range: {exc}") from exc
-    matrices = [s["matrix"] for s in samples]
-    try:
-        # the float conversion alone would also read numeric strings and booleans
-        numbers = all(type(v) in _JSON_NUMBERS for m in matrices for row in m for v in row)
-        mats = np.array(matrices, dtype=float)
-    except (OverflowError, ValueError, TypeError):
-        numbers = False
-    if not numbers:
-        # name the first sample that is no matrix of numbers or differs in shape from sample 0
-        checked = [_json_matrix(m, f"sample {k}: matrix") for k, m in enumerate(matrices)]
-        for k, m in enumerate(checked):
-            if m.shape != checked[0].shape:
-                raise ValueError(
-                    f"sample {k}: matrix has shape {m.shape}, sample 0 has {checked[0].shape}"
-                )
-        mats = np.array(checked)
-    curve = SpdCurve(ts, mats, closed=closed)
+    params, matrices = _curve_arrays(samples)
+    del doc, samples  # the report embeds the arrays, not the parsed document
+    curve = SpdCurve(params, matrices, closed=closed)
     length = curve_length(curve)
     payload = {
         "samples": curve.params.size,
@@ -367,7 +405,9 @@ def _run_symspace(args: argparse.Namespace) -> dict:
             "length": curve_length(re),
             "params": re.params,
         }
-    return _envelope(args, {"curve": doc}, payload)
+    # the resolved curve: its samples as read, before SpdCurve symmetrizes them
+    resolved = {"closed": closed, "samples": reportio.Records({"t": params, "matrix": matrices})}
+    return _envelope(args, {"curve": resolved}, payload)
 
 
 def _run_examples() -> str:

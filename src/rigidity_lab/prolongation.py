@@ -299,19 +299,26 @@ def membership_residual(h: MatrixAlgebra, t: SymTensor) -> float:
 def find_rank1(h: MatrixAlgebra, seed: int = 0) -> Rank1Witness | None:
     """Search the subspace for a rank-one element.
 
-    One alternating solve over the factors of ``v a^T`` (see
-    :func:`_alternating_rank1`) starts from the leading right singular
-    vector of each orthonormalized basis element, then from
+    An orthonormalized basis element whose sigma_2/sigma_1 is below
+    ``RANK1_RATIO_TOL`` is the witness itself: the first such element is
+    returned, and nothing is searched.  Otherwise one alternating solve over
+    the factors of ``v a^T`` (see :func:`_alternating_rank1`) starts from
+    the leading right singular vector of each basis element, then from
     ``RANK1_TRIALS`` seeded covectors: trial i draws n normals from its own
     Mersenne Twister, a ``random.Random`` seeded from ``(seed, i)``, so
-    trials are order independent and any int seeds the search.  Each
-    result is projected onto the algebra, which on a line gives back the
-    basis element, and the projection with the least sigma_2/sigma_1 is
-    the witness if that ratio is below ``RANK1_RATIO_TOL``, signed so that
-    its largest entry is positive.  Returning None is a heuristic negative,
-    not a proof of absence.
+    trials are order independent and any int seeds the search.  Each result
+    is projected onto the algebra, which on a line gives back the basis
+    element, and the projection with the least sigma_2/sigma_1 is the
+    witness if that ratio is below ``RANK1_RATIO_TOL``.  A witness is signed
+    so that its largest entry is positive.  Returning None is a heuristic
+    negative, not a proof of absence.
     """
-    _, _, vt = np.linalg.svd(h.orthonormalized_basis)
+    _, svals, vt = np.linalg.svd(h.orthonormalized_basis)
+    rank1 = np.flatnonzero(_sigma_ratios(svals) < RANK1_RATIO_TOL)
+    if rank1.size:
+        witness = _signed_witness(h, np.eye(h.dim)[rank1[0]])
+        if witness.sigma_ratio < RANK1_RATIO_TOL:
+            return witness
     rngs = [_seeded(seed, i) for i in range(RANK1_TRIALS)]
     covectors = np.array([[rng.gauss(0.0, 1.0) for _ in range(h.n)] for rng in rngs])
     v, a = _alternating_rank1(h._complement, np.concatenate([vt[:, 0, :], covectors]))
@@ -321,11 +328,16 @@ def find_rank1(h: MatrixAlgebra, seed: int = 0) -> Rank1Witness | None:
     )
     norms = np.linalg.norm(coefficients, axis=1, keepdims=True)
     coefficients /= np.where(norms > 0.0, norms, 1.0)
-    best = coefficients[np.argsort(_sigma_ratios(h.element(coefficients)), kind="stable")[0]]
-    # the sign of v a^T is arbitrary: make the witness's largest entry positive
-    w = h.element(best)
-    witness = _make_witness(h, best * np.sign(w.flat[np.argmax(np.abs(w))]))
+    svals = np.linalg.svd(h.element(coefficients), compute_uv=False)
+    witness = _signed_witness(h, coefficients[np.argsort(_sigma_ratios(svals), kind="stable")[0]])
     return witness if witness.sigma_ratio < RANK1_RATIO_TOL else None
+
+
+def _signed_witness(h: MatrixAlgebra, coefficients: np.ndarray) -> Rank1Witness:
+    """The witness of an element, signed so that its largest entry is
+    positive (the sign of ``v a^T`` is arbitrary)."""
+    w = h.element(coefficients)
+    return _make_witness(h, coefficients * np.sign(w.flat[np.argmax(np.abs(w))]))
 
 
 def _seeded(seed: int, key: int | str) -> random.Random:
@@ -380,10 +392,9 @@ def _null_direction(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vt[:, -1, :], svals[:, -1]
 
 
-def _sigma_ratios(stack: np.ndarray) -> np.ndarray:
-    """sigma_2/sigma_1 of each matrix of a (K, n, n) stack: 1 for a zero
-    matrix, 0 for n == 1."""
-    svals = np.linalg.svd(stack, compute_uv=False)
+def _sigma_ratios(svals: np.ndarray) -> np.ndarray:
+    """sigma_2/sigma_1 from each row of a (K, n) stack of singular values:
+    1 for a zero matrix, 0 for n == 1."""
     if svals.shape[1] < 2:
         return np.where(svals[:, 0] == 0.0, 1.0, 0.0)
     top = svals[:, 0]
@@ -466,7 +477,9 @@ def curve_stabilizer_algebra(samples: list[tuple[np.ndarray, np.ndarray]]) -> Ma
     """Matrices X with ``X^T b_k + b_k X`` proportional to t_k at every sample.
 
     Each sample is a pair (b_k, t_k) of a point on a curve of symmetric
-    positive forms and a nonzero symmetric tangent there.  The joint
+    positive forms and a nonzero symmetric tangent there.  A point farther
+    from symmetric than ``1e-12`` times its largest entry is refused; the
+    others are symmetrized.  The joint
     homogeneous system in (X, lambda_1, ..., lambda_K) stacks one
     :func:`_braid_rows` system per sample; it is solved and the
     X-projection of its kernel is returned as an algebra, whose rank
@@ -487,9 +500,12 @@ def curve_stabilizer_algebra(samples: list[tuple[np.ndarray, np.ndarray]]) -> Ma
             raise ValueError("all samples must be n x n matrices of equal size")
         if np.max(np.abs(t)) == 0.0:
             raise ValueError(f"tangent matrix of sample {s} is zero")
-        # (X^T b + b X)_{ij} - lambda_s t_{ij} = 0 for symmetric b, X[o, u] at
-        # column u n + o; rows s * npairs onward, lambda_s moved to n^2 + s
-        rows = _braid_rows(b, 1, -t)
+        # _braid_rows reads b's columns only, which give X^T b + b X for a symmetric b
+        if np.max(np.abs(b - b.T)) > 1e-12 * np.max(np.abs(b)):
+            raise ValueError(f"point matrix of sample {s} is not symmetric")
+        # (X^T b + b X)_{ij} - lambda_s t_{ij} = 0, X[o, u] at column u n + o;
+        # rows s * npairs onward, lambda_s moved to n^2 + s
+        rows = _braid_rows((b + b.T) / 2.0, 1, -t)
         row_ids.append(s * npairs + rows.row_ids)
         col_ids.append(np.where(rows.col_ids == n * n, n * n + s, rows.col_ids))
         values.append(rows.values)

@@ -10,9 +10,12 @@ exact type of each node and falls back to ``isinstance`` only for numpy
 scalars and arrays, tuples and subclasses.  A list of Python floats (the
 ``tolist()`` of a float array among them) is written in one join of
 ``"%.17g"`` strings; a list that mixes types, or holds NaN or an infinity,
-is written element by element through ``format_float``.  A document that a
-report both embeds and hashes is written once, as an ``Embedded`` text that
-the writer splices in re-indented, so ``input_hash`` costs no second pass.
+is written element by element through ``format_float``.  A ``Records``
+node, a list of records of one shape held as arrays, is written with one
+``%`` per chunk of records into a template built once per node.  A
+document that a report both embeds and hashes is written once, as an
+``Embedded`` run of ascii byte slices, hashed as they are cut, that the
+writer splices in re-indented, so ``input_hash`` costs no second pass.
 
 ``input_hash`` is computed by the interpreter's builtin SHA-256 (``_sha2``
 on Python 3.12+, ``_sha256`` on 3.10 and 3.11), the same digest as
@@ -27,6 +30,8 @@ MB (2-vCPU Xeon VM, Python 3.10 to 3.13).
 
 from __future__ import annotations
 
+import io
+import math
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -50,22 +55,103 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-class Embedded:
-    """A document written once to canonical text, to embed in a report and hash.
+#: Bytes per slice of an embedded document's canonical text.
+SLICE_BYTES = 1 << 16
 
-    Every newline of canonical text is structural (JSON strings escape
-    theirs), so indenting each line of ``text`` by the depth it lands at is
-    exactly the text of the document written at that depth.
+#: Records written by one ``%`` of a ``Records`` node.
+RECORDS_PER_CHUNK = 256
+
+
+class Embedded:
+    """A document written once to canonical bytes, to embed in a report and hash.
+
+    The bytes are kept in slices of ``SLICE_BYTES``, each hashed as it is
+    cut.  Every newline of canonical text is structural (JSON strings
+    escape theirs), so indenting each line by the depth the document lands
+    at is exactly the text of the document written at that depth.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ("slices", "_digest")
 
     def __init__(self, obj):
-        self.text = dumps(obj)
+        pieces = _Pieces()
+        _write(obj, pieces, "\n")
+        pieces.append("\n")
+        digest = _sha256()
+        self.slices = []
+        for chunk in _ascii(pieces):
+            digest.update(chunk)
+            self.slices.append(chunk)
+        self._digest = digest.hexdigest()
 
     def sha256(self) -> str:
         """The document's ``input_hash``: the sha256 of its canonical bytes."""
-        return _sha256(self.text.encode("ascii")).hexdigest()
+        return self._digest
+
+    def indented(self, nl: str):
+        """The slices re-indented for the line ``nl`` starts, without the
+        final newline."""
+        newline = nl.encode("ascii")
+        last = len(self.slices) - 1
+        for k, chunk in enumerate(self.slices):
+            if k == last:
+                chunk = chunk[:-1]
+            yield chunk if nl == "\n" else chunk.replace(b"\n", newline)
+
+
+class Records:
+    """A list of records with the same keys, held as float arrays.
+
+    ``fields`` maps each key, in order, to an array whose first axis runs
+    over the records: record k holds ``array[k]`` under each key, written as
+    a number or as nested lists.  The node is written exactly as
+    :meth:`tolist` would be.
+    """
+
+    __slots__ = ("fields", "count")
+
+    def __init__(self, fields: dict):
+        self.fields = {key: np.asarray(a, dtype=float) for key, a in fields.items()}
+        counts = {len(a) for a in self.fields.values()}
+        if len(counts) != 1:
+            raise ValueError("records need at least one field, all of one length")
+        (self.count,) = counts
+
+    def tolist(self) -> list[dict]:
+        """The records as a list of dicts of Python floats and lists."""
+        columns = [a.tolist() for a in self.fields.values()]
+        return [dict(zip(self.fields, values)) for values in zip(*columns)]
+
+
+class _Pieces(list):
+    """Pieces of canonical text; ``splices`` lists ``(index, embedded, nl)``
+    for each embedded document, whose piece at ``index`` is a placeholder."""
+
+    __slots__ = ("splices",)
+
+    def __init__(self):
+        super().__init__()
+        self.splices = []
+
+
+def _ascii(pieces: _Pieces):
+    """The bytes of ``pieces`` in slices of at most ``SLICE_BYTES``, each
+    embedded document spliced in at its depth.  The pieces are consumed:
+    the list is emptied once its last run of text is joined, so the pieces
+    and the slices cut from that text are not held at once."""
+    start = 0
+    for index, embedded, nl in pieces.splices:
+        yield from _encoded("".join(pieces[start:index]))
+        yield from embedded.indented(nl)
+        start = index + 1
+    text = "".join(pieces[start:])
+    pieces.clear()
+    yield from _encoded(text)
+
+
+def _encoded(text: str):
+    for start in range(0, len(text), SLICE_BYTES):
+        yield text[start : start + SLICE_BYTES].encode("ascii")
 
 
 def _write(obj, out: list[str], nl: str) -> None:
@@ -128,9 +214,13 @@ def _write_list(seq, out: list[str], nl: str) -> None:
 
 
 def _write_other(obj, out: list[str], nl: str) -> None:
-    """Numpy scalars and arrays, tuples, embedded documents and subclasses."""
+    """Numpy scalars and arrays, tuples, embedded documents, records and
+    subclasses."""
     if isinstance(obj, Embedded):
-        out.append(obj.text[:-1].replace("\n", nl))
+        out.splices.append((len(out), obj, nl))
+        out.append("")
+    elif isinstance(obj, Records):
+        _write_records(obj, out, nl)
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
@@ -149,16 +239,64 @@ def _write_other(obj, out: list[str], nl: str) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def dumps(obj) -> str:
-    """Canonical text form of a report document."""
-    out: list[str] = []
-    _write(obj, out, "\n")
-    out.append("\n")
-    return "".join(out)
+def _write_records(obj: Records, out: list[str], nl: str) -> None:
+    values = np.concatenate(
+        [a.reshape(obj.count, math.prod(a.shape[1:])) for a in obj.fields.values()], axis=1
+    )
+    if not values.size or not np.isfinite(values).all():
+        # NaN and infinities are written as strings, empty records as []
+        _write_list(obj.tolist(), out, nl)
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    record = _record_template(obj.fields, inner)
+    width = values.shape[1]
+    step = RECORDS_PER_CHUNK * width
+    chunk = sep.join([record] * RECORDS_PER_CHUNK)
+    flat = values.ravel().tolist()
+    out.append("[" + inner)
+    for start in range(0, len(flat), step):
+        part = flat[start : start + step]
+        if len(part) < step:  # the last chunk is shorter
+            chunk = sep.join([record] * (len(part) // width))
+        out.append(chunk % tuple(part))
+        out.append(sep)
+    out[-1] = nl + "]"
+
+
+def _record_template(fields: dict, nl: str) -> str:
+    """The text of one record on the line ``nl`` starts, with a ``%.17g``
+    slot for each value."""
+    inner = nl + "  "
+    return "{" + inner + ("," + inner).join(
+        _quote(key).replace("%", "%%") + ": " + _nested_template(a.shape[1:], inner)
+        for key, a in fields.items()
+    ) + nl + "}"
+
+
+def _nested_template(shape: tuple, nl: str) -> str:
+    if not shape:
+        return "%.17g"
+    if not shape[0]:
+        return "[]"
+    inner = nl + "  "
+    item = _nested_template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
 
 
 def dump_bytes(obj) -> bytes:
-    return dumps(obj).encode("ascii")
+    """Canonical bytes of a report document."""
+    pieces = _Pieces()
+    _write(obj, pieces, "\n")
+    pieces.append("\n")
+    out = io.BytesIO()
+    out.writelines(_ascii(pieces))
+    return out.getvalue()
+
+
+def dumps(obj) -> str:
+    """Canonical text form of a report document."""
+    return dump_bytes(obj).decode("ascii")
 
 
 def input_hash(obj) -> str:

@@ -213,6 +213,8 @@ def circle_mean(curve: SpdCurve) -> SpdPoint:
         raise ValueError("curve has zero length; the mean is undefined")
     weighted = curve.speeds[:, None, None] * mats
     dt = np.diff(curve.params)[:, None, None]
-    # summed segment by segment in order; a pairwise np.sum moves the last bits
-    num = sum(0.5 * (weighted[:-1] + weighted[1:]) * dt, np.zeros_like(mats[0]))
+    # summed segment by segment in order, as accumulate does; np.sum and
+    # np.add.reduce sum pairwise (at n = 1 too), which moves the last bits;
+    # adding 0.0 gives +0.0 where the running sum from 0.0 would
+    num = np.add.accumulate(0.5 * (weighted[:-1] + weighted[1:]) * dt, axis=0)[-1] + 0.0
     return SpdPoint(num / den)

@@ -1037,6 +1037,73 @@ class TestCurveDocuments:
             assert "nan" not in numbers and "inf" not in numbers, numbers
 
 
+def _curve_report_bytes(text, tmp_path, name="curve.json"):
+    """The report bytes of ``symspace --resample 5`` on the curve file ``text``."""
+    curve, out = tmp_path / name, tmp_path / f"report-{name}"
+    curve.write_text(text)
+    argv = ["symspace", "--curve", str(curve), "--resample", "5", "--output", str(out)]
+    assert cli.main(argv) == 0
+    return out.read_bytes()
+
+
+class TestResolvedCurveInput:
+    """A symspace report embeds the resolved curve: ``closed``, then each
+    sample's ``t`` and ``matrix`` as float arrays, before symmetrization."""
+
+    def test_canonical_file_embeds_itself(self, tmp_path):
+        raw = _curve_report_bytes(Path(CURVE_FILE).read_text(), tmp_path)
+        doc = json.loads(raw)
+        assert doc["input"] == {"curve": json.loads(Path(CURVE_FILE).read_text())}
+        assert doc["input_hash"] == json.loads((GOLDEN_DIR / "symspace_orbit.json").read_bytes())[
+            "input_hash"
+        ]
+
+    def test_key_order_is_resolved(self, tmp_path):
+        canonical = _curve_doc([1.0, 2.5, 3.0, 1.5, 1.0], closed=True)
+        reordered = {
+            "samples": [{"matrix": s["matrix"], "t": s["t"]} for s in canonical["samples"]],
+            "closed": True,
+        }
+        assert _curve_report_bytes(json.dumps(reordered), tmp_path, "a.json") == (
+            _curve_report_bytes(json.dumps(canonical), tmp_path, "b.json")
+        )
+
+    def test_missing_closed_embeds_false(self, tmp_path):
+        doc = _curve_doc([1.0, 2.0, 3.0])
+        del doc["closed"]
+        report = json.loads(_curve_report_bytes(json.dumps(doc), tmp_path))
+        assert report["input"]["curve"]["closed"] is False
+        assert _curve_report_bytes(json.dumps(doc), tmp_path, "a.json") == (
+            _curve_report_bytes(json.dumps(_curve_doc([1.0, 2.0, 3.0])), tmp_path, "b.json")
+        )
+
+    def test_unsymmetric_sample_embeds_its_raw_entries(self, tmp_path):
+        matrices = [[[2.0, 0.25], [0.0, 1.0]], [[3.0, 0.0], [0.5, 1.0]], [[2.0, 0.1], [0.1, 1.5]]]
+        samples = [{"t": float(k), "matrix": m} for k, m in enumerate(matrices)]
+        doc = {"closed": False, "samples": samples}
+        report = json.loads(_curve_report_bytes(json.dumps(doc), tmp_path))
+        assert report["input"]["curve"] == doc
+
+    def test_integer_entries_embed_as_float_text(self, tmp_path):
+        # 3 * 10**16 + 1 is no float: it is read, and embedded, as 3e16
+        doc = {"samples": [{"t": 0, "matrix": [[3 * 10**16 + 1]]}, {"t": 2, "matrix": [[4]]}]}
+        raw = _curve_report_bytes(json.dumps(doc), tmp_path)
+        assert b'"t": 0,' in raw and b'"t": 2,' in raw
+        assert b"30000000000000000\n" in raw and b"30000000000000001" not in raw
+        assert json.loads(raw)["input"]["curve"]["samples"][0]["matrix"] == [[3e16]]
+
+    def test_success_walks_no_sample(self, tmp_path, monkeypatch):
+        """A valid curve is checked in passes over all samples at once; the
+        per-sample walk runs only to name an offender."""
+
+        def refuse(samples):
+            raise AssertionError("the per-sample walk ran on a valid curve")
+
+        monkeypatch.setattr(cli, "_walk_curve", refuse)
+        doc = _curve_doc([1, 2.5, 3, 1.5, 1], closed=True)  # integer entries too
+        assert json.loads(_curve_report_bytes(json.dumps(doc), tmp_path))["samples"] == 5
+
+
 class TestGridScans:
     """Each command validates its chart once, on the requested grid."""
 

@@ -31,7 +31,7 @@ from rigidity_lab.prolongation import (
     prolongation_unknowns,
     rank1_witness_prolongation,
 )
-from conftest import conjugate, random_well_conditioned
+from conftest import conjugate, random_nondegenerate_form, random_well_conditioned
 
 
 def rank1_matrix(rng, n):
@@ -457,6 +457,56 @@ def assert_valid_witness(h, w):
     assert w.sigma_ratio < RANK1_RATIO_TOL
 
 
+class TestRank1BasisElement:
+    """A rank-one orthonormalized basis element is the witness itself, and
+    the alternating search does not run; without one, it does."""
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        def refuse(complement, a):
+            raise AssertionError("the alternating search ran")
+
+        monkeypatch.setattr(prolongation, "_alternating_rank1", refuse)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rank_one_basis_element_is_the_witness(self, n, no_search):
+        rng = np.random.default_rng((41, n))
+        for h in (
+            builtin_algebra("lightlike_orth", n),
+            builtin_algebra("one_param", r_matrix=rank1_matrix(rng, n)),
+        ):
+            result = finite_type(h)
+            assert isinstance(result, InfiniteType)
+            w = result.witness
+            assert_valid_witness(h, w)
+            assert w.matrix.flat[np.argmax(np.abs(w.matrix))] > 0.0
+
+    def test_line_in_one_dimension(self, no_search):
+        w = find_rank1(MatrixAlgebra(1, [[[-3.0]]]))
+        assert (w.matrix.tolist(), w.sigma_ratio) == ([[1.0]], 0.0)
+
+    def test_planted_element_off_the_basis_is_searched(self, monkeypatch):
+        # span{P + G, P - G} = span{P, G}: P is rank one, no basis element is
+        rng = np.random.default_rng(43)
+        planted, g = rank1_matrix(rng, 4), rank_at_least_2(rng, 4)
+        h = MatrixAlgebra(4, [planted + g, planted - g])
+        svals = np.linalg.svd(h.orthonormalized_basis, compute_uv=False)
+        assert np.min(prolongation._sigma_ratios(svals)) > 1e-3
+        calls = []
+        search = prolongation._alternating_rank1
+
+        def counted(complement, a):
+            calls.append(len(a))
+            return search(complement, a)
+
+        monkeypatch.setattr(prolongation, "_alternating_rank1", counted)
+        w = find_rank1(h)
+        assert calls == [h.dim + RANK1_TRIALS]
+        assert_valid_witness(h, w)
+        cosine = np.vdot(w.matrix, planted) / (np.linalg.norm(w.matrix) * np.linalg.norm(planted))
+        assert abs(abs(cosine) - 1.0) < 1e-8
+
+
 class TestRank1Conjugates:
     """find_rank1 does not depend on the basis a conjugation gives the
     algebra: rank is conjugation invariant, so so and co stay without
@@ -645,6 +695,52 @@ class TestCurveStabilizer:
             curve_stabilizer_algebra([])
         with pytest.raises(ValueError, match="zero"):
             curve_stabilizer_algebra([(np.eye(2), np.zeros((2, 2)))])
+
+
+def dense_stabilizer_dim(samples):
+    """Dimension of the X-projection of the kernel of the dense system
+    ``X^T b_k + b_k X - lambda_k t_k = 0``, X[o, u] at column o n + u."""
+    n, k = len(samples[0][0]), len(samples)
+    blocks = []
+    for s, (b, t) in enumerate(samples):
+        block = np.zeros((n * n, n * n + k))
+        for o, u in itertools.product(range(n), repeat=2):
+            e = np.zeros((n, n))
+            e[o, u] = 1.0
+            block[:, o * n + u] = (e.T @ b + b @ e).ravel()
+        block[:, n * n + s] = -t.ravel()
+        blocks.append(block)
+    _, svals, vt = np.linalg.svd(np.vstack(blocks))
+    null = vt[np.sum(svals > 1e-10 * svals[0]) :]
+    return np.linalg.matrix_rank(null[:, : n * n], tol=1e-8)
+
+
+class TestCurveStabilizerPoints:
+    """Each point b is refused unless symmetric to rounding, and then
+    symmetrized, so X^T b + b X is the system solved."""
+
+    def test_unsymmetric_point_refused(self):
+        b = np.array([[2.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="point matrix of sample 1 is not symmetric"):
+            curve_stabilizer_algebra([(np.eye(2), np.eye(2)), (b, np.eye(2))])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("conformal", [False, True])
+    def test_rounded_forms_match_dense_oracle(self, rng, n, conformal):
+        # q D q^T is symmetric only to rounding
+        forms = [random_nondegenerate_form(rng, n) for _ in range(2)]
+        if conformal:
+            samples = [(b, b) for b in forms]
+        else:
+            t = rng.standard_normal((n, n))
+            samples = [(forms[0], t + t.T)]
+        h = curve_stabilizer_algebra(samples)
+        assert h.dim == dense_stabilizer_dim(samples)
+        for x in h.orthonormalized_basis:
+            for b, t in samples:
+                m = x.T @ b + b @ x
+                residual = m - (np.vdot(m, t) / np.vdot(t, t)) * t
+                assert np.max(np.abs(residual)) < 1e-10
 
 
 def test_unknown_count_formula():

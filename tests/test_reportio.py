@@ -115,6 +115,33 @@ documents = st.recursive(
     max_leaves=24,
 )
 
+FINITE_FLOATS = [x for x in SPECIAL_FLOATS if math.isfinite(x)]
+CHUNK = reportio.RECORDS_PER_CHUNK
+
+
+@st.composite
+def records(draw, counts=(1, 2, CHUNK - 1, CHUNK, CHUNK + 1)):
+    """A curve-shaped ``Records`` node: a ``t`` and an n x n ``matrix`` per
+    record; one or two records, or one chunk of them, one short or one more."""
+    count = draw(st.sampled_from(counts), label="count")
+    n = draw(st.integers(1, 6), label="n")
+    finite = st.one_of(
+        st.sampled_from(FINITE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    values = draw(hnp.arrays(np.float64, (count, 1 + n * n), elements=finite), label="values")
+    return reportio.Records({"t": values[:, 0], "matrix": values[:, 1:].reshape(count, n, n)})
+
+
+def plain(doc):
+    """The document with every ``Records`` node written out as its list of dicts."""
+    if isinstance(doc, reportio.Records):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: plain(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [plain(value) for value in doc]
+    return doc
+
 
 # -- the writer against the oracle ----------------------------------------------
 
@@ -140,21 +167,53 @@ def test_writer_matches_oracle(doc):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(documents)
+@given(st.one_of(documents, records()))
 def test_embedded_document_matches_oracle_at_any_depth(doc):
     embedded = reportio.Embedded(doc)
-    report = {"input": embedded, "deep": [[embedded]], "tail": embedded}
-    plain = {"input": doc, "deep": [[doc]], "tail": doc}
-    assert reportio.dumps(report) == oracle_dumps(plain)
-    assert reportio.dumps(embedded) == oracle_dumps(doc)
+    text = oracle_dumps(plain(doc))
+    # depths 1 to 3, then 0
+    report = {"input": embedded, "two": {"deep": embedded}, "three": [[embedded]], "tail": embedded}
+    expected = {"input": doc, "two": {"deep": doc}, "three": [[doc]], "tail": doc}
+    assert reportio.dumps(report) == oracle_dumps(plain(expected))
+    assert reportio.dumps(embedded) == text
+    assert b"".join(embedded.slices) == text.encode("ascii")
+    assert max(map(len, embedded.slices)) <= reportio.SLICE_BYTES
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(documents)
+@given(st.one_of(documents, records()))
 def test_input_hash_is_sha256_of_oracle_bytes(doc):
-    expected = hashlib.sha256(oracle_dumps(doc).encode("ascii")).hexdigest()
+    expected = hashlib.sha256(oracle_dumps(plain(doc)).encode("ascii")).hexdigest()
     assert reportio.input_hash(doc) == expected
     assert reportio.Embedded(doc).sha256() == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(records(), keys)
+def test_records_match_oracle(node, key):
+    doc = {key: node, "after": [node, 1.5]}
+    assert reportio.dump_bytes(doc) == oracle_dumps(plain(doc)).encode("ascii")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_records_with_non_finite_values_are_written_like_their_list(value):
+    mats = np.ones((3, 2, 2))
+    mats[1, 0, 1] = value
+    node = reportio.Records({"t": [0.0, 1.0, 2.0], "matrix": mats})
+    assert reportio.dumps({"r": node}) == oracle_dumps({"r": node.tolist()})
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 0), (3, 2, 0), (2, 3)])
+def test_records_of_empty_or_other_shapes_match_oracle(shape):
+    node = reportio.Records({"%.17g %s": np.zeros(shape[0]), "m": np.full(shape, -0.0)})
+    assert reportio.dumps([node]) == oracle_dumps([node.tolist()])
+
+
+def test_records_need_fields_of_one_length():
+    with pytest.raises(ValueError, match="all of one length"):
+        reportio.Records({"t": np.zeros(2), "matrix": np.zeros((3, 1, 1))})
+    with pytest.raises(ValueError, match="at least one field"):
+        reportio.Records({})
 
 
 def test_float_list_with_non_finite_values_is_written_element_by_element():
