@@ -60,6 +60,9 @@ GAP_VERDICT_THRESHOLD = 1e3
 PENCIL_CONDITION_CAP = 1e3
 PENCIL_RESIDUAL_CAP = 1e-9
 
+#: Hard cap on the unknowns of a braid system, checked before it is built.
+UNKNOWN_CAP = 500_000
+
 
 @dataclass
 class LinearSystem:
@@ -405,6 +408,24 @@ def _as_form(j, n: int | None = None) -> BilinForm:
     return form
 
 
+def check_unknowns(variant: str, n: int) -> None:
+    """Refuse a ``variant`` system in dimension n above ``UNKNOWN_CAP``
+    unknowns: n C(n+2,3) + C(n+1,2) (generalized), n C(n+1,2) (classical)
+    or n^4 (symskew).  An n below 1 is left to the builders to refuse."""
+    if n < 1:
+        return
+    unknowns = {
+        "generalized": n * sym_index_count(n, 3) + sym_index_count(n, 2),
+        "classical": n * sym_index_count(n, 2),
+        "symskew": n**4,
+    }[variant]
+    if unknowns > UNKNOWN_CAP:
+        raise ValueError(
+            f"the {variant} braid system at n = {n} would have {unknowns} unknowns "
+            f"(cap {UNKNOWN_CAP}); reduce n"
+        )
+
+
 def classical_braid_kernel(
     j, n: int | None = None, tol: float = SPECTRAL_TOL, want_basis: bool = False
 ) -> KernelReport:
@@ -415,6 +436,7 @@ def classical_braid_kernel(
     pseudo-Riemannian metrics.
     """
     form = _as_form(j, n)
+    check_unknowns("classical", form.n)
     if not form.nondegenerate:
         raise ValueError(
             f"form is degenerate: {form.zero_count} zero eigenvalue(s) "
@@ -449,6 +471,7 @@ def trilinear_symskew_system(n: int) -> LinearSystem:
     (i, j <= k, out), on the n**4 components of L (value axis innermost)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    check_unknowns("symskew", n)
     labels = [("L", idx[:3], idx[3]) for idx in np.ndindex(n, n, n, n)]
     axis = np.arange(n)
 
@@ -504,6 +527,7 @@ def generalized_braid_kernel(
     :func:`_pencil_normal_form`), whose answer is kept only when rigid.
     """
     jf = _as_form(j, n)
+    check_unknowns("generalized", jf.n)
     jpf = _as_form(jp, jf.n)
     report = _normal_form_kernel(jf, jpf, tol, want_basis)
     if report is None:

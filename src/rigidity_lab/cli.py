@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__, reportio
 from .braid import (
     GAP_VERDICT_THRESHOLD,
+    check_unknowns,
     classical_braid_kernel,
     generalized_braid_kernel,
     trilinear_symskew_kernel,
@@ -231,6 +232,8 @@ def _run_braid(args: argparse.Namespace) -> dict:
             setattr(args, flag, "identity")
         elif flag not in read:
             raise ValueError(f"--{flag} is not read by braid --variant {args.variant}")
+    if args.n is not None:  # before --n builds an identity form
+        check_unknowns(args.variant, args.n)
     if args.variant == "symskew":
         if args.n is None:
             raise ValueError("braid --variant symskew needs --n")
@@ -582,6 +585,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input that passed the size checks
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 2
     if args.output:
         try:

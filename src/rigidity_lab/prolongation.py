@@ -10,6 +10,11 @@ exactly when rank(R) >= 2; when h contains a rank-one element
     L_d(x_1, ..., x_{d+1}) = <a,x_1> ... <a,x_{d+1}> v
 
 gives a nonzero element at every order, so the type is infinite.
+
+Each order is the kernel of one sparse linear system: every partial
+evaluation of the unknown must be Frobenius-orthogonal to a basis of the
+algebra's complement, read off a reduced row echelon form of the
+generators in floats (:attr:`MatrixAlgebra.echelon_complement`).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -100,10 +104,41 @@ class MatrixAlgebra:
     @cached_property
     def echelon_complement(self) -> np.ndarray:
         """Sparse (n^2 - dim, n, n) basis of the Frobenius complement of the
-        algebra, from an exact echelon form of the generators (see
-        :func:`exact_null_basis`); computed once per algebra."""
-        rows = np.stack([g.ravel() for g in self.generators])
-        return exact_null_basis(rows, self.dim).astype(float).reshape(-1, self.n, self.n)
+        algebra, computed once per algebra.
+
+        The generators' rows are brought to reduced row echelon form with
+        complete pivoting: each step pivots on the largest |entry| left in
+        the unpivoted rows (the first on ties: lowest row, then column),
+        scales the pivot to exactly 1 and clears its column in every other
+        row.  Elimination stops after ``dim`` pivots, the numerical rank;
+        the rows left over are rounding and are dropped.  Free column f
+        gives ``e_f - sum_p R[p, f] e_{c_p}`` over the pivot rows p with
+        pivot columns c_p, free columns ascending, so sparse rows give
+        sparse vectors, and rows of 0 and +-1 entries or a single row give
+        exact values.  Pivoting on the first nonzero entry instead let the
+        coefficients reach about 1e17 on GL(n)-conjugated algebras, with
+        wrong prolongation dimensions.
+        """
+        a = np.stack([g.ravel() for g in self.generators])
+        unpivoted = np.ones(len(a), dtype=bool)
+        pivot_rows, pivot_cols = [], []
+        for count in range(self.dim):
+            size = np.where(unpivoted[:, None], np.abs(a), 0.0)
+            i, col = np.unravel_index(np.argmax(size), a.shape)  # the first maximum
+            if size[i, col] == 0.0:
+                raise ArithmeticError(f"the generators have rank {count} < {self.dim}")
+            a[i] /= a[i, col]
+            factor = a[:, col].copy()
+            factor[i] = 0.0
+            a -= factor[:, None] * a[i]
+            unpivoted[i] = False
+            pivot_rows.append(i)
+            pivot_cols.append(col)
+        free = np.setdiff1d(np.arange(a.shape[1]), pivot_cols)
+        basis = np.zeros((free.size, a.shape[1]))
+        basis[np.arange(free.size), free] = 1.0
+        basis[:, pivot_cols] = 0.0 - a[pivot_rows][:, free].T  # no -0.0 entry
+        return basis.reshape(-1, self.n, self.n)
 
     def element(self, coefficients) -> np.ndarray:
         """Linear combination of the orthonormalized basis; a (K, dim)
@@ -118,57 +153,6 @@ class MatrixAlgebra:
         coeffs = np.tensordot(x, self.orthonormalized_basis, axes=([-2, -1], [1, 2]))
         residual = np.linalg.norm(x - self.element(coeffs), axis=(-2, -1))
         return float(residual) if residual.ndim == 0 else residual
-
-
-def exact_null_basis(rows: np.ndarray, rank: int) -> np.ndarray:
-    """Exact basis of the null space of ``rows`` as a Fraction object array.
-
-    The float rows are read exactly as Fractions and brought to reduced row
-    echelon form with complete pivoting: each step pivots on the largest
-    |entry| left in the unpivoted rows (ties to the lowest row, then the
-    lowest column).  Elimination stops after ``rank`` pivots; rows left
-    over are the rounding of numerically dependent rows and are dropped.
-    Free column f gives the basis vector ``e_f - sum_p R[p, f] e_{c_p}``
-    over the pivot rows p with pivot columns c_p, free columns ascending.
-    Sparse rows give sparse vectors.  Complete pivoting keeps the
-    coefficients near 1: pivoting on the first nonzero entry let them reach
-    about 1e17 on GL(n)-conjugated algebras, and the float complement then
-    had the wrong prolongation dimensions.
-    """
-    # rows as sparse {column: value} dicts; pivot rows are kept reduced
-    live = {
-        i: {j: Fraction(x) for j, x in enumerate(row) if x}
-        for i, row in enumerate(rows.tolist())
-    }
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for _ in range(rank):
-        candidates = [(i, j) for i, row in live.items() for j in row]
-        if not candidates:
-            raise ArithmeticError(f"the rows have exact rank {len(pivots)} < {rank}")
-        i, col = max(candidates, key=lambda ij: (abs(live[ij[0]][ij[1]]), -ij[0], -ij[1]))
-        row = live.pop(i)
-        scale = row[col]
-        pivot = {j: v / scale for j, v in row.items()}
-        for other in (*live.values(), *pivots.values()):
-            factor = other.pop(col, 0)
-            if factor:
-                for j, v in pivot.items():
-                    if j != col:
-                        value = other.get(j, 0) - factor * v
-                        if value:
-                            other[j] = value
-                        else:
-                            other.pop(j, None)
-        pivots[col] = pivot
-    ncols = rows.shape[1]
-    free = [f for f in range(ncols) if f not in pivots]
-    basis = np.full((len(free), ncols), Fraction(0), dtype=object)
-    for k, f in enumerate(free):
-        basis[k, f] = Fraction(1)
-        for col, pivot in pivots.items():
-            if f in pivot:
-                basis[k, col] = -pivot[f]
-    return basis
 
 
 @dataclass
@@ -270,8 +254,8 @@ def prolongation_system(h: MatrixAlgebra, d: int) -> LinearSystem:
 
     For each symmetric d-tuple of basis vectors, the partial evaluation
     matrix must have zero Frobenius component along every vector of the
-    algebra's exact sparse complement basis (``h.echelon_complement``), so
-    the system splits into many small blocks for sparse generators.
+    algebra's sparse complement basis (``h.echelon_complement``), so the
+    system splits into many small blocks for sparse generators.
     """
     if d < 1:
         raise ValueError(f"order must be >= 1, got {d}")
@@ -404,17 +388,16 @@ def _sigma_ratios(svals: np.ndarray) -> np.ndarray:
 def _make_witness(h: MatrixAlgebra, coefficients: np.ndarray) -> Rank1Witness:
     w = h.element(coefficients)
     u, svals, vt = np.linalg.svd(w)
-    # the SVD's sign is arbitrary: make a's largest |entry| (first on ties)
-    # positive; adding 0.0 turns the -0.0 of a negation or of LAPACK into +0.0
+    # the SVD's sign is arbitrary: make a's largest |entry| (first on ties) positive
     sign = np.sign(vt[0, np.argmax(np.abs(vt[0]))])
-    a = sign * vt[0] + 0.0
-    v = sign * svals[0] * u[:, 0] + 0.0
+    a = sign * vt[0]
+    v = sign * svals[0] * u[:, 0]
     return Rank1Witness(
-        matrix=np.outer(v, a) + 0.0,
+        matrix=np.outer(v, a),
         a=a,
         v=v,
         # w has unit norm, so svals[0] > 0
-        sigma_ratio=float(svals[1] / svals[0]) + 0.0 if h.n > 1 else 0.0,
+        sigma_ratio=float(svals[1] / svals[0]) if h.n > 1 else 0.0,
         coefficients=np.asarray(coefficients),
     )
 

@@ -3,7 +3,9 @@
 Reports must be byte-identical across runs for golden-file regression, so
 serialization is done here rather than with the default JSON encoder: dict
 insertion order is preserved as the fixed field order, floats are written
-with 17 significant digits, and non-finite values are spelled explicitly.
+with 17 significant digits, -0.0 is written as ``0`` (JSON would read
+``-0`` back as the integer 0, so a report would not re-serialize to its own
+bytes), and non-finite values are spelled explicitly.
 
 One writer produces every report in a single pass.  It dispatches on the
 exact type of each node and falls back to ``isinstance`` only for numpy
@@ -52,7 +54,7 @@ def format_float(value: float) -> str:
         return '"inf"'
     if value == float("-inf"):
         return '"-inf"'
-    return format(float(value), ".17g")
+    return format(float(value) + 0.0, ".17g")  # adding 0.0 turns -0.0 into 0.0
 
 
 #: Bytes per slice of an embedded document's canonical text.
@@ -159,7 +161,7 @@ def _write(obj, out: list[str], nl: str) -> None:
     followed by the indent of the line that holds ``obj``."""
     cls = type(obj)
     if cls is float:
-        text = "%.17g" % obj
+        text = "%.17g" % (obj + 0.0)
         out.append(format_float(obj) if "n" in text else text)  # a finite .17g has no n
     elif cls is str:
         out.append(_quote(obj))
@@ -201,7 +203,7 @@ def _write_list(seq, out: list[str], nl: str) -> None:
         return
     inner = nl + "  "
     if set(map(type, seq)) == _FLOATS:
-        text = ("," + inner).join(["%.17g" % x for x in seq])
+        text = ("," + inner).join(["%.17g" % (x + 0.0) for x in seq])
         if "n" not in text:  # no NaN or infinity
             out.append("[" + inner + text + nl + "]")
             return
@@ -243,6 +245,7 @@ def _write_records(obj: Records, out: list[str], nl: str) -> None:
     values = np.concatenate(
         [a.reshape(obj.count, math.prod(a.shape[1:])) for a in obj.fields.values()], axis=1
     )
+    values += 0.0
     if not values.size or not np.isfinite(values).all():
         # NaN and infinities are written as strings, empty records as []
         _write_list(obj.tolist(), out, nl)

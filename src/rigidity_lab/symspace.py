@@ -29,6 +29,9 @@ import numpy as np
 
 from .multilinear import SPECTRAL_TOL
 
+#: Hard cap on the matrix entries, m n^2, of a curve resampled at m points.
+RESAMPLE_CAP = 10**7
+
 
 def _spd_stack(mats, label: str = "sample {}") -> np.ndarray:
     """Symmetrized read-only copy of a (K, n, n) stack of positive-definite matrices.
@@ -180,6 +183,12 @@ def arclength_reparam(curve: SpdCurve, m: int) -> SpdCurve:
     """Resample the curve at m points equally spaced in accumulated arc length."""
     if m < 2:
         raise ValueError(f"need at least two output samples, got {m}")
+    entries = m * curve.n**2
+    if entries > RESAMPLE_CAP:
+        raise ValueError(
+            f"{m} samples of {curve.n} x {curve.n} matrices would hold {entries} entries "
+            f"(cap {RESAMPLE_CAP}); resample at fewer points"
+        )
     t, mats = curve.params, curve.matrices
     s = _arclength(curve)
     if s[-1] <= 0.0:
@@ -214,7 +223,6 @@ def circle_mean(curve: SpdCurve) -> SpdPoint:
     weighted = curve.speeds[:, None, None] * mats
     dt = np.diff(curve.params)[:, None, None]
     # summed segment by segment in order, as accumulate does; np.sum and
-    # np.add.reduce sum pairwise (at n = 1 too), which moves the last bits;
-    # adding 0.0 gives +0.0 where the running sum from 0.0 would
-    num = np.add.accumulate(0.5 * (weighted[:-1] + weighted[1:]) * dt, axis=0)[-1] + 0.0
+    # np.add.reduce sum pairwise (at n = 1 too), which moves the last bits
+    num = np.add.accumulate(0.5 * (weighted[:-1] + weighted[1:]) * dt, axis=0)[-1]
     return SpdPoint(num / den)

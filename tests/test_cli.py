@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity_lab import __version__, cli, gcs, prolongation, reportio
+from rigidity_lab import __version__, braid, cli, gcs, prolongation, reportio
 
 TESTS_DIR = Path(__file__).parent
 GOLDEN_DIR = TESTS_DIR / "golden"
@@ -483,6 +483,72 @@ class TestExitCodes:
         assert "order 3 would have 4936400 unknowns (cap 20000)" in capsys.readouterr().err
         assert cli.main(["prolong", "--algebra", "co", "--n", "3", "--max-order", "6"]) == 2
         assert "max_order must be in 1..5, got 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "variant, n, unknowns",
+        [
+            ("classical", 1_000_000, 500_000_500_000_000_000),
+            ("classical", 100, 505_000),
+            ("symskew", 200, 1_600_000_000),
+            ("symskew", 27, 531_441),
+            ("generalized", 41, 506_842),
+        ],
+    )
+    def test_oversized_braid_is_two_before_any_form(self, variant, n, unknowns, monkeypatch):
+        def nothing_built(*args, **kwargs):
+            raise AssertionError("a form or system of an oversized braid run was built")
+
+        for name in ("_parse_matrix", "trilinear_symskew_kernel"):
+            monkeypatch.setattr(cli, name, nothing_built)
+        code, err = _main_exit(["braid", "--variant", variant, "--n", str(n)])
+        assert code == 2
+        assert err == (
+            f"error: the {variant} braid system at n = {n} would have {unknowns} unknowns "
+            "(cap 500000); reduce n\n"
+        )
+
+    @pytest.mark.parametrize("variant", ["classical", "generalized"])
+    def test_oversized_braid_form_is_two_before_any_system(self, variant, monkeypatch):
+        # a diag: form sets n without --n; its system is refused before it is built
+        monkeypatch.setattr(braid, "_normal_form_kernel", None)
+        monkeypatch.setattr(braid, "_braid_rows", None)
+        form = "diag:" + ",".join(["1"] * 100)
+        argv = ["braid", "--variant", variant, "--J", form]
+        code, err = _main_exit(argv + (["--Jp", form] if variant == "generalized" else []))
+        assert code == 2
+        assert "braid system at n = 100 would have" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "variant, n", [("generalized", 30), ("generalized", 40), ("symskew", 20), ("symskew", 26),
+                       ("classical", 60), ("classical", 99)],
+    )
+    def test_braid_sizes_below_the_cap_pass_the_check(self, variant, n):
+        braid.check_unknowns(variant, n)
+
+    def test_oversized_resample_is_two_before_reparameterizing(self, monkeypatch):
+        monkeypatch.setattr(np, "linspace", None)
+        code, err = _main_exit(["symspace", "--curve", CURVE_FILE, "--resample", "300000000"])
+        assert code == 2
+        assert err == (
+            "error: 300000000 samples of 2 x 2 matrices would hold 1200000000 entries "
+            "(cap 10000000); resample at fewer points\n"
+        )
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 7.28 TiB for an array"),
+             "error: out of memory: Unable to allocate 7.28 TiB for an array\n"),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+    )
+    def test_memory_error_is_two(self, exc, line, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "classical_braid_kernel", exhausted)
+        assert _main_exit(["braid", "--variant", "classical", "--n", "3"]) == (2, line)
 
     @pytest.mark.parametrize("coefficient", ["1e290", "1e303"])
     def test_non_finite_grid_value_is_two(self, coefficient, tmp_path, capsys):

@@ -1,7 +1,11 @@
 import dataclasses
+import importlib.util
 import itertools
+import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidity_lab import prolongation
+from rigidity_lab import prolongation, reportio
 from rigidity_lab.braid import _packed_rows, solve_kernel
 from rigidity_lab.prolongation import (
     RANK1_RATIO_TOL,
@@ -22,7 +26,6 @@ from rigidity_lab.prolongation import (
     UnknownBeyond,
     builtin_algebra,
     curve_stabilizer_algebra,
-    exact_null_basis,
     find_rank1,
     finite_type,
     membership_residual,
@@ -89,42 +92,169 @@ class TestMatrixAlgebra:
         assert len({h, h, builtin_algebra("so", 3)}) == 2
 
 
-def exact_rows(h):
-    return np.array(
-        [[Fraction(float(x)) for x in g.ravel()] for g in h.generators], dtype=object
-    )
+def fraction_null_basis(rows, rank):
+    """The complement's elimination in exact arithmetic, the reference for
+    ``MatrixAlgebra.echelon_complement``: the float rows read exactly as
+    Fractions, brought to reduced row echelon form by the same complete
+    pivoting (the largest |entry| left in the unpivoted rows, ties to the
+    lowest row, then the lowest column) and stopped after ``rank`` pivots.
+    Free column f gives ``e_f - sum_p R[p, f] e_{c_p}``, free columns
+    ascending, as a Fraction object array."""
+    # rows as sparse {column: value} dicts; pivot rows are kept reduced
+    live = {
+        i: {j: Fraction(x) for j, x in enumerate(row) if x}
+        for i, row in enumerate(rows.tolist())
+    }
+    pivots = {}
+    for _ in range(rank):
+        candidates = [(i, j) for i, row in live.items() for j in row]
+        i, col = max(candidates, key=lambda ij: (abs(live[ij[0]][ij[1]]), -ij[0], -ij[1]))
+        row = live.pop(i)
+        scale = row[col]
+        pivot = {j: v / scale for j, v in row.items()}
+        for other in (*live.values(), *pivots.values()):
+            factor = other.pop(col, 0)
+            if factor:
+                for j, v in pivot.items():
+                    if j != col:
+                        value = other.get(j, 0) - factor * v
+                        if value:
+                            other[j] = value
+                        else:
+                            other.pop(j, None)
+        pivots[col] = pivot
+    ncols = rows.shape[1]
+    free = [f for f in range(ncols) if f not in pivots]
+    basis = np.full((len(free), ncols), Fraction(0), dtype=object)
+    for k, f in enumerate(free):
+        basis[k, f] = Fraction(1)
+        for col, pivot in pivots.items():
+            if f in pivot:
+                basis[k, col] = -pivot[f]
+    return basis
+
+
+def generator_rows(h):
+    return np.stack([g.ravel() for g in h.generators])
+
+
+def owns_free_column(basis):
+    """Each vector is 1 at a column where every other vector is 0, so the
+    vectors are independent."""
+    alone = (basis == 1) & ((basis != 0).sum(axis=0) == 1)
+    return alone.any(axis=1).all()
 
 
 def _exact_algebras():
-    for n in range(2, 6):
-        yield f"so-{n}", builtin_algebra("so", n)
+    for n in range(1, 13):
         yield f"co-{n}", builtin_algebra("co", n)
-        yield f"lightlike_orth-{n}", builtin_algebra("lightlike_orth", n)
-    # integer generators with a dependency and fractional echelon entries
-    a = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0], [1.0, 0.0, 5.0]])
-    b = np.array([[0.0, 1.0, 7.0], [3.0, 0.0, 0.0], [0.0, 2.0, 1.0]])
-    yield "custom-dependent", builtin_algebra("custom", generators=[a, b, 3.0 * a - 2.0 * b])
-    # dyadic floats: 0.1 is read as the rational it rounds to
+        if n >= 2:  # so(1) is zero and lightlike_orth needs n >= 2
+            yield f"so-{n}", builtin_algebra("so", n)
+            yield f"lightlike_orth-{n}", builtin_algebra("lightlike_orth", n)
+    # one row: dyadic floats, 0.1 read as the rational it rounds to
     yield "one_param-decimal", builtin_algebra("one_param", r_matrix=[[0.1, 0.3], [-0.7, 0.2]])
 
 
 EXACT_ALGEBRAS = list(_exact_algebras())
 
+# integer generators with a dependency and fractional echelon entries
+_A = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0], [1.0, 0.0, 5.0]])
+_B = np.array([[0.0, 1.0, 7.0], [3.0, 0.0, 0.0], [0.0, 2.0, 1.0]])
+CUSTOM_DEPENDENT = builtin_algebra("custom", generators=[_A, _B, 3.0 * _A - 2.0 * _B])
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, registered as ``bench_workloads`` (its
+    dataclasses look their module up)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).parents[1] / "bench" / "workloads.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _bench_workloads()
+
+
+def _complement_oracle_cases():
+    for n in range(2, 7):
+        rng = np.random.default_rng((61, n))
+        algebras = {
+            "so": builtin_algebra("so", n),
+            "co": builtin_algebra("co", n),
+            "lightlike_orth": builtin_algebra("lightlike_orth", n),
+            "one_param": builtin_algebra("one_param", r_matrix=rng.standard_normal((n, n))),
+            "custom": builtin_algebra(
+                "custom", generators=[rng.standard_normal((n, n)) for _ in range(min(3, n))]
+            ),
+        }
+        g = random_well_conditioned(rng, n)
+        for name, h in algebras.items():
+            yield f"{name}-{n}", h
+            yield f"{name}-{n}-conjugated", conjugate(h, g)
+
+
+COMPLEMENT_ORACLE_CASES = list(_complement_oracle_cases())
+
+
+def _dense_algebras():
+    yield "custom-dependent", CUSTOM_DEPENDENT
+    for name, h in COMPLEMENT_ORACLE_CASES:
+        if name.startswith(("one_param", "custom")) or name.endswith("conjugated"):
+            yield name, h
+    # the dense sets of the benchmark's generator_matrices at seed 1
+    for n, count in ((8, 29), (10, 46)):
+        gens = workloads.generator_matrices(random.Random(1), n, count)
+        yield f"generators-{count}-n{n}", builtin_algebra("custom", generators=gens)
+
+
+DENSE_ALGEBRAS = list(_dense_algebras())
+
 
 class TestEchelonComplement:
     @pytest.mark.parametrize("name,h", EXACT_ALGEBRAS, ids=[name for name, _ in EXACT_ALGEBRAS])
     def test_exact_complement(self, name, h):
-        rows = np.stack([g.ravel() for g in h.generators])
-        basis = exact_null_basis(rows, h.dim)
+        rows = generator_rows(h)
+        oracle = fraction_null_basis(rows, h.dim)
         n2 = h.n * h.n
-        assert basis.shape == (n2 - h.dim, n2)
-        # every generator is exactly orthogonal to every complement vector
-        assert not (exact_rows(h) @ basis.T).any()
-        # each vector owns a free column, 1 there and 0 in every other
-        # vector, so the n^2 - dim vectors are independent
-        alone = (basis == 1) & ((basis != 0).sum(axis=0) == 1)
-        assert alone.any(axis=1).all()
-        assert np.array_equal(h.echelon_complement.reshape(-1, n2), basis.astype(float))
+        assert oracle.shape == (n2 - h.dim, n2)
+        # the oracle: every generator exactly orthogonal to every vector
+        exact = np.array([[Fraction(x) for x in row] for row in rows.tolist()], dtype=object)
+        for vector in oracle:
+            support = np.flatnonzero(vector)
+            assert not (exact[:, support] @ vector[support]).any()
+        assert owns_free_column(oracle)
+        # the float elimination gives the oracle's values, zeros unsigned
+        assert h.echelon_complement.reshape(-1, n2).tobytes() == oracle.astype(float).tobytes()
+
+    def test_fractional_entries_near_the_oracle(self):
+        # entries such as 2/35 come out of two roundings per row update,
+        # a few units in the last place from the rounded exact value
+        h = CUSTOM_DEPENDENT
+        oracle = fraction_null_basis(generator_rows(h), h.dim).astype(float)
+        basis = h.echelon_complement.reshape(len(oracle), -1)
+        assert np.max(np.abs(basis - oracle)) <= 1e-16
+        assert np.array_equal(basis == 0.0, oracle == 0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5, 7, 13])
+    def test_prolong_curves_one_param_complements(self, seed):
+        # the integer matrices R of the benchmark's one_param jobs
+        jobs = [job for job in workloads.build("prolong-curves", seed) if "one_param" in job.argv]
+        assert len(jobs) == 3
+        for job in jobs:
+            r = np.array(json.loads(job.argv[job.argv.index("--R") + 1]), dtype=float)
+            h = builtin_algebra("one_param", r_matrix=r)
+            oracle = fraction_null_basis(generator_rows(h), h.dim)
+            assert h.echelon_complement.tobytes() == oracle.astype(float).tobytes()
+
+    @pytest.mark.parametrize("name,h", DENSE_ALGEBRAS, ids=[name for name, _ in DENSE_ALGEBRAS])
+    def test_dense_complement(self, name, h):
+        rows = generator_rows(h)
+        basis = h.echelon_complement.reshape(-1, h.n * h.n)
+        assert basis.shape == (h.n * h.n - h.dim, h.n * h.n)
+        assert np.max(np.abs(rows @ basis.T)) <= 1e-12 * np.max(np.abs(rows))
+        assert owns_free_column(basis)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_builtin_complements_are_sparse(self, n):
@@ -248,29 +378,8 @@ ORACLE_ALGEBRAS = list(_oracle_algebras())
 
 def svd_complement_dim(h, d):
     """Order-d prolongation dimension with the dense orthonormal complement
-    from the algebra's SVD as test matrices: the oracle for the exact one."""
+    from the algebra's SVD as test matrices: the oracle for the echelon one."""
     return solve_kernel(_packed_rows(h._complement, d + 1)).kernel_dim
-
-
-def _complement_oracle_cases():
-    for n in range(2, 7):
-        rng = np.random.default_rng((61, n))
-        algebras = {
-            "so": builtin_algebra("so", n),
-            "co": builtin_algebra("co", n),
-            "lightlike_orth": builtin_algebra("lightlike_orth", n),
-            "one_param": builtin_algebra("one_param", r_matrix=rng.standard_normal((n, n))),
-            "custom": builtin_algebra(
-                "custom", generators=[rng.standard_normal((n, n)) for _ in range(min(3, n))]
-            ),
-        }
-        g = random_well_conditioned(rng, n)
-        for name, h in algebras.items():
-            yield f"{name}-{n}", h
-            yield f"{name}-{n}-conjugated", conjugate(h, g)
-
-
-COMPLEMENT_ORACLE_CASES = list(_complement_oracle_cases())
 
 
 class TestProlongationSystemOracle:
@@ -379,14 +488,18 @@ class TestFindRank1:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_witness_signed_without_negative_zero(self, n):
-        # negating the SVD's factors turns +0.0 into -0.0, a report's "-0"
+        # negating the SVD's factors turns +0.0 into -0.0, which the report
+        # writer writes as 0: the written witness reads back to its own bytes
         for k, sign in itertools.product(range(n * n), (1.0, -1.0)):
             r = np.zeros((n, n))
             r.flat[k] = sign
             w = find_rank1(builtin_algebra("one_param", r_matrix=r))
             assert w.a[np.argmax(np.abs(w.a))] > 0.0
-            for x in (w.a, w.v, w.matrix, np.float64(w.sigma_ratio)):
-                assert not np.any(np.signbit(x) & (x == 0.0)), (k, sign)
+            text = reportio.dump_bytes(
+                {"matrix": w.matrix, "a": w.a, "v": w.v, "sigma_ratio": w.sigma_ratio}
+            )
+            assert not re.search(rb"-0(?![.\d])", text), (k, sign)
+            assert reportio.dump_bytes(json.loads(text)) == text
 
     def test_deterministic_in_seed(self):
         h = builtin_algebra("lightlike_orth", 4)

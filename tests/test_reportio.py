@@ -217,11 +217,41 @@ def test_records_need_fields_of_one_length():
 
 
 def test_float_list_with_non_finite_values_is_written_element_by_element():
+    # -0.0 is written as 0, as JSON reads 0 back
     doc = {"v": [1.5, math.nan, -0.0, math.inf, -math.inf]}
     assert reportio.dumps(doc) == (
-        '{\n  "v": [\n    1.5,\n    "nan",\n    -0,\n    "inf",\n    "-inf"\n  ]\n}\n'
+        '{\n  "v": [\n    1.5,\n    "nan",\n    0,\n    "inf",\n    "-inf"\n  ]\n}\n'
     )
     assert reportio.dumps(doc) == oracle_dumps(doc)
+
+
+NEGATIVE_ZEROS = {
+    "float": -0.0,
+    "numpy scalar": np.float64(-0.0),
+    "float list": [-0.0, 1.5],
+    "mixed list": [-0.0, 1, "x"],
+    "array": np.array([[-0.0, 2.0], [0.0, -0.0]]),
+    "float32 array": np.full(2, -0.0, dtype=np.float32),
+    "records": reportio.Records({"t": [-0.0, 1.0], "matrix": np.full((2, 1, 1), -0.0)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_ZEROS))
+def test_negative_zero_is_written_as_zero(name):
+    doc = {"x": NEGATIVE_ZEROS[name]}
+    for text in (reportio.dump_bytes(doc), b"".join(reportio.Embedded(doc).slices)):
+        assert b"-0" not in text
+        assert reportio.dump_bytes(json.loads(text)) == text
+
+
+def test_report_of_negative_zero_input_rewrites_to_its_own_bytes(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["certify", "--builtin", "conformal_flat", "--n", "3", "--point=-0,0,0", "--r", "1"]
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    raw = out.read_bytes()
+    doc = json.loads(raw)
+    assert doc["input"]["point"] == [0, 0, 0]
+    assert reportio.dump_bytes(doc) == raw
 
 
 def test_numpy_bool_scalars_are_written_as_json_booleans():
