@@ -56,22 +56,14 @@ from .gcs import (
 )
 from .multilinear import SPECTRAL_TOL
 from .prolongation import (
+    ALGEBRAS,
     FiniteType,
     InfiniteType,
-    UnknownBeyond,
     builtin_algebra,
     check_max_order,
     finite_type,
 )
 from .symspace import SpdCurve, arclength_reparam, circle_mean, curve_length
-
-ALGEBRA_DESCRIPTIONS = {
-    "so": "antisymmetric matrices; first prolongation vanishes (finite type 1)",
-    "co": "scalings plus rotations; n-dimensional first prolongation, type 2 for n >= 3",
-    "lightlike_orth": "matrices annihilating diag(1,...,1,0); contains rank-one elements, infinite type",
-    "one_param": "span of a single matrix R; finite type exactly when rank(R) >= 2",
-    "custom": "span of user-supplied generator matrices",
-}
 
 #: The Python types of JSON numbers; bool subclasses int, but a JSON true or
 #: false is no number, so entries are tested with ``type(v) in``, and a pass
@@ -251,30 +243,22 @@ def _run_braid(args: argparse.Namespace) -> dict:
 
 
 def _finite_type_doc(result) -> dict:
-    if isinstance(result, FiniteType):
-        return {
-            "kind": "finite",
-            "order": result.order,
-            "dims": {str(k): v for k, v in sorted(result.dims.items())},
-        }
     if isinstance(result, InfiniteType):
         w = result.witness
         return {
             "kind": "infinite",
             "witness": {"matrix": w.matrix, "a": w.a, "v": w.v, "sigma_ratio": w.sigma_ratio},
         }
-    assert isinstance(result, UnknownBeyond)
-    return {
-        "kind": "unknown_beyond",
-        "max_order": result.max_order,
-        "dims": {str(k): v for k, v in sorted(result.dims.items())},
-    }
+    dims = {str(k): v for k, v in sorted(result.dims.items())}
+    if isinstance(result, FiniteType):
+        return {"kind": "finite", "order": result.order, "dims": dims}
+    return {"kind": "unknown_beyond", "max_order": result.max_order, "dims": dims}
 
 
 def _run_prolong(args: argparse.Namespace) -> dict:
-    for flag, reader in (("R", "one_param"), ("generators", "custom")):
-        if getattr(args, flag) is not None and args.algebra != reader:
-            raise ValueError(f"--{flag} is read only by --algebra {reader}, not {args.algebra}")
+    for name, spec in ALGEBRAS.items():
+        if spec.reads != "n" and getattr(args, spec.reads) is not None and args.algebra != name:
+            raise ValueError(f"--{spec.reads} is read only by --algebra {name}, not {args.algebra}")
     r_matrix = _json_matrix(json.loads(args.R), "R") if args.R else None
     generators = None
     if args.generators:
@@ -282,7 +266,8 @@ def _run_prolong(args: argparse.Namespace) -> dict:
         if not isinstance(generators, list):
             raise ValueError("--generators must be a JSON list of matrices")
         generators = [_json_matrix(g, f"generator {k}") for k, g in enumerate(generators)]
-    if args.n is not None and args.n >= 1 and r_matrix is None and generators is None:
+    spec = ALGEBRAS.get(args.algebra)
+    if spec and spec.reads == "n" and args.n is not None and args.n >= 1:
         # --n alone sets the size: refuse an oversized run before the basis is built
         check_max_order(args.n, args.max_order)
     algebra = builtin_algebra(args.algebra, n=args.n, r_matrix=r_matrix, generators=generators)
@@ -420,9 +405,9 @@ def _run_examples() -> str:
         lines.append(f"  {name.ljust(width)}{spec.kind.ljust(11)}{spec.description}")
     lines.append("")
     lines.append("builtin algebras:")
-    awidth = max(len(k) for k in ALGEBRA_DESCRIPTIONS) + 2
-    for name in sorted(ALGEBRA_DESCRIPTIONS):
-        lines.append(f"  {name.ljust(awidth)}{ALGEBRA_DESCRIPTIONS[name]}")
+    awidth = max(len(k) for k in ALGEBRAS) + 2
+    for name, spec in sorted(ALGEBRAS.items()):
+        lines.append(f"  {name.ljust(awidth)}{spec.description}")
     lines.append("")
     return "\n".join(lines)
 
@@ -503,9 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = command("prolong", "prolongation spaces and finite type", "tol", "seed")
-    p.add_argument(
-        "--algebra", default="custom", help="so | co | lightlike_orth | one_param | custom"
-    )
+    p.add_argument("--algebra", default="custom", help=" | ".join(ALGEBRAS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--R", default=None, help="matrix for one_param, inline JSON")
     p.add_argument("--generators", default=None, help="matrices for custom, inline JSON")

@@ -23,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -134,7 +135,7 @@ class MatrixAlgebra:
             unpivoted[i] = False
             pivot_rows.append(i)
             pivot_cols.append(col)
-        free = np.setdiff1d(np.arange(a.shape[1]), pivot_cols)
+        free = np.delete(np.arange(a.shape[1]), pivot_cols)
         basis = np.zeros((free.size, a.shape[1]))
         basis[np.arange(free.size), free] = 1.0
         basis[:, pivot_cols] = 0.0 - a[pivot_rows][:, free].T  # no -0.0 entry
@@ -505,47 +506,6 @@ def curve_stabilizer_algebra(samples: list[tuple[np.ndarray, np.ndarray]]) -> Ma
     return MatrixAlgebra(n, list(report.kernel_basis[:, : n * n].reshape(-1, n, n).mT))
 
 
-def builtin_algebra(
-    name: str,
-    n: int | None = None,
-    r_matrix: np.ndarray | None = None,
-    generators: list[np.ndarray] | None = None,
-) -> MatrixAlgebra:
-    """Catalog of named matrix algebras.
-
-    ``so``      antisymmetric matrices (orthogonal algebra);
-    ``co``      R*Id + so(n) (conformal algebra);
-    ``lightlike_orth``  the algebra of the degenerate form
-                        diag(1, ..., 1, 0), i.e. matrices X with
-                        X^T G + G X = 0;
-    ``one_param``       span of a single supplied matrix R;
-    ``custom``          the span of the supplied generators.
-    """
-    if name == "one_param":
-        if r_matrix is None:
-            raise ValueError("one_param algebra needs the matrix R")
-        r_matrix = np.asarray(r_matrix, dtype=float)
-        return MatrixAlgebra(r_matrix.shape[0], [r_matrix])
-    if name == "custom":
-        if not generators:
-            raise ValueError("custom algebra needs generator matrices")
-        gens = [np.asarray(g, dtype=float) for g in generators]
-        return MatrixAlgebra(gens[0].shape[0], gens)
-    if n is None:
-        raise ValueError(f"algebra '{name}' needs a dimension n")
-    if n < 1 and name in ("so", "co", "lightlike_orth"):
-        raise ValueError(f"algebra '{name}' needs n >= 1, got {n}")
-    if name == "so":
-        if n == 1:  # the only antisymmetric 1 x 1 matrix is 0
-            raise ValueError("so(1) is the zero algebra")
-        return MatrixAlgebra(n, _antisym_basis(n))
-    if name == "co":
-        return MatrixAlgebra(n, [np.eye(n)] + _antisym_basis(n))
-    if name == "lightlike_orth":
-        return _lightlike_orth(n)
-    raise ValueError(f"unknown algebra name '{name}'")
-
-
 def _antisym_basis(n: int) -> list[np.ndarray]:
     """The basis E_ij - E_ji (i < j) of so(n), empty at n = 1."""
     i, j = np.triu_indices(n, 1)
@@ -563,3 +523,66 @@ def _lightlike_orth(n: int) -> MatrixAlgebra:
         raise ValueError("lightlike orthogonal algebra needs n >= 2")
     so = [np.pad(x, ((0, 1), (0, 1))) for x in _antisym_basis(n - 1)]
     return MatrixAlgebra(n, so + list(np.eye(n * n)[-n:].reshape(n, n, n)))
+
+
+def _so(n: int) -> MatrixAlgebra:
+    if n == 1:  # the only antisymmetric 1 x 1 matrix is 0
+        raise ValueError("so(1) is the zero algebra")
+    return MatrixAlgebra(n, _antisym_basis(n))
+
+
+@dataclass(frozen=True)
+class _Algebra:
+    """A catalog entry: its ``examples list`` line, and the one input
+    (``n``, ``R`` or ``generators``, as the CLI flag) that ``build`` takes."""
+
+    description: str
+    reads: str
+    build: Callable[..., MatrixAlgebra]
+
+
+ALGEBRAS = {
+    "so": _Algebra(
+        "antisymmetric matrices; first prolongation vanishes (finite type 1)", "n", _so
+    ),
+    "co": _Algebra(
+        "scalings plus rotations; n-dimensional first prolongation, type 2 for n >= 3",
+        "n", lambda n: MatrixAlgebra(n, [np.eye(n)] + _antisym_basis(n)),
+    ),
+    "lightlike_orth": _Algebra(
+        "matrices annihilating diag(1,...,1,0); contains rank-one elements, infinite type",
+        "n", _lightlike_orth,
+    ),
+    "one_param": _Algebra(
+        "span of a single matrix R; finite type exactly when rank(R) >= 2",
+        "R", lambda r: MatrixAlgebra(len(r), [r]),
+    ),
+    "custom": _Algebra(
+        "span of user-supplied generator matrices",
+        "generators", lambda gens: MatrixAlgebra(len(gens[0]), gens),
+    ),
+}
+
+
+def builtin_algebra(
+    name: str, n: int | None = None, r_matrix: np.ndarray | None = None,
+    generators: list[np.ndarray] | None = None,
+) -> MatrixAlgebra:
+    """The algebra ``name`` of :data:`ALGEBRAS`, built from the one input its
+    entry reads: the dimension ``n``, ``r_matrix`` or the ``generators``."""
+    spec = ALGEBRAS.get(name)
+    if spec is None:
+        raise ValueError(f"unknown algebra name '{name}'")
+    if spec.reads == "R":
+        if r_matrix is None:
+            raise ValueError(f"{name} algebra needs the matrix R")
+        return spec.build(r_matrix)
+    if spec.reads == "generators":
+        if not generators:
+            raise ValueError(f"{name} algebra needs generator matrices")
+        return spec.build(generators)
+    if n is None:
+        raise ValueError(f"algebra '{name}' needs a dimension n")
+    if n < 1:
+        raise ValueError(f"algebra '{name}' needs n >= 1, got {n}")
+    return spec.build(n)

@@ -189,15 +189,6 @@ class RationalField:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    def __neg__(self) -> "RationalField":
-        return RationalField(-self.num, self.den)
-
-    def __sub__(self, other: "RationalField") -> "RationalField":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalField") -> "RationalField":
-        return RationalField(self.num * other.num, self.den * other.den)
-
     def scale(self, value) -> "RationalField":
         return RationalField(self.num.scale(value), self.den)
 

@@ -25,7 +25,8 @@ on Python 3.12+, ``_sha256`` on 3.10 and 3.11), the same digest as
 ``_hashlib``, about 3.6 MB of resident memory in a process that has
 imported numpy; ``hashlib`` is the fallback only where that module is
 missing.  No run of the package loads OpenSSL, ``numpy.random`` (which
-would load it through ``secrets`` -> ``hmac`` -> ``_hashlib``) or scipy.
+would load it through ``secrets`` -> ``hmac`` -> ``_hashlib``), ``numpy.ma``
+or scipy.
 The builtin hash costs 4.3 to 7.9 ms per MB against OpenSSL's 0.8 ms per
 MB (2-vCPU Xeon VM, Python 3.10 to 3.13).
 """

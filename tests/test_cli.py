@@ -205,22 +205,28 @@ def test_package_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_runs_load_no_openssl():
+def test_runs_load_no_openssl_or_numpy_ma():
     # input_hash comes from the builtin SHA-256 and the rank-one search draws
     # from random.Random: hashlib, and numpy.random through secrets and hmac,
-    # would map OpenSSL's libcrypto through _hashlib
+    # would map OpenSSL's libcrypto through _hashlib; numpy.ma comes in with
+    # the first call of np.unique (and so np.setdiff1d), which no command needs
     proc = subprocess.run(
         [sys.executable, "-c",
          "import contextlib, io, sys\n"
          "from rigidity_lab import cli\n"
          "for argv in (['certify', '--builtin', 'conformal_flat', '--n', '3', '--r', '1'],\n"
-         "             ['braid', '--n', '6'], ['prolong', '--algebra', 'co', '--n', '4'],\n"
+         "             ['lightlike', '--builtin', 'lightcone', '--n', '4', '--r', '1'],\n"
+         "             ['braid', '--n', '6'], ['braid', '--variant', 'classical', '--n', '4'],\n"
+         "             ['braid', '--variant', 'symskew', '--n', '3'],\n"
+         "             ['prolong', '--algebra', 'co', '--n', '4'],\n"
          "             ['prolong', '--algebra', 'lightlike_orth', '--n', '5'],\n"
          "             ['prolong', '--algebra', 'one_param', '--R', '[[0,1,0],[0,0,0],[0,0,0]]'],\n"
-         "             ['symspace', '--curve', sys.argv[1], '--resample', '33']):\n"
+         "             ['symspace', '--curve', sys.argv[1], '--resample', '33'],\n"
+         "             ['examples', 'list']):\n"
          "    with contextlib.redirect_stdout(io.StringIO()):\n"
          "        assert cli.main(argv) == 0, argv\n"
-         "print(sorted(m for m in ('_hashlib', 'secrets', 'numpy.random') if m in sys.modules))",
+         "print(sorted(m for m in ('_hashlib', 'secrets', 'numpy.random', 'numpy.ma')\n"
+         "             if m in sys.modules))",
          CURVE_FILE],
         capture_output=True, text=True, check=True,
     )
@@ -333,6 +339,7 @@ class TestExitCodes:
             (["--generators", '{"0": [[1]]}'], "--generators must be a JSON list of matrices"),
             (["--algebra", "one_param", "--R", "[[1,2]]"],
              "R must be square, got shape (1, 2)"),
+            (["--algebra", "foo"], "unknown algebra name 'foo'"),
         ],
     )
     def test_invalid_algebra_input_is_two(self, args, message, capsys):
