@@ -3,12 +3,12 @@
 Each command takes only the flags it reads, and each handler reads the
 parsed arguments; every default lives in the argument parser.  One envelope
 writes every report's metadata: the tool version and the command, then the
-seed, grid and resolved tolerances of the commands that take ``--seed``,
-``--grid`` and ``--tol``, then the canonical ``input`` document and
-``input_hash``, the sha256 of that document's canonical bytes (written
-once: the report embeds the bytes it hashes), so a report can be
-reproduced, and checked, from its own metadata.  Byte-identical
-output for identical inputs is a contract covered by golden-file tests.
+grid and resolved tolerances of the commands that take ``--grid`` and
+``--tol``, then the canonical ``input`` document and ``input_hash``, the
+sha256 of that document's canonical bytes (written once: the report embeds
+the bytes it hashes), so a report can be reproduced, and checked, from its
+own metadata.  Byte-identical output for identical inputs is a contract
+covered by golden-file tests.
 Exit status 0 means the run completed (verdicts live in the report, not the
 exit code), 2 flags invalid input or an ``--output`` path that cannot be
 written, and 3 a numerical failure: a
@@ -143,11 +143,9 @@ def _resolve_chart(args: argparse.Namespace):
 
 def _envelope(args: argparse.Namespace, input_doc: dict, payload: dict) -> dict:
     """The report: its metadata, ``input_doc`` with its hash, then ``payload``;
-    seed, grid and tolerances only of the commands that take those flags."""
+    grid and tolerances only of the commands that take those flags."""
     flags = vars(args)
     doc = {"tool": "rigidity-lab", "tool_version": __version__, "command": args.command}
-    if "seed" in flags:
-        doc["seed"] = args.seed
     if "grid" in flags:
         doc["grid"] = args.grid
     if "tol" in flags:
@@ -273,7 +271,7 @@ def _run_prolong(args: argparse.Namespace) -> dict:
     algebra = builtin_algebra(args.algebra, n=args.n, r_matrix=r_matrix, generators=generators)
     if args.n is not None and args.n != algebra.n:
         raise ValueError(f"--n {args.n} differs from the dimension {algebra.n} of the algebra")
-    result = finite_type(algebra, max_order=args.max_order, tol=args.tol, seed=args.seed)
+    result = finite_type(algebra, max_order=args.max_order, tol=args.tol)
     # a finite type stops at its first vanishing order: g^(d) = 0 forces every
     # higher prolongation to vanish, so the orders above it read 0 unsolved
     dims = {str(d): result.dims.get(d, 0) for d in range(1, args.max_order + 1)}
@@ -284,7 +282,6 @@ def _run_prolong(args: argparse.Namespace) -> dict:
         "generators": generators,
         "max_order": args.max_order,
         "tol": args.tol,
-        "seed": args.seed,
     }
     payload = {
         "algebra_dim": algebra.dim,
@@ -435,7 +432,6 @@ _SHARED_FLAGS = {
     "tol": (
         "--tol", {"type": float, "default": SPECTRAL_TOL, "help": "relative kernel tolerance"}
     ),
-    "seed": ("--seed", {"type": int, "default": 0}),
     "grid": ("--grid", {"type": int, "default": 5, "help": "validation samples per axis"}),
     "kernel_basis": (
         "--kernel-basis", {"action": "store_true", "help": "include kernel basis vectors"}
@@ -487,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--variant", choices=["generalized", "classical", "symskew"], default="generalized"
     )
 
-    p = command("prolong", "prolongation spaces and finite type", "tol", "seed")
+    p = command("prolong", "prolongation spaces and finite type", "tol")
     p.add_argument("--algebra", default="custom", help=" | ".join(ALGEBRAS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--R", default=None, help="matrix for one_param, inline JSON")

@@ -20,7 +20,6 @@ generators in floats (:attr:`MatrixAlgebra.echelon_complement`).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -43,9 +42,6 @@ MAX_ORDER_CAP = 5
 
 #: sigma_2 / sigma_1 threshold below which a matrix counts as rank one.
 RANK1_RATIO_TOL = 1e-8
-
-#: Seeded start covectors of the rank-one search, after the basis elements'.
-RANK1_TRIALS = 64
 
 #: Distance of a unit ``v a^T`` from the algebra at which a start converged.
 RANK1_RESIDUAL_TOL = 1e-12
@@ -281,18 +277,17 @@ def membership_residual(h: MatrixAlgebra, t: SymTensor) -> float:
     return float(np.max(h.projection_residual(x)))
 
 
-def find_rank1(h: MatrixAlgebra, seed: int = 0) -> Rank1Witness | None:
+def find_rank1(h: MatrixAlgebra) -> Rank1Witness | None:
     """Search the subspace for a rank-one element.
 
     An orthonormalized basis element whose sigma_2/sigma_1 is below
     ``RANK1_RATIO_TOL`` is the witness itself: the first such element is
     returned, and nothing is searched.  Otherwise one alternating solve over
     the factors of ``v a^T`` (see :func:`_alternating_rank1`) starts from
-    the leading right singular vector of each basis element, then from
-    ``RANK1_TRIALS`` seeded covectors: trial i draws n normals from its own
-    Mersenne Twister, a ``random.Random`` seeded from ``(seed, i)``, so
-    trials are order independent and any int seeds the search.  Each result
-    is projected onto the algebra, which on a line gives back the basis
+    every right singular vector of every basis element, element by element
+    and within an element in descending order of its singular values, so
+    the search is deterministic and needs no random draws.  Each result is
+    projected onto the algebra, which on a line gives back the basis
     element, and the projection with the least sigma_2/sigma_1 is the
     witness if that ratio is below ``RANK1_RATIO_TOL``.  A witness is signed
     so that its largest entry is positive.  Returning None is a heuristic
@@ -301,12 +296,10 @@ def find_rank1(h: MatrixAlgebra, seed: int = 0) -> Rank1Witness | None:
     _, svals, vt = np.linalg.svd(h.orthonormalized_basis)
     rank1 = np.flatnonzero(_sigma_ratios(svals) < RANK1_RATIO_TOL)
     if rank1.size:
-        witness = _signed_witness(h, np.eye(h.dim)[rank1[0]])
+        witness = _make_witness(h, np.eye(h.dim)[rank1[0]])
         if witness.sigma_ratio < RANK1_RATIO_TOL:
             return witness
-    rngs = [_seeded(seed, i) for i in range(RANK1_TRIALS)]
-    covectors = np.array([[rng.gauss(0.0, 1.0) for _ in range(h.n)] for rng in rngs])
-    v, a = _alternating_rank1(h._complement, np.concatenate([vt[:, 0, :], covectors]))
+    v, a = _alternating_rank1(h._complement, vt.reshape(-1, h.n))
     # project each v a^T onto the algebra; a zero projection scores 1
     coefficients = np.tensordot(
         v[:, :, None] * a[:, None, :], h.orthonormalized_basis, axes=([1, 2], [1, 2])
@@ -314,26 +307,8 @@ def find_rank1(h: MatrixAlgebra, seed: int = 0) -> Rank1Witness | None:
     norms = np.linalg.norm(coefficients, axis=1, keepdims=True)
     coefficients /= np.where(norms > 0.0, norms, 1.0)
     svals = np.linalg.svd(h.element(coefficients), compute_uv=False)
-    witness = _signed_witness(h, coefficients[np.argsort(_sigma_ratios(svals), kind="stable")[0]])
+    witness = _make_witness(h, coefficients[np.argsort(_sigma_ratios(svals), kind="stable")[0]])
     return witness if witness.sigma_ratio < RANK1_RATIO_TOL else None
-
-
-def _signed_witness(h: MatrixAlgebra, coefficients: np.ndarray) -> Rank1Witness:
-    """The witness of an element, signed so that its largest entry is
-    positive (the sign of ``v a^T`` is arbitrary)."""
-    w = h.element(coefficients)
-    return _make_witness(h, coefficients * np.sign(w.flat[np.argmax(np.abs(w))]))
-
-
-def _seeded(seed: int, key: int | str) -> random.Random:
-    """A Mersenne Twister seeded from ``(seed, key)``.
-
-    The pair is written as one string, injective in both parts since an int
-    has no space, and ``Random`` hashes it itself (SHA-512), so draws do not
-    depend on PYTHONHASHSEED; ``Random`` refuses tuples, and an int seed
-    would lose its sign.
-    """
-    return random.Random(f"{seed} {key}")
 
 
 def _alternating_rank1(
@@ -387,7 +362,11 @@ def _sigma_ratios(svals: np.ndarray) -> np.ndarray:
 
 
 def _make_witness(h: MatrixAlgebra, coefficients: np.ndarray) -> Rank1Witness:
+    """The witness of an element, signed so that its largest |entry| (the
+    first on ties) is positive, since the sign of ``v a^T`` is arbitrary."""
     w = h.element(coefficients)
+    if w.flat[np.argmax(np.abs(w))] < 0.0:
+        coefficients, w = -coefficients, -w
     u, svals, vt = np.linalg.svd(w)
     # the SVD's sign is arbitrary: make a's largest |entry| (first on ties) positive
     sign = np.sign(vt[0, np.argmax(np.abs(vt[0]))])
@@ -428,7 +407,6 @@ def finite_type(
     h: MatrixAlgebra,
     max_order: int = 3,
     tol: float = SPECTRAL_TOL,
-    seed: int = 0,
 ) -> FiniteType | InfiniteType | UnknownBeyond:
     """Determine the type of an algebra up to ``max_order``.
 
@@ -439,11 +417,10 @@ def finite_type(
     never runs the rank-one search, since a rank-one element ``v a^T`` would
     give the nonzero ``<a,x>^(d+1) v`` at every order.  Only when no order
     up to ``max_order`` vanishes does the heuristic search
-    :func:`find_rank1` run with ``seed``: a rank-one element certifies
-    infinite type through its explicit witness family, and otherwise the
-    type is unknown beyond ``max_order``.  An algebra whose
-    order-``max_order`` system exceeds ``SIZE_CAP`` unknowns is refused
-    before any solve.
+    :func:`find_rank1` run: a rank-one element certifies infinite type
+    through its explicit witness family, and otherwise the type is unknown
+    beyond ``max_order``.  An algebra whose order-``max_order`` system
+    exceeds ``SIZE_CAP`` unknowns is refused before any solve.
     """
     check_max_order(h.n, max_order)
     dims: dict[int, int] = {}
@@ -451,7 +428,7 @@ def finite_type(
         dims[d] = prolongation_space(h, d, tol=tol).dim
         if dims[d] == 0:
             return FiniteType(order=d, dims=dims)
-    witness = find_rank1(h, seed=seed)
+    witness = find_rank1(h)
     if witness is not None:
         return InfiniteType(witness=witness, dims=dims)
     return UnknownBeyond(max_order=max_order, dims=dims)
@@ -578,7 +555,7 @@ def builtin_algebra(
             raise ValueError(f"{name} algebra needs the matrix R")
         return spec.build(r_matrix)
     if spec.reads == "generators":
-        if not generators:
+        if generators is None or len(generators) == 0:
             raise ValueError(f"{name} algebra needs generator matrices")
         return spec.build(generators)
     if n is None:

@@ -89,7 +89,7 @@ def test_criterion_3_finite_type_dichotomy():
         rng = np.random.default_rng((1, trial))
         r1 = np.outer(rng.standard_normal(n), rng.standard_normal(n))
         span = builtin_algebra("one_param", r_matrix=r1)
-        result = finite_type(span, seed=trial)
+        result = finite_type(span)
         assert isinstance(result, InfiniteType), trial
         l1 = rank1_witness_prolongation(result.witness.a, result.witness.v, 1)
         assert membership_residual(span, l1) < 1e-8
@@ -99,7 +99,7 @@ def test_criterion_3_finite_type_dichotomy():
             s = np.linalg.svd(r2, compute_uv=False)
             if s[1] > 0.2 * s[0]:
                 break
-        result2 = finite_type(builtin_algebra("one_param", r_matrix=r2), seed=trial)
+        result2 = finite_type(builtin_algebra("one_param", r_matrix=r2))
         assert isinstance(result2, FiniteType) and result2.order == 1, trial
 
     rng = np.random.default_rng(77)

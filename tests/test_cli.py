@@ -182,7 +182,7 @@ class TestEnvelope:
             (["braid", "--n", "4", "--variant", "classical"], ["--J", "identity"],
              "412384a0f4d06944f67839dff48462ea3753376d4f89da0a7aca0c76c6f6da89"),
             (["prolong", "--generators", "[[[1,0],[0,1]],[[0,1],[0,0]]]"], ["--algebra", "custom"],
-             "22fba9c2893eee37f9a7492dc46936343c5eccef9f1c28d67969645496b67ab0"),
+             "0f8b345c4a5bc476023d150e389daca2df381d6e540547483fbaf209469545c1"),
         ],
     )
     def test_omitted_flags_take_parser_defaults(self, argv, explicit, digest, tmp_path):
@@ -190,7 +190,8 @@ class TestEnvelope:
         assert code == 0
         assert _main_report([*argv, *explicit], tmp_path) == (0, omitted)
         # the bytes these commands wrote when the handlers held the defaults,
-        # less the seed and grid lines of flags they do not take
+        # less the seed and grid lines of flags they do not take (prolong's
+        # seed went with its flag)
         assert hashlib.sha256(omitted).hexdigest() == digest
 
 
@@ -206,9 +207,9 @@ def test_package_import_loads_no_scipy():
 
 
 def test_runs_load_no_openssl_or_numpy_ma():
-    # input_hash comes from the builtin SHA-256 and the rank-one search draws
-    # from random.Random: hashlib, and numpy.random through secrets and hmac,
-    # would map OpenSSL's libcrypto through _hashlib; numpy.ma comes in with
+    # input_hash comes from the builtin SHA-256 and no command draws random
+    # numbers: hashlib, and numpy.random through secrets and hmac, would map
+    # OpenSSL's libcrypto through _hashlib; numpy.ma comes in with
     # the first call of np.unique (and so np.setdiff1d), which no command needs
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -1217,7 +1218,7 @@ SHARED_FLAGS = {
     "certify": {"--tol", "--grid", "--kernel-basis"},
     "lightlike": {"--tol", "--grid", "--kernel-basis"},
     "braid": {"--tol", "--kernel-basis"},
-    "prolong": {"--tol", "--seed"},
+    "prolong": {"--tol"},
     "symspace": set(),
     "examples": set(),
 }
@@ -1249,8 +1250,8 @@ class TestFlags:
             assert flags & set(_FLAG_VALUES) == shared
             assert "--output" in flags
             settable += len(flags) + (command == "examples")  # the list positional
-        assert settable == 41
-        assert len(_REMOVED_FLAGS) == 14
+        assert settable == 40
+        assert len(_REMOVED_FLAGS) == 15
 
     def test_parser_built_once_per_process(self):
         assert cli._build_parser() is cli._build_parser()
@@ -1347,10 +1348,11 @@ class TestFlags:
         assert doc["grid"] == 4
         assert doc["input_hash"]
         assert doc["input"]["chart"]["n"] == 3
-        proc = run_cli(["prolong", "--algebra", "so", "--n", "3", "--seed", "5"])
+        # prolong reads no seed, so its report carries none
+        proc = run_cli(["prolong", "--algebra", "so", "--n", "3"])
         doc = json.loads(proc.stdout)
-        assert doc["seed"] == 5
-        assert doc["input"]["seed"] == 5
+        assert "seed" not in doc
+        assert "seed" not in doc["input"]
 
 
 class TestCommands:
@@ -1454,15 +1456,12 @@ class TestCommands:
         ["--algebra", "lightlike_orth", "--n", "5"],
         ["--algebra", "one_param", "--R", "[[0,1,0],[0,0,0],[0,0,0]]"],
     ])
-    def test_prolong_negative_seed_same_bytes(self, algebra, tmp_path):
-        # every int seeds the rank-one search, a negative one included
-        argv = ["prolong", *algebra, "--seed", "-1"]
+    def test_prolong_infinite_type_same_bytes(self, algebra, tmp_path):
+        argv = ["prolong", *algebra]
         code, first = _main_report(argv, tmp_path)
         assert code == 0
         assert _main_report(argv, tmp_path) == (0, first)
-        doc = json.loads(first)
-        assert doc["seed"] == -1
-        assert doc["type"]["kind"] == "infinite"
+        assert json.loads(first)["type"]["kind"] == "infinite"
 
     @pytest.mark.parametrize(
         "name, dims", [("co", {"1": 8, "2": 0, "3": 0}), ("so", {"1": 0, "2": 0, "3": 0})]
@@ -1500,10 +1499,11 @@ class TestCommands:
         # report's dims reuse them
         assert calls == [1, 2]
         # the bytes written when every order was solved a second time, less
-        # the grid line of a flag prolong does not take, and less the order 3
-        # that finite_type once solved to confirm the vanishing
+        # the grid line of a flag prolong does not take, less the order 3
+        # that finite_type once solved to confirm the vanishing, and less the
+        # seed lines of the flag prolong no longer takes
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "87f8b5b69cd221d006d71fbd2b44b556d5a512ebc63498ecf34512e09c739304"
+        assert digest == "e5a72cd8b76df832de961bbe9c6a06e598d3919bb750064d55b680997b3ef5d6"
 
         # an infinite type solves every order before its search, and the
         # report's dims are the result's
