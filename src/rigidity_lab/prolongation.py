@@ -282,16 +282,19 @@ def find_rank1(h: MatrixAlgebra) -> Rank1Witness | None:
 
     An orthonormalized basis element whose sigma_2/sigma_1 is below
     ``RANK1_RATIO_TOL`` is the witness itself: the first such element is
-    returned, and nothing is searched.  Otherwise one alternating solve over
-    the factors of ``v a^T`` (see :func:`_alternating_rank1`) starts from
-    every right singular vector of every basis element, element by element
-    and within an element in descending order of its singular values, so
-    the search is deterministic and needs no random draws.  Each result is
-    projected onto the algebra, which on a line gives back the basis
+    returned, and nothing is searched.  Otherwise alternating solves over
+    the factors of ``v a^T`` (see :func:`_alternating_rank1`) start from the
+    right singular vectors of the basis elements, so the search is
+    deterministic and needs no random draws.  Solve k starts from the k-th
+    singular vector of every element whose rank (by ``SPECTRAL_TOL``)
+    exceeds k, in basis order, leading vectors first: a kernel has no
+    singular vectors of its own, only the basis LAPACK picks.  Each result
+    is projected onto the algebra, which on a line gives back the basis
     element, and the projection with the least sigma_2/sigma_1 is the
-    witness if that ratio is below ``RANK1_RATIO_TOL``.  A witness is signed
-    so that its largest entry is positive.  Returning None is a heuristic
-    negative, not a proof of absence.
+    witness if that ratio is below ``RANK1_RATIO_TOL``.  The first solve
+    with a witness ends the search, so no solve advances more than ``dim``
+    starts.  A witness is signed so that its largest entry is positive.
+    Returning None is a heuristic negative, not a proof of absence.
     """
     _, svals, vt = np.linalg.svd(h.orthonormalized_basis)
     rank1 = np.flatnonzero(_sigma_ratios(svals) < RANK1_RATIO_TOL)
@@ -299,16 +302,23 @@ def find_rank1(h: MatrixAlgebra) -> Rank1Witness | None:
         witness = _make_witness(h, np.eye(h.dim)[rank1[0]])
         if witness.sigma_ratio < RANK1_RATIO_TOL:
             return witness
-    v, a = _alternating_rank1(h._complement, vt.reshape(-1, h.n))
-    # project each v a^T onto the algebra; a zero projection scores 1
-    coefficients = np.tensordot(
-        v[:, :, None] * a[:, None, :], h.orthonormalized_basis, axes=([1, 2], [1, 2])
-    )
-    norms = np.linalg.norm(coefficients, axis=1, keepdims=True)
-    coefficients /= np.where(norms > 0.0, norms, 1.0)
-    svals = np.linalg.svd(h.element(coefficients), compute_uv=False)
-    witness = _make_witness(h, coefficients[np.argsort(_sigma_ratios(svals), kind="stable")[0]])
-    return witness if witness.sigma_ratio < RANK1_RATIO_TOL else None
+    # each element is a unit matrix, so svals[:, 0] > 0
+    row_space = svals >= SPECTRAL_TOL * svals[:, :1]
+    for k in range(row_space.sum(axis=1).max()):
+        v, a = _alternating_rank1(h._complement, vt[row_space[:, k], k])
+        # project each v a^T onto the algebra; a zero projection scores 1
+        coefficients = np.tensordot(
+            v[:, :, None] * a[:, None, :], h.orthonormalized_basis, axes=([1, 2], [1, 2])
+        )
+        norms = np.linalg.norm(coefficients, axis=1, keepdims=True)
+        coefficients /= np.where(norms > 0.0, norms, 1.0)
+        svals = np.linalg.svd(h.element(coefficients), compute_uv=False)
+        witness = _make_witness(
+            h, coefficients[np.argsort(_sigma_ratios(svals), kind="stable")[0]]
+        )
+        if witness.sigma_ratio < RANK1_RATIO_TOL:
+            return witness
+    return None
 
 
 def _alternating_rank1(
@@ -324,15 +334,19 @@ def _alternating_rank1(
     with v fixed, a that of the rows ``(Q_q^T v)^T``.  A start stops when
     its residual falls below ``RANK1_RESIDUAL_TOL``, when a sweep lowers it
     by less than the fraction ``RANK1_STALL``, or after ``RANK1_MAX_SWEEPS``
-    sweeps; the search ends as soon as one start has converged, since one
+    sweeps; the solve ends as soon as one start has converged, since one
     rank-one element suffices.
     """
+    # a @ by_row holds the rows (Q_q a)^T, v @ by_column the rows (Q_q^T v)^T
+    n = a.shape[1]
+    by_row = complement.reshape(-1, n).T
+    by_column = complement.transpose(1, 0, 2).reshape(n, -1)
     v = np.empty_like(a)
     residual = np.full(len(a), np.inf)
     active = np.arange(len(a))
     for _ in range(RANK1_MAX_SWEEPS):
-        v[active], _ = _null_direction(np.einsum("qij,sj->sqi", complement, a[active]))
-        a[active], r = _null_direction(np.einsum("qij,si->sqj", complement, v[active]))
+        v[active], _ = _null_direction((a[active] @ by_row).reshape(active.size, -1, n))
+        a[active], r = _null_direction((v[active] @ by_column).reshape(active.size, -1, n))
         stalled = r > (1.0 - RANK1_STALL) * residual[active]
         residual[active] = r
         if np.any(r < RANK1_RESIDUAL_TOL):
@@ -346,9 +360,11 @@ def _alternating_rank1(
 def _null_direction(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit x minimizing ``|m_s x|`` for each matrix of a (S, c, n) stack,
     with the minimum (0 when c < n leaves a null space)."""
-    _, svals, vt = np.linalg.svd(m, full_matrices=m.shape[1] < m.shape[2])
     if m.shape[1] < m.shape[2]:
-        return vt[:, -1, :], np.zeros(len(m))
+        return np.linalg.svd(m)[2][:, -1, :], np.zeros(len(m))
+    # the (n, n) R of m = QR has m's singular values and right singular
+    # vectors, and its SVD forms no (S, c, n) stack of left vectors
+    _, svals, vt = np.linalg.svd(np.linalg.qr(m, mode="r"))
     return vt[:, -1, :], svals[:, -1]
 
 

@@ -1446,11 +1446,27 @@ class TestCommands:
             assert reportio.dump_bytes(json.loads(report)) == report, (k, sign)
 
     def test_prolong_rank1_search_same_bytes_across_threads(self):
-        # lightlike_orth n=5 has its witness from the batched alternating solve
+        # lightlike_orth n=5 has a rank-one basis element as its witness
         args = ["prolong", "--algebra", "lightlike_orth", "--n", "5"]
         single = run_cli(args, threads="1").stdout
         assert single == run_cli(args, threads="2").stdout
         assert json.loads(single)["type"]["kind"] == "infinite"
+
+    def test_prolong_alternating_search_same_bytes_across_threads(self):
+        # span{P + G, P - G} with P = v a^T rank one and G of rank 4: no
+        # basis element is rank one, so the witness comes from the
+        # alternating solve
+        p = np.outer([1, 2, 0, 1], [0, 1, 1, 2])
+        g = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 2]])
+        h = prolongation.MatrixAlgebra(4, [p + g, p - g])
+        svals = np.linalg.svd(h.orthonormalized_basis, compute_uv=False)
+        assert np.min(prolongation._sigma_ratios(svals)) > 1e-3
+        generators = json.dumps([(p + g).tolist(), (p - g).tolist()])
+        args = ["prolong", "--generators", generators]
+        single = run_cli(args, threads="1").stdout
+        assert single == run_cli(args, threads="2").stdout
+        witness = json.loads(single)["type"]["witness"]
+        assert witness["sigma_ratio"] < prolongation.RANK1_RATIO_TOL
 
     @pytest.mark.parametrize("algebra", [
         ["--algebra", "lightlike_orth", "--n", "5"],

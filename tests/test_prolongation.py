@@ -511,7 +511,21 @@ class TestFindRank1:
             assert not re.search(rb"-0(?![.\d])", text), (k, sign)
             assert reportio.dump_bytes(json.loads(text)) == text
 
-    def test_deterministic_in_seed(self):
+    @pytest.mark.parametrize("shape", [(5, 11, 6), (3, 6, 6), (4, 3, 5)])
+    def test_null_direction_matches_direct_svd(self, shape):
+        # the SVD of R from m = QR against the SVD of m itself; c < n has a
+        # null space, so the minimum is 0
+        m = np.random.default_rng(53).standard_normal(shape)
+        x, least = prolongation._null_direction(m)
+        _, svals, vt = np.linalg.svd(m)
+        expected = svals[:, -1] if shape[1] >= shape[2] else np.zeros(shape[0])
+        assert np.allclose(least, expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(m @ x[:, :, None], axis=(1, 2)), expected, atol=1e-12)
+        if shape[1] >= shape[2]:
+            assert np.allclose(np.abs(np.einsum("si,si->s", x, vt[:, -1])), 1.0, atol=1e-12)
+
+    def test_deterministic(self):
         h = builtin_algebra("lightlike_orth", 4)
         w1 = find_rank1(h)
         w2 = find_rank1(h)
@@ -535,11 +549,15 @@ class TestFindRank1:
         w = find_rank1(builtin_algebra("lightlike_orth", 5))
         assert witnesses == {w.coefficients.tobytes().hex()}
 
-    def test_seeded_start_covectors(self, monkeypatch):
-        # the alternating solve starts from every right singular vector of
-        # every basis element: element by element, and within an element in
-        # descending order of its singular values
-        h = builtin_algebra("so", 4)
+    @pytest.mark.parametrize("name, solves", [("so", 2), ("dense", 4)])
+    def test_starts_are_basis_singular_vectors(self, name, solves, monkeypatch):
+        # solve k starts from the k-th right singular vector of every basis
+        # element of rank above k, leading vectors first: so(4)'s elements
+        # have rank 2, two dense ones rank 4; neither algebra has a witness
+        if name == "so":
+            h = builtin_algebra("so", 4)
+        else:
+            h = MatrixAlgebra(4, list(np.random.default_rng(47).standard_normal((2, 4, 4))))
         starts = []
 
         def record(complement, a):
@@ -547,10 +565,11 @@ class TestFindRank1:
             return np.ones_like(a), a
 
         monkeypatch.setattr(prolongation, "_alternating_rank1", record)
-        find_rank1(h)
-        (a,) = starts
-        assert a.shape == (h.dim * h.n, h.n)
-        assert np.array_equal(a, np.linalg.svd(h.orthonormalized_basis)[2].reshape(-1, h.n))
+        assert find_rank1(h) is None
+        vt = np.linalg.svd(h.orthonormalized_basis)[2]
+        assert len(starts) == solves
+        for k, a in enumerate(starts):
+            assert np.array_equal(a, vt[:, k])
 
     def test_witness_sign_fixed_by_largest_entry(self):
         # span{R} = span{-R}: the same witness, its largest entry positive
@@ -617,7 +636,8 @@ class TestRank1BasisElement:
 
         monkeypatch.setattr(prolongation, "_alternating_rank1", counted)
         w = find_rank1(h)
-        assert calls == [h.dim * h.n]
+        # one solve of dim starts per singular vector rank, until a witness
+        assert calls and set(calls) == {h.dim}
         assert_valid_witness(h, w)
         cosine = np.vdot(w.matrix, planted) / (np.linalg.norm(w.matrix) * np.linalg.norm(planted))
         assert abs(abs(cosine) - 1.0) < 1e-8
