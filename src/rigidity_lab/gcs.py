@@ -271,6 +271,15 @@ def _check_grid_cap(n: int, per_axis: int) -> None:
         )
 
 
+def _first_least(values: np.ndarray, kept: float) -> int | None:
+    """Index of the first of ``values`` (all >= 0) within DEN_VANISH_ULPS
+    ulps of their least, or None when that value is not below ``kept`` by
+    more than that: ties keep the first point, whatever the last bits say."""
+    tie = DEN_VANISH_ULPS * np.finfo(float).eps
+    k = int(np.argmax(values <= values.min() * (1.0 + tie)))
+    return k if values[k] < kept * (1.0 - tie) else None
+
+
 def _grid_point(axes, digits, k) -> tuple[list[float], float]:
     """Point k of a block as (x, r) floats."""
     point = [float(axis[d[k]]) for axis, d in zip(axes, digits)]
@@ -288,7 +297,8 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
     Points run in lexicographic order, the last axis (r) fastest; the first
     point with a vanishing denominator, a metric or derivative value that
     is not finite or a metric that is not positive definite raises
-    ValueError.  Ties in the minima keep the first point.
+    ValueError.  Values within ``DEN_VANISH_ULPS`` ulps of a minimum tie
+    with it, and ties keep the first point; the two ratios are exact minima.
     """
     per_axis = chart.grid
     axes = [
@@ -369,11 +379,11 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
             min_eig = np.abs(diag[1]).min(axis=0)
         else:
             min_eig = np.abs(np.linalg.eigvalsh(mats[1])).min(axis=1)
-        k = int(np.argmin(min_eig))
-        if min_eig[k] < worst:
+        k = _first_least(min_eig, worst)
+        if k is not None:
             worst, worst_point = float(min_eig[k]), _grid_point(axes, digits, k)
-        k = int(np.argmin(norm))
-        if norm[k] < min_norm:
+        k = _first_least(norm, min_norm)
+        if k is not None:
             min_norm, min_norm_point = float(norm[k]), _grid_point(axes, digits, k)
         min_eig_ratio = min(min_eig_ratio, float(np.min(min_eig / scale)))
         min_norm_ratio = min(min_norm_ratio, float(np.min(norm / scale)))

@@ -16,8 +16,8 @@ is written element by element through ``format_float``.  A ``Records``
 node, a list of records of one shape held as arrays, is written with one
 ``%`` per chunk of records into a template built once per node.  A
 document that a report both embeds and hashes is written once, as an
-``Embedded`` run of ascii byte slices, hashed as they are cut, that the
-writer splices in re-indented, so ``input_hash`` costs no second pass.
+``Embedded`` string hashed once and appended re-indented, so ``input_hash``
+costs no second pass.  A report's text is joined once, then encoded once.
 
 ``input_hash`` is computed by the interpreter's builtin SHA-256 (``_sha2``
 on Python 3.12+, ``_sha256`` on 3.10 and 3.11), the same digest as
@@ -33,7 +33,6 @@ MB (2-vCPU Xeon VM, Python 3.10 to 3.13).
 
 from __future__ import annotations
 
-import io
 import math
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -58,48 +57,30 @@ def format_float(value: float) -> str:
     return format(float(value) + 0.0, ".17g")  # adding 0.0 turns -0.0 into 0.0
 
 
-#: Bytes per slice of an embedded document's canonical text.
-SLICE_BYTES = 1 << 16
-
 #: Records written by one ``%`` of a ``Records`` node.
 RECORDS_PER_CHUNK = 256
 
 
 class Embedded:
-    """A document written once to canonical bytes, to embed in a report and hash.
+    """A document written once to canonical text, to embed in a report and hash.
 
-    The bytes are kept in slices of ``SLICE_BYTES``, each hashed as it is
-    cut.  Every newline of canonical text is structural (JSON strings
-    escape theirs), so indenting each line by the depth the document lands
-    at is exactly the text of the document written at that depth.
+    ``text`` is the canonical text without its final newline.  Every
+    newline of canonical text is structural (JSON strings escape theirs),
+    so indenting each line by the depth the document lands at is exactly
+    the text of the document written at that depth.
     """
 
-    __slots__ = ("slices", "_digest")
+    __slots__ = ("text", "_digest")
 
     def __init__(self, obj):
-        pieces = _Pieces()
-        _write(obj, pieces, "\n")
-        pieces.append("\n")
-        digest = _sha256()
-        self.slices = []
-        for chunk in _ascii(pieces):
-            digest.update(chunk)
-            self.slices.append(chunk)
+        self.text = _text(obj)
+        digest = _sha256(self.text.encode("ascii"))
+        digest.update(b"\n")
         self._digest = digest.hexdigest()
 
     def sha256(self) -> str:
         """The document's ``input_hash``: the sha256 of its canonical bytes."""
         return self._digest
-
-    def indented(self, nl: str):
-        """The slices re-indented for the line ``nl`` starts, without the
-        final newline."""
-        newline = nl.encode("ascii")
-        last = len(self.slices) - 1
-        for k, chunk in enumerate(self.slices):
-            if k == last:
-                chunk = chunk[:-1]
-            yield chunk if nl == "\n" else chunk.replace(b"\n", newline)
 
 
 class Records:
@@ -124,37 +105,6 @@ class Records:
         """The records as a list of dicts of Python floats and lists."""
         columns = [a.tolist() for a in self.fields.values()]
         return [dict(zip(self.fields, values)) for values in zip(*columns)]
-
-
-class _Pieces(list):
-    """Pieces of canonical text; ``splices`` lists ``(index, embedded, nl)``
-    for each embedded document, whose piece at ``index`` is a placeholder."""
-
-    __slots__ = ("splices",)
-
-    def __init__(self):
-        super().__init__()
-        self.splices = []
-
-
-def _ascii(pieces: _Pieces):
-    """The bytes of ``pieces`` in slices of at most ``SLICE_BYTES``, each
-    embedded document spliced in at its depth.  The pieces are consumed:
-    the list is emptied once its last run of text is joined, so the pieces
-    and the slices cut from that text are not held at once."""
-    start = 0
-    for index, embedded, nl in pieces.splices:
-        yield from _encoded("".join(pieces[start:index]))
-        yield from embedded.indented(nl)
-        start = index + 1
-    text = "".join(pieces[start:])
-    pieces.clear()
-    yield from _encoded(text)
-
-
-def _encoded(text: str):
-    for start in range(0, len(text), SLICE_BYTES):
-        yield text[start : start + SLICE_BYTES].encode("ascii")
 
 
 def _write(obj, out: list[str], nl: str) -> None:
@@ -220,8 +170,7 @@ def _write_other(obj, out: list[str], nl: str) -> None:
     """Numpy scalars and arrays, tuples, embedded documents, records and
     subclasses."""
     if isinstance(obj, Embedded):
-        out.splices.append((len(out), obj, nl))
-        out.append("")
+        out.append(obj.text if nl == "\n" else obj.text.replace("\n", nl))
     elif isinstance(obj, Records):
         _write_records(obj, out, nl)
     elif isinstance(obj, (bool, np.bool_)):
@@ -288,19 +237,23 @@ def _nested_template(shape: tuple, nl: str) -> str:
     return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
 
 
+def _text(obj, end: str = "") -> str:
+    """The canonical text of ``obj`` followed by ``end``; its pieces are freed
+    on return, before the caller encodes the text."""
+    pieces = []
+    _write(obj, pieces, "\n")
+    pieces.append(end)
+    return "".join(pieces)
+
+
 def dump_bytes(obj) -> bytes:
     """Canonical bytes of a report document."""
-    pieces = _Pieces()
-    _write(obj, pieces, "\n")
-    pieces.append("\n")
-    out = io.BytesIO()
-    out.writelines(_ascii(pieces))
-    return out.getvalue()
+    return _text(obj, "\n").encode("ascii")
 
 
 def dumps(obj) -> str:
     """Canonical text form of a report document."""
-    return dump_bytes(obj).decode("ascii")
+    return _text(obj, "\n")
 
 
 def input_hash(obj) -> str:

@@ -771,6 +771,42 @@ class TestGridScanOracle:
         assert str(err.value) == expected
 
 
+class TestGridScanTies:
+    """Values within 64 ulps of a minimum tie with it; ties keep the first point."""
+
+    @staticmethod
+    def _chart(slope):
+        # a = 1 + r (1 - slope x_1): the r-derivative 1 - slope x_1 is least at x_1 = 1
+        diag = [[(1, (0, 0)), (1, (0, 1)), (-slope, (1, 1))]]
+        return _diag_chart(1, diag, [(-1.0, 1.0)], (0.5, 2.0))
+
+    @pytest.mark.parametrize("block", [gcs.GRID_BLOCK, 1])
+    def test_last_bit_differences_keep_the_first_point(self, monkeypatch, block):
+        # values 1 + 4, 2, 0, -2 and -4 ulps of 1, exact in floats; one block
+        # per point checks the rule across blocks
+        monkeypatch.setattr(gcs, "GRID_BLOCK", block)
+        summary = self._chart(Fraction(1, 2**50))._grid_summary
+        assert summary.worst_point == summary.min_norm_point == ([-1.0], 0.5)
+        assert summary.worst_min_abs_eig == summary.min_norm == 1.0 + 2.0**-50
+        # the ratios stay exact minima, at x_1 = 1, r = 2 where a = 3 - 2^-49
+        least = (1.0 - 2.0**-50) / (3.0 - 2.0**-49)
+        assert summary.min_eig_ratio == summary.min_norm_ratio == least
+
+    @pytest.mark.parametrize("block", [gcs.GRID_BLOCK, 1])
+    def test_lower_values_beyond_the_bound_move_the_point(self, monkeypatch, block):
+        monkeypatch.setattr(gcs, "GRID_BLOCK", block)
+        summary = self._chart(Fraction(1, 2**40))._grid_summary
+        assert summary.worst_point == summary.min_norm_point == ([1.0], 0.5)
+        assert summary.worst_min_abs_eig == summary.min_norm == 1.0 - 2.0**-40
+
+    def test_first_least_rule(self):
+        one = 1.0 + 2.0**-52 * np.arange(0, 200, 50)  # 0, 50, 100, 150 ulps
+        assert gcs._first_least(one[::-1], np.inf) == 2  # 100 ulps is too far
+        assert gcs._first_least(one[:2], one[1]) is None  # not lower by the bound
+        assert gcs._first_least(one[:1], one[2]) == 0
+        assert gcs._first_least(np.array([1.0, 0.0, 0.0]), np.inf) == 1
+
+
 class TestGridScanReuse:
     def test_summary_reused_for_own_grid(self, monkeypatch):
         chart = builtin_chart("product_nonrigid", 3)
