@@ -262,7 +262,8 @@ class GridSummary:
 
 def _check_grid_cap(n: int, per_axis: int) -> None:
     """Refuses a grid above GRID_POINT_CAP points on the n+1 axes x_1 .. x_n, r;
-    called before any coefficient is built."""
+    called before any coefficient is built, so it counts every axis, also
+    those that the scan leaves out because no coefficient reads them."""
     # from 2 samples per axis, 64 axes are already above the cap
     if per_axis > 1 and per_axis ** min(n + 1, 64) > GRID_POINT_CAP:
         raise ValueError(
@@ -294,10 +295,14 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
     diagonal values (a diagonal entry without a field is 0), any other
     chart's come from one batched ``eigvalsh`` call per matrix.
 
-    Points run in lexicographic order, the last axis (r) fastest; the first
-    point with a vanishing denominator, a metric or derivative value that
-    is not finite or a metric that is not positive definite raises
-    ValueError.  Values within ``DEN_VANISH_ULPS`` ulps of a minimum tie
+    The scan walks the grid of the axes that some monomial of the compiled
+    coefficients reads; the values do not change along any other axis, and
+    a point is named with every such axis at its first sample, where the
+    full grid's order first meets its values.  Points run in lexicographic
+    order, the last axis (r) fastest; the first point with a vanishing
+    denominator, a metric or derivative value that is not finite or a
+    metric that is not positive definite raises ValueError.  Values within
+    ``DEN_VANISH_ULPS`` ulps of the minimum of a block of scanned points tie
     with it, and ties keep the first point; the two ratios are exact minima.
     """
     per_axis = chart.grid
@@ -307,9 +312,12 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
     ]
     prog = chart._program
     n, na = chart.n, len(prog.entries)
-    shape = (per_axis,) * (n + 1)
-    # powers of each axis's samples for every monomial: (per_axis, monomials)
-    tables = [axis[:, None] ** prog.exps[:, k] for k, axis in enumerate(axes)]
+    # an axis that no monomial reads contributes x^0 = 1.0 to every value;
+    # the scan walks the grid of the read axes, every other axis at index 0
+    read = [k for k in range(n + 1) if prog.exps[:, k].any()]
+    shape = (per_axis,) * len(read)
+    # powers of each read axis's samples for every monomial: (per_axis, monomials)
+    tables = [axes[k][:, None] ** prog.exps[:, k] for k in read]
     den_abs = np.abs(prog.coefs[:, prog.columns[0, 1]])
     vanish_tol = DEN_VANISH_ULPS * np.finfo(float).eps
     worst = min_norm = min_eig_ratio = min_norm_ratio = np.inf
@@ -324,11 +332,13 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
     # every entry's r-partial of D reads the zero column when it is zero, so
     # the rule skips that term only when no entry's denominator involves r
     r_free = all(jet[1][1].is_zero for jet in prog.jets)
-    total = per_axis ** (n + 1)
+    total = per_axis ** len(read)
     for start in range(0, total, GRID_BLOCK):
-        digits = np.unravel_index(np.arange(start, min(start + GRID_BLOCK, total)), shape)
-        mono = tables[0][digits[0]]
-        for table, d in zip(tables[1:], digits[1:]):
+        index = np.arange(start, min(start + GRID_BLOCK, total))
+        digits = [np.zeros_like(index)] * (n + 1)
+        mono = np.ones((len(index), len(prog.exps)))
+        for k, table, d in zip(read, tables, np.unravel_index(index, shape) if read else ()):
+            digits[k] = d
             mono *= table[d]
         # column-major (columns, points): reductions over entries run along rows
         parts = np.ascontiguousarray((mono @ prog.coefs).T)
@@ -405,8 +415,10 @@ class GcsChart:
     coefficients in the variables (x_1, ..., x_n, r); construction verifies
     positive definiteness on ``grid`` samples per axis of the box domain
     times the parameter interval (a heuristic whose resolution every
-    certificate records).  That one scan also summarizes the r-derivative
-    field for :func:`genericity_report`.
+    certificate records).  The scan walks only the axes that the compiled
+    coefficients read, and names a point with every other axis at its
+    first sample.  That one scan also summarizes the r-derivative field for
+    :func:`genericity_report`.
     """
 
     n: int

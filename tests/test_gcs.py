@@ -771,6 +771,99 @@ class TestGridScanOracle:
         assert str(err.value) == expected
 
 
+_PLANE = ([(-1.0, 1.0)] * 2, (0.5, 2.0))
+
+
+def _plane_entries(a00, a01, a11):
+    """The symmetric entries [[a00, a01], [a01, a11]] in (x_1, x_2, r), each a
+    polynomial given as ``[(coef, (e_x1, e_x2, e_r)), ...]`` or a RationalField."""
+    a00, a01, a11 = (
+        f if isinstance(f, RationalField) else RationalField.from_poly(Poly.from_terms(3, f))
+        for f in (a00, a01, a11)
+    )
+    return [[a00, a01], [a01, a11]]
+
+
+def _plane_chart(*entries):
+    """The 2 x 2 chart of :func:`_plane_entries` on [-1, 1]^2 x [1/2, 2]."""
+    domain, interval = _PLANE
+    return GcsChart(n=2, domain=domain, interval=interval, entries=_plane_entries(*entries))
+
+
+def _read_axes(chart):
+    """The axes (0 .. n for x_1 .. x_n, r) that the compiled coefficients read."""
+    return {k for k in range(chart.n + 1) if chart._program.exps[:, k].any()}
+
+
+_X1 = Poly.var(3, 0)
+
+#: 2 x 2 charts that leave axes unread, with the axes that their coefficients
+#: read.  The r-derivative of the first two is diag(x_k, 1), least at x_k = 0,
+#: a sample that is neither the first nor the last.
+_AXIS_CASES = {
+    "x1_unread": (([(3, (0, 0, 0)), (1, (0, 1, 1))], [("1/2", (0, 1, 0))],
+                   [(2, (0, 0, 0)), (1, (0, 0, 1))]), {1, 2}),
+    "x2_unread": (([(3, (0, 0, 0)), (1, (1, 0, 1))], [("1/2", (1, 0, 0))],
+                   [(2, (0, 0, 0)), (1, (0, 0, 1))]), {0, 2}),
+    "r_unread": (([(3, (0, 0, 0)), (1, (1, 1, 0))], [("1/2", (0, 1, 0))],
+                  [(2, (0, 0, 0)), (1, (1, 0, 0))]), {0, 1}),
+    "no_axis_read": (([(2, (0, 0, 0))], [(1, (0, 0, 0))], [(2, (0, 0, 0))]), set()),
+}
+
+#: 2 x 2 charts in x_1 alone that the scan refuses, with the head of the refusal.
+_AXIS_REFUSALS = {
+    # (x_1^3 + x_1) / x_1: positive wherever it is defined, undefined at x_1 = 0
+    "vanishing_denominator": (
+        (RationalField(_X1 * _X1 * _X1 + _X1, _X1), [], [(1, (0, 0, 0))]),
+        "denominator vanishes at grid point (0.0, -1.0, 0.5)",
+    ),
+    # [[1, b], [b, 1]] with b = (x_1 + 1) / 2 is singular at x_1 = 1, the last sample
+    "non_positive": (
+        ([(1, (0, 0, 0))], [("1/2", (1, 0, 0)), ("1/2", (0, 0, 0))], [(1, (0, 0, 0))]),
+        "coefficient matrix is not positive definite at grid point (1.0, -1.0, 0.5)",
+    ),
+}
+
+
+class TestGridScanReadAxes:
+    """The scan walks only the axes that the compiled coefficients read and
+    names each point with every other axis at its first sample; the exact
+    scan walks the full grid."""
+
+    @pytest.mark.parametrize("case", sorted(_AXIS_CASES))
+    @pytest.mark.parametrize("block", [gcs.GRID_BLOCK, 1])
+    def test_matches_exact_scan(self, monkeypatch, case, block):
+        entries, read = _AXIS_CASES[case]
+        monkeypatch.setattr(gcs, "GRID_BLOCK", block)
+        assert _read_axes(_assert_scan_matches_dense(lambda: _plane_chart(*entries))) == read
+
+    @pytest.mark.parametrize("case", sorted(_AXIS_REFUSALS))
+    @pytest.mark.parametrize("block", [gcs.GRID_BLOCK, 1])
+    def test_first_refusal_matches_exact_scan(self, monkeypatch, case, block):
+        entries, head = _AXIS_REFUSALS[case]
+        monkeypatch.setattr(gcs, "GRID_BLOCK", block)
+        expected = _scan_outcome(_exact_scan, *_PLANE, _plane_entries(*entries), 5)
+        assert expected.startswith(head)
+        with pytest.raises(ValueError) as err:
+            _plane_chart(*entries)
+        assert str(err.value) == expected
+
+    def test_chart_in_r_alone_scans_the_r_samples(self, monkeypatch):
+        # the shear pullback of conformal_flat, r S^T S, is not diagonal and
+        # reads r alone: 5 points of the 5^4 grid reach eigvalsh
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(mats):
+            calls.append(mats.shape)
+            return eigvalsh(mats)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        chart = _oracle_cases()["pullback_conformal_flat"]()
+        assert _read_axes(chart) == {3}
+        assert calls == [(5, 3, 3)] * 2
+
+
 class TestGridScanTies:
     """Values within 64 ulps of a minimum tie with it; ties keep the first point."""
 
