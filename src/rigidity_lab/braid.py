@@ -427,7 +427,7 @@ def check_unknowns(variant: str, n: int) -> None:
 
 
 def classical_braid_kernel(
-    j, n: int | None = None, tol: float = SPECTRAL_TOL, want_basis: bool = False
+    j, tol: float = SPECTRAL_TOL, want_basis: bool = False
 ) -> KernelReport:
     """Kernel of ``J(A(u,v),w) + J(A(u,w),v) = 0`` over symmetric bilinear A.
 
@@ -435,7 +435,7 @@ def classical_braid_kernel(
     in every dimension, which is the linearized form of 1-rigidity of
     pseudo-Riemannian metrics.
     """
-    form = _as_form(j, n)
+    form = _as_form(j)
     check_unknowns("classical", form.n)
     if not form.nondegenerate:
         raise ValueError(
@@ -499,7 +499,7 @@ def trilinear_symskew_system(n: int) -> LinearSystem:
     return LinearSystem(labels, nsym + nskew, row_ids, col_ids, values)
 
 
-def generalized_braid_system(j, jp, n: int | None = None) -> LinearSystem:
+def generalized_braid_system(j, jp) -> LinearSystem:
     """Assemble the coupled (A, K) system over basis tuples.
 
     One scalar row per pair of symmetric pairs ((u,v), (w,w')):
@@ -511,12 +511,12 @@ def generalized_braid_system(j, jp, n: int | None = None) -> LinearSystem:
     Degenerate forms are allowed; they are exactly the interesting negative
     cases.
     """
-    jf = _as_form(j, n)
+    jf = _as_form(j)
     return _braid_rows(jf.matrix, 3, _as_form(jp, jf.n).matrix)
 
 
 def generalized_braid_kernel(
-    j, jp, n: int | None = None, tol: float = SPECTRAL_TOL, want_basis: bool = False
+    j, jp, tol: float = SPECTRAL_TOL, want_basis: bool = False
 ) -> KernelReport:
     """Joint kernel over (A, K) of the generalized braid system.
 
@@ -526,7 +526,7 @@ def generalized_braid_kernel(
     diagonal is first solved in its pencil normal form (see
     :func:`_pencil_normal_form`), whose answer is kept only when rigid.
     """
-    jf = _as_form(j, n)
+    jf = _as_form(j)
     check_unknowns("generalized", jf.n)
     jpf = _as_form(jp, jf.n)
     report = _normal_form_kernel(jf, jpf, tol, want_basis)

@@ -47,6 +47,7 @@ from .certifier import (
 )
 from .gcs import (
     BUILTINS,
+    DEFAULT_GRID,
     LightlikeChart,
     builtin_chart,
     chart_from_doc,
@@ -432,7 +433,9 @@ _SHARED_FLAGS = {
     "tol": (
         "--tol", {"type": float, "default": SPECTRAL_TOL, "help": "relative kernel tolerance"}
     ),
-    "grid": ("--grid", {"type": int, "default": 5, "help": "validation samples per axis"}),
+    "grid": (
+        "--grid", {"type": int, "default": DEFAULT_GRID, "help": "validation samples per axis"}
+    ),
     "kernel_basis": (
         "--kernel-basis", {"action": "store_true", "help": "include kernel basis vectors"}
     ),

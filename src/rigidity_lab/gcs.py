@@ -790,7 +790,8 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
     which reads only those three fields, or an explicit coefficient listing;
     unknown fields are rejected.  An explicit listing that names a builtin
     (as :func:`chart_to_doc` writes one) is that builtin with its params,
-    and must match it in kind, domain, interval and entries.  Coefficients
+    or its lift when a lightlike listing names a gcs builtin, and must
+    match it in kind, domain, interval and entries.  Coefficients
     are decimal or fraction strings, parsed exactly.  A malformed ``n``,
     ``domain``, ``interval`` or ``entries`` field and a grid above the cap
     are refused, naming the field, before any coefficient is read, and an
@@ -862,7 +863,7 @@ def _doc_entries(items, dim: int) -> list[list[RationalField]]:
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValueError(f"entry index ({i}, {j}) out of range for dimension {dim}")
         num = Poly.from_terms(nv, [(c, e) for c, e in item["num"]])
-        den_terms = item.get("den") or [["1", [0] * nv]]
+        den_terms = [["1", [0] * nv]] if item.get("den") is None else item["den"]
         den = Poly.from_terms(nv, [(c, e) for c, e in den_terms])
         key = (min(i, j), max(i, j))
         if key in upper:
@@ -876,13 +877,18 @@ def _doc_entries(items, dim: int) -> list[list[RationalField]]:
 
 
 def _named_chart(doc: dict, kind: str, n: int, domain, interval, entries, grid: int):
-    """The builtin an explicit document names, with the document's params;
-    the document must list exactly that builtin's chart."""
+    """The builtin an explicit document names, with the document's params,
+    or its lift (the builtin at dimension n - 1) for a lightlike document
+    naming a gcs builtin; the document must list exactly that chart."""
     name = doc["builtin"]
-    chart = builtin_chart(name, n=n, params=doc.get("params"), grid=grid)
+    spec = BUILTINS.get(name)  # builtin_chart refuses an unknown name
+    lifted = kind == "lightlike" and spec is not None and spec.kind == "gcs"
+    chart = builtin_chart(name, n=n - 1 if lifted else n, params=doc.get("params"), grid=grid)
+    if lifted:
+        chart = LightlikeChart(chart)
     base = chart.base if isinstance(chart, LightlikeChart) else chart
     for what, differs in (
-        ("kind", kind != BUILTINS[name].kind),
+        ("kind", kind != ("lightlike" if isinstance(chart, LightlikeChart) else "gcs")),
         ("domain", domain != base.domain),
         ("interval", interval != base.interval),
         ("entries", entries != base.entries),

@@ -29,7 +29,7 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except ZeroDivisionError as exc:  # "1/0"
+        except (ZeroDivisionError, ValueError) as exc:  # "1/0", "nan", "inf", "x"
             raise ValueError(f"cannot interpret {value!r} as an exact rational") from exc
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 

@@ -251,11 +251,6 @@ def dump_bytes(obj) -> bytes:
     return _text(obj, "\n").encode("ascii")
 
 
-def dumps(obj) -> str:
-    """Canonical text form of a report document."""
-    return _text(obj, "\n")
-
-
 def input_hash(obj) -> str:
     """Stable content hash of a resolved input document."""
     return Embedded(obj).sha256()

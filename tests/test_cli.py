@@ -104,6 +104,40 @@ def test_golden_input_hash_is_hash_of_input(name):
     assert doc["input_hash"] == reportio.input_hash(doc["input"])
 
 
+#: Reports with a chart in their input: the goldens that have one, lifted
+#: builtins, builtin params and a builtin of fixed dimension.
+CHART_REPORTS = {
+    **{name: GOLDEN_CASES[name] for name in sorted(GOLDEN_CASES)
+       if name.startswith(("certify_", "lightlike_"))},
+    "lightlike_conformal_flat": [
+        "lightlike", "--builtin", "conformal_flat", "--n", "3", "--point", "0.5,0,0", "--r", "1",
+    ],
+    "lightlike_linear_hyperbolic": [
+        "lightlike", "--builtin", "linear_hyperbolic", "--point", "0,0,0", "--r", "0.5",
+    ],
+    "certify_product_nonrigid_epsilon": [
+        "certify", "--builtin", "product_nonrigid", "--n", "3", "--params", '{"epsilon": "1/3"}',
+        "--r", "1",
+    ],
+    "certify_linear_hyperbolic": ["certify", "--builtin", "linear_hyperbolic", "--r", "0.5"],
+    "lightlike_lightcone": ["lightlike", "--builtin", "lightcone", "--n", "4", "--r", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHART_REPORTS))
+def test_report_reruns_from_its_input_chart(name, tmp_path):
+    argv = CHART_REPORTS[name]
+    code, report = _main_report(argv, tmp_path)
+    assert code == 0
+    chart = tmp_path / "chart.json"
+    chart.write_text(json.dumps(json.loads(report)["input"]["chart"]))
+    rerun = [argv[0], "--chart", str(chart)]
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in ("--builtin", "--n", "--params", "--chart"):
+            rerun += [flag, value]
+    assert _main_report(rerun, tmp_path) == (0, report)
+
+
 def _main_report(argv, tmp_path):
     """Exit code and report bytes of ``cli.main(argv)``, in process."""
     out = tmp_path / "report.json"
@@ -205,6 +239,20 @@ def test_package_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_submodule_or_numpy():
+    # the package namespace holds only __version__; entry points are
+    # imported from their modules
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rigidity_lab\n"
+         "print(rigidity_lab.__version__)\n"
+         "print(sorted(m for m in sys.modules\n"
+         "             if m.startswith('rigidity_lab.') or m.split('.')[0] == 'numpy'))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split("\n")[:2] == ["0.1.0", "[]"]
 
 
 def test_runs_load_no_openssl_or_numpy_ma():
@@ -673,6 +721,7 @@ class TestExitCodes:
         [
             ({"epsilon": float("inf")}, "cannot interpret inf as an exact rational"),
             ({"epsilon": True}, "cannot interpret True as an exact rational"),
+            ({"epsilon": "nan"}, "cannot interpret 'nan' as an exact rational"),
             ({"epsilon": "1e400"}, "entry (1, 1) has a coefficient out of float range"),
             ({"interval": [0.5, float("inf")]}, "interval end must be finite, got inf"),
             ({"interval": [True, 2]}, "interval end must be a number, got True"),
@@ -753,6 +802,26 @@ class TestExitCodes:
             code, err = _main_exit([command, "--chart", str(chart), "--r", "1", "--point", "0"])
             assert code == 2, err
             assert message in err
+
+    def test_empty_denominator_is_two(self, tmp_path):
+        # "den": [] lists no terms, the zero polynomial; only a missing or
+        # null den reads as 1
+        doc = {"kind": "gcs", "n": 1, "domain": [[-1, 1]], "interval": [0.5, 2],
+               "entries": [{"i": 0, "j": 0, "num": [["1", [0, 1]]], "den": []}]}
+        chart = tmp_path / "chart.json"
+        chart.write_text(json.dumps(doc))
+        for command in ("certify", "lightlike"):
+            code, err = _main_exit([command, "--chart", str(chart), "--r", "1", "--point", "0"])
+            assert code == 2, err
+            assert "entry (0, 0): denominator polynomial is identically zero" in err
+        argv = ["certify", "--chart", str(chart), "--r", "1", "--point", "0"]
+        doc["entries"][0]["den"] = None
+        chart.write_text(json.dumps(doc))
+        with_null = _main_report(argv, tmp_path)
+        del doc["entries"][0]["den"]
+        chart.write_text(json.dumps(doc))
+        assert with_null[0] == 0
+        assert _main_report(argv, tmp_path) == with_null
 
 
 def _matrix_spec(data, label):

@@ -174,8 +174,7 @@ def test_embedded_document_matches_oracle_at_any_depth(doc):
     # depths 1 to 3, then 0
     report = {"input": embedded, "two": {"deep": embedded}, "three": [[embedded]], "tail": embedded}
     expected = {"input": doc, "two": {"deep": doc}, "three": [[doc]], "tail": doc}
-    assert reportio.dumps(report) == oracle_dumps(plain(expected))
-    assert reportio.dumps(embedded) == text
+    assert reportio.dump_bytes(report).decode("ascii") == oracle_dumps(plain(expected))
     assert reportio.dump_bytes(embedded) == text.encode("ascii")
 
 
@@ -199,13 +198,13 @@ def test_records_with_non_finite_values_are_written_like_their_list(value):
     mats = np.ones((3, 2, 2))
     mats[1, 0, 1] = value
     node = reportio.Records({"t": [0.0, 1.0, 2.0], "matrix": mats})
-    assert reportio.dumps({"r": node}) == oracle_dumps({"r": node.tolist()})
+    assert reportio.dump_bytes({"r": node}).decode("ascii") == oracle_dumps({"r": node.tolist()})
 
 
 @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 0), (3, 2, 0), (2, 3)])
 def test_records_of_empty_or_other_shapes_match_oracle(shape):
     node = reportio.Records({"%.17g %s": np.zeros(shape[0]), "m": np.full(shape, -0.0)})
-    assert reportio.dumps([node]) == oracle_dumps([node.tolist()])
+    assert reportio.dump_bytes([node]).decode("ascii") == oracle_dumps([node.tolist()])
 
 
 def test_records_need_fields_of_one_length():
@@ -218,10 +217,10 @@ def test_records_need_fields_of_one_length():
 def test_float_list_with_non_finite_values_is_written_element_by_element():
     # -0.0 is written as 0, as JSON reads 0 back
     doc = {"v": [1.5, math.nan, -0.0, math.inf, -math.inf]}
-    assert reportio.dumps(doc) == (
+    assert reportio.dump_bytes(doc).decode("ascii") == (
         '{\n  "v": [\n    1.5,\n    "nan",\n    0,\n    "inf",\n    "-inf"\n  ]\n}\n'
     )
-    assert reportio.dumps(doc) == oracle_dumps(doc)
+    assert reportio.dump_bytes(doc).decode("ascii") == oracle_dumps(doc)
 
 
 NEGATIVE_ZEROS = {
@@ -256,7 +255,7 @@ def test_report_of_negative_zero_input_rewrites_to_its_own_bytes(tmp_path):
 def test_numpy_bool_scalars_are_written_as_json_booleans():
     """The one intended difference from the oracle, which refused them."""
     doc = {"flags": [np.True_, np.False_], "array": np.array([True, False])}
-    assert reportio.dumps(doc) == (
+    assert reportio.dump_bytes(doc).decode("ascii") == (
         '{\n  "flags": [\n    true,\n    false\n  ],\n'
         '  "array": [\n    true,\n    false\n  ]\n}\n'
     )
@@ -276,7 +275,7 @@ def test_numpy_bool_scalars_are_written_as_json_booleans():
 )
 def test_unserializable_documents_raise_like_the_oracle(doc, message):
     with pytest.raises(TypeError, match=message):
-        reportio.dumps(doc)
+        reportio.dump_bytes(doc)
     with pytest.raises(TypeError, match=message):
         oracle_dumps(doc)
 
