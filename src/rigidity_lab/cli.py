@@ -113,9 +113,11 @@ def _parse_matrix(spec: str, n: int | None, flag: str) -> np.ndarray:
     if spec in ("identity", "minkowski"):
         if n is None:
             raise ValueError(f"matrix spec {spec!r} needs --n")
+        if n < 1:
+            raise ValueError(f"--n {n}: form has dimension {n}, need at least 1")
         m = np.eye(n)
         if spec == "minkowski":
-            m[:1, :1] = -1.0  # n = 0 leaves an empty form, which braid refuses
+            m[0, 0] = -1.0
     elif spec.startswith("diag:"):
         m = np.diag(_parse_floats(spec[len("diag:") :]))
     else:

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -244,12 +243,13 @@ def _point_jets(prog: _ChartProgram, point: tuple[Fraction, ...], wanted: list) 
 
 
 @dataclass(frozen=True)
-class GridSummary:
-    """Tolerance-free result of one grid scan of the r-derivative field d.
+class GenericityReport:
+    """Grid diagnostics of the r-derivative field d from one scan.
 
     With ``scale = max(max|a|, 1)`` at each point, the ratios are the minima
-    over the grid of ``min|eig(d)| / scale`` and ``max|d| / scale``; a
-    tolerance turns them into the verdicts of :class:`GenericityReport`.
+    over the grid of ``min|eig(d)| / scale`` and ``max|d| / scale``; read at
+    ``tol``, they give ``nowhere_tr`` (d nonzero at every sampled point) and
+    ``generic`` (d also nondegenerate there).
     """
 
     worst_min_abs_eig: float
@@ -258,6 +258,16 @@ class GridSummary:
     min_norm_point: tuple[list[float], float]
     min_eig_ratio: float
     min_norm_ratio: float
+    grid: int
+    tol: float = SPECTRAL_TOL
+
+    @property
+    def nowhere_tr(self) -> bool:
+        return self.min_norm_ratio > self.tol
+
+    @property
+    def generic(self) -> bool:
+        return self.min_eig_ratio > self.tol
 
 
 def _check_grid_cap(n: int, per_axis: int) -> None:
@@ -289,7 +299,7 @@ def _grid_point(axes, digits, k) -> tuple[list[float], float]:
 
 # an overflow in the scan is refused as a value that is not finite
 @np.errstate(over="ignore", invalid="ignore")
-def _scan_grid(chart: "GcsChart") -> GridSummary:
+def _scan_grid(chart: "GcsChart") -> GenericityReport:
     """Evaluate the metric and its r-derivative over the chart's grid, in
     blocks of points, and take their eigenvalues: a diagonal chart's are its
     diagonal values (a diagonal entry without a field is 0), any other
@@ -329,9 +339,6 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
     rows, cols = np.concatenate([entries, entries[varying]]).T
     slots = np.repeat([0, 1], [na, int(varying.sum())])
     alphas = [(0,) * (n + 1), (0,) * n + (1,)]
-    # every entry's r-partial of D reads the zero column when it is zero, so
-    # the rule skips that term only when no entry's denominator involves r
-    r_free = all(jet[1][1].is_zero for jet in prog.jets)
     total = per_axis ** len(read)
     for start in range(0, total, GRID_BLOCK):
         index = np.arange(start, min(start + GRID_BLOCK, total))
@@ -346,9 +353,8 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
         den = parts[prog.columns[0, 1]]
         vanished = np.any(np.abs(den) <= bound, axis=0)
         num = dict(zip(alphas, parts[prog.columns[:, 0]]))
-        dens = {alphas[0]: np.where(vanished, 1.0, den)}
-        if not r_free:
-            dens[alphas[1]] = parts[prog.columns[1, 1]]
+        # an r-partial of D that is zero reads the zero column, which adds 0
+        dens = {alphas[0]: np.where(vanished, 1.0, den), alphas[1]: parts[prog.columns[1, 1]]}
         jet = _jet_divide(num, dens, alphas)
         vals = np.concatenate([jet[alphas[0]], jet[alphas[1]][varying]])
         # a column maximum is not finite exactly when the column holds such a value
@@ -369,8 +375,8 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
             mats[slots, :, cols, rows] = vals
             eigs = np.linalg.eigvalsh(mats[0])
             lo, hi = eigs[:, 0], eigs[:, -1]
-        bad = vanished | nonfinite | (lo <= SPECTRAL_TOL * np.maximum(np.abs(hi), 1.0))
-        bad |= hi <= 0.0
+        cut = SPECTRAL_TOL * np.maximum(np.abs(hi), 1.0)
+        bad = vanished | nonfinite | (lo <= cut) | (hi <= 0.0)
         if bad.any():
             k = int(np.argmax(bad))
             where = tuple(float(axis[d[k]]) for axis, d in zip(axes, digits))
@@ -382,7 +388,7 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
                 raise ValueError(f"denominator vanishes at grid point {where}")
             raise ValueError(
                 f"coefficient matrix is not positive definite at grid point "
-                f"{where} (min eigenvalue {lo[k]:.3e})"
+                f"{where} (eigenvalue range [{lo[k]:.3e}, {hi[k]:.3e}], cut {cut[k]:.3e})"
             )
         scale = np.maximum(metric_max, 1.0)
         if prog.diagonal:
@@ -397,13 +403,14 @@ def _scan_grid(chart: "GcsChart") -> GridSummary:
             min_norm, min_norm_point = float(norm[k]), _grid_point(axes, digits, k)
         min_eig_ratio = min(min_eig_ratio, float(np.min(min_eig / scale)))
         min_norm_ratio = min(min_norm_ratio, float(np.min(norm / scale)))
-    return GridSummary(
+    return GenericityReport(
         worst_min_abs_eig=worst,
         worst_point=worst_point,
         min_norm=min_norm,
         min_norm_point=min_norm_point,
         min_eig_ratio=min_eig_ratio,
         min_norm_ratio=min_norm_ratio,
+        grid=per_axis,
     )
 
 
@@ -428,7 +435,8 @@ class GcsChart:
     name: str = "custom"
     params: dict = dc_field(default_factory=dict)
     grid: int = DEFAULT_GRID
-    _grid_summary: GridSummary = dc_field(init=False, repr=False, compare=False)
+    _program: _ChartProgram = dc_field(init=False, repr=False, compare=False)
+    _grid_summary: GenericityReport = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_grid_cap(self.n, self.grid)
@@ -452,11 +460,8 @@ class GcsChart:
                     and self.entries[i][j].den == self.entries[j][i].den
                 ):
                     raise ValueError(f"entries are not symmetric at ({i}, {j})")
+        self._program = _compile_program(self)
         self._grid_summary = _scan_grid(self)
-
-    @cached_property
-    def _program(self) -> _ChartProgram:
-        return _compile_program(self)
 
     # -- exact evaluation ------------------------------------------------
 
@@ -564,42 +569,17 @@ class LightlikeChart:
         return BilinForm(full)
 
 
-@dataclass
-class GenericityReport:
-    """Grid diagnostics of the parameter-derivative field.
-
-    ``nowhere_tr`` holds when the r-derivative is nonzero at every sampled
-    point; ``generic`` additionally requires it to be nondegenerate there.
-    The minimum absolute eigenvalue over the grid and the point attaining it
-    witness the verdicts.
-    """
-
-    nowhere_tr: bool
-    generic: bool
-    worst_min_abs_eig: float
-    worst_point: tuple[list[float], float]
-    min_norm: float
-    min_norm_point: tuple[list[float], float]
-    grid: int
-    tol: float
-
-
 def genericity_report(
     chart: GcsChart | LightlikeChart, tol: float = SPECTRAL_TOL
 ) -> GenericityReport:
-    """Classify the r-derivative field over the chart's box from the summary
-    of the chart's construction scan, on its own grid."""
-    base = chart.base if isinstance(chart, LightlikeChart) else chart
-    summary = base._grid_summary
-    return GenericityReport(
-        nowhere_tr=summary.min_norm_ratio > tol,
-        generic=summary.min_eig_ratio > tol,
-        worst_min_abs_eig=summary.worst_min_abs_eig,
-        worst_point=(list(summary.worst_point[0]), summary.worst_point[1]),
-        min_norm=summary.min_norm,
-        min_norm_point=(list(summary.min_norm_point[0]), summary.min_norm_point[1]),
-        grid=base.grid,
+    """The report of the chart's construction scan, on its own grid, with
+    its verdicts read at ``tol``; the chart's own record is not shared."""
+    own = (chart.base if isinstance(chart, LightlikeChart) else chart)._grid_summary
+    return replace(
+        own,
         tol=tol,
+        worst_point=(list(own.worst_point[0]), own.worst_point[1]),
+        min_norm_point=(list(own.min_norm_point[0]), own.min_norm_point[1]),
     )
 
 
@@ -732,6 +712,18 @@ BUILTINS = {
     ),
 }
 
+
+def _builtin_spec(name) -> _Builtin:
+    """The catalog entry of ``name``; any other value, a non-string too, is
+    refused as an unknown builtin."""
+    spec = BUILTINS.get(name) if isinstance(name, str) else None
+    if spec is None:
+        raise ValueError(
+            f"unknown builtin '{name}'; available: {', '.join(sorted(BUILTINS))}"
+        )
+    return spec
+
+
 def builtin_chart(
     name: str, n: int | None = None, params: dict | None = None, grid: int = DEFAULT_GRID
 ):
@@ -740,11 +732,7 @@ def builtin_chart(
     its catalog description.  Invalid input raises ValueError: an unknown
     name, a dimension the builtin lacks, a grid above the cap or ``params``
     neither a dict nor None, before any coefficient is built."""
-    spec = BUILTINS.get(name)
-    if spec is None:
-        raise ValueError(
-            f"unknown builtin '{name}'; available: {', '.join(sorted(BUILTINS))}"
-        )
+    spec = _builtin_spec(name)
     n = spec.n if n is None else n
     if spec.fixed_n and n != spec.n:
         raise ValueError(f"builtin '{name}' has dimension {spec.n} only, got n = {n}")
@@ -791,17 +779,20 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
     unknown fields are rejected.  An explicit listing that names a builtin
     (as :func:`chart_to_doc` writes one) is that builtin with its params,
     or its lift when a lightlike listing names a gcs builtin, and must
-    match it in kind, domain, interval and entries.  Coefficients
-    are decimal or fraction strings, parsed exactly.  A malformed ``n``,
-    ``domain``, ``interval`` or ``entries`` field and a grid above the cap
-    are refused, naming the field, before any coefficient is read, and an
-    exponent above ``MAX_EXPONENT`` before any coefficient is built.
+    match it in kind, domain, interval and entries; ``params`` other than
+    ``{}`` or null is refused without ``builtin``.  Coefficients are decimal
+    or fraction strings, parsed exactly.  A malformed ``n``, ``domain``,
+    ``interval`` or ``entries`` field and a grid above the cap are refused,
+    naming the field, before any coefficient is read, and an exponent above
+    ``MAX_EXPONENT`` before any coefficient is built.
     """
     if not isinstance(doc, dict):
         raise ValueError("chart document must be a JSON object")
     unknown = set(doc) - _CHART_KEYS
     if unknown:
         raise ValueError(f"unknown chart field(s): {', '.join(sorted(unknown))}")
+    if doc.get("builtin") is None and doc.get("params") not in (None, {}):
+        raise ValueError(f"chart params are read only next to builtin, got {doc['params']!r}")
     if doc.get("builtin") is not None and "entries" not in doc:
         ignored = ", ".join(sorted(set(doc) - {"builtin", "n", "params"}))
         if ignored:
@@ -881,8 +872,7 @@ def _named_chart(doc: dict, kind: str, n: int, domain, interval, entries, grid: 
     or its lift (the builtin at dimension n - 1) for a lightlike document
     naming a gcs builtin; the document must list exactly that chart."""
     name = doc["builtin"]
-    spec = BUILTINS.get(name)  # builtin_chart refuses an unknown name
-    lifted = kind == "lightlike" and spec is not None and spec.kind == "gcs"
+    lifted = kind == "lightlike" and _builtin_spec(name).kind == "gcs"
     chart = builtin_chart(name, n=n - 1 if lifted else n, params=doc.get("params"), grid=grid)
     if lifted:
         chart = LightlikeChart(chart)

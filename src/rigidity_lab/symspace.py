@@ -80,8 +80,8 @@ class SpdCurve:
     """Sampled curve of positive-definite forms: ``matrices[k]`` sits at ``params[k]``.
 
     Both arrays are read-only.  Parameters must be finite and strictly
-    increasing; a closed curve repeats its first sample as the last (to
-    1e-10).
+    increasing, with finite steps; a closed curve repeats its first sample
+    as the last (to 1e-10) and has at least 4 samples.
     """
 
     params: np.ndarray
@@ -96,13 +96,21 @@ class SpdCurve:
         bad = np.flatnonzero(~np.isfinite(t))
         if bad.size:
             raise ValueError(f"sample {bad[0]}: parameter is not finite")
-        bad = np.flatnonzero(np.diff(t) <= 0.0)
+        with np.errstate(over="ignore"):  # an infinite step is refused below
+            steps = np.diff(t)
+        bad = np.flatnonzero(steps <= 0.0)
         if bad.size:
             raise ValueError(f"sample {bad[0] + 1}: curve parameters must be strictly increasing")
-        if self.closed and t.size >= 2:
+        bad = np.flatnonzero(np.isinf(steps))
+        if bad.size:
+            raise ValueError(f"sample {bad[0] + 1}: parameter step overflows the float range")
+        if self.closed:
             gap = np.max(np.abs(mats[0] - mats[-1]))
             if gap > 1e-10:
                 raise ValueError(f"closed curve endpoints differ by {gap:.3e} (> 1e-10)")
+            if t.size < 4:
+                # fewer samples wrap every central difference to zero
+                raise ValueError(f"a closed curve needs at least 4 samples, got {t.size}")
         t.setflags(write=False)
         object.__setattr__(self, "params", t)
         object.__setattr__(self, "matrices", mats)
@@ -138,7 +146,7 @@ def spd_inner(b: SpdPoint | np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 def _tangents(curve: SpdCurve) -> np.ndarray:
     """Central-difference tangents; closed curves wrap around the period."""
     mats, t = curve.matrices, curve.params
-    if curve.closed and t.size >= 3:
+    if curve.closed:
         # the last sample duplicates the first; differentiate on the period
         dts = np.diff(t)
         k = np.arange(dts.size)
@@ -211,8 +219,6 @@ def circle_mean(curve: SpdCurve) -> SpdPoint:
     """
     if not curve.closed:
         raise ValueError("the canonical mean is defined for closed curves only")
-    if curve.params.size < 3:
-        raise ValueError("need at least three samples on a closed curve")
     mats = curve.matrices
     spread = float(np.max(np.abs(mats - mats[0])))
     if spread <= 1e-12 * max(1.0, float(np.max(np.abs(mats[0])))):

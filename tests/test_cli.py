@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +434,10 @@ class TestExitCodes:
              "cannot parse float list from '1,,2'"),
             (["braid", "--variant", "classical", "--J", "diag:1,,2"],
              "cannot parse float list from '1,,2'"),
+            (["braid", "--n", "-1"], "--n -1: form has dimension -1, need at least 1"),
+            (["braid", "--n", "0"], "--n 0: form has dimension 0, need at least 1"),
+            (["braid", "--variant", "classical", "--J", "minkowski", "--n", "-1"],
+             "--n -1: form has dimension -1, need at least 1"),
         ],
     )
     def test_invalid_flag_pair_is_two(self, argv, message):
@@ -756,6 +761,27 @@ class TestExitCodes:
         code, err = _main_exit(["certify", "--chart", str(chart), "--r", "1"])
         assert code == 2, err
         assert f"{_NOT_AN_OBJECT}, got [1]" in err
+
+    @pytest.mark.parametrize("listing", [False, True], ids=["reference", "listing"])
+    def test_chart_document_builtin_not_a_name_is_two(self, listing, tmp_path):
+        doc = {"builtin": [1], "n": 3}
+        if listing:
+            doc = {**gcs.chart_to_doc(gcs.builtin_chart("conformal_flat", 3)), "builtin": [1]}
+        chart = tmp_path / "chart.json"
+        chart.write_text(_json_text(doc))
+        code, err = _main_exit(["certify", "--chart", str(chart), "--r", "1"])
+        assert code == 2, err
+        assert f"unknown builtin '[1]'; available: {', '.join(sorted(gcs.BUILTINS))}" in err
+
+    @pytest.mark.parametrize("params", [{"epsilon": 1}, [1]])
+    def test_custom_chart_document_with_params_is_two(self, params, tmp_path):
+        # params are read only next to a builtin; a custom listing would drop them
+        doc = {**json.loads(Path(RATIONAL_CHART_FILE).read_text()), "params": params}
+        chart = tmp_path / "chart.json"
+        chart.write_text(_json_text(doc))
+        code, err = _main_exit(["certify", "--chart", str(chart), "--r", "1"])
+        assert code == 2, err
+        assert f"chart params are read only next to builtin, got {params!r}" in err
 
     def test_params_null_reads_as_no_parameters(self, tmp_path):
         # JSON's null is the one non-object the dict-or-None rule lets through
@@ -1087,6 +1113,7 @@ class TestCurveDocuments:
             ({"samples": [{"t": 0, "matrix": [[1]]}, [1, [[2]]]]},
              "sample 1 must be an object with fields 't' and 'matrix'"),
             (_curve_doc([1, 2, 1.5], closed=True), "closed curve endpoints differ"),
+            (_curve_doc([1, 2, 1], closed=True), "a closed curve needs at least 4 samples, got 3"),
             ('{"samples": [{"t": 0, "matrix": [[1]]}, {"t": 1, "matrix": [[1, 0], [0, 1]]}]}',
              "sample 1: matrix has shape (2, 2), sample 0 has (1, 1)"),
             ('{"samples": [{"t": 0, "matrix": [[1, 0], [0, 1]]}, {"t": 1, "matrix": [[1, 0], [0]]}]}',
@@ -1102,6 +1129,14 @@ class TestCurveDocuments:
         code, err, _ = _run_curve(doc, tmp_path)
         assert code == 2
         assert message in err
+
+    def test_overflowing_parameter_span_is_two_without_warnings(self, tmp_path):
+        doc = {"samples": [{"t": -1e308, "matrix": [[1]]}, {"t": 1e308, "matrix": [[2]]}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err, _ = _run_curve(doc, tmp_path)
+        assert code == 2
+        assert err == "error: sample 1: parameter step overflows the float range\n"
 
     def test_overflowing_speed_is_two(self, tmp_path):
         doc = {"samples": [{"t": 0.0, "matrix": [[1.0]]}, {"t": 5e-324, "matrix": [[2.0]]}]}

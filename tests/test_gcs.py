@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -291,6 +292,26 @@ class TestGenericity:
         )
         assert report.generic
 
+    def test_tolerance_reads_the_scan_record(self):
+        # d = diag(1, 1/8, 1/8): the eigenvalue ratio is 8 times below the norm ratio
+        chart = builtin_chart("product_nonrigid", 3, {"epsilon": "1/8"})
+        ratio = chart._grid_summary.min_eig_ratio
+        below, above = (genericity_report(chart, tol) for tol in (ratio / 2, ratio * 2))
+        assert below.generic and not above.generic
+        assert below.nowhere_tr and above.nowhere_tr
+        assert dataclasses.replace(below, tol=above.tol) == above
+        assert chart._grid_summary.tol == SPECTRAL_TOL
+
+    def test_report_does_not_share_the_chart_record(self):
+        chart = builtin_chart("product_nonrigid", 3)
+        report = genericity_report(chart)
+        want = (list(report.worst_point[0]), list(report.min_norm_point[0]))
+        report.worst_point[0][0] = report.min_norm_point[0][0] = 9.0
+        again = genericity_report(chart)
+        assert (again.worst_point[0], again.min_norm_point[0]) == want
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.tol = 0.0
+
 
 class TestLiftQuotient:
     def test_lift_structure(self):
@@ -566,23 +587,25 @@ def _exact_scan(domain, interval, entries, per_axis):
         for message in sorted(refusals[k], reverse=True):  # "not finite" first
             raise ValueError(f"{message} at grid point {where}")
         lo, hi = eigs[k, 0], eigs[k, -1]
-        if lo <= SPECTRAL_TOL * max(abs(hi), 1.0) or hi <= 0.0:
+        cut = SPECTRAL_TOL * max(abs(hi), 1.0)
+        if lo <= cut or hi <= 0.0:
             raise ValueError(
                 f"coefficient matrix is not positive definite at grid point "
-                f"{where} (min eigenvalue {lo:.3e})"
+                f"{where} (eigenvalue range [{lo:.3e}, {hi:.3e}], cut {cut:.3e})"
             )
     scale = np.maximum(np.abs(mats[0]).max(axis=(1, 2)), 1.0)
     norm = np.abs(mats[1]).max(axis=(1, 2))
     min_eig = np.abs(np.linalg.eigvalsh(mats[1])).min(axis=1)
     worst, low = int(np.argmin(min_eig)), int(np.argmin(norm))
     where = [tuple(map(float, points[k])) for k in (worst, low)]
-    return gcs.GridSummary(
+    return gcs.GenericityReport(
         worst_min_abs_eig=float(min_eig[worst]),
         worst_point=(list(where[0][:-1]), where[0][-1]),
         min_norm=float(norm[low]),
         min_norm_point=(list(where[1][:-1]), where[1][-1]),
         min_eig_ratio=float(np.min(min_eig / scale)),
         min_norm_ratio=float(np.min(norm / scale)),
+        grid=per_axis,
     )
 
 
@@ -596,15 +619,18 @@ def _scan_outcome(scan, *args):
 
 def _assert_outcomes_match(got, want):
     """A float scan's outcome against the exact scan's: the same refusal
-    (the minimum eigenvalue in it to 1e-12), or a summary with the same
-    points and its values equal to 1e-12."""
+    (the eigenvalue range and the cut in it to 1e-12), or a summary with the
+    same points and its values equal to 1e-12."""
     if isinstance(want, str):
         assert isinstance(got, str), got
-        head, _, eig = want.partition(" (min eigenvalue ")
-        got_head, _, got_eig = got.partition(" (min eigenvalue ")
+        head, _, eigs = want.partition(" (eigenvalue range [")
+        got_head, _, got_eigs = got.partition(" (eigenvalue range [")
         assert got_head == head
-        if eig:
-            assert float(got_eig[:-1]) == pytest.approx(float(eig[:-1]), abs=1e-12)
+        numbers = [re.findall(r"-?\d\.\d{3}e[-+]\d+", text) for text in (got_eigs, eigs)]
+        assert len(numbers[1]) == (3 if eigs else 0)
+        assert [float(v) for v in numbers[0]] == pytest.approx(
+            [float(v) for v in numbers[1]], rel=1e-12, abs=1e-12
+        )
         return
     assert not isinstance(got, str), got
     assert (got.worst_point, got.min_norm_point) == (want.worst_point, want.min_norm_point)
@@ -976,14 +1002,16 @@ class TestDiagonalScan:
 
     def test_signed_zero_refusal_matches_dense(self):
         # a_11 = (x_1 + 1) / -1 is -0.0 at x_1 = -1 and a_00, without a field,
-        # is 0.0: the message names the zero that eigvalsh puts first
+        # is 0.0: the message names the zeros in the order eigvalsh puts them
         doc = {
             "kind": "gcs", "n": 2, "domain": [[-1, 1], [-1, 1]], "interval": [0.5, 2],
             "entries": [{"i": 1, "j": 1, "num": [["1", [1, 0, 0]], ["1", [0, 0, 0]]],
                          "den": [["-1", [0, 0, 0]]]}],
         }
         base = _assert_scan_matches_dense(lambda: chart_from_doc(doc, grid=3))
-        assert _scan_outcome(gcs._scan_grid, base).endswith("(min eigenvalue 0.000e+00)")
+        assert _scan_outcome(gcs._scan_grid, base).endswith(
+            "(eigenvalue range [0.000e+00, -0.000e+00], cut 1.000e-10)"
+        )
 
     @pytest.mark.parametrize(
         "name", ["conformal_flat", "product_nonrigid", "linear_hyperbolic", "lightcone"]

@@ -369,7 +369,11 @@ class TestLoopOracle:
         speeds = loop_speeds(t, mats, closed)
         assert curve.speeds.tobytes() == speeds.tobytes()
         assert curve_length(curve) == float(np.trapezoid(speeds, t))
-        for m in (2, 33):
+        for m in (2, 3, 33):
+            if closed and m < 4:
+                with pytest.raises(ValueError, match=f"closed curve needs at least 4 samples, got {m}"):
+                    arclength_reparam(curve, m)
+                continue
             params, resampled = loop_reparam(t, mats, speeds, m)
             r = arclength_reparam(curve, m)
             assert r.params.tobytes() == params.tobytes()
