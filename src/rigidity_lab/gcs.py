@@ -28,7 +28,13 @@ from typing import Callable
 
 import numpy as np
 
-from .multilinear import SPECTRAL_TOL, BilinForm, _full_positions, _sym_indices
+from .multilinear import (
+    SPECTRAL_TOL,
+    BilinForm,
+    _full_positions,
+    _sym_indices,
+    positive_pivots,
+)
 from .ratfield import Poly, RationalField, _as_fraction, _as_int
 
 DEFAULT_GRID = 5
@@ -291,6 +297,61 @@ def _first_least(values: np.ndarray, kept: float) -> int | None:
     return k if values[k] < kept * (1.0 - tie) else None
 
 
+def _metric_range(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and largest eigenvalue of each metric J of a stack, which
+    the scan's positivity test and refusal read.  A metric that an
+    elimination proves positive past twice the cut, J - s I positive
+    definite for s = 2 SPECTRAL_TOL max(||J||_inf, 1) (and |hi| <=
+    ||J||_inf), reads NaN, which fails no test; ``eigvalsh`` takes the
+    others."""
+    norm = np.linalg.norm(mats, np.inf, axis=(1, 2))
+    lo, hi = np.full((2, len(mats)), np.nan)
+    rest = np.flatnonzero(~positive_pivots(mats, 2.0 * SPECTRAL_TOL * np.maximum(norm, 1.0)))
+    if rest.size:
+        eigs = np.linalg.eigvalsh(mats[rest])
+        lo[rest], hi[rest] = eigs[:, 0], eigs[:, -1]
+    return lo, hi
+
+
+#: Relative margin above its block's probes that a derivative's spectrum
+#: must clear to be left out of eigvalsh; about 7e7 widths of the 64-ulp tie.
+PROBE_MARGIN = 1e-6
+
+
+def _least_abs_eigs(d: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """min |eig| of each derivative d of a stack wherever it can be the
+    stack's least value or least ratio to ``scale``; +inf elsewhere.
+
+    ``eigvalsh`` first takes the probes: the point of least min |d_ii| and
+    that of least min |d_ii| / scale.  When every probe eigenvalue has one
+    strict sign, a point where eliminating +-d - t I (that sign) keeps its
+    pivots positive, with t = (1 + PROBE_MARGIN) max(least probe value,
+    least probe ratio * scale) at the point, has every |eig| above t and so
+    is neither least.  ``eigvalsh`` takes every other point, and every point
+    when the probes' signs differ.  A point with ||d||_inf above
+    t / PROBE_MARGIN, or with t below the normal range, is not eliminated:
+    the rounding could approach the margin there.
+    """
+    least = np.abs(np.diagonal(d, axis1=1, axis2=2)).min(axis=1)
+    probes = np.array(sorted({int(np.argmin(least)), int(np.argmin(least / scale))}))
+    eigs = np.linalg.eigvalsh(d[probes])
+    out = np.full(len(d), np.inf)
+    values = np.abs(eigs).min(axis=1)
+    out[probes] = values
+    rest = np.ones(len(d), dtype=bool)
+    rest[probes] = False
+    sign = 1.0 if (eigs > 0.0).all() else -1.0 if (eigs < 0.0).all() else 0.0
+    if sign:
+        t = (1.0 + PROBE_MARGIN) * np.maximum(values.min(), (values / scale[probes]).min() * scale)
+        norm = np.linalg.norm(d, np.inf, axis=(1, 2))
+        tried = (norm <= t / PROBE_MARGIN) & (t >= np.finfo(float).tiny)
+        rest &= ~(tried & positive_pivots(sign * d, t))
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        out[rest] = np.abs(np.linalg.eigvalsh(d[rest])).min(axis=1)
+    return out
+
+
 def _grid_point(axes, digits, k) -> tuple[list[float], float]:
     """Point k of a block as (x, r) floats."""
     point = [float(axis[d[k]]) for axis, d in zip(axes, digits)]
@@ -303,7 +364,9 @@ def _scan_grid(chart: "GcsChart") -> GenericityReport:
     """Evaluate the metric and its r-derivative over the chart's grid, in
     blocks of points, and take their eigenvalues: a diagonal chart's are its
     diagonal values (a diagonal entry without a field is 0), any other
-    chart's come from one batched ``eigvalsh`` call per matrix.
+    chart's come from ``eigvalsh`` wherever a refusal or the summary reads
+    them, and an elimination proves the rest (:func:`_metric_range`,
+    :func:`_least_abs_eigs`).
 
     The scan walks the grid of the axes that some monomial of the compiled
     coefficients reads; the values do not change along any other axis, and
@@ -370,11 +433,14 @@ def _scan_grid(chart: "GcsChart") -> GenericityReport:
             lo = np.take_along_axis(diag[0], diag[0].argmin(axis=0)[None], axis=0)[0]
             hi = diag[0].max(axis=0)
         else:
-            mats = np.zeros((2, len(nonfinite), n, n))
-            mats[slots, :, rows, cols] = vals
-            mats[slots, :, cols, rows] = vals
-            eigs = np.linalg.eigvalsh(mats[0])
-            lo, hi = eigs[:, 0], eigs[:, -1]
+            # each matrix entry is one contiguous row over the points, which
+            # the spectra's reductions and eliminations run along; they read
+            # it through a (2, points, n, n) view
+            mats = np.zeros((2, n, n, len(nonfinite)))
+            mats[slots, rows, cols] = vals
+            mats[slots, cols, rows] = vals
+            mats = np.moveaxis(mats, -1, 1)
+            lo, hi = _metric_range(mats[0])
         cut = SPECTRAL_TOL * np.maximum(np.abs(hi), 1.0)
         bad = vanished | nonfinite | (lo <= cut) | (hi <= 0.0)
         if bad.any():
@@ -394,7 +460,7 @@ def _scan_grid(chart: "GcsChart") -> GenericityReport:
         if prog.diagonal:
             min_eig = np.abs(diag[1]).min(axis=0)
         else:
-            min_eig = np.abs(np.linalg.eigvalsh(mats[1])).min(axis=1)
+            min_eig = _least_abs_eigs(mats[1], scale)
         k = _first_least(min_eig, worst)
         if k is not None:
             worst, worst_point = float(min_eig[k]), _grid_point(axes, digits, k)

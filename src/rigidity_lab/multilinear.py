@@ -103,6 +103,40 @@ def form_signature(matrix) -> tuple[int, int, int]:
     return (p, q, matrix.shape[0] - p - q)
 
 
+#: Largest order that :func:`positive_pivots` eliminates; its rounding there
+#: stays below n (n + 1) 2^-53 <= 1.2e-13 of the matrix's 2-norm.
+PIVOT_MAX_N = 32
+
+
+def positive_pivots(stack, shift) -> np.ndarray:
+    """For each symmetric matrix A_k of a (K, n, n) stack, whether
+    elimination without pivoting keeps every pivot of A_k - shift[k] I
+    positive and finite.
+
+    A yes certifies that the shifted matrix, plus a perturbation of 2-norm
+    at most n (n + 1) 2^-53 times its own, is positive definite (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Chs. 9-10),
+    as long as its entries are normal numbers; an entry that underflows
+    adds at most 2^-1074.  A pivot only ever decreases from its diagonal
+    entry, so a non-finite entry and an overflow both end in a no.  Orders
+    above PIVOT_MAX_N are not eliminated and read no.  Numpy only, with
+    floating-point warnings silenced.
+    """
+    # matrix index last, so that each step works on contiguous rows
+    m = np.array(np.moveaxis(np.asarray(stack, dtype=float), 0, -1), order="C")
+    n, count = m.shape[0], m.shape[-1]
+    if n > PIVOT_MAX_N:
+        return np.zeros(count, dtype=bool)
+    # the diagonal, where step j leaves pivot j and no later step writes
+    pivots = m.reshape(n * n, count)[:: n + 1]
+    with np.errstate(all="ignore"):
+        pivots -= shift
+        for j in range(n - 1):
+            below = m[j + 1 :, j] / m[j, j]
+            m[j + 1 :, j + 1 :] -= below[:, None] * m[None, j, j + 1 :]
+        return ((pivots > 0.0) & (pivots < np.inf)).all(axis=0)
+
+
 @dataclass
 class BilinForm:
     """Symmetric bilinear form on R^n with spectral metadata.

@@ -10,14 +10,14 @@ n = 1 this is the metric dx^2/x^2 on the positive half-line.
 
 A sampled curve is one read-only (K, n, n) stack of symmetrized samples
 over read-only parameters, validated in one pass: every sample finite and
-positive definite (one batched eigvalsh), every parameter finite and
-strictly increasing.  Tangents are central differences over the stack
-(one-sided at the ends of an open curve, wrapped around the period of a
-closed one).  The speeds come from one stacked solve, are computed once per
-curve and are shared by the length, the arc-length reparameterization and
-the mean.  Lengths are trapezoidal quadratures of the speed; closed curves
-additionally carry a canonical mean: the average of the curve against its
-arc-length measure.
+positive definite (by an elimination, or by eigvalsh where that proves
+nothing), every parameter finite and strictly increasing.  Tangents are
+central differences over the stack (one-sided at the ends of an open
+curve, wrapped around the period of a closed one).  The speeds come from
+one stacked solve, are computed once per curve and are shared by the
+length, the arc-length reparameterization and the mean.  Lengths are
+trapezoidal quadratures of the speed; closed curves additionally carry a
+canonical mean: the average of the curve against its arc-length measure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .multilinear import SPECTRAL_TOL
+from .multilinear import SPECTRAL_TOL, positive_pivots
 
 #: Hard cap on the matrix entries, m n^2, of a curve resampled at m points.
 RESAMPLE_CAP = 10**7
@@ -36,27 +36,36 @@ RESAMPLE_CAP = 10**7
 def _spd_stack(mats, label: str = "sample {}") -> np.ndarray:
     """Symmetrized read-only copy of a (K, n, n) stack of positive-definite matrices.
 
-    Every slice must be finite, and its eigenvalues (one batched eigvalsh)
-    must be positive, the smallest above SPECTRAL_TOL times the largest.
-    The ValueError names the first failing slice by ``label.format(k)``.
+    Every slice must be finite, and its eigenvalues must be positive, the
+    smallest above SPECTRAL_TOL times the largest.  A slice m where
+    eliminating m - s I, s = 2 SPECTRAL_TOL ||m||_inf, keeps every pivot
+    positive passes by twice that (the largest eigenvalue is at most
+    ||m||_inf), unless s is below the normal range; one batched ``eigvalsh``
+    decides the others.  The ValueError names the first failing slice by
+    ``label.format(k)``.
     """
     m = np.asarray(mats, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
         raise ValueError(f"expected square matrices, got shape {m.shape[1:]}")
     with np.errstate(all="ignore"):  # overflow and inf - inf are refused below
         m = (m + m.swapaxes(1, 2)) / 2.0
+        norm = np.linalg.norm(m, np.inf, axis=(1, 2))
     bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
     if bad.size:
         raise ValueError(f"{label.format(bad[0])} has a non-finite entry")
-    eigs = np.linalg.eigvalsh(m)
-    lo, hi = eigs[:, 0], eigs[:, -1]
-    bad = np.flatnonzero(~((hi > 0.0) & (lo > SPECTRAL_TOL * hi)))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(
-            f"{label.format(k)} is not positive definite (eigenvalue range "
-            f"[{lo[k]:.3e}, {hi[k]:.3e}])"
-        )
+    # below the normal range, eigvalsh's least eigenvalue may underflow to 0
+    shift = 2.0 * SPECTRAL_TOL * norm
+    rest = np.flatnonzero(~(positive_pivots(m, shift) & (shift >= np.finfo(float).tiny)))
+    if rest.size:
+        eigs = np.linalg.eigvalsh(m[rest])
+        lo, hi = eigs[:, 0], eigs[:, -1]
+        bad = np.flatnonzero(~((hi > 0.0) & (lo > SPECTRAL_TOL * hi)))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"{label.format(rest[k])} is not positive definite (eigenvalue range "
+                f"[{lo[k]:.3e}, {hi[k]:.3e}])"
+            )
     m.setflags(write=False)
     return m
 
@@ -160,11 +169,17 @@ def _tangents(curve: SpdCurve) -> np.ndarray:
 
 @np.errstate(all="ignore")  # a speed that leaves the float range is refused below
 def _speeds(curve: SpdCurve) -> np.ndarray:
-    """Read-only speeds sqrt(tr((b^-1 x)^2)) from one stacked solve."""
+    """Read-only speeds sqrt(tr((b^-1 x)^2)) from one stacked solve.
+
+    Each y = b^-1 x is scaled by 2^-e, with e the exponent of its largest
+    |entry|, and its root by 2^e, so the square neither underflows nor
+    overflows; in the normal range the scaling is exact."""
     if curve.params.size < 2:
         raise ValueError("need at least two samples to measure a speed")
     y = np.linalg.solve(curve.matrices, _tangents(curve))
-    speeds = np.sqrt(np.maximum(np.trace(y @ y, axis1=1, axis2=2), 0.0))
+    e = np.frexp(np.abs(y).max(axis=(1, 2)))[1]
+    y = np.ldexp(y, -e[:, None, None])
+    speeds = np.ldexp(np.sqrt(np.maximum(np.trace(y @ y, axis1=1, axis2=2), 0.0)), e)
     bad = np.flatnonzero(~np.isfinite(speeds))
     if bad.size:
         raise ValueError(f"sample {bad[0]}: speed overflows the float range")

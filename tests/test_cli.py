@@ -260,12 +260,18 @@ def test_runs_load_no_openssl_or_numpy_ma():
     # input_hash comes from the builtin SHA-256 and no command draws random
     # numbers: hashlib, and numpy.random through secrets and hmac, would map
     # OpenSSL's libcrypto through _hashlib; numpy.ma comes in with
-    # the first call of np.unique (and so np.setdiff1d), which no command needs
+    # the first call of np.unique (and so np.setdiff1d), which no command needs;
+    # the two chart documents have off-diagonal entries, so their scans
+    # take the elimination and eigvalsh branch
+    charts = [GOLDEN_CASES[name] for name in (
+        "certify_chart_rational.json", "lightlike_chart_document.json"
+    )]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import contextlib, io, sys\n"
+         "import contextlib, io, json, sys\n"
          "from rigidity_lab import cli\n"
-         "for argv in (['certify', '--builtin', 'conformal_flat', '--n', '3', '--r', '1'],\n"
+         "for argv in (*json.loads(sys.argv[2]),\n"
+         "             ['certify', '--builtin', 'conformal_flat', '--n', '3', '--r', '1'],\n"
          "             ['lightlike', '--builtin', 'lightcone', '--n', '4', '--r', '1'],\n"
          "             ['braid', '--n', '6'], ['braid', '--variant', 'classical', '--n', '4'],\n"
          "             ['braid', '--variant', 'symskew', '--n', '3'],\n"
@@ -278,7 +284,7 @@ def test_runs_load_no_openssl_or_numpy_ma():
          "        assert cli.main(argv) == 0, argv\n"
          "print(sorted(m for m in ('_hashlib', 'secrets', 'numpy.random', 'numpy.ma')\n"
          "             if m in sys.modules))",
-         CURVE_FILE],
+         CURVE_FILE, json.dumps(charts)],
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "[]"

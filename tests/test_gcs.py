@@ -876,18 +876,13 @@ class TestGridScanReadAxes:
 
     def test_chart_in_r_alone_scans_the_r_samples(self, monkeypatch):
         # the shear pullback of conformal_flat, r S^T S, is not diagonal and
-        # reads r alone: 5 points of the 5^4 grid reach eigvalsh
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(mats):
-            calls.append(mats.shape)
-            return eigvalsh(mats)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        # reads r alone: its metric and derivative stacks hold the 5 r samples
+        stacks, rows = _count_spectra(monkeypatch)
         chart = _oracle_cases()["pullback_conformal_flat"]()
         assert _read_axes(chart) == {3}
-        assert calls == [(5, 3, 3)] * 2
+        assert [shape for shape, _ in stacks] == [(5, 3, 3)] * 2
+        # eigvalsh: the unproven points, and at most two probes per block
+        assert sum(rows) <= sum(shape[0] - proven for shape, proven in stacks) + 2
 
 
 class TestGridScanTies:
@@ -958,6 +953,26 @@ class TestGridScanReuse:
             builtin_chart("conformal_flat", 6, grid=20)
 
 
+def _count_spectra(monkeypatch):
+    """Records the (shape, proven count) of every stack the scan eliminates
+    and the number of matrices of every ``eigvalsh`` call."""
+    stacks, rows = [], []
+    pivots, eigvalsh = gcs.positive_pivots, np.linalg.eigvalsh
+
+    def counting_pivots(stack, shift):
+        proven = pivots(stack, shift)
+        stacks.append((stack.shape, int(proven.sum())))
+        return proven
+
+    def counting(mats):
+        rows.append(len(mats))
+        return eigvalsh(mats)
+
+    monkeypatch.setattr(gcs, "positive_pivots", counting_pivots)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return stacks, rows
+
+
 # -- grid scan against the exact scan -------------------------------------------
 
 
@@ -1025,20 +1040,16 @@ class TestDiagonalScan:
         base = chart.base if isinstance(chart, LightlikeChart) else chart
         assert base._program.diagonal
 
-    def test_dense_chart_makes_two_calls_per_point_block(self, monkeypatch):
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(mats):
-            calls.append(mats.shape)
-            return eigvalsh(mats)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    def test_dense_chart_is_scanned_in_point_blocks(self, monkeypatch):
+        # each block of GRID_BLOCK points eliminates its metrics and then its
+        # derivatives; eigvalsh sees the points that no elimination proves
+        # and at most two probes per block, here under a tenth of them all
+        stacks, rows = _count_spectra(monkeypatch)
         chart = _dense_chart(grid=5)
-        point_blocks = -(-(5 ** 5) // gcs.GRID_BLOCK)
-        assert len(calls) == 2 * point_blocks == 8
-        assert all(shape[1:] == (4, 4) for shape in calls)
-        assert sum(shape[0] for shape in calls) == 2 * 5 ** 5
+        sizes = [min(gcs.GRID_BLOCK, 5**5 - start) for start in range(0, 5**5, gcs.GRID_BLOCK)]
+        assert [shape for shape, _ in stacks] == [(k, 4, 4) for k in sizes for _ in (0, 1)]
+        assert sum(rows) <= sum(shape[0] - proven for shape, proven in stacks) + 2 * len(sizes)
+        assert sum(rows) <= 2 * 5**5 // 10
         assert genericity_report(chart).generic
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1090,3 +1101,163 @@ class TestDiagonalScan:
             ],
         }
         _assert_scan_matches_dense(lambda: chart_from_doc(doc, grid=grid))
+
+
+# -- the elimination against eigvalsh on every matrix ---------------------------
+
+
+def _eigvalsh_metric_range(mats):
+    """``gcs._metric_range`` with ``eigvalsh`` on every metric."""
+    eigs = np.linalg.eigvalsh(mats)
+    return eigs[:, 0], eigs[:, -1]
+
+
+def _eigvalsh_least_abs_eigs(d, scale):
+    """``gcs._least_abs_eigs`` with ``eigvalsh`` on every derivative."""
+    return np.abs(np.linalg.eigvalsh(d)).min(axis=1)
+
+
+def _chart_outcome(doc, grid, block, eigvalsh_everywhere):
+    """The chart's scan record, or the message of its refusal."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gcs, "GRID_BLOCK", block)
+        if eigvalsh_everywhere:
+            mp.setattr(gcs, "_metric_range", _eigvalsh_metric_range)
+            mp.setattr(gcs, "_least_abs_eigs", _eigvalsh_least_abs_eigs)
+        try:
+            return chart_from_doc(doc, grid=grid)._grid_summary
+        except ValueError as exc:
+            return str(exc)
+
+
+def _symmetric(rng, eigs):
+    q = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))[0]
+    m = (q * eigs) @ q.T
+    return (m + m.T) / 2.0
+
+
+def _spectral_doc(n, kind, seed, factor, h, spread):
+    """A dense chart a = M + h (x_0 + 1) I + (r - 1/2) d with the
+    r-derivative d = D + spread x_v^2 E (v = 1, or 0 when n = 1), exact in
+    the binary values of M, D and E:
+
+    * ``planted``: M's least eigenvalue is ``factor`` times the cut, taken
+      at x_0 = -1, r = 1/2; D and E are positive and small;
+    * ``positive``, ``negative``, ``indefinite``: M's spectrum lies in
+      [1, 2] and D (with E of its sign) has that sign pattern;
+    * ``vanishing``: entry (0, n-1) is divided by 1 - x_0, which vanishes
+      at x_0 = 1;
+    * ``nonfinite``: entry (0, 0) gains 1e308 (x_0 + 1), which overflows at
+      x_0 = 1.
+
+    ``spread`` 0 makes d constant, 1e-15 puts its values at x_v = +-1
+    within 64 ulps of those at x_v = 0, and x_v = -1 and 1 always tie."""
+    rng = np.random.default_rng(seed)
+    v = min(1, n - 1)
+    mu = rng.uniform(1.0, 2.0, n)
+    signs = np.ones(n)
+    if kind == "planted":
+        mu[0] = factor * SPECTRAL_TOL * max(mu[1:].max(initial=0.0), 1.0)
+        size = 1e-12
+    else:
+        size = 0.25
+        if kind == "negative":
+            signs = -signs
+        elif kind == "indefinite":
+            signs[: max(1, n // 2)] = -1.0
+    m = _symmetric(rng, mu)
+    d = size * _symmetric(rng, signs * rng.uniform(0.2, 1.0, n))
+    e = size * _symmetric(rng, np.sign(signs.sum() or 1.0) * rng.uniform(0.2, 1.0, n))
+
+    def monomial(**powers):
+        return [powers.get(f"x{k}", 0) for k in range(n)] + [powers.get("r", 0)]
+
+    one, x0, r = monomial(), monomial(x0=1), monomial(r=1)
+    xv2, rxv2 = monomial(**{f"x{v}": 2}), monomial(r=1, **{f"x{v}": 2})
+    entries = []
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        big_d, big_e = Fraction(d[i, j]), Fraction(spread) * Fraction(e[i, j])
+        const, linear = Fraction(m[i, j]) - big_d / 2, Fraction(0)
+        if i == j:
+            const, linear = const + Fraction(h), Fraction(h)
+        if kind == "nonfinite" and i == j == 0:
+            const, linear = const + Fraction(10) ** 308, linear + Fraction(10) ** 308
+        terms = [(const, one), (linear, x0), (big_d, r), (big_e, rxv2), (-big_e / 2, xv2)]
+        entry = {"i": i, "j": j, "num": [[str(c), e] for c, e in terms if c]}
+        if kind == "vanishing" and (i, j) == (0, n - 1):
+            entry["den"] = [["1", one], ["-1", x0]]
+        if entry["num"]:
+            entries.append(entry)
+    return {"kind": "gcs", "n": n, "domain": [[-1, 1]] * n, "interval": [0.5, 2],
+            "entries": entries}
+
+
+class TestEliminationScan:
+    """The scan that proves by elimination against the scan that takes
+    ``eigvalsh`` of every matrix: the same record or the same refusal."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 6),
+        kind=st.sampled_from(
+            ["planted", "planted", "positive", "negative", "indefinite", "vanishing", "nonfinite"]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        factor=st.floats(1.0, 3.0),
+        h=st.sampled_from([0.0, 0.125, 1.0]),
+        spread=st.sampled_from([0.0, 1e-15, 1e-9, 1e-6, 1e-3, 0.1]),
+        grid=st.sampled_from([2, 3, 5]),
+        block=st.sampled_from([gcs.GRID_BLOCK, 1]),
+    )
+    def test_matches_eigvalsh_everywhere(self, n, kind, seed, factor, h, spread, grid, block):
+        doc = _spectral_doc(n, kind, seed, factor, h, spread)
+        got = _chart_outcome(doc, grid, block, eigvalsh_everywhere=False)
+        assert got == _chart_outcome(doc, grid, block, eigvalsh_everywhere=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_planted_metrics_near_the_cut(self, rng, n):
+        # least eigenvalues from the cut to 3 cuts: a proven metric is one
+        # that eigvalsh passes, every other reads eigvalsh's own range
+        factors = np.linspace(1.0, 3.0, 201)
+        mats = np.stack([
+            _symmetric(rng, np.r_[f * SPECTRAL_TOL * 2.0, np.linspace(1.0, 2.0, n)[1:]])
+            if n > 1 else np.array([[f * SPECTRAL_TOL]])
+            for f in factors
+        ])
+        lo, hi = gcs._metric_range(mats)
+        want_lo, want_hi = _eigvalsh_metric_range(mats)
+        proven = np.isnan(lo)
+        assert proven.any() and not proven.all()
+        assert np.array_equal(lo[~proven], want_lo[~proven])
+        assert np.array_equal(hi[~proven], want_hi[~proven])
+        cut = SPECTRAL_TOL * np.maximum(np.abs(want_hi), 1.0)
+        assert (want_lo[proven] > 2.0 * cut[proven] * (1.0 - 1e-9)).all()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_proven_derivatives_are_never_least(self, rng, sign):
+        # spectra spread over a factor 1 + 1e-5 around the probes' values:
+        # a point left at +inf is above the least value and the least ratio
+        k, n = 400, 4
+        base = _symmetric(rng, np.linspace(1.0, 3.0, n))
+        d = sign * base * (1.0 + rng.uniform(0.0, 1e-5, k))[:, None, None]
+        scale = rng.uniform(1.0, 1.0 + 1e-5, k)
+        got = gcs._least_abs_eigs(d, scale)
+        want = _eigvalsh_least_abs_eigs(d, scale)
+        kept = np.isfinite(got)
+        assert kept.any() and not kept.all()
+        assert np.array_equal(got[kept], want[kept])
+        assert want[~kept].min() > want.min() and (want / scale)[~kept].min() > (want / scale).min()
+        assert gcs._first_least(got, np.inf) == gcs._first_least(want, np.inf)
+        assert (got / scale).min() == (want / scale).min()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_near_ties_keep_the_first_point(self, rng, sign):
+        # values falling by 1e-15 per point tie within 64 ulps with the
+        # last, least one, which the probes find: the first point still wins
+        k, n = 8, 3
+        base = _symmetric(rng, np.linspace(1.0, 2.0, n))
+        d = sign * base * (1.0 + 1e-15 * np.arange(k)[::-1])[:, None, None]
+        got = gcs._least_abs_eigs(d, np.ones(k))
+        want = _eigvalsh_least_abs_eigs(d, np.ones(k))
+        assert gcs._first_least(want, np.inf) == 0
+        assert gcs._first_least(got, np.inf) == 0 and got[0] == want[0]

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from rigidity_lab.multilinear import (
+    PIVOT_MAX_N,
     BilinForm,
     SymTensor,
     form_signature,
+    positive_pivots,
     sym_index_count,
     _packed_index,
     _sym_index_array,
@@ -186,3 +188,52 @@ class TestBilinForm:
     def test_call(self):
         f = BilinForm(np.diag([2.0, 3.0]))
         assert f([1.0, 0.0], [1.0, 0.0]) == pytest.approx(2.0)
+
+
+class TestPositivePivots:
+    """The elimination answers as the least eigenvalue does, away from a tie."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, PIVOT_MAX_N])
+    def test_matches_least_eigenvalue(self, rng, n):
+        a = rng.standard_normal((64, n, n))
+        a = a @ a.swapaxes(1, 2) + 1e-3 * np.eye(n)
+        lo = np.linalg.eigvalsh(a)[:, 0]
+        assert positive_pivots(a, lo * (1.0 - 1e-6)).all()
+        assert not positive_pivots(a, lo * (1.0 + 1e-6)).any()
+        # indefinite and negative definite stacks
+        assert not positive_pivots(a - 2.0 * lo[:, None, None] * np.eye(n), np.zeros(64)).any()
+        assert not positive_pivots(-a, np.zeros(64)).any()
+
+    @pytest.mark.parametrize("power", [-1070, -1000, -300, 0, 300, 1000])
+    def test_answer_does_not_depend_on_scale(self, rng, power):
+        # pivots are ratios times entries: the answer holds at any scale of
+        # normal entries, and a subnormal identity still passes
+        a = rng.standard_normal((32, 3, 3))
+        a = a @ a.swapaxes(1, 2) + 0.1 * np.eye(3)
+        lo = np.linalg.eigvalsh(a)[:, 0]
+        shift = np.where(np.arange(32) % 2, 0.999, 1.001) * lo
+        want = positive_pivots(a, shift)
+        assert want.tolist() == (np.arange(32) % 2 == 1).tolist()
+        scaled = np.ldexp(a, power)
+        if power < -1000:
+            assert positive_pivots(np.ldexp(np.eye(3)[None], power), np.zeros(1)).all()
+            return
+        assert positive_pivots(scaled, np.ldexp(shift, power)).tolist() == want.tolist()
+
+    def test_non_finite_zero_and_empty(self):
+        stack = np.array([[[np.inf]], [[np.nan]], [[0.0]], [[-0.0]], [[-1.0]], [[5e-324]]])
+        assert positive_pivots(stack, np.zeros(6)).tolist() == [False] * 5 + [True]
+        big = np.array([[[1e308, 1e308], [1e308, -1e308]], [[1e308, 0.0], [0.0, 1e308]]])
+        assert positive_pivots(big, np.zeros(2)).tolist() == [False, True]
+        assert positive_pivots(big, np.full(2, np.inf)).tolist() == [False, False]
+        assert positive_pivots(np.zeros((0, 3, 3)), np.zeros(0)).shape == (0,)
+
+    def test_input_untouched_and_no_warning(self, recwarn):
+        a = np.array([[[1.0, 2.0], [2.0, 1.0]], [[0.0, 1e308], [1e308, 0.0]]])
+        before = a.copy()
+        assert not positive_pivots(a, np.zeros(2)).any()
+        assert np.array_equal(a, before) and not recwarn.list
+
+    def test_orders_above_the_cap_are_not_eliminated(self):
+        n = PIVOT_MAX_N + 1
+        assert positive_pivots(np.eye(n)[None], np.zeros(1)).tolist() == [False]

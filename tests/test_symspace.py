@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rigidity_lab import cli, symspace
+from rigidity_lab.multilinear import SPECTRAL_TOL
 from rigidity_lab.symspace import (
     SpdCurve,
     SpdPoint,
@@ -120,6 +122,13 @@ class TestCurveLength:
         c = SpdCurve([0.0], [np.eye(2)])
         with pytest.raises(ValueError):
             curve_length(c)
+
+    @pytest.mark.parametrize("span", [1e150, 1e200, 1e300])
+    def test_long_parameter_steps_keep_their_speed(self, span):
+        # the tangents are about 1e-200 at span 1e200: their squares underflow
+        c = SpdCurve([-span, 0.0, span], [[[1.0]], [[2.0]], [[4.0]]])
+        assert c.speeds.tolist() == pytest.approx([1.0 / span, 0.75 / span, 0.5 / span], rel=1e-15)
+        assert curve_length(c) == pytest.approx(1.5, rel=1e-12)
 
     def test_overflowing_length_is_refused(self):
         # both speeds are finite, the trapezoid over the long step is not
@@ -384,3 +393,86 @@ class TestLoopOracle:
         pushed = np.stack([g.T @ x @ g for x in mats])
         pushed = (pushed + pushed.swapaxes(1, 2)) / 2.0
         assert curve.pushforward(g).matrices.tobytes() == pushed.tobytes()
+
+
+# -- reference: positivity by eigvalsh on every sample --------------------------
+
+
+def eigvalsh_spd_stack(mats, label="sample {}"):
+    """``symspace._spd_stack`` with one batched ``eigvalsh`` over every sample."""
+    m = np.asarray(mats, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
+        raise ValueError(f"expected square matrices, got shape {m.shape[1:]}")
+    with np.errstate(all="ignore"):
+        m = (m + m.swapaxes(1, 2)) / 2.0
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"{label.format(bad[0])} has a non-finite entry")
+    eigs = np.linalg.eigvalsh(m)
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    bad = np.flatnonzero(~((hi > 0.0) & (lo > SPECTRAL_TOL * hi)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"{label.format(k)} is not positive definite (eigenvalue range "
+            f"[{lo[k]:.3e}, {hi[k]:.3e}])"
+        )
+    return m
+
+
+def _stack_outcome(validate, mats):
+    try:
+        return validate(mats, "sample {}: matrix").tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSpdStackOracle:
+    """Positivity by elimination against eigvalsh on every sample: the same
+    stack or the same refusal."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        factors=st.lists(
+            st.one_of(st.floats(0.5, 3.0), st.sampled_from([0.0, -1.0, 1e3, np.nan, np.inf])),
+            min_size=1, max_size=12,
+        ),
+        power=st.sampled_from([-1060, -600, 0, 600, 1000]),
+    )
+    def test_matches_eigvalsh_everywhere(self, n, seed, factors, power):
+        # sample k's least eigenvalue is factors[k] times SPECTRAL_TOL times
+        # its largest, in stacks scaled by 2^power (subnormal to huge)
+        rng = np.random.default_rng(seed)
+        mats = []
+        for f in factors:
+            eigs = np.r_[1.0, rng.uniform(1.0, 2.0, n - 1)]
+            eigs[0] = f * SPECTRAL_TOL * eigs.max() if np.isfinite(f) and f < 1e3 else f
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            mats.append(np.ldexp((q * eigs) @ q.T, power))
+        with np.errstate(all="ignore"):
+            mats = np.stack(mats)
+        assert _stack_outcome(symspace._spd_stack, mats) == _stack_outcome(eigvalsh_spd_stack, mats)
+
+    def test_planted_samples_near_the_cut(self, rng):
+        # from the cut to 3 cuts, the elimination proves some samples and
+        # eigvalsh decides the others, which all pass here
+        n, factors = 4, np.linspace(1.01, 3.0, 200)
+        mats = []
+        for f in factors:
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            mats.append((q * np.r_[f * SPECTRAL_TOL * 2.0, 1.0, 1.5, 2.0]) @ q.T)
+        mats = np.stack(mats)
+        rows = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(m):
+            rows.append(len(m))
+            return eigvalsh(m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", counting)
+            got = symspace._spd_stack(mats)
+        assert got.tobytes() == eigvalsh_spd_stack(mats).tobytes()
+        assert 0 < sum(rows) < len(mats)
