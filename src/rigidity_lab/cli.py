@@ -26,7 +26,6 @@ import sys
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -127,9 +126,9 @@ def _parse_matrix(spec: str, n: int | None, flag: str) -> np.ndarray:
     return m
 
 
-def _load_json_file(path: str):
+def _load_json_file(path: str, object_hook=None):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_hook=object_hook)
 
 
 def _resolve_chart(args: argparse.Namespace):
@@ -294,8 +293,86 @@ def _run_prolong(args: argparse.Namespace) -> dict:
     return _envelope(args, input_doc, payload)
 
 
-#: The key orders of a curve sample, as ``tuple(sample)`` lists them.
-_SAMPLE_KEYS = {("t", "matrix"), ("matrix", "t")}
+#: The keys of a curve sample.
+_SAMPLE_KEYS = frozenset(("t", "matrix"))
+
+
+class _CurveSamples:
+    """A ``json.load`` object hook that reads curve samples into float
+    arrays while the file is parsed, so the parsed tree of a curve never
+    exists whole.
+
+    Each object with exactly the keys ``t`` and ``matrix`` is replaced in
+    the document by the marker ``SAMPLE``; its parameter and matrix are
+    held until ``BATCH`` samples are pending.  Each batch is then checked
+    in passes over all its samples, rows and entries at once: every ``t`` a
+    number, every matrix n lists of n numbers (n from the first sample),
+    floats that do not overflow; and appended to the arrays.  Once a batch
+    fails, :meth:`arrays` reads no curve from the document.
+    """
+
+    SAMPLE = object()
+
+    #: Samples whose parsed parameter and matrix are held at once.
+    BATCH = 64
+
+    def __init__(self):
+        from array import array  # loaded by this command alone
+
+        self.params = array("d")
+        self.entries = array("d")
+        self.n = None
+        self.refused = False
+        self._ts, self._matrices = [], []
+
+    def __call__(self, obj: dict):
+        if obj.keys() != _SAMPLE_KEYS:
+            return obj
+        self._ts.append(obj["t"])
+        self._matrices.append(obj["matrix"])
+        if len(self._ts) == self.BATCH:
+            self._flush()
+        return self.SAMPLE
+
+    def _flush(self) -> None:
+        ts, matrices = self._ts, self._matrices
+        self._ts, self._matrices = [], []
+        if ts and not self.refused:
+            self.refused = not self._append(ts, matrices)
+
+    def _append(self, ts: list, matrices: list) -> bool:
+        """Append a batch of samples to the arrays; False if one is no
+        well-formed sample."""
+        if not set(map(type, ts)) <= _JSON_NUMBERS or set(map(type, matrices)) != {list}:
+            return False
+        n = len(matrices[0]) if self.n is None else self.n
+        rows = list(chain.from_iterable(matrices))
+        if set(map(len, matrices)) != {n} or set(map(type, rows)) != {list}:
+            return False
+        # the float conversion alone would also read booleans
+        flat = list(chain.from_iterable(rows))
+        if set(map(len, rows)) != {n} or not set(map(type, flat)) <= _JSON_NUMBERS:
+            return False
+        try:
+            self.entries.fromlist(flat)
+            self.params.fromlist(ts)
+        except OverflowError:  # an integer beyond the float range, named by the walk
+            return False
+        self.n = n
+        return True
+
+    def arrays(self, samples) -> tuple[np.ndarray, np.ndarray] | None:
+        """The parameters and the matrices, as given, when ``samples`` is a
+        list of every sample read, in order, and each is well formed; else
+        None."""
+        self._flush()
+        count = len(self.params)
+        if self.refused or type(samples) is not list:
+            return None
+        if not 0 < len(samples) == count == samples.count(self.SAMPLE):
+            return None
+        matrices = np.frombuffer(self.entries, dtype=float).reshape(count, self.n, self.n)
+        return np.frombuffer(self.params, dtype=float), matrices
 
 
 def _curve_params(ts: list) -> np.ndarray:
@@ -305,38 +382,11 @@ def _curve_params(ts: list) -> np.ndarray:
         raise ValueError(f"curve sample out of float range: {exc}") from exc
 
 
-def _curve_arrays(samples: list) -> tuple[np.ndarray, np.ndarray]:
-    """The parameters and the matrices, as given, of the curve's samples.
-
-    Types, keys and shapes are checked in passes over all samples, rows and
-    entries at once; only when a pass fails does :func:`_walk_curve` go
-    through the samples one by one, to name the first offender.
-    """
-    if set(map(type, samples)) != {dict} or not set(map(tuple, samples)) <= _SAMPLE_KEYS:
-        return _walk_curve(samples)
-    ts = list(map(itemgetter("t"), samples))
-    matrices = list(map(itemgetter("matrix"), samples))
-    if not set(map(type, ts)) <= _JSON_NUMBERS or set(map(type, matrices)) != {list}:
-        return _walk_curve(samples)
-    n = len(matrices[0])
-    rows = list(chain.from_iterable(matrices))
-    if set(map(len, matrices)) != {n} or set(map(type, rows)) != {list}:
-        return _walk_curve(samples)
-    # the float conversion alone would also read numeric strings and booleans
-    flat = list(chain.from_iterable(rows))
-    if set(map(len, rows)) != {n} or not set(map(type, flat)) <= _JSON_NUMBERS:
-        return _walk_curve(samples)
-    params = _curve_params(ts)
-    try:
-        return params, np.array(flat, dtype=float).reshape(len(samples), n, n)
-    except OverflowError:  # an integer beyond the float range, named by the walk
-        return _walk_curve(samples)
-
-
 def _walk_curve(samples: list) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_curve_arrays` one sample at a time: the first sample that is
-    no object with a numeric ``t`` and a matrix of numbers, or whose matrix
-    differs in shape from sample 0's, is named."""
+    """The curve's samples read one at a time, for a document that
+    :class:`_CurveSamples` did not read: the first sample that is no object
+    with a numeric ``t`` and a matrix of numbers, or whose matrix differs in
+    shape from sample 0's, is named."""
     ts = []
     for k, s in enumerate(samples):
         if not isinstance(s, dict):
@@ -359,10 +409,22 @@ def _walk_curve(samples: list) -> tuple[np.ndarray, np.ndarray]:
     return params, np.array(checked)
 
 
-def _run_symspace(args: argparse.Namespace) -> dict:
-    if not args.curve:
-        raise ValueError("need --curve FILE with the sampled curve")
-    doc = _load_json_file(args.curve)
+def _read_curve(path: str) -> tuple[bool, np.ndarray, np.ndarray]:
+    """``closed`` and the parameters and matrices, as given, of a curve file.
+
+    The samples are read into arrays as they are parsed; a document that is
+    not a well-formed curve is read again as a tree, which is checked field
+    by field and sample by sample to name the first offender.
+    """
+    samples = _CurveSamples()
+    doc = _load_json_file(path, samples)
+    if type(doc) is dict and doc.keys() <= {"closed", "samples"}:
+        closed = doc.get("closed", False)
+        arrays = samples.arrays(doc.get("samples"))
+        if type(closed) is bool and arrays is not None:
+            return (closed, *arrays)
+    del doc, samples
+    doc = _load_json_file(path)
     if not isinstance(doc, dict):
         raise ValueError("curve document must be a JSON object")
     unknown = set(doc) - {"closed", "samples"}
@@ -374,8 +436,13 @@ def _run_symspace(args: argparse.Namespace) -> dict:
     samples = doc.get("samples")
     if not samples or not isinstance(samples, list):
         raise ValueError("curve field 'samples' must be a nonempty list of samples")
-    params, matrices = _curve_arrays(samples)
-    del doc, samples  # the report embeds the arrays, not the parsed document
+    return (closed, *_walk_curve(samples))
+
+
+def _run_symspace(args: argparse.Namespace) -> dict:
+    if not args.curve:
+        raise ValueError("need --curve FILE with the sampled curve")
+    closed, params, matrices = _read_curve(args.curve)
     curve = SpdCurve(params, matrices, closed=closed)
     length = curve_length(curve)
     payload = {
@@ -412,11 +479,12 @@ def _run_examples() -> str:
     return "\n".join(lines)
 
 
-def run(args: argparse.Namespace) -> bytes:
+def run(args: argparse.Namespace, fh) -> None:
     """Execute the parsed command, its ``tol`` (if it takes one) resolved, and
-    return the canonical report bytes."""
+    write the canonical report bytes to the binary sink ``fh``."""
     if args.command == "examples":
-        return _run_examples().encode("ascii")
+        fh.write(_run_examples().encode("ascii"))
+        return
     handlers = {
         "certify": _run_certify,
         "lightlike": _run_lightlike,
@@ -424,7 +492,7 @@ def run(args: argparse.Namespace) -> bytes:
         "prolong": _run_prolong,
         "symspace": _run_symspace,
     }
-    return reportio.dump_bytes(handlers[args.command](args))
+    reportio.dump_bytes(handlers[args.command](args), fh)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -504,16 +572,70 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _save(path: str, report: bytes) -> None:
-    """Write ``report`` to ``path``; a failed write removes the partial file."""
-    with open(path, "wb") as fh:
+class _WriteFailed(Exception):
+    """A write of the report to its ``--output`` file failed."""
+
+
+class _Stdout:
+    """The binary sink of a report written to standard output."""
+
+    @staticmethod
+    def write(data: bytes) -> None:
+        sys.stdout.write(data.decode("ascii"))
+
+
+class _ReportFile:
+    """The binary sink of a report written to ``--output``.
+
+    The file is created at the first write, which comes after the whole
+    report is rendered, so a run that fails before then leaves an existing
+    file as it was.  A write that fails raises :class:`_WriteFailed`.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._fh = None
+
+    def write(self, data: bytes) -> None:
         try:
-            fh.write(report)
-            fh.flush()
-        except OSError:
-            if os.path.isfile(path):
-                os.remove(path)
-            raise
+            if self._fh is None:
+                self._fh = open(self.path, "wb")
+            self._fh.write(data)
+        except OSError as exc:
+            raise _WriteFailed(exc.strerror) from exc
+
+    def close(self) -> None:
+        if self._fh is not None:
+            try:
+                self._fh.close()
+            except OSError as exc:
+                raise _WriteFailed(exc.strerror) from exc
+
+    def discard(self) -> None:
+        """Close and remove the file, if this run created it."""
+        if self._fh is not None:
+            try:
+                self._fh.close()
+            except OSError:
+                pass
+            if os.path.isfile(self.path):
+                os.remove(self.path)
+
+
+@contextmanager
+def _report_sink(path: str | None):
+    """The sink a run writes its report to: standard output, or the file
+    ``path``, which is removed when the run fails after creating it."""
+    if path is None:
+        yield _Stdout
+        return
+    sink = _ReportFile(path)
+    try:
+        yield sink
+        sink.close()
+    except BaseException:
+        sink.discard()
+        raise
 
 
 @lru_cache(maxsize=None)
@@ -555,8 +677,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "tol" in vars(args) and not 0.0 < args.tol < 1.0:
             raise ValueError(f"--tol must be in (0, 1), got {args.tol}")
-        with _one_blas_thread():
-            report = run(args)
+        with _one_blas_thread(), _report_sink(args.output) as sink:
+            run(args, sink)
+    except _WriteFailed as exc:
+        print(f"error: cannot write report to {args.output}: {exc}", file=sys.stderr)
+        return 2
     except json.JSONDecodeError as exc:
         print(
             f"error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
@@ -573,14 +698,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # an input that passed the size checks
         print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 2
-    if args.output:
-        try:
-            _save(args.output, report)
-        except OSError as exc:
-            print(f"error: cannot write report to {args.output}: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(report.decode("ascii"))
     return 0
 
 

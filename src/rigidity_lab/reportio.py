@@ -7,17 +7,26 @@ with 17 significant digits, -0.0 is written as ``0`` (JSON would read
 ``-0`` back as the integer 0, so a report would not re-serialize to its own
 bytes), and non-finite values are spelled explicitly.
 
-One writer produces every report in a single pass.  It dispatches on the
+One writer renders every report in a single pass.  It dispatches on the
 exact type of each node and falls back to ``isinstance`` only for numpy
 scalars and arrays, tuples and subclasses.  A list of Python floats (the
 ``tolist()`` of a float array among them) is written in one join of
 ``"%.17g"`` strings; a list that mixes types, or holds NaN or an infinity,
 is written element by element through ``format_float``.  A ``Records``
 node, a list of records of one shape held as arrays, is written with one
-``%`` per chunk of records into a template built once per node.  A
-document that a report both embeds and hashes is written once, as an
-``Embedded`` string hashed once and appended re-indented, so ``input_hash``
-costs no second pass.  A report's text is joined once, then encoded once.
+``%`` per chunk of records into a template built once per node, each chunk
+converted to Python floats on its own.  A document that a report both
+embeds and hashes is written once, as an ``Embedded`` list of text runs of
+about ``RUN_CHARS`` characters, hashed run by run, so ``input_hash`` costs
+no second pass.
+
+A report is rendered whole before any of it is written, so a node that
+cannot be serialized raises before the destination is touched.  Its text
+then goes out in runs: each stretch of pieces between embedded documents
+is joined once, and each run of an embedded document is re-indented on
+its own.  ``dump_bytes`` with a binary sink writes the runs to it one at a
+time, so neither the whole text nor its bytes are ever held; without one
+it returns the joined bytes.
 
 ``input_hash`` is computed by the interpreter's builtin SHA-256 (``_sha2``
 on Python 3.12+, ``_sha256`` on 3.10 and 3.11), the same digest as
@@ -34,6 +43,8 @@ MB (2-vCPU Xeon VM, Python 3.10 to 3.13).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -60,27 +71,47 @@ def format_float(value: float) -> str:
 #: Records written by one ``%`` of a ``Records`` node.
 RECORDS_PER_CHUNK = 256
 
+#: Characters in a run of an ``Embedded`` document's text: a run ends at the
+#: first piece that brings it to this size.
+RUN_CHARS = 1 << 16
+
 
 class Embedded:
     """A document written once to canonical text, to embed in a report and hash.
 
-    ``text`` is the canonical text without its final newline.  Every
-    newline of canonical text is structural (JSON strings escape theirs),
-    so indenting each line by the depth the document lands at is exactly
-    the text of the document written at that depth.
+    ``runs`` is the canonical text without its final newline, as a list of
+    strings of about ``RUN_CHARS`` characters.  Every newline of canonical
+    text is structural (JSON strings escape theirs), so indenting each line
+    of each run by the depth the document lands at is exactly the text of
+    the document written at that depth.
     """
 
-    __slots__ = ("text", "_digest")
+    __slots__ = ("runs", "_digest")
 
     def __init__(self, obj):
-        self.text = _text(obj)
-        digest = _sha256(self.text.encode("ascii"))
+        pieces = _Pieces()
+        _write(obj, pieces, "\n")
+        self.runs = list(_runs(pieces, RUN_CHARS))
+        digest = _sha256()
+        for run in self.runs:
+            digest.update(run.encode("ascii"))
         digest.update(b"\n")
         self._digest = digest.hexdigest()
 
     def sha256(self) -> str:
         """The document's ``input_hash``: the sha256 of its canonical bytes."""
         return self._digest
+
+
+class _Pieces(list):
+    """A document's canonical text as it is rendered: strings, and at the
+    indices ``marks`` the pairs ``(Embedded, nl)`` of the documents it embeds."""
+
+    __slots__ = ("marks",)
+
+    def __init__(self):
+        super().__init__()
+        self.marks = []
 
 
 class Records:
@@ -107,7 +138,7 @@ class Records:
         return [dict(zip(self.fields, values)) for values in zip(*columns)]
 
 
-def _write(obj, out: list[str], nl: str) -> None:
+def _write(obj, out: _Pieces, nl: str) -> None:
     """Append the canonical text of ``obj`` to ``out``; ``nl`` is a newline
     followed by the indent of the line that holds ``obj``."""
     cls = type(obj)
@@ -130,7 +161,7 @@ def _write(obj, out: list[str], nl: str) -> None:
         _write_other(obj, out, nl)
 
 
-def _write_dict(obj: dict, out: list[str], nl: str) -> None:
+def _write_dict(obj: dict, out: _Pieces, nl: str) -> None:
     if not obj:
         out.append("{}")
         return
@@ -148,7 +179,7 @@ def _write_dict(obj: dict, out: list[str], nl: str) -> None:
 _FLOATS = {float}
 
 
-def _write_list(seq, out: list[str], nl: str) -> None:
+def _write_list(seq, out: _Pieces, nl: str) -> None:
     if not seq:
         out.append("[]")
         return
@@ -166,11 +197,12 @@ def _write_list(seq, out: list[str], nl: str) -> None:
     out.append(nl + "]")
 
 
-def _write_other(obj, out: list[str], nl: str) -> None:
+def _write_other(obj, out: _Pieces, nl: str) -> None:
     """Numpy scalars and arrays, tuples, embedded documents, records and
     subclasses."""
     if isinstance(obj, Embedded):
-        out.append(obj.text if nl == "\n" else obj.text.replace("\n", nl))
+        out.marks.append(len(out))
+        out.append((obj, nl))
     elif isinstance(obj, Records):
         _write_records(obj, out, nl)
     elif isinstance(obj, (bool, np.bool_)):
@@ -191,7 +223,7 @@ def _write_other(obj, out: list[str], nl: str) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _write_records(obj: Records, out: list[str], nl: str) -> None:
+def _write_records(obj: Records, out: _Pieces, nl: str) -> None:
     values = np.concatenate(
         [a.reshape(obj.count, math.prod(a.shape[1:])) for a in obj.fields.values()], axis=1
     )
@@ -203,16 +235,13 @@ def _write_records(obj: Records, out: list[str], nl: str) -> None:
     inner = nl + "  "
     sep = "," + inner
     record = _record_template(obj.fields, inner)
-    width = values.shape[1]
-    step = RECORDS_PER_CHUNK * width
     chunk = sep.join([record] * RECORDS_PER_CHUNK)
-    flat = values.ravel().tolist()
     out.append("[" + inner)
-    for start in range(0, len(flat), step):
-        part = flat[start : start + step]
-        if len(part) < step:  # the last chunk is shorter
-            chunk = sep.join([record] * (len(part) // width))
-        out.append(chunk % tuple(part))
+    for start in range(0, obj.count, RECORDS_PER_CHUNK):
+        part = values[start : start + RECORDS_PER_CHUNK]
+        if len(part) < RECORDS_PER_CHUNK:  # the last chunk is shorter
+            chunk = sep.join([record] * len(part))
+        out.append(chunk % tuple(part.ravel().tolist()))
         out.append(sep)
     out[-1] = nl + "]"
 
@@ -237,18 +266,56 @@ def _nested_template(shape: tuple, nl: str) -> str:
     return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
 
 
-def _text(obj, end: str = "") -> str:
-    """The canonical text of ``obj`` followed by ``end``; its pieces are freed
-    on return, before the caller encodes the text."""
-    pieces = []
+def _runs(pieces: _Pieces, size: int = 0):
+    """The text of ``pieces`` as runs: each stretch of strings between two
+    embedded documents joined once, or, given ``size``, into runs that end
+    at the first piece that brings them to ``size`` characters; each run of
+    an embedded document re-indented on its own.  Each piece is dropped
+    from ``pieces`` once joined."""
+    start = 0
+    for mark in [*pieces.marks, len(pieces)]:
+        for stop in _run_ends(pieces, start, mark, size):
+            run = pieces[start:stop]
+            pieces[start:stop] = [None] * (stop - start)
+            yield "".join(run)
+            start = stop
+        if mark < len(pieces):
+            embedded, nl = pieces[mark]
+            for text in embedded.runs:
+                yield text if nl == "\n" else text.replace("\n", nl)
+        start = mark + 1
+
+
+def _run_ends(pieces: list, start: int, stop: int, size: int) -> list[int]:
+    """Where the runs of ``pieces[start:stop]`` end (see :func:`_runs`)."""
+    if start == stop:
+        return []
+    if not size:
+        return [stop]
+    ends = list(accumulate(map(len, pieces[start:stop]), initial=0))
+    cuts, k = [], 0
+    while k < stop - start:
+        k = min(bisect_left(ends, ends[k] + size, k + 1), stop - start)
+        cuts.append(start + k)
+    return cuts
+
+
+def dump_bytes(obj, fh=None) -> bytes:
+    """Canonical bytes of a report document.
+
+    The whole document is rendered before any byte is produced, so a node
+    that cannot be serialized raises first.  With a binary sink ``fh`` the
+    bytes are written to it one run at a time, never joined whole, and
+    ``b""`` is returned; without one they are returned.
+    """
+    pieces = _Pieces()
     _write(obj, pieces, "\n")
-    pieces.append(end)
-    return "".join(pieces)
-
-
-def dump_bytes(obj) -> bytes:
-    """Canonical bytes of a report document."""
-    return _text(obj, "\n").encode("ascii")
+    pieces.append("\n")
+    if fh is None:
+        return b"".join([run.encode("ascii") for run in _runs(pieces)])
+    for run in _runs(pieces):
+        fh.write(run.encode("ascii"))
+    return b""
 
 
 def input_hash(obj) -> str:

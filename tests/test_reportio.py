@@ -338,9 +338,9 @@ def test_run_writes_every_report_through_dump_bytes(argv, tmp_path, monkeypatch)
     calls = []
     dump_bytes = reportio.dump_bytes
 
-    def spy(doc):
+    def spy(doc, fh=None):
         calls.append(doc["command"])
-        return dump_bytes(doc)
+        return dump_bytes(doc, fh)
 
     monkeypatch.setattr(reportio, "dump_bytes", spy)
     out = tmp_path / "report.json"
