@@ -8,14 +8,17 @@ point.  The r-derivative field decides everything downstream: the structure
 is *nowhere transversally Riemannian* when that derivative never vanishes
 and *generic* when it is nondegenerate.
 
-A chart's coefficients are compiled once into one program, evaluated in
-floats over the chart's sample grid and exactly at a point.  A chart is
-validated by one scan of that grid, which also summarizes the r-derivative
-field.  A lightlike chart is the degenerate companion: a validated chart
-read in one more dimension, a positive semi-definite metric on dimension
-base+1 whose kernel is exactly the last coordinate direction.  Lifting a
-chart to its tautological lightlike metric keeps its coefficient data
-exactly, and the lifted chart's ``base`` is the chart itself.
+A chart holds its coefficients once, as the nonzero upper triangle (i <= j)
+of the symmetric matrix, so the stored form is canonical and symmetric by
+construction.  They are compiled once into one program, evaluated in floats
+over the chart's sample grid and exactly at a point.  A chart is validated
+by one scan of that grid, which also summarizes the r-derivative field.
+
+A lightlike chart is the degenerate companion: a validated chart read in
+one more dimension, a positive semi-definite metric on dimension base+1
+whose kernel is exactly the last coordinate direction.  Lifting a chart to
+its tautological lightlike metric keeps its coefficient data exactly, and
+the lifted chart's ``base`` is the chart itself.
 """
 
 from __future__ import annotations
@@ -160,10 +163,9 @@ class _ChartProgram:
 
 def _compile_program(chart: "GcsChart") -> _ChartProgram:
     n = chart.n
-    entries = [(i, j) for i, j in _sym_indices(n, 2) if not chart.entries[i][j].is_zero]
+    entries = list(chart.entries)
     jets, varying = [], []
-    for i, j in entries:
-        f = chart.entries[i][j]
+    for f in chart.entries.values():
         jet = [(f.num, f.den)]
         for _ in range(MAX_R_ORDER):
             jet.append((jet[-1][0].diff(n), jet[-1][1].diff(n)))
@@ -259,9 +261,9 @@ class GenericityReport:
     """
 
     worst_min_abs_eig: float
-    worst_point: tuple[list[float], float]
+    worst_point: tuple[tuple[float, ...], float]
     min_norm: float
-    min_norm_point: tuple[list[float], float]
+    min_norm_point: tuple[tuple[float, ...], float]
     min_eig_ratio: float
     min_norm_ratio: float
     grid: int
@@ -352,10 +354,10 @@ def _least_abs_eigs(d: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_point(axes, digits, k) -> tuple[list[float], float]:
+def _grid_point(axes, digits, k) -> tuple[tuple[float, ...], float]:
     """Point k of a block as (x, r) floats."""
-    point = [float(axis[d[k]]) for axis, d in zip(axes, digits)]
-    return point[:-1], point[-1]
+    *x, r = (float(axis[d[k]]) for axis, d in zip(axes, digits))
+    return tuple(x), r
 
 
 # an overflow in the scan is refused as a value that is not finite
@@ -484,8 +486,9 @@ def _scan_grid(chart: "GcsChart") -> GenericityReport:
 class GcsChart:
     """Field of scalar products ``(x, r) -> sum a_ij(x, r) dx^i dx^j``.
 
-    ``entries`` is the full symmetric matrix of rational-function
-    coefficients in the variables (x_1, ..., x_n, r); construction verifies
+    ``entries`` maps (i, j), 0 <= i <= j < n, to the coefficient a_ij = a_ji
+    in the variables (x_1, ..., x_n, r), an absent entry being zero; it is
+    stored without zero entries, in sorted order.  Construction verifies
     positive definiteness on ``grid`` samples per axis of the box domain
     times the parameter interval (a heuristic whose resolution every
     certificate records).  The scan walks only the axes that the compiled
@@ -497,7 +500,7 @@ class GcsChart:
     n: int
     domain: list[tuple[float, float]]
     interval: tuple[float, float]
-    entries: list[list[RationalField]]
+    entries: dict[tuple[int, int], RationalField]
     name: str = "custom"
     params: dict = dc_field(default_factory=dict)
     grid: int = DEFAULT_GRID
@@ -513,19 +516,13 @@ class GcsChart:
             raise ValueError(f"domain has {len(self.domain)} sides, expected {self.n}")
         self.interval = _check_interval(self.interval)
         nv = self.n + 1
-        for row in self.entries:
-            for f in row:
-                if f.nvars != nv:
-                    raise ValueError(
-                        f"entry uses {f.nvars} variables, expected {nv} (x_1..x_n, r)"
-                    )
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.entries[i][j] is not self.entries[j][i] and not (
-                    self.entries[i][j].num == self.entries[j][i].num
-                    and self.entries[i][j].den == self.entries[j][i].den
-                ):
-                    raise ValueError(f"entries are not symmetric at ({i}, {j})")
+        for key, f in self.entries.items():
+            if not (type(key) is tuple and len(key) == 2 and {type(v) for v in key} == {int}
+                    and 0 <= key[0] <= key[1] < self.n):
+                raise ValueError(f"entry key {key!r} is not (i, j) with 0 <= i <= j < {self.n}")
+            if f.nvars != nv:
+                raise ValueError(f"entry {key} uses {f.nvars} variables, expected {nv} (x, r)")
+        self.entries = {key: f for key, f in sorted(self.entries.items()) if not f.is_zero}
         self._program = _compile_program(self)
         self._grid_summary = _scan_grid(self)
 
@@ -639,14 +636,9 @@ def genericity_report(
     chart: GcsChart | LightlikeChart, tol: float = SPECTRAL_TOL
 ) -> GenericityReport:
     """The report of the chart's construction scan, on its own grid, with
-    its verdicts read at ``tol``; the chart's own record is not shared."""
+    its verdicts read at ``tol``; it shares the chart's immutable record."""
     own = (chart.base if isinstance(chart, LightlikeChart) else chart)._grid_summary
-    return replace(
-        own,
-        tol=tol,
-        worst_point=(list(own.worst_point[0]), own.worst_point[1]),
-        min_norm_point=(list(own.min_norm_point[0]), own.min_norm_point[1]),
-    )
+    return replace(own, tol=tol)
 
 
 def lift_to_lightlike(chart: GcsChart) -> LightlikeChart:
@@ -658,29 +650,23 @@ def lift_to_lightlike(chart: GcsChart) -> LightlikeChart:
 # -- builtin catalog ------------------------------------------------------
 
 
-def _conformal_flat(n: int, params: dict, interval) -> list[list[RationalField]]:
-    nv = n + 1
-    r = RationalField.from_poly(Poly.var(nv, n))
-    zero = RationalField.const(nv, 0)
-    return [[r if i == j else zero for j in range(n)] for i in range(n)]
+def _conformal_flat(n: int, params: dict, interval) -> dict:
+    r = RationalField.from_poly(Poly.var(n + 1, n))
+    return {(i, i): r for i in range(n)}
 
 
-def _product_nonrigid(n: int, params: dict, interval) -> list[list[RationalField]]:
+def _product_nonrigid(n: int, params: dict, interval) -> dict:
     eps = _as_fraction(params.get("epsilon", 0))
     if eps < 0:
         raise ValueError(f"epsilon must be >= 0, got {eps}")
     nv = n + 1
     r = RationalField.from_poly(Poly.var(nv, n))
     one = RationalField.const(nv, 1)
-    zero = RationalField.const(nv, 0)
     off_diag = one + r.scale(eps) if eps != 0 else one
-    return [
-        [(r if i == 0 else off_diag) if i == j else zero for j in range(n)]
-        for i in range(n)
-    ]
+    return {(i, i): r if i == 0 else off_diag for i in range(n)}
 
 
-def _linear_hyperbolic(n: int, params: dict, interval) -> list[list[RationalField]]:
+def _linear_hyperbolic(n: int, params: dict, interval) -> dict:
     nv = n + 1
     shift = _as_fraction(params.get("shift", 1))
     coeffs = params.get("f_coeffs", [1, 0, 1])
@@ -708,15 +694,14 @@ def _linear_hyperbolic(n: int, params: dict, interval) -> list[list[RationalFiel
             )
     one = Poly.const(nv, 1)
     one_plus_r = one + r_poly
-    zero = RationalField.const(nv, 0)
-    entries = [[zero for _ in range(n)] for _ in range(n)]
-    entries[0][0] = RationalField(one, one_plus_r)
-    entries[1][1] = RationalField.from_poly(one_plus_r)
-    entries[2][2] = RationalField.from_poly(one + f_used)
-    return entries
+    return {
+        (0, 0): RationalField(one, one_plus_r),
+        (1, 1): RationalField.from_poly(one_plus_r),
+        (2, 2): RationalField.from_poly(one + f_used),
+    }
 
 
-def _lightcone(nb: int, params: dict, interval) -> list[list[RationalField]]:
+def _lightcone(nb: int, params: dict, interval) -> dict:
     nv = nb + 1
     # base block 4 t^2 / (1 + |x|^2)^2 * Id in stereographic coordinates
     t = Poly.var(nv, nb)
@@ -727,20 +712,19 @@ def _lightcone(nb: int, params: dict, interval) -> list[list[RationalField]]:
     den = norm2 * norm2
     num = (t * t).scale(4)
     diag = RationalField(num, den)
-    zero = RationalField.const(nv, 0)
-    return [[diag if i == j else zero for j in range(nb)] for i in range(nb)]
+    return {(i, i): diag for i in range(nb)}
 
 
 @dataclass(frozen=True)
 class _Builtin:
     """A catalog entry: ``build(coefficient dimension, params, interval)``
-    returns the coefficient matrix, ``params`` names the parameters read
+    returns the chart entries, ``params`` names the parameters read
     besides ``interval`` and ``domain``, ``n`` is the default dimension (the
     only one when ``fixed_n``) and ``box`` the default side of the domain."""
 
     kind: str
     description: str
-    build: Callable[[int, dict, tuple[float, float]], list]
+    build: Callable[[int, dict, tuple[float, float]], dict]
     params: tuple[str, ...]
     n: int
     box: tuple[float, float]
@@ -886,10 +870,11 @@ def chart_from_doc(doc: dict, grid: int = DEFAULT_GRID) -> GcsChart | LightlikeC
     return LightlikeChart(chart) if kind == "lightlike" else chart
 
 
-def _doc_entries(items, dim: int) -> list[list[RationalField]]:
-    """The full symmetric coefficient matrix of a document's entry list;
-    every entry's fields and terms are checked, naming the entry, and every
-    exponent against ``MAX_EXPONENT``, before any coefficient is built."""
+def _doc_entries(items, dim: int) -> dict[tuple[int, int], RationalField]:
+    """A document's entry list as a chart holds it: keyed (min(i, j),
+    max(i, j)), without zero entries.  Every entry's fields and terms are
+    checked, naming the entry, and every exponent against ``MAX_EXPONENT``,
+    before any coefficient is built."""
     nv = dim + 1
     for k, item in enumerate(items):
         if not isinstance(item, dict):
@@ -929,8 +914,7 @@ def _doc_entries(items, dim: int) -> list[list[RationalField]]:
             upper[key] = RationalField(num, den)
         except ZeroDivisionError as exc:  # a denominator that is identically zero
             raise ValueError(f"entry ({i}, {j}): {exc}") from exc
-    zero = RationalField.const(nv, 0)
-    return [[upper.get((min(i, j), max(i, j)), zero) for j in range(dim)] for i in range(dim)]
+    return {key: f for key, f in upper.items() if not f.is_zero}
 
 
 def _named_chart(doc: dict, kind: str, n: int, domain, interval, entries, grid: int):
@@ -958,18 +942,15 @@ def chart_to_doc(chart: GcsChart | LightlikeChart) -> dict:
     """Serialize a chart to its JSON document form (exact coefficients)."""
     kind = "lightlike" if isinstance(chart, LightlikeChart) else "gcs"
     base = chart.base if isinstance(chart, LightlikeChart) else chart
-    entries = [
-        {"i": i, "j": j, "num": f.num.to_json_terms(), "den": f.den.to_json_terms()}
-        for i in range(base.n)
-        for j in range(i, base.n)
-        if not (f := base.entries[i][j]).is_zero
-    ]
     return {
         "kind": kind,
         "n": chart.n,
         "domain": [[lo, hi] for lo, hi in base.domain],
         "interval": [base.interval[0], base.interval[1]],
-        "entries": entries,
+        "entries": [
+            {"i": i, "j": j, "num": f.num.to_json_terms(), "den": f.den.to_json_terms()}
+            for (i, j), f in base.entries.items()
+        ],
         "builtin": chart.name if chart.name in BUILTINS else None,
         "params": {k: _param_doc(v) for k, v in sorted(base.params.items())},
     }

@@ -33,38 +33,48 @@ from .multilinear import SPECTRAL_TOL, positive_pivots
 RESAMPLE_CAP = 10**7
 
 
+def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slice of a stack scaled by 2^-e, with e the exponent of its
+    largest |entry| (which then lies in [1/2, 1)), and the exponents e.  The
+    scaling is exact unless it moves an entry below the normal range."""
+    e = np.frexp(np.abs(m).max(axis=(1, 2)))[1]
+    return np.ldexp(m, -e[:, None, None]), e
+
+
 def _spd_stack(mats, label: str = "sample {}") -> np.ndarray:
     """Symmetrized read-only copy of a (K, n, n) stack of positive-definite matrices.
 
     Every slice must be finite, and its eigenvalues must be positive, the
-    smallest above SPECTRAL_TOL times the largest.  A slice m where
-    eliminating m - s I, s = 2 SPECTRAL_TOL ||m||_inf, keeps every pivot
-    positive passes by twice that (the largest eigenvalue is at most
-    ||m||_inf), unless s is below the normal range; one batched ``eigvalsh``
-    decides the others.  The ValueError names the first failing slice by
-    ``label.format(k)``.
+    smallest above SPECTRAL_TOL times the largest.  Each slice is tested at
+    its unit scale (:func:`_unit_scale`), so a subnormal slice is decided
+    as its normal multiples are: a slice m where eliminating m - s I,
+    s = 2 SPECTRAL_TOL ||m||_inf, keeps every pivot positive passes by
+    twice that (the largest eigenvalue is at most ||m||_inf); one batched
+    ``eigvalsh`` decides the others.  The ValueError names the first
+    failing slice by ``label.format(k)``, with its eigenvalue range scaled
+    back.
     """
     m = np.asarray(mats, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
         raise ValueError(f"expected square matrices, got shape {m.shape[1:]}")
     with np.errstate(all="ignore"):  # overflow and inf - inf are refused below
         m = (m + m.swapaxes(1, 2)) / 2.0
-        norm = np.linalg.norm(m, np.inf, axis=(1, 2))
     bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
     if bad.size:
         raise ValueError(f"{label.format(bad[0])} has a non-finite entry")
-    # below the normal range, eigvalsh's least eigenvalue may underflow to 0
-    shift = 2.0 * SPECTRAL_TOL * norm
-    rest = np.flatnonzero(~(positive_pivots(m, shift) & (shift >= np.finfo(float).tiny)))
+    unit, e = _unit_scale(m)
+    shift = 2.0 * SPECTRAL_TOL * np.linalg.norm(unit, np.inf, axis=(1, 2))
+    rest = np.flatnonzero(~positive_pivots(unit, shift))
     if rest.size:
-        eigs = np.linalg.eigvalsh(m[rest])
+        eigs = np.linalg.eigvalsh(unit[rest])
         lo, hi = eigs[:, 0], eigs[:, -1]
         bad = np.flatnonzero(~((hi > 0.0) & (lo > SPECTRAL_TOL * hi)))
         if bad.size:
             k = bad[0]
+            lo, hi = np.ldexp([lo[k], hi[k]], e[rest[k]])
             raise ValueError(
                 f"{label.format(rest[k])} is not positive definite (eigenvalue range "
-                f"[{lo[k]:.3e}, {hi[k]:.3e}])"
+                f"[{lo:.3e}, {hi:.3e}])"
             )
     m.setflags(write=False)
     return m
@@ -90,7 +100,8 @@ class SpdCurve:
 
     Both arrays are read-only.  Parameters must be finite and strictly
     increasing, with finite steps; a closed curve repeats its first sample
-    as the last (to 1e-10) and has at least 4 samples.
+    as the last, to 1e-10 of the endpoints' largest |entry|, and has at
+    least 4 samples.
     """
 
     params: np.ndarray
@@ -115,8 +126,9 @@ class SpdCurve:
             raise ValueError(f"sample {bad[0] + 1}: parameter step overflows the float range")
         if self.closed:
             gap = np.max(np.abs(mats[0] - mats[-1]))
-            if gap > 1e-10:
-                raise ValueError(f"closed curve endpoints differ by {gap:.3e} (> 1e-10)")
+            tol = 1e-10 * np.max(np.abs(mats[[0, -1]]))
+            if gap > tol:
+                raise ValueError(f"closed curve endpoints differ by {gap:.3e} (> {tol:.3e})")
             if t.size < 4:
                 # fewer samples wrap every central difference to zero
                 raise ValueError(f"a closed curve needs at least 4 samples, got {t.size}")
@@ -147,7 +159,7 @@ def spd_inner(b: SpdPoint | np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     for t in (x, y):
         if t.shape != bm.shape:
             raise ValueError(f"tangent of shape {t.shape}, expected {bm.shape}")
-        if np.max(np.abs(t - t.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(t))):
+        if np.max(np.abs(t - t.T), initial=0.0) > 1e-12 * np.max(np.abs(t), initial=0.0):
             raise ValueError("tangent matrices must be symmetric")
     return float(np.trace(np.linalg.solve(bm, x) @ np.linalg.solve(bm, y)))
 
@@ -171,14 +183,15 @@ def _tangents(curve: SpdCurve) -> np.ndarray:
 def _speeds(curve: SpdCurve) -> np.ndarray:
     """Read-only speeds sqrt(tr((b^-1 x)^2)) from one stacked solve.
 
-    Each y = b^-1 x is scaled by 2^-e, with e the exponent of its largest
-    |entry|, and its root by 2^e, so the square neither underflows nor
-    overflows; in the normal range the scaling is exact."""
+    Each sample b and its tangent x are solved at b's unit scale
+    (:func:`_unit_scale`), so a subnormal b solves as its normal multiples
+    do; each y = b^-1 x is scaled to its own unit scale 2^-e and its root by
+    2^e, so the square neither underflows nor overflows.  In the normal
+    range both scalings are exact."""
     if curve.params.size < 2:
         raise ValueError("need at least two samples to measure a speed")
-    y = np.linalg.solve(curve.matrices, _tangents(curve))
-    e = np.frexp(np.abs(y).max(axis=(1, 2)))[1]
-    y = np.ldexp(y, -e[:, None, None])
+    b, e = _unit_scale(curve.matrices)
+    y, e = _unit_scale(np.linalg.solve(b, np.ldexp(_tangents(curve), -e[:, None, None])))
     speeds = np.ldexp(np.sqrt(np.maximum(np.trace(y @ y, axis1=1, axis2=2), 0.0)), e)
     bad = np.flatnonzero(~np.isfinite(speeds))
     if bad.size:
@@ -236,7 +249,7 @@ def circle_mean(curve: SpdCurve) -> SpdPoint:
         raise ValueError("the canonical mean is defined for closed curves only")
     mats = curve.matrices
     spread = float(np.max(np.abs(mats - mats[0])))
-    if spread <= 1e-12 * max(1.0, float(np.max(np.abs(mats[0])))):
+    if spread <= 1e-12 * float(np.max(np.abs(mats[0]))):
         return SpdPoint(mats[0])  # constant curve: the mean is the point itself
     den = _arclength(curve)[-1]
     if den <= 0.0:

@@ -46,16 +46,24 @@ def random_well_conditioned(rng, n, spread=2.0):
     return u @ np.diag(s) @ v
 
 
+def full_matrix(entries, n):
+    """The full symmetric n x n coefficient matrix of a chart's entries (its
+    upper triangle), with a zero field wherever no entry is listed."""
+    zero = RationalField.const(n + 1, 0)
+    return [[entries.get((min(i, j), max(i, j)), zero) for j in range(n)] for i in range(n)]
+
+
 def congruent_chart(chart, m):
     """The chart pulled back along x = M y for an integer matrix M: exact
     entries M^T A(r) M.  Only for charts that do not depend on x."""
     n = chart.n
-    entries = [[RationalField.const(n + 1, 0)] * n for _ in range(n)]
+    a = full_matrix(chart.entries, n)
+    entries = {}
     for i, j in itertools.combinations_with_replacement(range(n), 2):
+        entries[i, j] = RationalField.const(n + 1, 0)
         for k, l in itertools.product(range(n), repeat=2):
             if m[k][i] * m[l][j]:
-                entries[i][j] = entries[i][j] + chart.entries[k][l].scale(m[k][i] * m[l][j])
-        entries[j][i] = entries[i][j]
+                entries[i, j] = entries[i, j] + a[k][l].scale(m[k][i] * m[l][j])
     return GcsChart(n, chart.domain, chart.interval, entries, grid=chart.grid)
 
 

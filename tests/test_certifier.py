@@ -54,12 +54,11 @@ class TestLevel1:
     def test_vanishing_parameter_derivative_rejected(self):
         nv = 3
         one = RationalField.const(nv, 1)
-        zero = RationalField.const(nv, 0)
         chart = GcsChart(
             n=2,
             domain=[(-1.0, 1.0)] * 2,
             interval=(0.5, 2.0),
-            entries=[[one, zero], [zero, one]],
+            entries={(0, 0): one, (1, 1): one},
         )
         with pytest.raises(ValueError, match="derivative vanishes"):
             gcs_certificate(chart, [0.0, 0.0], [1.0])

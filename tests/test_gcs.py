@@ -22,7 +22,7 @@ from rigidity_lab.gcs import (
 )
 from rigidity_lab.multilinear import SPECTRAL_TOL
 from rigidity_lab.ratfield import Poly, RationalField
-from conftest import congruent_chart
+from conftest import congruent_chart, full_matrix
 
 TESTS_DIR = Path(__file__).parent
 
@@ -48,11 +48,12 @@ def _assert_partials_match_quotient_rule(chart, points):
     point, in every arrangement of its x-slots, equals the plain quotient
     rule evaluated by ``RationalField.eval``, to the last bit."""
     n = chart.n
+    a = full_matrix(chart.entries, n)
     plain = {}
 
     def oracle(i, j, variables):
         if variables not in plain.setdefault((i, j), {}):
-            f = chart.entries[i][j]
+            f = a[i][j]
             if variables:
                 f = quotient_rule(oracle(i, j, variables[:-1]), variables[-1])
             plain[i, j][variables] = f
@@ -65,8 +66,8 @@ def _assert_partials_match_quotient_rule(chart, points):
                 got = chart.eval_partials(x, r, m, l)
                 for idx in itertools.product(range(n), repeat=m):
                     variables = tuple(sorted(idx)) + (n,) * l
-                    fields = [[oracle(min(i, j), max(i, j), variables) for j in range(n)]
-                              for i in range(n)]
+                    fields = {(i, j): oracle(i, j, variables)
+                              for i, j in itertools.combinations_with_replacement(range(n), 2)}
                     want = _exact_matrix(fields, point)
                     assert got[idx].tobytes() == want.tobytes(), (point, m, l, idx)
 
@@ -107,7 +108,7 @@ class TestRatField:
 
     def test_derivative_keeps_a_denominator_free_of_the_variable(self):
         chart = builtin_chart("lightcone", 4).base
-        f = chart.entries[0][0]  # 4 t^2 / (1 + |x|^2)^2
+        f = chart.entries[0, 0]  # 4 t^2 / (1 + |x|^2)^2
         prog = chart._program
         assert prog.jets[0] == ((f.num, f.den), (f.num.diff(chart.n), Poly(chart.n + 1, {})))
         # the zero r-partial of D reads the zero column, and the rule skips
@@ -302,13 +303,14 @@ class TestGenericity:
         assert dataclasses.replace(below, tol=above.tol) == above
         assert chart._grid_summary.tol == SPECTRAL_TOL
 
-    def test_report_does_not_share_the_chart_record(self):
+    def test_record_points_are_tuples_that_cannot_be_changed(self):
         chart = builtin_chart("product_nonrigid", 3)
         report = genericity_report(chart)
-        want = (list(report.worst_point[0]), list(report.min_norm_point[0]))
-        report.worst_point[0][0] = report.min_norm_point[0][0] = 9.0
-        again = genericity_report(chart)
-        assert (again.worst_point[0], again.min_norm_point[0]) == want
+        for x, r in (report.worst_point, report.min_norm_point):
+            assert type(x) is tuple and type(r) is float and len(x) == 3
+            with pytest.raises(TypeError):
+                x[0] = 9.0
+        assert report.worst_point is chart._grid_summary.worst_point
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.tol = 0.0
 
@@ -356,13 +358,12 @@ class TestLiftQuotient:
     def test_t_independent_chart_is_transversally_riemannian(self):
         nv = 3  # two base coordinates + t
         one = RationalField.const(nv, 1)
-        zero = RationalField.const(nv, 0)
         t = Poly.var(nv, 2)
         # (t + t x^2) / t mentions t in both polynomials but equals 1 + x^2;
         # its r-dependence is decided exactly, so no rounding noise is left
         mentions_t = RationalField(t + t * Poly.var(nv, 0) * Poly.var(nv, 0), t)
         for corner in (one, mentions_t):
-            entries = [[corner, zero], [zero, one]]
+            entries = {(0, 0): corner, (1, 1): one}
             lc = LightlikeChart(
                 GcsChart(n=2, domain=[(-1.0, 1.0)] * 2, interval=(0.5, 2.0), entries=entries)
             )
@@ -409,6 +410,45 @@ class TestChartEquality:
         assert a == b
         a.eval_partials([0.0, 0.0, 0.0], 1.0, 2, 1)
         assert a == b
+
+
+class TestChartEntries:
+    """A chart holds the nonzero upper triangle of its coefficient matrix."""
+
+    @staticmethod
+    def _chart(entries):
+        return GcsChart(n=2, domain=[(-1.0, 1.0)] * 2, interval=(0.5, 2.0), entries=entries)
+
+    @pytest.mark.parametrize(
+        "key, nvars, match",
+        [
+            ((1, 0), 3, r"entry key \(1, 0\) is not \(i, j\) with 0 <= i <= j < 2"),
+            ((0, 2), 3, r"entry key \(0, 2\) is not"),
+            ((-1, 0), 3, r"entry key \(-1, 0\) is not"),
+            ((0, 1), 2, r"entry \(0, 1\) uses 2 variables, expected 3"),
+        ],
+        ids=["below_diagonal", "out_of_range", "negative", "variable_count"],
+    )
+    def test_refuses_a_key_off_the_upper_triangle_and_a_wrong_variable_count(
+        self, key, nvars, match
+    ):
+        one = RationalField.const(3, 1)
+        with pytest.raises(ValueError, match=match):
+            self._chart({(0, 0): one, (1, 1): one, key: RationalField.const(nvars, "1/4")})
+
+    def test_stores_the_nonzero_entries_in_sorted_order(self):
+        one, zero = RationalField.const(3, 1), RationalField.const(3, 0)
+        chart = self._chart({(1, 1): one, (0, 1): zero, (0, 0): one})
+        assert list(chart.entries) == [(0, 0), (1, 1)]
+        assert chart == self._chart({(0, 0): one, (1, 1): one})
+
+    def test_document_entry_with_zero_numerator_reads_as_omitted(self):
+        doc = chart_to_doc(builtin_chart("conformal_flat", 2))
+        zero = {"i": 1, "j": 0, "num": [["0", [0, 0, 0]]], "den": [["2", [0, 0, 0]]]}
+        loaded = chart_from_doc({**doc, "entries": [*doc["entries"], zero]})
+        assert loaded == builtin_chart("conformal_flat", 2)
+        del doc["builtin"]
+        assert chart_from_doc({**doc, "entries": [zero, *doc["entries"]]}).entries == loaded.entries
 
 
 class TestChartJson:
@@ -524,9 +564,10 @@ def quotient_rule(f, var):
 
 
 def _exact_matrix(entries, point):
-    """The symmetric matrix of ``entries`` at an exact point, each value by
-    ``RationalField.eval`` and rounded once."""
-    n = len(entries)
+    """The symmetric matrix of a chart's ``entries`` at an exact point, each
+    value by ``RationalField.eval`` and rounded once."""
+    n = len(point) - 1
+    entries = full_matrix(entries, n)
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
@@ -564,7 +605,8 @@ def _exact_scan(domain, interval, entries, per_axis):
     each value rounded once (a field shared by several entries is evaluated
     once), then ``eigvalsh``.  Returns the summary or raises the scan's
     ValueError at the first failing point."""
-    n = len(entries)
+    n = len(domain)
+    entries = full_matrix(entries, n)
     points = list(_exact_grid(domain, interval, per_axis))
     mats = np.zeros((2, len(points), n, n))
     refusals = [set() for _ in points]
@@ -600,9 +642,9 @@ def _exact_scan(domain, interval, entries, per_axis):
     where = [tuple(map(float, points[k])) for k in (worst, low)]
     return gcs.GenericityReport(
         worst_min_abs_eig=float(min_eig[worst]),
-        worst_point=(list(where[0][:-1]), where[0][-1]),
+        worst_point=(where[0][:-1], where[0][-1]),
         min_norm=float(norm[low]),
-        min_norm_point=(list(where[1][:-1]), where[1][-1]),
+        min_norm_point=(where[1][:-1], where[1][-1]),
         min_eig_ratio=float(np.min(min_eig / scale)),
         min_norm_ratio=float(np.min(norm / scale)),
         grid=per_axis,
@@ -640,12 +682,8 @@ def _assert_outcomes_match(got, want):
 
 def _diag_entries(n, diag):
     """Diagonal entries from polynomials given as ``[(coef, exps), ...]``."""
-    nv = n + 1
-    zero = RationalField.const(nv, 0)
-    entries = [[zero] * n for _ in range(n)]
-    for k, terms in enumerate(diag):
-        entries[k][k] = RationalField.from_poly(Poly.from_terms(nv, terms))
-    return entries
+    return {(k, k): RationalField.from_poly(Poly.from_terms(n + 1, terms))
+            for k, terms in enumerate(diag)}
 
 
 def _diag_chart(n, diag, domain, interval, grid=gcs.DEFAULT_GRID):
@@ -786,9 +824,7 @@ class TestGridScanOracle:
         nv = 3
         x1 = Poly.var(nv, 0)
         f = RationalField(x1 * Poly.var(nv, 2), x1)
-        zero = RationalField.const(nv, 0)
-        one = RationalField.const(nv, 1)
-        entries = [[f, zero], [zero, one]]
+        entries = {(0, 0): f, (1, 1): RationalField.const(nv, 1)}
         domain, interval = [(-1.0, 1.0)] * 2, (0.5, 2.0)
         expected = _scan_outcome(_exact_scan, domain, interval, entries, 5)
         assert expected == "denominator vanishes at grid point (0.0, -1.0, 0.5)"
@@ -801,13 +837,13 @@ _PLANE = ([(-1.0, 1.0)] * 2, (0.5, 2.0))
 
 
 def _plane_entries(a00, a01, a11):
-    """The symmetric entries [[a00, a01], [a01, a11]] in (x_1, x_2, r), each a
-    polynomial given as ``[(coef, (e_x1, e_x2, e_r)), ...]`` or a RationalField."""
-    a00, a01, a11 = (
-        f if isinstance(f, RationalField) else RationalField.from_poly(Poly.from_terms(3, f))
-        for f in (a00, a01, a11)
-    )
-    return [[a00, a01], [a01, a11]]
+    """The entries of the symmetric [[a00, a01], [a01, a11]] in (x_1, x_2, r),
+    each a polynomial given as ``[(coef, (e_x1, e_x2, e_r)), ...]`` or a
+    RationalField."""
+    return {
+        key: f if isinstance(f, RationalField) else RationalField.from_poly(Poly.from_terms(3, f))
+        for key, f in zip([(0, 0), (0, 1), (1, 1)], (a00, a01, a11))
+    }
 
 
 def _plane_chart(*entries):
@@ -900,7 +936,7 @@ class TestGridScanTies:
         # per point checks the rule across blocks
         monkeypatch.setattr(gcs, "GRID_BLOCK", block)
         summary = self._chart(Fraction(1, 2**50))._grid_summary
-        assert summary.worst_point == summary.min_norm_point == ([-1.0], 0.5)
+        assert summary.worst_point == summary.min_norm_point == ((-1.0,), 0.5)
         assert summary.worst_min_abs_eig == summary.min_norm == 1.0 + 2.0**-50
         # the ratios stay exact minima, at x_1 = 1, r = 2 where a = 3 - 2^-49
         least = (1.0 - 2.0**-50) / (3.0 - 2.0**-49)
@@ -910,7 +946,7 @@ class TestGridScanTies:
     def test_lower_values_beyond_the_bound_move_the_point(self, monkeypatch, block):
         monkeypatch.setattr(gcs, "GRID_BLOCK", block)
         summary = self._chart(Fraction(1, 2**40))._grid_summary
-        assert summary.worst_point == summary.min_norm_point == ([1.0], 0.5)
+        assert summary.worst_point == summary.min_norm_point == ((1.0,), 0.5)
         assert summary.worst_min_abs_eig == summary.min_norm == 1.0 - 2.0**-40
 
     def test_first_least_rule(self):

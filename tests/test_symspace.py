@@ -80,6 +80,11 @@ class TestSpdInner:
         with pytest.raises(ValueError, match="symmetric"):
             spd_inner(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
+    def test_rejects_asymmetric_tangent_at_small_scale(self):
+        # symmetry is judged against the tangent's own largest entry
+        with pytest.raises(ValueError, match="symmetric"):
+            spd_inner(1e-14 * np.eye(2), np.array([[0.0, 1e-13], [0.0, 0.0]]), 1e-14 * np.eye(2))
+
     def test_rejects_non_spd_point(self):
         with pytest.raises(ValueError):
             SpdPoint(np.diag([1.0, -1.0]))
@@ -129,6 +134,16 @@ class TestCurveLength:
         c = SpdCurve([-span, 0.0, span], [[[1.0]], [[2.0]], [[4.0]]])
         assert c.speeds.tolist() == pytest.approx([1.0 / span, 0.75 / span, 0.5 / span], rel=1e-15)
         assert curve_length(c) == pytest.approx(1.5, rel=1e-12)
+
+    def test_subnormal_samples_measure_as_their_integer_twins(self):
+        # m is exactly positive definite (determinant 3556 units of 2^-2148),
+        # but its least eigenvalue underflows in eigvalsh at its own scale
+        integer = np.array([[10371.0, 13061.0], [13061.0, 16449.0]])
+        m = np.ldexp(integer, -1074)
+        tiny = SpdCurve([0.0, 1.0], [m, 2.0 * m])
+        twin = SpdCurve([0.0, 1.0], [integer, 2.0 * integer])
+        assert tiny.speeds.tobytes() == twin.speeds.tobytes()
+        assert curve_length(tiny) == curve_length(twin) == pytest.approx(0.75 * np.sqrt(2.0))
 
     def test_overflowing_length_is_refused(self):
         # both speeds are finite, the trapezoid over the long step is not
@@ -184,6 +199,18 @@ class TestCircleMean:
     def test_rotation_orbit_mean_is_isotropic(self):
         m = circle_mean(rotation_orbit()).matrix
         assert np.allclose(m, 1.5 * np.eye(2), atol=1e-6)
+
+    def test_small_orbit_is_not_a_constant_curve(self):
+        # the orbit of the data file scaled by 1e-14: its mean is 1.5e-14 I,
+        # not its first sample diag(2, 1) 1e-14
+        doc = json.loads(CURVE_FILE.read_text())
+        orbit = SpdCurve(
+            [s["t"] for s in doc["samples"]],
+            [1e-14 * np.array(s["matrix"]) for s in doc["samples"]],
+            closed=doc["closed"],
+        )
+        m = circle_mean(orbit).matrix
+        assert np.allclose(m, 1.5e-14 * np.eye(2), rtol=0.0, atol=1e-20)
 
     def test_pushforward_equivariance(self, rng):
         orbit = rotation_orbit()
@@ -250,6 +277,12 @@ class TestSpdCurveValidation:
             SpdCurve(
                 [0.0, 1.0], [np.eye(2), 2.0 * np.eye(2)], closed=True
             )
+
+    def test_closure_is_judged_at_the_curve_scale(self):
+        # endpoints at scale 1e-12 that differ by half their largest entry
+        mats = 1e-12 * np.array([2.0 * np.eye(2), 3.0 * np.eye(2), 4.0 * np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match="closed curve endpoints differ by 1.000e-12"):
+            SpdCurve([0.0, 1.0, 2.0, 3.0], mats, closed=True)
 
     def test_names_the_first_bad_sample(self):
         ts = [0.0, 1.0, 2.0, 3.0]
@@ -399,7 +432,9 @@ class TestLoopOracle:
 
 
 def eigvalsh_spd_stack(mats, label="sample {}"):
-    """``symspace._spd_stack`` with one batched ``eigvalsh`` over every sample."""
+    """``symspace._spd_stack`` with one batched ``eigvalsh`` over every sample,
+    each scaled by the power of two of its largest |entry| (exact in the
+    normal range) so that a subnormal sample's eigenvalues do not underflow."""
     m = np.asarray(mats, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
         raise ValueError(f"expected square matrices, got shape {m.shape[1:]}")
@@ -408,14 +443,15 @@ def eigvalsh_spd_stack(mats, label="sample {}"):
     bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
     if bad.size:
         raise ValueError(f"{label.format(bad[0])} has a non-finite entry")
-    eigs = np.linalg.eigvalsh(m)
+    e = np.frexp(np.abs(m).max(axis=(1, 2)))[1]
+    eigs = np.linalg.eigvalsh(np.ldexp(m, -e[:, None, None]))
     lo, hi = eigs[:, 0], eigs[:, -1]
     bad = np.flatnonzero(~((hi > 0.0) & (lo > SPECTRAL_TOL * hi)))
     if bad.size:
         k = bad[0]
         raise ValueError(
             f"{label.format(k)} is not positive definite (eigenvalue range "
-            f"[{lo[k]:.3e}, {hi[k]:.3e}])"
+            f"[{np.ldexp(lo[k], e[k]):.3e}, {np.ldexp(hi[k], e[k]):.3e}])"
         )
     return m
 
